@@ -6,11 +6,14 @@
 * symplectic characters for Sp_{2n} by the Weyl alternant ratio, with the
   exact polynomial division acting as a built-in self-check, plus the Weyl
   dimension formula as a second oracle;
-* the three minuscule characters of SO_4;
 * orbit sums under the type D Weyl group (permutations and even sign
   changes), the triangular stand-in used where exact Satake values are not
-  tabulated;
-* the specialization X_r -> 0 that drops the last GL variable.
+  tabulated.
+
+The exact SO_4 values at the minuscule coweights are tabulated once, as
+Satake images, in :func:`paramodular.oldforms.so4_satake_table`.  The
+specialization X_r -> 0 that drops the last GL variable is
+:meth:`paramodular.rings.SymLaurent.substitute_last_zero`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .coweights import Cone, Coweight, is_dominant, tilde
+from .coweights import Cone, Coweight, is_dominant
 from .rings import SymLaurent, VLaurent, poly_div_exact
 
 
@@ -201,29 +204,6 @@ def sp_dimension(lam: Coweight, n: int) -> int:
     return int(dim)
 
 
-_SO4_TABLE: dict[Coweight, dict[tuple[int, int], int]] = {
-    (1, 0): {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1},
-    (1, 1): {(1, 1): 1, (0, 0): 1, (-1, -1): 1},
-    (1, -1): {(1, -1): 1, (0, 0): 1, (-1, 1): 1},
-}
-
-
-def so4_minuscule_character(lam: Coweight) -> SymLaurent:
-    """Characters of the three minuscule representations of SO_4 (weights
-    (1,0), (1,1), (1,-1)) in two torus variables."""
-    lam = tuple(lam)
-    if lam not in _SO4_TABLE:
-        raise ValueError(f"{lam} is not a tabulated minuscule SO_4 weight")
-    return SymLaurent(2, _SO4_TABLE[lam])
-
-
-def ginzburg_specialize(a: SymLaurent) -> SymLaurent:
-    """Drop the last GL variable by the substitution X_r = 0 (defined only
-    for non-negative X_r exponents).  On a Schur polynomial this keeps the
-    character when the last weight entry is 0 and kills it otherwise."""
-    return a.substitute_last_zero()
-
-
 def _even_flip_masks(n: int) -> list[tuple[int, ...]]:
     masks = []
     for bits in itertools.product((1, -1), repeat=n):
@@ -247,7 +227,3 @@ def orbit_sum(lam: Coweight, n: int) -> SymLaurent:
             orbit.add(tuple(p * s for p, s in zip(perm, mask)))
     return SymLaurent(n, {mu: 1 for mu in orbit})
 
-
-def h_dominant_orbit_pair(lam: Coweight) -> tuple[Coweight, Coweight]:
-    """The type D cone element and its last-entry-negated partner."""
-    return lam, tilde(lam)

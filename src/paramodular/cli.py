@@ -3,7 +3,7 @@
 A verification run is a named suite expanded into independent cases; each
 case draws its own deterministic random generator from (seed, case key),
 so results do not depend on execution order and cases can run in separate
-processes (capped by the PARAMODULAR_JOBS environment variable).  A
+processes (PARAMODULAR_JOBS of them, at most one per usable CPU).  A
 failing case always carries a witness: the first mismatching series
 coefficient (or the offending values) plus the parameters needed to replay
 it.
@@ -39,6 +39,9 @@ from .oldforms import (
     dependence_check_a3,
     dependence_sides,
     rank_check,
+    shift_factor,
+    theta_factor,
+    theta_prime_factor,
 )
 from .rankin import (
     EpsilonData,
@@ -49,10 +52,11 @@ from .rankin import (
     kernel_check,
     psi_series,
     specialize_last,
+    unit_series,
     xi,
     zeta_series,
 )
-from .rings import SymLaurent, VLaurent, evaluate
+from .rings import SymLaurent, VLaurent
 from .sampling import (
     case_rng,
     random_beta,
@@ -72,17 +76,12 @@ _Q = VLaurent.q_power(1)
 
 _MODES = ("evaluation", "symbolic")
 
-_DEFAULT_TRIALS = {
-    "unramified": 20,
-    "gsp4-raising": 100,
-    "eta-lemma": 50,
-    "dims": 1,
-    "prop4": 20,
-    "level-a1": 1,
-    "oldform-bases": 1,
-    "dependence": 1,
-    "kernel": 50,
-    "fe": 10,
+# each n = 2 move: its action on Whittaker data and the factor it
+# multiplies the r = n series by
+_MOVES = {
+    "theta": (theta_data, theta_factor()),
+    "theta-prime": (theta_prime_data, theta_prime_factor()),
+    "eta": (eta_data, shift_factor(2)),
 }
 
 
@@ -99,10 +98,10 @@ class VerifyConfig:
     max_gap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.suite not in _DEFAULT_TRIALS:
+        if self.suite not in _SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.trials is None:
-            self.trials = _DEFAULT_TRIALS[self.suite]
+            self.trials = _SUITES[self.suite][2]
         if self.window < 2 or self.trunc < self.window:
             raise ValueError("need trunc >= window >= 2")
         if self.trials < 1:
@@ -164,64 +163,66 @@ def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None
     return None
 
 
-def _theta_mult(mode) -> TruncSeries:
-    # q (X1 + X2) Y
-    c = mode.from_vlaurent(_Q) * (mode.x_monomial((1, 0)) + mode.x_monomial((0, 1)))
-    return TruncSeries({1: c}, None, mode.zero())
+def _series_factor(factor: SymLaurent, mode) -> TruncSeries:
+    """A move factor as a multiplier of the Y-series.  psi_l is homogeneous
+    of degree l in X, so a monomial of total X-degree k goes to Y^k."""
+    graded: dict[int, dict] = {}
+    for e, c in factor.c.items():
+        graded.setdefault(sum(e), {})[e] = c
+    coeffs = {k: mode.lift(SymLaurent(factor.r, terms)) for k, terms in graded.items()}
+    return TruncSeries(coeffs, None, mode.zero())
 
 
-def _theta_prime_mult(mode) -> TruncSeries:
-    # q (1 + X1 X2 Y^2)
-    return TruncSeries(
-        {0: mode.from_vlaurent(_Q), 2: mode.from_vlaurent(_Q) * mode.x_monomial((1, 1))},
-        None,
-        mode.zero(),
-    )
-
-
-def _eta_mult(mode, n: int) -> TruncSeries:
-    # q^{n(n-1)/2} X1..Xn Y^n
-    c = mode.from_vlaurent(VLaurent.q_power(n * (n - 1) // 2)) * mode.x_monomial((1,) * n)
-    return TruncSeries({n: c}, None, mode.zero())
+def _zeta_factor(factor: SymLaurent) -> TruncSeries:
+    """A rank-two move factor as a multiplier of the zeta series: X_2 = 0
+    drops every monomial in X_2, and X_1^k goes to Y^k at X_1 = 1."""
+    low = factor.substitute_last_zero()
+    return TruncSeries({e[0]: c for e, c in low.c.items()}, None, VLaurent.zero())
 
 
 # ---------------------------------------------------------------------------
-# suites: each is (case generator, case runner).  A runner returns the
-# echoed parameters and a witness (None when the case passes).
+# suites: each is (case generator, case runner, default trials).  A runner
+# returns the echoed parameters and a witness (None when the case passes).
+
+
+def _ranks(cfg: VerifyConfig, default_ns: list[int], r_min: int = 1) -> list[tuple]:
+    """(n, r) pairs: the requested n or each default one, with the requested
+    r or each r from r_min to n."""
+    return [
+        (n, r)
+        for n in ([cfg.n] if cfg.n else default_ns)
+        for r in ([cfg.r] if cfg.r else range(r_min, n + 1))
+        if r_min <= r <= n
+    ]
+
+
+def _mode(cfg: VerifyConfig, rng, r: int):
+    """The requested mode in r variables; evaluation mode draws its point
+    and v from rng."""
+    if cfg.mode == "evaluation":
+        return EvaluationMode(r, random_point(rng, r), random_v(rng))
+    return SymbolicMode(r)
 
 
 def _unramified_cases(cfg: VerifyConfig) -> list[dict]:
-    ns = [cfg.n] if cfg.n else [1, 2, 3]
-    out = []
-    for n in ns:
-        rs = [cfg.r] if cfg.r else list(range(1, n + 1))
-        for r in rs:
-            if not 1 <= r <= n:
-                continue
-            for t in range(cfg.trials):
-                out.append({"n": n, "r": r, "trial": t})
-    return out
+    return [
+        {"n": n, "r": r, "trial": t}
+        for n, r in _ranks(cfg, [1, 2, 3])
+        for t in range(cfg.trials)
+    ]
 
 
 def _unramified_run(cfg: VerifyConfig, params: dict):
     n, r, t = params["n"], params["r"], params["trial"]
     rng = case_rng(cfg.seed, f"unramified:{n}:{r}:{t}")
     beta = random_beta(rng, n)
-    if cfg.mode == "evaluation":
-        mode = EvaluationMode(r, random_point(rng, r), random_v(rng))
-    else:
-        mode = SymbolicMode(r)
+    mode = _mode(cfg, rng, r)
     d = spherical_so_data(beta, n, cfg.trunc)
     res = xi(d, n, r, beta=beta, mode=mode, trunc=cfg.trunc, window=cfg.window)
     echo = {**params, "beta": [str(b) for b in beta]}
     if not res.stabilized:
         return echo, {"reason": "series did not stabilize"}
-    for k in range(cfg.trunc + 1):
-        got = res.series.get(k)
-        want = mode.one() if k == 0 else mode.zero()
-        if not (got == want):
-            return echo, {"coefficient": k, "expected": str(want), "got": str(got)}
-    return echo, None
+    return echo, _first_mismatch(res.series, unit_series(mode), cfg.trunc)
 
 
 def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
@@ -237,16 +238,9 @@ def _gsp4_run(cfg: VerifyConfig, params: dict):
     rng = case_rng(cfg.seed, f"gsp4-raising:{t}")
     d = random_whittaker_data(rng, 2)
     mode = SymbolicMode(2)
-    base = psi_series(d, 2, 2, cfg.trunc, mode)
-    if op == "theta":
-        lhs = psi_series(theta_data(d), 2, 2, cfg.trunc, mode)
-        rhs = base * _theta_mult(mode)
-    elif op == "theta-prime":
-        lhs = psi_series(theta_prime_data(d), 2, 2, cfg.trunc, mode)
-        rhs = base * _theta_prime_mult(mode)
-    else:
-        lhs = psi_series(eta_data(d), 2, 2, cfg.trunc, mode)
-        rhs = base * _eta_mult(mode, 2)
+    move, factor = _MOVES[op]
+    lhs = psi_series(move(d), 2, 2, cfg.trunc, mode)
+    rhs = psi_series(d, 2, 2, cfg.trunc, mode) * _series_factor(factor, mode)
     return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
 
 
@@ -259,12 +253,9 @@ def _eta_lemma_run(cfg: VerifyConfig, params: dict):
     n, t = params["n"], params["trial"]
     rng = case_rng(cfg.seed, f"eta-lemma:{n}:{t}")
     d = random_whittaker_data(rng, n, max_norm=1 if n >= 3 else 2)
-    if cfg.mode == "evaluation":
-        mode = EvaluationMode(n, random_point(rng, n), random_v(rng))
-    else:
-        mode = SymbolicMode(n)
+    mode = _mode(cfg, rng, n)
     lhs = psi_series(eta_data(d), n, n, cfg.trunc, mode)
-    rhs = psi_series(d, n, n, cfg.trunc, mode) * _eta_mult(mode, n)
+    rhs = psi_series(d, n, n, cfg.trunc, mode) * _series_factor(shift_factor(n), mode)
     return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
 
 
@@ -289,12 +280,11 @@ def _dims_run(cfg: VerifyConfig, params: dict):
 
 
 def _prop4_cases(cfg: VerifyConfig) -> list[dict]:
-    ns = [cfg.n] if cfg.n else [2, 3]
-    out = []
-    for n in ns:
-        for r in range(2, n + 1):
-            for t in range(cfg.trials):
-                out.append({"check": "specialize", "n": n, "r": r, "trial": t})
+    out = [
+        {"check": "specialize", "n": n, "r": r, "trial": t}
+        for n, r in _ranks(cfg, [2, 3], r_min=2)
+        for t in range(cfg.trials)
+    ]
     for t in range(cfg.trials):
         for check in ("zeta-theta", "zeta-theta-prime", "zeta-eta"):
             out.append({"check": check, "n": 2, "trial": t})
@@ -321,25 +311,15 @@ def _prop4_run(cfg: VerifyConfig, params: dict):
         t = params["trial"]
         rng = case_rng(cfg.seed, f"prop4:zeta:{t}")
         d = random_whittaker_data(rng, 2)
-        base = zeta_series(d, 2, cfg.trunc)
-        if check == "zeta-theta":
-            lhs = zeta_series(theta_data(d), 2, cfg.trunc)
-            rhs = base.shift(1).scalar_mul(_Q)
-        elif check == "zeta-theta-prime":
-            lhs = zeta_series(theta_prime_data(d), 2, cfg.trunc)
-            rhs = base.scalar_mul(_Q)
-        else:
-            lhs = zeta_series(eta_data(d), 2, cfg.trunc)
-            if not lhs.is_zero():
-                k = min(k for k, c in lhs.coeffs.items() if c)
-                return echo, {"coefficient": k, "expected": "0", "got": str(lhs.get(k))}
-            return echo, None
+        move, factor = _MOVES[check.removeprefix("zeta-")]
+        lhs = zeta_series(move(d), 2, cfg.trunc)
+        rhs = zeta_series(d, 2, cfg.trunc) * _zeta_factor(factor)
         return echo, _first_mismatch(lhs, rhs, cfg.trunc)
     # symbolic tower compatibility of the full normalized series
     rng = case_rng(cfg.seed, f"prop4:symbolic:{check}")
     beta = random_beta(rng, 2)
     sph = spherical_so_data(beta, 2, cfg.trunc)
-    d = theta_data(sph) if check.endswith("theta") else eta_data(sph)
+    d = _MOVES[check.removeprefix("xi-specialize-")][0](sph)
     full = xi(d, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window)
     low = xi(
         d, 2, 1, beta=beta, mode=SymbolicMode(1), trunc=cfg.trunc, window=cfg.window
@@ -354,50 +334,34 @@ def _level_a1_cases(cfg: VerifyConfig) -> list[dict]:
     return [{"check": c} for c in ("theta", "theta-prime", "constants-agree")]
 
 
-def _level_a1_images(cfg: VerifyConfig):
+def _level_a1_run(cfg: VerifyConfig, params: dict):
+    check = params["check"]
     rng = case_rng(cfg.seed, "level-a1")
     beta = random_beta(rng, 2)
     sph = spherical_so_data(beta, 2, cfg.trunc)
-    res_theta = xi(
-        theta_data(sph), 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1
-    )
-    res_tp = xi(
-        theta_prime_data(sph),
-        2,
-        2,
-        beta=beta,
-        trunc=cfg.trunc,
-        window=cfg.window,
-        level=1,
-    )
-    return beta, res_theta, res_tp
-
-
-def _level_a1_run(cfg: VerifyConfig, params: dict):
-    check = params["check"]
-    beta, res_theta, res_tp = _level_a1_images(cfg)
+    images = {
+        op: xi(
+            _MOVES[op][0](sph), 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1
+        )
+        for op in ("theta", "theta-prime")
+    }
     echo = {**params, "beta": [str(b) for b in beta]}
-    expected_theta = SymLaurent(2, {(1, 0): _Q, (0, 1): _Q})
-    expected_tp = SymLaurent(2, {(0, 0): _Q, (1, 1): _Q})
-    if check == "theta":
-        if not res_theta.stabilized:
+    if check in images:
+        res, expected = images[check], _MOVES[check][1]
+        if not res.stabilized:
             return echo, {"reason": "series did not stabilize"}
-        if res_theta.poly == expected_theta:
+        if res.poly == expected:
             return echo, None
-        return echo, {"expected": str(expected_theta), "got": str(res_theta.poly)}
-    if check == "theta-prime":
-        if not res_tp.stabilized:
-            return echo, {"reason": "series did not stabilize"}
-        if res_tp.poly == expected_tp:
-            return echo, None
-        return echo, {"expected": str(expected_tp), "got": str(res_tp.poly)}
-    # the two normalizing constants extracted from the images must agree
+        return echo, {"expected": str(expected), "got": str(res.poly)}
+    # the two normalizing constants extracted from the images must agree:
+    # each image is its constant times its move factor over q
     zero = VLaurent.zero()
+    res_theta, res_tp = images["theta"], images["theta-prime"]
     c_theta = res_theta.poly.c.get((1, 0), zero)
     c_tp = res_tp.poly.c.get((0, 0), zero)
     shape_ok = (
-        res_theta.poly == SymLaurent(2, {(1, 0): c_theta, (0, 1): c_theta})
-        and res_tp.poly == SymLaurent(2, {(0, 0): c_tp, (1, 1): c_tp})
+        res_theta.poly * _Q == _MOVES["theta"][1] * c_theta
+        and res_tp.poly * _Q == _MOVES["theta-prime"][1] * c_tp
     )
     if shape_ok and c_theta == c_tp:
         return {**echo, "constant": str(c_theta)}, None
@@ -454,8 +418,8 @@ def _dependence_run(cfg: VerifyConfig, params: dict):
         return echo, None
     if check == "numeric":
         point = (Fraction(2), Fraction(3))
-        left = evaluate(lhs, point, Fraction(2))
-        right = evaluate(rhs, point, Fraction(2))
+        left = lhs.evaluate(point, Fraction(2))
+        right = rhs.evaluate(point, Fraction(2))
         echo["point"] = ["2", "3"]
         echo["q"] = "4"
         if left == right:
@@ -472,19 +436,14 @@ def _dependence_run(cfg: VerifyConfig, params: dict):
 
 
 def _kernel_cases(cfg: VerifyConfig) -> list[dict]:
-    ns = [cfg.n] if cfg.n else [2, 3]
     out = []
-    for n in ns:
-        rs = [cfg.r] if cfg.r else list(range(1, n + 1))
-        for r in rs:
-            if not 1 <= r <= n:
+    for n, r in _ranks(cfg, [2, 3]):
+        for variant in ("zero", "delta0", "on-slice", "off-slice"):
+            if variant == "off-slice" and r == n:
                 continue
-            for variant in ("zero", "delta0", "on-slice", "off-slice"):
-                if variant == "off-slice" and r == n:
-                    continue
-                out.append({"n": n, "r": r, "variant": variant, "trial": 0})
-            for t in range(cfg.trials):
-                out.append({"n": n, "r": r, "variant": "random", "trial": t})
+            out.append({"n": n, "r": r, "variant": variant, "trial": 0})
+        for t in range(cfg.trials):
+            out.append({"n": n, "r": r, "variant": "random", "trial": t})
     return out
 
 
@@ -532,29 +491,28 @@ def _fe_run(cfg: VerifyConfig, params: dict):
     echo = {**params, "beta": [str(b) for b in beta]}
     if check == "spherical":
         res = xi(sph, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window)
-        ok = fe_check(res, res, eps, 0)
+        ok = fe_check(res, res, eps)
         return echo, None if ok else {"reason": "functional equation failed"}
-    plus = theta_data(sph) + theta_prime_data(sph)
-    minus = theta_data(sph) - theta_prime_data(sph)
+
+    def raised(ratio: int):
+        # image of the level-(a+1) eigenvector theta + ratio * theta'
+        data = theta_data(sph) + theta_prime_data(sph).scale(ratio)
+        return xi(data, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1)
+
+    ratio = -1 if check.endswith("minus") else 1
+    res = raised(ratio)
     if check in ("plus", "minus"):
-        data = plus if check == "plus" else minus
-        res = xi(data, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1)
         # the sign-adjusting involution acts on these eigenvectors by
         # (+-eps)^r = +1 at r = 2, so the image result is res itself
-        ok = fe_check(res, res, eps, 1)
+        ok = fe_check(res, res, eps)
         return echo, None if ok else {"reason": "functional equation failed"}
     if check == "negative-control":
-        res_p = xi(plus, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1)
-        res_m = xi(minus, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1)
-        if fe_check(res_p, res_m, eps, 1):
+        if fe_check(res, raised(-1), eps):
             return echo, {"reason": "mismatched pair passed"}
         return echo, None
     # palindromicity: in the elementary-symmetric basis the coefficients of
     # the level-(a+1) eigenvector images form a geometric sequence with
     # ratio +-1 times the sign
-    data = plus if check.endswith("plus") else minus
-    ratio = 1 if check.endswith("plus") else -1
-    res = xi(data, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1)
     zero = VLaurent.zero()
     b0 = res.poly.c.get((0, 0), zero)
     b1 = res.poly.c.get((1, 0), zero)
@@ -577,16 +535,16 @@ def _fe_run(cfg: VerifyConfig, params: dict):
 
 
 _SUITES = {
-    "unramified": (_unramified_cases, _unramified_run),
-    "gsp4-raising": (_gsp4_cases, _gsp4_run),
-    "eta-lemma": (_eta_lemma_cases, _eta_lemma_run),
-    "dims": (_dims_cases, _dims_run),
-    "prop4": (_prop4_cases, _prop4_run),
-    "level-a1": (_level_a1_cases, _level_a1_run),
-    "oldform-bases": (_oldform_cases, _oldform_run),
-    "dependence": (_dependence_cases, _dependence_run),
-    "kernel": (_kernel_cases, _kernel_run),
-    "fe": (_fe_cases, _fe_run),
+    "unramified": (_unramified_cases, _unramified_run, 20),
+    "gsp4-raising": (_gsp4_cases, _gsp4_run, 100),
+    "eta-lemma": (_eta_lemma_cases, _eta_lemma_run, 50),
+    "dims": (_dims_cases, _dims_run, 1),
+    "prop4": (_prop4_cases, _prop4_run, 20),
+    "level-a1": (_level_a1_cases, _level_a1_run, 1),
+    "oldform-bases": (_oldform_cases, _oldform_run, 1),
+    "dependence": (_dependence_cases, _dependence_run, 1),
+    "kernel": (_kernel_cases, _kernel_run, 50),
+    "fe": (_fe_cases, _fe_run, 10),
 }
 
 
@@ -603,9 +561,25 @@ def _run_case(config: VerifyConfig, params: dict) -> CaseRecord:
     return CaseRecord(case_id, echo, witness is None, witness, elapsed)
 
 
+def _jobs() -> int:
+    """Worker processes from PARAMODULAR_JOBS (default 1), capped at the
+    CPUs this process may use; a value that is not a positive integer ends
+    the run with a one-line error."""
+    raw = os.environ.get("PARAMODULAR_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise SystemExit(f"paramodular: PARAMODULAR_JOBS must be a positive integer, got {raw!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
+    return min(jobs, os.cpu_count() or 1)
+
+
 def run_suite(config: VerifyConfig) -> Report:
     cases = _SUITES[config.suite][0](config)
-    jobs = max(1, int(os.environ.get("PARAMODULAR_JOBS", "1")))
+    jobs = _jobs()
     worker = functools.partial(_run_case, config)
     if jobs > 1 and len(cases) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

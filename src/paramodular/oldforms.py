@@ -9,6 +9,10 @@ the r = n series value by a fixed Laurent polynomial:
                                      (two inequivalent steps; n = 2)
   * a Hecke translation (level +0):  its Satake image
 
+The move factors are stated once, by :func:`shift_factor`,
+:func:`theta_factor` and :func:`theta_prime_factor`; the verification
+harness derives its series multipliers and expected images from them.
+
 For n = 2 the Satake images of the translations indexed by the three
 minuscule coweights of SO_4 are known exactly:
 
@@ -44,18 +48,18 @@ from .rings import SymLaurent, VLaurent, vlaurent_div_exact
 _Q = VLaurent.q_power(1)
 
 
-def _theta_factor() -> SymLaurent:
-    # q (X_1 + X_2)
+def theta_factor() -> SymLaurent:
+    """Factor of the first-kind raising step: q (X_1 + X_2)."""
     return SymLaurent(2, {(1, 0): _Q, (0, 1): _Q})
 
 
-def _theta_prime_factor() -> SymLaurent:
-    # q (1 + X_1 X_2)
+def theta_prime_factor() -> SymLaurent:
+    """Factor of the second-kind raising step: q (1 + X_1 X_2)."""
     return SymLaurent(2, {(0, 0): _Q, (1, 1): _Q})
 
 
-def _shift_factor(n: int) -> SymLaurent:
-    # q^{n(n-1)/2} X_1 ... X_n
+def shift_factor(n: int) -> SymLaurent:
+    """Factor of the depth shift: q^{n(n-1)/2} X_1 ... X_n."""
     return SymLaurent(n, {(1,) * n: VLaurent.q_power(n * (n - 1) // 2)})
 
 
@@ -218,26 +222,26 @@ def xi_image(spec: BasisElementSpec, n: int = 2) -> XiImage:
             raise ValueError("raising words are only realized at n = 2")
         i, j, k = spec.counts
         poly = (
-            _theta_prime_factor() ** i
-            * _theta_factor() ** j
-            * _shift_factor(2) ** k
+            theta_prime_factor() ** i
+            * theta_factor() ** j
+            * shift_factor(2) ** k
         )
         return XiImage(poly, False, spec.label())
     if spec.kind == "eta_lambda":
         shifts = spec.gap // 2
         hecke, stand_in = satake_image(spec.lam, n)
-        poly = _shift_factor(n) ** shifts * hecke
+        poly = shift_factor(n) ** shifts * hecke
         return XiImage(poly, stand_in, spec.label())
     if n != 2:
         raise ValueError("raising steps are only realized at n = 2")
     shifts = (spec.gap - 1) // 2
     hecke, stand_in = _paired_satake(spec.lam, n)
     step = (
-        _theta_factor()
+        theta_factor()
         if spec.kind == "eta_square_theta"
-        else _theta_prime_factor()
+        else theta_prime_factor()
     )
-    poly = _shift_factor(2) ** shifts * hecke * step
+    poly = shift_factor(2) ** shifts * hecke * step
     return XiImage(poly, stand_in, spec.label())
 
 
@@ -250,13 +254,13 @@ def bprime_images(gap: int) -> list[XiImage]:
     out = []
     for lam in enumerate_cone(Cone.G, 2, (gap - 1) // 2):
         hecke, stand_in = satake_image(lam, 2)
-        base = _shift_factor(2) ** shifts * hecke
+        base = shift_factor(2) ** shifts * hecke
         lam_txt = ",".join(str(x) for x in lam)
         out.append(
-            XiImage(base * _theta_factor(), stand_in, f"eta*theta[{lam_txt}]")
+            XiImage(base * theta_factor(), stand_in, f"eta*theta[{lam_txt}]")
         )
         out.append(
-            XiImage(base * _theta_prime_factor(), stand_in, f"eta*theta'[{lam_txt}]")
+            XiImage(base * theta_prime_factor(), stand_in, f"eta*theta'[{lam_txt}]")
         )
     return out
 
@@ -266,13 +270,13 @@ def dependence_sides() -> tuple[SymLaurent, SymLaurent]:
     second-kind raise of the translate at (1,0) against q times the
     first-kind raise of the identity translate plus the first-kind raise of
     the translate at (1,1)."""
-    shift = _shift_factor(2)
+    shift = shift_factor(2)
     s_e1, _ = satake_image((1, 0), 2)
     s_e12, _ = satake_image((1, 1), 2)
-    lhs = shift * s_e1 * _theta_prime_factor()
+    lhs = shift * s_e1 * theta_prime_factor()
     rhs = (
-        shift * _theta_factor() * SymLaurent.constant(2, _Q)
-        + shift * s_e12 * _theta_factor()
+        shift * theta_factor() * SymLaurent.constant(2, _Q)
+        + shift * s_e12 * theta_factor()
     )
     return lhs, rhs
 

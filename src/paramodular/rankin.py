@@ -21,7 +21,10 @@ at x_i = v^{-1} X_i Y, i.e. the normalized series collapses to 1.
 
 Everything runs in one of two modes: symbolic (coefficients are Laurent
 polynomials in X_1..X_r over VLaurent) or evaluation (X_i and v bound to
-exact rationals, coefficients are Fractions).  Both are exact.
+exact rationals, coefficients are Fractions).  Both are exact.  A mode
+maps the two coefficient layers into its ring: ``from_vlaurent`` for a
+VLaurent and ``lift`` for a SymLaurent, which symbolic mode keeps as it is
+and evaluation mode evaluates at its point.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Any
 
 from .characters import schur
 from .coweights import Coweight, trace
-from .rings import SymLaurent, TruncSeries, VLaurent, evaluate, is_in_s0
+from .rings import SymLaurent, TruncSeries, VLaurent, is_in_s0
 from .whittaker import WhittakerData, gl_modulus_exponent
 
 
@@ -50,8 +53,8 @@ class SymbolicMode:
     def one(self) -> SymLaurent:
         return SymLaurent.one(self.r)
 
-    def x_monomial(self, exps) -> SymLaurent:
-        return SymLaurent.monomial(self.r, exps)
+    def lift(self, poly: SymLaurent) -> SymLaurent:
+        return poly
 
     def from_vlaurent(self, c: VLaurent) -> SymLaurent:
         return SymLaurent.constant(self.r, c)
@@ -81,17 +84,8 @@ class EvaluationMode:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def x_monomial(self, exps) -> Fraction:
-        out = Fraction(1)
-        for base, k in zip(self.point, exps):
-            if k == 0:
-                continue
-            if base == 0:
-                if k < 0:
-                    raise ZeroDivisionError("zero point entry hits a negative exponent")
-                return Fraction(0)
-            out *= base**k
-        return out
+    def lift(self, poly: SymLaurent) -> Fraction:
+        return poly.evaluate(self.point, self.v_value)
 
     def from_vlaurent(self, c: VLaurent) -> Fraction:
         return c.evaluate(self.v_value)
@@ -100,7 +94,7 @@ class EvaluationMode:
         lam = tuple(lam)
         val = self._schur_cache.get(lam)
         if val is None:
-            val = evaluate(schur(lam, self.r), self.point, self.v_value)
+            val = self.lift(schur(lam, self.r))
             self._schur_cache[lam] = val
         return val
 
@@ -154,8 +148,7 @@ def p_phi_pi(beta, n: int, r: int, mode: Mode) -> TruncSeries:
         raise ValueError("mode variable count differs from r")
     out = unit_series(mode)
     for j in range(r):
-        ej = tuple(1 if k == j else 0 for k in range(r))
-        xj = mode.x_monomial(ej)
+        xj = mode.lift(SymLaurent.variable(r, j))
         for b in beta:
             for root in (b, 1 / b):
                 lin = mode.from_vlaurent(VLaurent({-1: -root})) * xj
@@ -172,7 +165,7 @@ def p_wedge2(r: int, mode: Mode) -> TruncSeries:
     for i in range(r):
         for j in range(i + 1, r):
             e = tuple(1 if k in (i, j) else 0 for k in range(r))
-            quad = mode.from_vlaurent(VLaurent({-2: -1})) * mode.x_monomial(e)
+            quad = mode.lift(SymLaurent.monomial(r, e, VLaurent({-2: -1})))
             out = out * TruncSeries({0: mode.one(), 2: quad}, None, mode.zero())
     return out
 
@@ -245,10 +238,13 @@ def xi(
     factor), truncated at ``trunc``.
 
     The numerator factor comes from ``beta`` (unramified parameters) or is
-    supplied directly via ``p_phi``; with neither it is taken to be 1.
+    supplied directly via ``p_phi``, not both; with neither it is taken to
+    be 1.
     If the coefficients do not vanish on the final ``window`` degrees the
     result is flagged as not stabilized rather than raising.
     """
+    if beta is not None and p_phi is not None:
+        raise ValueError("give beta or p_phi, not both")
     if mode is None:
         mode = SymbolicMode(r)
     if window < 2:
@@ -282,26 +278,20 @@ def specialize_last(result: XiResult) -> XiResult:
     r = result.r
     if r < 1:
         raise ValueError("no variable to specialize")
-    zero = SymLaurent.zero(r - 1)
-    coeffs = {}
-    for k, c in result.series.coeffs.items():
-        s = c.substitute_last_zero()
-        if s:
-            coeffs[k] = s
-    series = TruncSeries(coeffs, result.series.trunc, zero, result.series.nmin)
+    # X_r = 0 maps zero coefficients to zero, so a window that vanished
+    # before still vanishes and the stabilization flag carries over
+    coeffs = {k: c.substitute_last_zero() for k, c in result.series.coeffs.items()}
+    series = TruncSeries(
+        coeffs, result.series.trunc, SymLaurent.zero(r - 1), result.series.nmin
+    )
     top = series.support_max()
-    detected = -1 if top is None else top
-    trunc = result.series.trunc
-    window_ok = True
-    if trunc is not None:
-        window_ok = all(series.get(k) == 0 for k in range(max(0, trunc - 3), trunc + 1))
     return XiResult(
         result.n,
         r - 1,
         result.m,
         result.poly.substitute_last_zero(),
-        detected,
-        result.stabilized and window_ok,
+        -1 if top is None else top,
+        result.stabilized,
         series,
     )
 
@@ -315,14 +305,17 @@ def epsilon_poly(eps: EpsilonData, m: int, r: int) -> TruncSeries:
     return TruncSeries({k: coeff}, None, SymLaurent.zero(r), nmin=min(k, 0))
 
 
-def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData, m: int) -> bool:
+def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData) -> bool:
     """Functional equation at Y = 1: the Atkin-Lehner image's value with all
-    X inverted must equal sign^r (X_1..X_r)^{a-m} times the original."""
+    X inverted must equal sign^r (X_1..X_r)^{a-m} times the original, at
+    the level m both results carry."""
     if not isinstance(xi_v.poly, SymLaurent) or not isinstance(xi_uv.poly, SymLaurent):
         raise ValueError("functional equation check requires symbolic results")
     if (xi_v.n, xi_v.r) != (xi_uv.n, xi_uv.r):
         raise ValueError("results belong to different groups")
-    r = xi_v.r
+    if xi_v.m != xi_uv.m:
+        raise ValueError("results belong to different levels")
+    r, m = xi_v.r, xi_v.m
     lhs = xi_uv.poly.invert_all_vars()
     factor = SymLaurent.monomial(r, ((eps.conductor - m),) * r, eps.sign**r)
     return lhs == factor * xi_v.poly

@@ -44,7 +44,49 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class VLaurent:
+class _Laurent:
+    """Operators shared by the two Laurent types, derived from each type's
+    ``_coerced``, ``+``, unary ``-``, ``*`` and coefficient map ``c``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other: Any):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other: Any):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self._coerced(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __eq__(self, other: Any) -> bool:
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self.c == o.c
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+
+class VLaurent(_Laurent):
     """Laurent polynomial in v (q = v**2) with exact rational coefficients."""
 
     __slots__ = ("c",)
@@ -112,18 +154,6 @@ class VLaurent:
         out.c = {e: -x for e, x in self.c.items()}
         return out
 
-    def __sub__(self, other: Any) -> "VLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Any) -> "VLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: Any) -> "VLaurent":
         o = self._coerced(other)
         if o is None:
@@ -142,29 +172,6 @@ class VLaurent:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "VLaurent":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = VLaurent.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
 
     # -- queries -----------------------------------------------------------
 
@@ -245,7 +252,7 @@ def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
     return VLaurent(quo)
 
 
-class SymLaurent:
+class SymLaurent(_Laurent):
     """Laurent polynomial in X_1..X_r over VLaurent coefficients."""
 
     __slots__ = ("r", "c")
@@ -324,18 +331,6 @@ class SymLaurent:
         out.c = {e: -x for e, x in self.c.items()}
         return out
 
-    def __sub__(self, other: Any) -> "SymLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Any) -> "SymLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: Any) -> "SymLaurent":
         o = self._coerced(other)
         if o is None:
@@ -356,29 +351,6 @@ class SymLaurent:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "SymLaurent":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = SymLaurent.one(self.r)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
 
     # -- variable manipulations ---------------------------------------------
 
@@ -498,11 +470,6 @@ class SymLaurent:
 
     def __repr__(self) -> str:
         return f"SymLaurent({self.r}, {{{', '.join(f'{e}: {x}' for e, x in sorted(self.c.items()))}}})"
-
-
-def evaluate(a: SymLaurent, point: Iterable[Scalar], v_value: Fraction) -> Fraction:
-    """Module-level alias for :meth:`SymLaurent.evaluate`."""
-    return a.evaluate(point, v_value)
 
 
 def is_symmetric(a: SymLaurent) -> bool:

@@ -8,18 +8,16 @@ import pytest
 
 from paramodular.characters import (
     complete_homogeneous,
-    ginzburg_specialize,
-    h_dominant_orbit_pair,
     orbit_sum,
     schur,
     schur_oracle,
-    so4_minuscule_character,
     sp_character,
     sp_character_value,
     sp_dimension,
 )
-from paramodular.coweights import Cone, enumerate_cone
-from paramodular.rings import SymLaurent, VLaurent, evaluate, is_symmetric
+from paramodular.coweights import Cone, enumerate_cone, tilde
+from paramodular.oldforms import so4_satake_table
+from paramodular.rings import SymLaurent, VLaurent, is_symmetric
 
 ONE = VLaurent.one()
 
@@ -81,10 +79,10 @@ def test_sp_character_dimension_at_all_ones():
     ones2 = (Fraction(1), Fraction(1))
     ones3 = (Fraction(1), Fraction(1), Fraction(1))
     for lam in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)]:
-        dim = evaluate(sp_character(lam, 2), ones2, Fraction(1))
+        dim = sp_character(lam, 2).evaluate(ones2, Fraction(1))
         assert dim == sp_dimension(lam, 2), lam
     for lam in [(1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 1, 0)]:
-        dim = evaluate(sp_character(lam, 3), ones3, Fraction(1))
+        dim = sp_character(lam, 3).evaluate(ones3, Fraction(1))
         assert dim == sp_dimension(lam, 3), lam
 
 
@@ -100,7 +98,7 @@ def test_sp_dimension_frozen():
 def test_sp_character_value_matches_symbolic():
     beta = (Fraction(2), Fraction(3, 2))
     for lam in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2)]:
-        sym = evaluate(sp_character(lam, 2), beta, Fraction(1))
+        sym = sp_character(lam, 2).evaluate(beta, Fraction(1))
         assert sp_character_value(lam, beta) == sym, lam
 
 
@@ -116,17 +114,19 @@ def test_sp_character_value_rejects_degenerate_points():
 
 
 def test_so4_minuscule_characters():
-    assert so4_minuscule_character((1, 0)) == SymLaurent(
+    # the tabulated Satake images are q times the minuscule characters
+    q = SymLaurent.constant(2, VLaurent.q_power(1))
+    table = so4_satake_table()
+    assert table[(1, 0)] == q * SymLaurent(
         2, {(1, 0): ONE, (0, 1): ONE, (-1, 0): ONE, (0, -1): ONE}
     )
-    assert so4_minuscule_character((1, 1)) == SymLaurent(
+    assert table[(1, 1)] == q * SymLaurent(
         2, {(1, 1): ONE, (0, 0): ONE, (-1, -1): ONE}
     )
-    assert so4_minuscule_character((1, -1)) == SymLaurent(
+    assert table[(1, -1)] == q * SymLaurent(
         2, {(1, -1): ONE, (0, 0): ONE, (-1, 1): ONE}
     )
-    with pytest.raises(ValueError):
-        so4_minuscule_character((2, 0))
+    assert (2, 0) not in table
 
 
 def test_orbit_sum_even_sign_changes_only():
@@ -151,11 +151,13 @@ def test_orbit_sum_rank_three_size():
 
 
 def test_h_dominant_orbit_pair():
-    assert h_dominant_orbit_pair((2, 1)) == ((2, 1), (2, -1))
-    assert h_dominant_orbit_pair((2, 0)) == ((2, 0), (2, 0))
+    # the type D cone element and its last-entry-negated partner
+    assert tilde((2, 1)) == (2, -1)
+    assert tilde((2, 0)) == (2, 0)
 
 
 def test_ginzburg_specialize_drops_last_variable():
-    a = schur((2, 0), 2)
-    assert ginzburg_specialize(a) == schur((2,), 1)
-    assert ginzburg_specialize(schur((2, 1), 2)) == SymLaurent.zero(1)
+    # X_r = 0 keeps a Schur polynomial whose last weight entry is 0 and
+    # kills it otherwise
+    assert schur((2, 0), 2).substitute_last_zero() == schur((2,), 1)
+    assert schur((2, 1), 2).substitute_last_zero() == SymLaurent.zero(1)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,54 @@ def test_parallel_run_matches_serial(monkeypatch):
     monkeypatch.setenv("PARAMODULAR_JOBS", "2")
     parallel = run_suite(VerifyConfig(**cfg))
     assert report_fingerprint(serial) == report_fingerprint(parallel)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so that no worker starts."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def stub_pool(monkeypatch, cpus):
+    started = []
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(started, max_workers),
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return started
+
+
+@pytest.mark.parametrize("value, workers", [("1", []), ("2", [2]), ("3", [3]), ("64", [3])])
+def test_jobs_are_capped_at_usable_cpus(monkeypatch, value, workers):
+    started = stub_pool(monkeypatch, cpus=3)
+    monkeypatch.setenv("PARAMODULAR_JOBS", value)
+    assert run_suite(VerifyConfig(suite="dims", n=2, max_gap=2)).all_passed
+    assert started == workers
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2"])
+def test_bad_jobs_value_exits_with_one_line(monkeypatch, value):
+    started = stub_pool(monkeypatch, cpus=3)
+    monkeypatch.setenv("PARAMODULAR_JOBS", value)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "dims", "--max-gap", "1"])
+    message = str(info.value.code)
+    assert "PARAMODULAR_JOBS" in message and repr(value) in message
+    assert "\n" not in message
+    assert started == []
 
 
 def test_emit_formats():

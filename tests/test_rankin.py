@@ -27,7 +27,7 @@ from paramodular.rankin import (
     xi,
     zeta_series,
 )
-from paramodular.rings import SymLaurent, TruncSeries, VLaurent, evaluate
+from paramodular.rings import SymLaurent, TruncSeries, VLaurent
 from paramodular.whittaker import (
     WhittakerData,
     eta_data,
@@ -48,22 +48,23 @@ def delta(lam, n=2):
 def test_symbolic_mode_helpers():
     sym = SymbolicMode(2)
     assert sym.one() == SymLaurent.one(2)
-    assert sym.x_monomial((1, 0)) == SymLaurent.variable(2, 0)
+    assert sym.lift(SymLaurent.variable(2, 0)) == SymLaurent.variable(2, 0)
     assert sym.schur((1, 1)) == SymLaurent.monomial(2, (1, 1))
     assert sym.from_vlaurent(Q) == SymLaurent.constant(2, Q)
 
 
 def test_evaluation_mode_helpers():
     ev = EvaluationMode(2, (Fraction(2), Fraction(3)), Fraction(1, 2))
-    assert ev.x_monomial((1, 2)) == 18
+    assert ev.lift(SymLaurent.monomial(2, (1, 2))) == 18
+    assert ev.lift(SymLaurent.monomial(2, (1, 0), Q)) == Fraction(1, 2)
     assert ev.from_vlaurent(Q) == Fraction(1, 4)
-    assert ev.schur((2, 1)) == evaluate(
-        schur((2, 1), 2), (Fraction(2), Fraction(3)), Fraction(1, 2)
+    assert ev.schur((2, 1)) == schur((2, 1), 2).evaluate(
+        (Fraction(2), Fraction(3)), Fraction(1, 2)
     )
     zero_point = EvaluationMode(1, (Fraction(0),), Fraction(2))
-    assert zero_point.x_monomial((2,)) == 0
+    assert zero_point.lift(SymLaurent.monomial(1, (2,))) == 0
     with pytest.raises(ZeroDivisionError):
-        zero_point.x_monomial((-1,))
+        zero_point.lift(SymLaurent.monomial(1, (-1,)))
     with pytest.raises(ValueError):
         EvaluationMode(1, (Fraction(1),), Fraction(0))
     with pytest.raises(ValueError):
@@ -209,6 +210,14 @@ def test_xi_argument_validation():
         xi(delta((0, 0)), 2, 2, trunc=2, window=4)
 
 
+def test_xi_rejects_beta_with_p_phi():
+    unit = unit_series(SymbolicMode(2))
+    plain = xi(delta((0, 0)), 2, 2, trunc=8)
+    assert xi(delta((0, 0)), 2, 2, p_phi=unit, trunc=8).poly == plain.poly
+    with pytest.raises(ValueError):
+        xi(delta((0, 0)), 2, 2, beta=BETA2, p_phi=unit, trunc=8)
+
+
 def test_epsilon_poly_monomials():
     same_level = epsilon_poly(EpsilonData(2, -1), 2, 3)
     assert same_level.coeffs == {0: SymLaurent.constant(3, Fraction(-1))}
@@ -219,32 +228,33 @@ def test_epsilon_poly_monomials():
     assert odd_sign.coeffs == {0: SymLaurent.constant(1, Fraction(-1))}
 
 
-def mk_result(poly, r, n=2):
-    return XiResult(n, r, 0, poly, 0, True, unit_series(SymbolicMode(r)))
+def mk_result(poly, r, n=2, m=0):
+    return XiResult(n, r, m, poly, 0, True, unit_series(SymbolicMode(r)))
 
 
 def test_fe_check_manual_cases():
     x = SymLaurent.variable(1, 0)
-    assert not fe_check(mk_result(x, 1), mk_result(x, 1), EpsilonData(0, 1), 0)
+    assert not fe_check(mk_result(x, 1), mk_result(x, 1), EpsilonData(0, 1))
     # conductor 0 at level 2 supplies the compensating X^{-2}
-    assert fe_check(mk_result(x, 1), mk_result(x, 1), EpsilonData(0, 1), 2)
+    assert fe_check(mk_result(x, 1, m=2), mk_result(x, 1, m=2), EpsilonData(0, 1))
     minus_one = SymLaurent.constant(1, Fraction(-1))
     assert fe_check(
-        mk_result(SymLaurent.one(1), 1), mk_result(minus_one, 1), EpsilonData(0, -1), 0
+        mk_result(SymLaurent.one(1), 1), mk_result(minus_one, 1), EpsilonData(0, -1)
     )
     with pytest.raises(ValueError):
-        fe_check(mk_result(x, 1), mk_result(SymLaurent.one(2), 2), EpsilonData(0, 1), 0)
+        fe_check(mk_result(x, 1), mk_result(SymLaurent.one(2), 2), EpsilonData(0, 1))
     with pytest.raises(ValueError):
-        fe_check(
-            mk_result(Fraction(1), 1), mk_result(Fraction(1), 1), EpsilonData(0, 1), 0
-        )
+        fe_check(mk_result(Fraction(1), 1), mk_result(Fraction(1), 1), EpsilonData(0, 1))
+    # the two results must sit at the same level
+    with pytest.raises(ValueError):
+        fe_check(mk_result(x, 1), mk_result(x, 1, m=2), EpsilonData(0, 1))
 
 
 def test_fe_check_spherical_rank_one():
     beta = (Fraction(3, 2),)
     d = spherical_so_data(beta, 1, 8)
     res = xi(d, 1, 1, beta=beta, trunc=8)
-    assert fe_check(res, res, EpsilonData(0, 1), 0)
+    assert fe_check(res, res, EpsilonData(0, 1))
 
 
 def test_specialize_last_towers_down():
@@ -269,6 +279,20 @@ def test_specialize_last_kills_positive_last_exponents():
     dropped = specialize_last(res)
     assert dropped.poly == SymLaurent.monomial(1, (1,), Q)
     assert dropped.series.get(1) == SymLaurent.monomial(1, (1,), Q)
+
+
+def test_specialize_last_keeps_a_stabilized_flag_at_a_short_window():
+    # stabilized on a window of 3 below trunc 6; the Y^3 coefficient is in
+    # X_1 only, so it survives X_2 = 0 and sits where a fixed 4-wide
+    # re-check would look
+    poly = SymLaurent.monomial(2, (3, 0))
+    series = TruncSeries({3: poly}, 6, SymLaurent.zero(2))
+    res = XiResult(2, 2, 0, poly, 3, True, series)
+    dropped = specialize_last(res)
+    assert dropped.stabilized
+    assert dropped.series.get(3) == SymLaurent.monomial(1, (3,))
+    assert dropped.detected_degree == 3
+    assert not specialize_last(XiResult(2, 2, 0, poly, 3, False, series)).stabilized
 
 
 def test_hecke_act_multiplies_by_satake_image():

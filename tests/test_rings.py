@@ -11,7 +11,6 @@ from paramodular.rings import (
     SymLaurent,
     TruncSeries,
     VLaurent,
-    evaluate,
     is_in_s0,
     is_symmetric,
     poly_div_exact,
@@ -120,7 +119,7 @@ def test_symlaurent_homogeneity_and_degrees():
 
 def test_symlaurent_evaluate_matches_hand_expansion():
     a = SymLaurent(2, {(1, 1): VLaurent.q_power(1), (-1, 0): VLaurent.one()})
-    val = evaluate(a, (Fraction(2), Fraction(3)), Fraction(2))
+    val = a.evaluate((Fraction(2), Fraction(3)), Fraction(2))
     assert val == Fraction(4) * 6 + Fraction(1, 2)
 
 
@@ -225,3 +224,20 @@ def test_trunc_series_add_sub():
     assert total.trunc == 5
     assert total.get(3) == 0 and total.get(4) == 7
     assert (a - a).is_zero()
+
+
+def test_shared_operators_on_both_laurent_types():
+    v = VLaurent.v_power(1)
+    x = SymLaurent.variable(2, 0)
+    assert v**0 == VLaurent.one()
+    assert x**0 == SymLaurent.one(2)
+    assert (x**0).r == 2
+    assert x**2 == SymLaurent.monomial(2, (2, 0))
+    assert 1 - v == VLaurent({0: 1, 1: -1})
+    assert 1 - x == SymLaurent(2, {(0, 0): 1, (1, 0): -1})
+    assert x - x == 0 and not (x - x)
+    for a in (v, x):
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(ValueError):
+            a ** -1
