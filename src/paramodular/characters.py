@@ -6,6 +6,8 @@
 * symplectic characters for Sp_{2n} by the Weyl alternant ratio, with the
   exact polynomial division acting as a built-in self-check, plus the Weyl
   dimension formula as a second oracle;
+* numeric symplectic characters at a rational point, as a ratio of two
+  integer alternants over a shared denominator (no polynomial is built);
 * orbit sums under the type D Weyl group (permutations and even sign
   changes), the triangular stand-in used where exact Satake values are not
   tabulated.
@@ -14,6 +16,10 @@ The exact SO_4 values at the minuscule coweights are tabulated once, as
 Satake images, in :func:`paramodular.oldforms.so4_satake_table`.  The
 specialization X_r -> 0 that drops the last GL variable is
 :meth:`paramodular.rings.SymLaurent.substitute_last_zero`.
+
+Every determinant here (Jacobi-Trudi and both alternants, symbolic or
+numeric) goes through one Leibniz expansion, ``_det``, and every
+Jacobi-Trudi matrix through one index rule, ``_jacobi_trudi``.
 """
 
 from __future__ import annotations
@@ -42,22 +48,49 @@ def complete_homogeneous(r: int, m: int) -> SymLaurent:
     return SymLaurent(r, coeffs)
 
 
-def _det(entries: list[list[SymLaurent]], r: int) -> SymLaurent:
-    k = len(entries)
-    total = SymLaurent.zero(r)
-    for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        # parity by counting inversions
-        inv = sum(
-            1 for i in range(k) for j in range(i + 1, k) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        prod = SymLaurent.one(r)
-        for i in range(k):
-            prod = prod * entries[i][perm[i]]
-        total = total + (prod if sign == 1 else -prod)
+@functools.cache
+def _leibniz(k: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
+    """The Leibniz sign table: every permutation of range(k) with whether
+    it is odd (an odd number of inversions)."""
+    return tuple(
+        (sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1, p)
+        for p in itertools.permutations(range(k))
+    )
+
+
+def _det(entries: list[list], zero, one):
+    """Leibniz determinant of a square matrix over any commutative ring
+    (SymLaurent, Fraction or int), given the ring's zero and one.  Terms
+    with a zero factor are skipped: Jacobi-Trudi matrices are mostly
+    zeros below the diagonal band."""
+    total = zero
+    for odd, perm in _leibniz(len(entries)):
+        factors = [row[j] for row, j in zip(entries, perm)]
+        if not all(factors):
+            continue
+        prod = one
+        for x in factors:
+            prod = prod * x
+        total = total - prod if odd else total + prod
     return total
+
+
+def _jacobi_trudi(lam: Coweight, r: int) -> tuple[int, list[list[int]]]:
+    """Split a GL_r weight for Jacobi-Trudi: s_lam = (X_1...X_r)^shift *
+    det(h_{index[i][j]}), where shift is lam_r when negative (else 0) and
+    index[i][j] = core_i - i + j for the partition core = lam - shift.
+
+    Shared by :func:`schur` and the numeric Schur values of
+    :class:`paramodular.rankin.EvaluationMode`.  Like ``_det`` it is
+    private, so its time counts toward the caller's span when the package
+    is traced (``bench/tracer.py`` wraps public functions only)."""
+    lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("weight length differs from variable count")
+    if not is_dominant(lam, Cone.GL):
+        raise ValueError("weight is not weakly decreasing")
+    shift = min(lam[-1], 0)
+    return shift, [[lam[i] - shift - i + j for j in range(r)] for i in range(r)]
 
 
 @functools.cache
@@ -67,18 +100,9 @@ def schur(lam: Coweight, r: int) -> SymLaurent:
     lam must be weakly decreasing of length r; a negative last entry is
     handled through s_lam = (X_1...X_r)^{lam_r} * s_{lam - lam_r}.
     """
-    lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("weight length differs from variable count")
-    if not is_dominant(lam, Cone.GL):
-        raise ValueError("weight is not weakly decreasing")
-    shift = lam[-1] if lam[-1] < 0 else 0
-    core = tuple(x - shift for x in lam)
-    matrix = [
-        [complete_homogeneous(r, core[i] - (i + 1) + (j + 1)) for j in range(r)]
-        for i in range(r)
-    ]
-    s = _det(matrix, r)
+    shift, index = _jacobi_trudi(lam, r)
+    matrix = [[complete_homogeneous(r, m) for m in row] for row in index]
+    s = _det(matrix, SymLaurent.zero(r), SymLaurent.one(r))
     if shift:
         s = s * SymLaurent.monomial(r, (shift,) * r)
     return s
@@ -130,7 +154,7 @@ def _alternant(exps: list[int], n: int) -> SymLaurent:
         ]
         for i in range(n)
     ]
-    return _det(entries, n)
+    return _det(entries, SymLaurent.zero(n), SymLaurent.one(n))
 
 
 @functools.cache
@@ -159,31 +183,35 @@ def sp_character(lam: Coweight, n: int) -> SymLaurent:
 def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
     """Numeric symplectic character: the alternant ratio evaluated at an
     exact rational point.  The point must avoid the Weyl denominator's zero
-    locus (beta_i distinct from beta_j^{+-1} and from +-1, all nonzero)."""
+    locus (beta_i distinct from beta_j^{+-1} and from +-1, all nonzero).
+
+    With beta_j = p_j / q_j in lowest terms, an alternant entry is
+    beta_j^e - beta_j^{-e} = sign(e) (p_j^{2|e|} - q_j^{2|e|}) / (p_j q_j)^{|e|}.
+    Scaling column j of both alternants by (p_j q_j)^E, E the largest |e|,
+    makes every entry an integer; the common factor cancels in the ratio."""
     n = len(beta)
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("weight length differs from rank")
+    beta = tuple(Fraction(b) for b in beta)
     if any(b == 0 for b in beta):
         raise ValueError("degenerate Satake point: zero coordinate")
+    num_exps = [lam[i] + n - i for i in range(n)]
+    den_exps = [n - i for i in range(n)]
+    top = max((abs(e) for e in num_exps + den_exps), default=0)
+    cols = [(b.numerator, b.denominator) for b in beta]
 
-    def det(exps: list[int]) -> Fraction:
-        rows = [[beta[j] ** e - beta[j] ** (-e) for j in range(n)] for e in exps]
-        total = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            inv = sum(
-                1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-            )
-            term = Fraction(1) if inv % 2 == 0 else Fraction(-1)
-            for i in range(n):
-                term *= rows[i][perm[i]]
-            total += term
-        return total
+    def entry(e: int, p: int, q: int) -> int:
+        k, sign = abs(e), (1 if e > 0 else -1)
+        return sign * (p ** (2 * k) - q ** (2 * k)) * (p * q) ** (top - k)
 
-    den = det([n - i for i in range(n)])
+    def alternant(exps: list[int]) -> int:
+        return _det([[entry(e, p, q) for p, q in cols] for e in exps], 0, 1)
+
+    den = alternant(den_exps)
     if den == 0:
         raise ValueError("degenerate Satake point: Weyl denominator vanishes")
-    return det([lam[i] + n - i for i in range(n)]) / den
+    return Fraction(alternant(num_exps), den)
 
 
 def sp_dimension(lam: Coweight, n: int) -> int:

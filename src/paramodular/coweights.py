@@ -8,9 +8,11 @@ Coweights are plain integer tuples.  Three dominance cones appear:
 * H-dominant:  lambda_1 >= ... >= lambda_{n-1} >= |lambda_n| (type D cone,
   used for the even orthogonal group of rank n).
 
-Alongside cone enumeration this module carries the closed-form dimension
-count for paramodular fixed spaces at level m above the newform level a,
-and the cardinality of the raising-operator basis that should match it.
+Cone enumeration generates the weakly decreasing tuples directly rather
+than filtering the whole box of integer tuples.  Alongside it this module
+carries the closed-form dimension count for paramodular fixed spaces at
+level m above the newform level a, and the cardinality of the
+raising-operator basis that should match it.
 """
 
 from __future__ import annotations
@@ -59,14 +61,20 @@ def is_dominant(lam: Coweight, cone: Cone) -> bool:
 
 def enumerate_cone(cone: Cone, n: int, bound: int) -> list[Coweight]:
     """All dominant coweights of length n with sup norm <= bound, in
-    lexicographic order."""
+    lexicographic order.
+
+    Every cone lies inside the weakly decreasing tuples, and the G cone
+    inside the non-negative ones, so the candidates are generated directly
+    as non-increasing tuples with entries in [lo, bound] and then
+    filtered."""
     if n < 1:
         raise ValueError("rank must be positive")
     if bound < 0:
         return []
+    lo = 0 if cone is Cone.G else -bound
     out = [
         lam
-        for lam in itertools.product(range(-bound, bound + 1), repeat=n)
+        for lam in itertools.combinations_with_replacement(range(bound, lo - 1, -1), n)
         if is_dominant(lam, cone)
     ]
     out.sort()

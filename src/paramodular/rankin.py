@@ -24,16 +24,20 @@ polynomials in X_1..X_r over VLaurent) or evaluation (X_i and v bound to
 exact rationals, coefficients are Fractions).  Both are exact.  A mode
 maps the two coefficient layers into its ring: ``from_vlaurent`` for a
 VLaurent and ``lift`` for a SymLaurent, which symbolic mode keeps as it is
-and evaluation mode evaluates at its point.
+and evaluation mode evaluates at its point.  Schur values in evaluation
+mode never go through a polynomial: the complete homogeneous values
+h_m(point) are tabulated once per mode and each s_lam(point) is the
+Jacobi-Trudi determinant of those numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Any
 
-from .characters import schur
+from .characters import _det, _jacobi_trudi, schur
 from .coweights import Coweight, trace
 from .rings import SymLaurent, TruncSeries, VLaurent, is_in_s0
 from .whittaker import WhittakerData, gl_modulus_exponent
@@ -77,6 +81,8 @@ class EvaluationMode:
         if self.v_value == 0:
             raise ValueError("v must be nonzero")
         self._schur_cache: dict[Coweight, Fraction] = {}
+        # _h_rows[k][m] = h_m(x_1..x_{k+1}) at the point, extended on demand
+        self._h_rows = [[Fraction(1)] for _ in range(r)]
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -90,11 +96,31 @@ class EvaluationMode:
     def from_vlaurent(self, c: VLaurent) -> Fraction:
         return c.evaluate(self.v_value)
 
+    def _h(self, m: int) -> Fraction:
+        """h_m(x_1..x_r) at the point, by the recurrence
+        h_m(x_1..x_k) = h_m(x_1..x_{k-1}) + x_k h_{m-1}(x_1..x_k)."""
+        if m < 0:
+            return Fraction(0)
+        rows = self._h_rows
+        while len(rows[0]) <= m:
+            below = Fraction(0)  # h of no variables in positive degree
+            for x, row in zip(self.point, rows):
+                below = below + x * row[-1]
+                row.append(below)
+        return rows[-1][m]
+
     def schur(self, lam: Coweight) -> Fraction:
+        """s_lam at the point: equals ``lift(schur(lam, r))``, including its
+        ValueErrors and the ZeroDivisionError of a negative lam_r at a
+        point with a zero entry."""
         lam = tuple(lam)
         val = self._schur_cache.get(lam)
         if val is None:
-            val = self.lift(schur(lam, self.r))
+            shift, index = _jacobi_trudi(lam, self.r)
+            matrix = [[self._h(m) for m in row] for row in index]
+            val = _det(matrix, Fraction(0), Fraction(1))
+            if shift:
+                val = val * math.prod(self.point) ** shift
             self._schur_cache[lam] = val
         return val
 

@@ -95,11 +95,37 @@ def test_sp_dimension_frozen():
     assert sp_dimension((1, 1, 1), 3) == 14
 
 
+# Satake points per rank: integer, proper-fraction, negative and
+# below-one-in-modulus entries, all off the Weyl denominator's zero locus
+SP_POINTS = {
+    1: [(Fraction(2),), (Fraction(-3, 2),), (Fraction(1, 3),), (Fraction(-2, 7),)],
+    2: [
+        (Fraction(2), Fraction(3, 2)),
+        (Fraction(-2), Fraction(3)),
+        (Fraction(1, 3), Fraction(-5, 4)),
+        (Fraction(-2, 5), Fraction(-3, 7)),
+    ],
+    3: [
+        (Fraction(2), Fraction(-3), Fraction(1, 4)),
+        (Fraction(-1, 2), Fraction(5, 3), Fraction(-2, 7)),
+    ],
+}
+
+
 def test_sp_character_value_matches_symbolic():
-    beta = (Fraction(2), Fraction(3, 2))
-    for lam in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2)]:
-        sym = sp_character(lam, 2).evaluate(beta, Fraction(1))
-        assert sp_character_value(lam, beta) == sym, lam
+    for n, points in SP_POINTS.items():
+        for lam in enumerate_cone(Cone.G, n, 3):
+            sym = sp_character(lam, n)
+            for beta in points:
+                got = sp_character_value(lam, beta)
+                assert got == sym.evaluate(beta, Fraction(1)), (lam, beta)
+
+
+def test_sp_character_value_is_exact_at_integer_points():
+    # integer Satake parameters used to leak floats through b ** -e
+    got = sp_character_value((1, 0), (2, 3))
+    assert isinstance(got, Fraction)
+    assert got == Fraction(35, 6)
 
 
 def test_sp_character_value_rejects_degenerate_points():

@@ -171,6 +171,15 @@ def test_main_verify_and_dims_exit_zero(tmp_path):
     assert rc == 0
 
 
+def test_unramified_rank_four_is_a_routine_run(tmp_path):
+    out = tmp_path / "unramified.json"
+    rc = main(["verify", "unramified", "--n", "4", "--trials", "1", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert [c["parameters"]["r"] for c in report["cases"]] == [1, 2, 3, 4]
+    assert report["passed"] == 4 and report["all_passed"]
+
+
 def test_main_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from paramodular.coweights import (
@@ -55,6 +57,13 @@ def test_enumerate_cone_is_sorted_and_dominant():
         assert items == sorted(items)
         assert all(is_dominant(lam, cone) for lam in items)
         assert all(sup_norm(lam) <= 2 for lam in items)
+    # oracle: filter the whole box of integer tuples
+    for cone in Cone:
+        for n in range(1, 5):
+            for bound in range(-1, 6):
+                box = itertools.product(range(-bound, bound + 1), repeat=n)
+                want = sorted(lam for lam in box if is_dominant(lam, cone))
+                assert enumerate_cone(cone, n, bound) == want, (cone, n, bound)
 
 
 def test_dim_formula_frozen_values():

@@ -3,11 +3,13 @@ equation mechanics, and the rank-one zeta endpoints."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from paramodular.characters import schur
+from paramodular.coweights import Cone, enumerate_cone
 from paramodular.rankin import (
     EpsilonData,
     EvaluationMode,
@@ -28,6 +30,12 @@ from paramodular.rankin import (
     zeta_series,
 )
 from paramodular.rings import SymLaurent, TruncSeries, VLaurent
+from paramodular.sampling import (
+    random_beta,
+    random_point,
+    random_v,
+    random_whittaker_data,
+)
 from paramodular.whittaker import (
     WhittakerData,
     eta_data,
@@ -69,6 +77,48 @@ def test_evaluation_mode_helpers():
         EvaluationMode(1, (Fraction(1),), Fraction(0))
     with pytest.raises(ValueError):
         EvaluationMode(2, (Fraction(1),), Fraction(2))
+
+
+def test_evaluation_mode_schur_matches_symbolic_schur():
+    rng = random.Random("evaluation-schur")
+    for r in range(1, 5):
+        for _ in range(3):
+            pt, v = random_point(rng, r), random_v(rng)
+            ev = EvaluationMode(r, pt, v)
+            for lam in enumerate_cone(Cone.GL, r, 3 if r < 4 else 2):
+                assert ev.schur(lam) == schur(lam, r).evaluate(pt, v), (lam, pt)
+    # a zero entry: fine for partitions, a division by zero for lam_r < 0,
+    # exactly as when the symbolic polynomial is evaluated
+    zero = EvaluationMode(2, (Fraction(0), Fraction(3)), Fraction(2))
+    assert zero.schur((2, 1)) == 0
+    assert zero.schur((2, 0)) == 9
+    for lam in [(1, -1), (0, -2)]:
+        with pytest.raises(ZeroDivisionError):
+            schur(lam, 2).evaluate(zero.point, zero.v_value)
+        with pytest.raises(ZeroDivisionError):
+            zero.schur(lam)
+    ev = EvaluationMode(2, (Fraction(2), Fraction(3)), Fraction(1, 2))
+    for lam in [(1,), (1, 0, 0), (0, 1), (-1, 2)]:
+        with pytest.raises(ValueError):
+            schur(lam, 2)
+        with pytest.raises(ValueError):
+            ev.schur(lam)
+
+
+def test_evaluation_mode_matches_symbolic_series_end_to_end():
+    # ROADMAP oracle: evaluation mode is symbolic mode followed by evaluation
+    rng = random.Random("modes-agree")
+    for n in range(1, 4):
+        for r in range(1, n + 1):
+            d = random_whittaker_data(rng, n, max_norm=1, max_entries=3)
+            beta = random_beta(rng, n, max_abs=3)
+            pt, v = random_point(rng, r, max_abs=3), random_v(rng, max_abs=3)
+            mode = EvaluationMode(r, pt, v)
+            ev = xi(d, n, r, beta=beta, mode=mode, trunc=4, window=2)
+            sym = xi(d, n, r, beta=beta, trunc=4, window=2)
+            for k in range(5):
+                want = sym.series.get(k).evaluate(pt, v)
+                assert ev.series.get(k) == want, (n, r, k)
 
 
 def test_psi_component_point_masses():
