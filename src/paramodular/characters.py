@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .coweights import Cone, Coweight, is_dominant
@@ -187,8 +188,11 @@ def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
 
     With beta_j = p_j / q_j in lowest terms, an alternant entry is
     beta_j^e - beta_j^{-e} = sign(e) (p_j^{2|e|} - q_j^{2|e|}) / (p_j q_j)^{|e|}.
-    Scaling column j of both alternants by (p_j q_j)^E, E the largest |e|,
-    makes every entry an integer; the common factor cancels in the ratio."""
+    Scaling column j by (p_j q_j)^E makes every entry with |e| <= E an
+    integer, so an alternant is an integer determinant over the shared
+    denominator prod_j (p_j q_j)^E.  The Weyl denominator needs E = n, the
+    numerator E = lam_1 + n, so the character is
+    num_det / (den_det * prod_j (p_j q_j)^(E - n))."""
     n = len(beta)
     lam = tuple(lam)
     if len(lam) != n:
@@ -196,22 +200,27 @@ def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
     beta = tuple(Fraction(b) for b in beta)
     if any(b == 0 for b in beta):
         raise ValueError("degenerate Satake point: zero coordinate")
-    num_exps = [lam[i] + n - i for i in range(n)]
-    den_exps = [n - i for i in range(n)]
-    top = max((abs(e) for e in num_exps + den_exps), default=0)
     cols = [(b.numerator, b.denominator) for b in beta]
 
-    def entry(e: int, p: int, q: int) -> int:
-        k, sign = abs(e), (1 if e > 0 else -1)
-        return sign * (p ** (2 * k) - q ** (2 * k)) * (p * q) ** (top - k)
+    def alternant(exps: list[int], top: int) -> int:
+        rows = [
+            [
+                (1 if e > 0 else -1)
+                * (p ** (2 * abs(e)) - q ** (2 * abs(e)))
+                * (p * q) ** (top - abs(e))
+                for p, q in cols
+            ]
+            for e in exps
+        ]
+        return _det(rows, 0, 1)
 
-    def alternant(exps: list[int]) -> int:
-        return _det([[entry(e, p, q) for p, q in cols] for e in exps], 0, 1)
-
-    den = alternant(den_exps)
+    den = alternant([n - i for i in range(n)], n)
     if den == 0:
         raise ValueError("degenerate Satake point: Weyl denominator vanishes")
-    return Fraction(alternant(num_exps), den)
+    num_exps = [lam[i] + n - i for i in range(n)]
+    top = max([n] + [abs(e) for e in num_exps])
+    scale = math.prod(p * q for p, q in cols) ** (top - n)
+    return Fraction(alternant(num_exps, top), den * scale)
 
 
 def sp_dimension(lam: Coweight, n: int) -> int:

@@ -34,6 +34,7 @@ from paramodular.sampling import (
     random_beta,
     random_point,
     random_v,
+    random_vlaurent,
     random_whittaker_data,
 )
 from paramodular.whittaker import (
@@ -109,16 +110,21 @@ def test_evaluation_mode_matches_symbolic_series_end_to_end():
     # ROADMAP oracle: evaluation mode is symbolic mode followed by evaluation
     rng = random.Random("modes-agree")
     for n in range(1, 4):
+        # weight (1, 0, ..., 0) reaches every r, so no series is trivially zero
+        first = (1,) + (0,) * (n - 1)
         for r in range(1, n + 1):
-            d = random_whittaker_data(rng, n, max_norm=1, max_entries=3)
-            beta = random_beta(rng, n, max_abs=3)
-            pt, v = random_point(rng, r, max_abs=3), random_v(rng, max_abs=3)
-            mode = EvaluationMode(r, pt, v)
-            ev = xi(d, n, r, beta=beta, mode=mode, trunc=4, window=2)
-            sym = xi(d, n, r, beta=beta, trunc=4, window=2)
-            for k in range(5):
-                want = sym.series.get(k).evaluate(pt, v)
-                assert ev.series.get(k) == want, (n, r, k)
+            for _ in range(2):
+                d = random_whittaker_data(rng, n, max_norm=2, max_entries=4)
+                d = WhittakerData(n, {**dict(d.items()), first: random_vlaurent(rng)})
+                beta = random_beta(rng, n, max_abs=3)
+                pt, v = random_point(rng, r, max_abs=3), random_v(rng, max_abs=3)
+                mode = EvaluationMode(r, pt, v)
+                ev = xi(d, n, r, beta=beta, mode=mode, trunc=4, window=2)
+                sym = xi(d, n, r, beta=beta, trunc=4, window=2)
+                want = [sym.series.get(k) for k in range(5)]
+                assert any(want), (n, r, d)
+                got = [ev.series.get(k) for k in range(5)]
+                assert got == [c.evaluate(pt, v) for c in want], (n, r, d)
 
 
 def test_psi_component_point_masses():
