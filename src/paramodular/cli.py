@@ -293,19 +293,27 @@ def _prop4_cases(cfg: VerifyConfig) -> list[dict]:
     return out
 
 
+def _specialize_sides(cfg: VerifyConfig, n: int, r: int, t: int):
+    """The rank-r series at X_r = 0 and the rank-(r-1) series, at one random
+    point.  Data that miss the rank-(r-1) slice are redrawn, so the two
+    sides are never both trivially zero."""
+    rng = case_rng(cfg.seed, f"prop4:{n}:{r}:{t}")
+    max_norm = 1 if n >= 3 else 2
+    d = random_whittaker_data(rng, n, max_norm=max_norm)
+    while all(any(lam[r - 1:]) for lam in d.support):
+        d = random_whittaker_data(rng, n, max_norm=max_norm)
+    point = random_point(rng, r - 1)
+    v = random_v(rng)
+    lhs = psi_series(d, n, r, cfg.trunc, EvaluationMode(r, point + (Fraction(0),), v))
+    rhs = psi_series(d, n, r - 1, cfg.trunc, EvaluationMode(r - 1, point, v))
+    return lhs, rhs
+
+
 def _prop4_run(cfg: VerifyConfig, params: dict):
     check, n = params["check"], params["n"]
     echo = dict(params)
     if check == "specialize":
-        r, t = params["r"], params["trial"]
-        rng = case_rng(cfg.seed, f"prop4:{n}:{r}:{t}")
-        d = random_whittaker_data(rng, n, max_norm=1 if n >= 3 else 2)
-        point = random_point(rng, r - 1)
-        v = random_v(rng)
-        lhs = psi_series(
-            d, n, r, cfg.trunc, EvaluationMode(r, point + (Fraction(0),), v)
-        )
-        rhs = psi_series(d, n, r - 1, cfg.trunc, EvaluationMode(r - 1, point, v))
+        lhs, rhs = _specialize_sides(cfg, n, params["r"], params["trial"])
         return echo, _first_mismatch(lhs, rhs, cfg.trunc)
     if check.startswith("zeta"):
         t = params["trial"]
@@ -654,13 +662,10 @@ def _cmd_xi(args) -> int:
     with open(args.data, encoding="utf-8") as handle:
         payload = json.load(handle)
     d = WhittakerData.from_json(payload)
-    n = args.n if args.n is not None else d.n
-    if n != d.n:
-        raise SystemExit(f"data has n={d.n} but --n={n} was requested")
     beta = _parse_beta(args.beta) if args.beta else None
     result = xi(
         d,
-        n,
+        d.n,
         args.r,
         beta=beta,
         trunc=args.trunc,
@@ -673,18 +678,10 @@ def _cmd_xi(args) -> int:
 
 def _cmd_char(args) -> int:
     lam = _parse_coweight(args.lam)
-    if args.kind == "schur":
-        r = args.vars if args.vars is not None else len(lam)
-        poly = schur(lam, r)
-        head = {"kind": "schur", "lam": list(lam), "vars": r}
-    elif args.kind == "sp":
-        n = args.n if args.n is not None else len(lam)
-        poly = sp_character(lam, n)
-        head = {"kind": "sp", "lam": list(lam), "n": n}
-    else:
-        n = args.n if args.n is not None else len(lam)
-        poly = orbit_sum(lam, n)
-        head = {"kind": "orbit", "lam": list(lam), "n": n}
+    size = "vars" if args.kind == "schur" else "n"
+    character = {"schur": schur, "sp": sp_character, "orbit": orbit_sum}[args.kind]
+    poly = character(lam, len(lam))
+    head = {"kind": args.kind, "lam": list(lam), size: len(lam)}
     _write_output(
         json.dumps({**head, "poly": poly.to_json()}, indent=2, sort_keys=True),
         args.out,
@@ -729,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     px = sub.add_parser("xi", help="normalized series of data from a JSON file")
     px.add_argument("--data", required=True)
-    px.add_argument("--n", type=int, default=None)
     px.add_argument("--r", type=int, required=True)
     px.add_argument("--beta", default=None, help="comma-separated rationals")
     px.add_argument("--trunc", type=int, default=None)
@@ -741,8 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("char", help="print a character polynomial")
     pc.add_argument("kind", choices=("schur", "sp", "orbit"))
     pc.add_argument("--lam", required=True, help="comma-separated coweight")
-    pc.add_argument("--vars", type=int, default=None)
-    pc.add_argument("--n", type=int, default=None)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=_cmd_char)
 

@@ -46,8 +46,6 @@ from .whittaker import WhittakerData, gl_modulus_exponent
 class SymbolicMode:
     """Coefficients are SymLaurent in r variables."""
 
-    kind = "symbolic"
-
     def __init__(self, r: int):
         self.r = r
 
@@ -69,8 +67,6 @@ class SymbolicMode:
 
 class EvaluationMode:
     """X_i and v bound to exact rationals; coefficients are Fractions."""
-
-    kind = "evaluation"
 
     def __init__(self, r: int, point, v_value):
         self.r = r
@@ -254,7 +250,6 @@ def xi(
     r: int,
     *,
     beta=None,
-    p_phi: TruncSeries | None = None,
     mode: Mode | None = None,
     trunc: int | None = None,
     window: int = 4,
@@ -263,14 +258,11 @@ def xi(
     """Normalized series: (numerator factor) * (torus sum) / (denominator
     factor), truncated at ``trunc``.
 
-    The numerator factor comes from ``beta`` (unramified parameters) or is
-    supplied directly via ``p_phi``, not both; with neither it is taken to
-    be 1.
+    The numerator factor comes from ``beta`` (unramified parameters); without
+    it the factor is 1.
     If the coefficients do not vanish on the final ``window`` degrees the
     result is flagged as not stabilized rather than raising.
     """
-    if beta is not None and p_phi is not None:
-        raise ValueError("give beta or p_phi, not both")
     if mode is None:
         mode = SymbolicMode(r)
     if window < 2:
@@ -280,8 +272,7 @@ def xi(
     if trunc < window:
         raise ValueError("truncation order must be at least the window")
     psi = psi_series(d, n, r, trunc, mode)
-    if p_phi is None:
-        p_phi = p_phi_pi(beta, n, r, mode) if beta is not None else unit_series(mode)
+    p_phi = p_phi_pi(beta, n, r, mode) if beta is not None else unit_series(mode)
     b = p_wedge2(r, mode).invert(trunc, mode.one())
     series = p_phi * psi * b
     top = series.support_max()

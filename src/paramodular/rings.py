@@ -30,6 +30,7 @@ serialization and printing is lexicographic on exponent tuples.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
@@ -162,7 +163,9 @@ class VLaurent(_Laurent):
         for e1, x1 in self.c.items():
             for e2, x2 in o.c.items():
                 e = e1 + e2
-                s = c.get(e, Fraction(0)) + x1 * x2
+                p = x1 * x2
+                s = c.get(e)
+                s = p if s is None else s + p
                 if s:
                     c[e] = s
                 else:
@@ -338,7 +341,7 @@ class SymLaurent(_Laurent):
         c: dict[tuple[int, ...], VLaurent] = {}
         for e1, x1 in self.c.items():
             for e2, x2 in o.c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 p = x1 * x2
                 s = c.get(e)
                 s = p if s is None else s + p

@@ -9,13 +9,15 @@ polynomial), and it vanishes off the weakly decreasing cone.
 
 A ``WhittakerData`` models the restriction of a Whittaker function to the
 dominant torus of the rank-n odd orthogonal group: a finitely supported map
-from the non-negative weakly decreasing cone to VLaurent.  Lookups outside
-the cone return 0, which is exactly the support property paramodular-fixed
-vectors enjoy.  The data-level raising operators move that support:
+from the non-negative weakly decreasing cone to VLaurent, stored as its
+generating function sum_lam d(lam) X^lam.  Lookups outside the cone return
+0, which is exactly the support property paramodular-fixed vectors enjoy.
+Each data-level raising operator multiplies the generating function by its
+symbol and keeps the terms inside the cone:
 
-    eta:         result(lam) = d(lam - (1,..,1))
-    theta  (n=2): result(lam) = d(lam - e1) + q * d(lam - e2)
-    theta' (n=2): result(lam) = d(lam - e1 - e2) + q * d(lam)
+    eta:          X_1 ... X_n    result(lam) = d(lam - (1,..,1))
+    theta  (n=2): X_1 + q X_2    result(lam) = d(lam - e1) + q * d(lam - e2)
+    theta' (n=2): X_1 X_2 + q    result(lam) = d(lam - e1 - e2) + q * d(lam)
 
 The theta' rule reflects that its second coset family acts through a
 unipotent element on which the Whittaker character is trivial, so the
@@ -60,73 +62,60 @@ def homogeneity_check(lam: Coweight, r: int) -> bool:
 
 class WhittakerData:
     """Finitely supported map from the non-negative weakly decreasing cone
-    (length-n coweights) to VLaurent.  Immutable by convention."""
+    (length-n coweights) to VLaurent, stored as its generating function
+    ``gen`` = sum_lam d(lam) X^lam, a SymLaurent in n variables whose terms
+    all lie in the cone.  Immutable by convention."""
 
-    __slots__ = ("n", "_values")
+    __slots__ = ("gen",)
 
     def __init__(self, n: int, values: Mapping[Coweight, VLaurent] | None = None):
         if n < 1:
             raise ValueError("rank must be positive")
-        self.n = n
-        vals: dict[Coweight, VLaurent] = {}
-        if values:
-            for lam, x in values.items():
-                lam = tuple(int(k) for k in lam)
-                if len(lam) != n:
-                    raise ValueError("support coweight length differs from rank")
-                if not is_dominant(lam, Cone.G):
-                    raise ValueError(f"support coweight {lam} outside the dominant cone")
-                x = x if isinstance(x, VLaurent) else VLaurent.from_scalar(x)
-                if x:
-                    vals[lam] = x
-        self._values = vals
+        self.gen = SymLaurent(n, values)
+        for lam in self.gen.c:
+            if not is_dominant(lam, Cone.G):
+                raise ValueError(f"support coweight {lam} outside the dominant cone")
+
+    @staticmethod
+    def _of(gen: SymLaurent) -> "WhittakerData":
+        """Wrap a generating function already supported in the cone."""
+        out = WhittakerData.__new__(WhittakerData)
+        out.gen = gen
+        return out
+
+    @property
+    def n(self) -> int:
+        return self.gen.r
 
     def get(self, lam: Coweight) -> VLaurent:
         lam = tuple(lam)
         if len(lam) != self.n:
             raise ValueError("coweight length differs from rank")
-        if not is_dominant(lam, Cone.G):
-            return VLaurent.zero()
-        return self._values.get(lam, VLaurent.zero())
+        return self.gen.c.get(lam, VLaurent.zero())
 
     @property
     def support(self) -> list[Coweight]:
-        return sorted(self._values)
+        return sorted(self.gen.c)
 
     def items(self) -> Iterable[tuple[Coweight, VLaurent]]:
-        return sorted(self._values.items())
+        return sorted(self.gen.c.items())
 
     def max_trace(self) -> int:
-        return max((trace(lam) for lam in self._values), default=0)
+        return max((trace(lam) for lam in self.gen.c), default=0)
 
     def __add__(self, other: "WhittakerData") -> "WhittakerData":
-        if self.n != other.n:
-            raise ValueError("ranks differ")
-        vals = dict(self._values)
-        for lam, x in other._values.items():
-            s = vals.get(lam)
-            s = x if s is None else s + x
-            if s:
-                vals[lam] = s
-            else:
-                vals.pop(lam, None)
-        out = WhittakerData(self.n)
-        out._values = vals
-        return out
+        return WhittakerData._of(self.gen + other.gen)
 
     def __sub__(self, other: "WhittakerData") -> "WhittakerData":
-        return self + other.scale(Fraction(-1))
+        return WhittakerData._of(self.gen - other.gen)
 
     def scale(self, c: VLaurent | Fraction | int) -> "WhittakerData":
-        c = c if isinstance(c, VLaurent) else VLaurent.from_scalar(c)
-        out = WhittakerData(self.n)
-        out._values = {lam: x * c for lam, x in self._values.items() if x * c}
-        return out
+        return WhittakerData._of(self.gen * c)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WhittakerData):
             return NotImplemented
-        return self.n == other.n and self._values == other._values
+        return self.n == other.n and self.gen == other.gen
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -160,8 +149,9 @@ def so_modulus_exponent(lam: Coweight, n: int) -> int:
 def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> WhittakerData:
     """Whittaker data of the normalized spherical vector with Satake
     parameter beta (Casselman-Shalika: modulus square root times the
-    symplectic character of the dual group), populated through sup norm
-    <= cutoff."""
+    symplectic character of the dual group), populated through trace
+    <= cutoff: all that a series truncated at Y-degree cutoff reads, also
+    after raising moves, which read at equal or lower trace."""
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != n:
         raise ValueError("Satake parameter length differs from rank")
@@ -169,21 +159,18 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
         raise ValueError("Satake parameters must be nonzero")
     values = {}
     for lam in enumerate_cone(Cone.G, n, cutoff):
-        chi = sp_character_value(lam, beta)
-        if chi:
-            values[lam] = VLaurent({-so_modulus_exponent(lam, n): chi})
+        if trace(lam) <= cutoff:
+            values[lam] = VLaurent({-so_modulus_exponent(lam, n): sp_character_value(lam, beta)})
     return WhittakerData(n, values)
 
 
-def eta_data(d: WhittakerData) -> WhittakerData:
-    """Data-level action of the torus translation by -(1,..,1): the support
-    shifts up by one box in every coordinate."""
-    one = (1,) * d.n
-    values = {}
-    for lam, x in d.items():
-        mu = tuple(a + b for a, b in zip(lam, one))
-        values[mu] = x
-    return WhittakerData(d.n, values)
+def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:
+    """The data whose generating function is d.gen * symbol, restricted to
+    the dominant cone: result(lam) = sum_s c_s d(lam - s) for the terms
+    c_s X^s of the symbol."""
+    product = d.gen * symbol
+    product.c = {lam: x for lam, x in product.c.items() if is_dominant(lam, Cone.G)}
+    return WhittakerData._of(product)
 
 
 def _assert_rank_two(d: WhittakerData, name: str) -> None:
@@ -191,23 +178,18 @@ def _assert_rank_two(d: WhittakerData, name: str) -> None:
         raise ValueError(f"{name} is only defined at rank 2")
 
 
+def eta_data(d: WhittakerData) -> WhittakerData:
+    """Data-level action of the torus translation by -(1,..,1): result(lam)
+    = d(lam - (1,..,1)), so the support shifts up by one box in every
+    coordinate."""
+    return _move(d, SymLaurent.monomial(d.n, (1,) * d.n))
+
+
 def theta_data(d: WhittakerData) -> WhittakerData:
     """Rank-2 degree-one raising operator: result(lam) = d(lam - e1)
     + q * d(lam - e2), with out-of-cone lookups contributing 0."""
     _assert_rank_two(d, "theta_data")
-    q = VLaurent.q_power(1)
-    candidates = set()
-    for lam in d.support:
-        candidates.add((lam[0] + 1, lam[1]))
-        candidates.add((lam[0], lam[1] + 1))
-    values = {}
-    for lam in candidates:
-        if not is_dominant(lam, Cone.G):
-            continue
-        val = d.get((lam[0] - 1, lam[1])) + q * d.get((lam[0], lam[1] - 1))
-        if val:
-            values[lam] = val
-    return WhittakerData(2, values)
+    return _move(d, SymLaurent(2, {(1, 0): 1, (0, 1): VLaurent.q_power(1)}))
 
 
 def theta_prime_data(d: WhittakerData) -> WhittakerData:
@@ -215,15 +197,4 @@ def theta_prime_data(d: WhittakerData) -> WhittakerData:
     + q * d(lam).  The second family of cosets acts through a unipotent on
     which the Whittaker character is trivial, hence the in-place term."""
     _assert_rank_two(d, "theta_prime_data")
-    q = VLaurent.q_power(1)
-    candidates = set(d.support)
-    for lam in d.support:
-        candidates.add((lam[0] + 1, lam[1] + 1))
-    values = {}
-    for lam in candidates:
-        if not is_dominant(lam, Cone.G):
-            continue
-        val = d.get((lam[0] - 1, lam[1] - 1)) + q * d.get(lam)
-        if val:
-            values[lam] = val
-    return WhittakerData(2, values)
+    return _move(d, SymLaurent(2, {(1, 1): 1, (0, 0): VLaurent.q_power(1)}))

@@ -14,6 +14,8 @@ from paramodular.cli import (
     CaseRecord,
     Report,
     VerifyConfig,
+    _prop4_cases,
+    _specialize_sides,
     emit,
     main,
     run_suite,
@@ -180,6 +182,15 @@ def test_unramified_rank_four_is_a_routine_run(tmp_path):
     assert report["passed"] == 4 and report["all_passed"]
 
 
+def test_default_specialize_cases_compare_nonzero_series():
+    cfg = VerifyConfig(suite="prop4")
+    cases = [c for c in _prop4_cases(cfg) if c["check"] == "specialize"]
+    assert len(cases) == 60
+    for c in cases:
+        _, rhs = _specialize_sides(cfg, c["n"], c["r"], c["trial"])
+        assert not rhs.is_zero(), c
+
+
 def test_main_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
@@ -215,8 +226,6 @@ def test_xi_subcommand(tmp_path):
     blob = json.loads(out.read_text())
     assert blob["stabilized"] is True
     assert blob["poly"] == json.loads(json.dumps(SymLaurent.one(2).to_json()))
-    with pytest.raises(SystemExit):
-        main(["xi", "--data", str(data), "--r", "1", "--n", "3"])
 
 
 def test_char_subcommand(tmp_path, capsys):
@@ -225,11 +234,11 @@ def test_char_subcommand(tmp_path, capsys):
     blob = json.loads(out.read_text())
     assert blob["kind"] == "schur"
     assert blob["poly"] == json.loads(json.dumps(schur((2, 1), 2).to_json()))
-    assert main(["char", "sp", "--lam", "1,0", "--n", "2", "--out", str(out)]) == 0
+    assert main(["char", "sp", "--lam", "1,0", "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     assert blob["poly"] == json.loads(json.dumps(sp_character((1, 0), 2).to_json()))
     # without --out the polynomial goes to stdout
-    assert main(["char", "orbit", "--lam", "1,1", "--n", "2"]) == 0
+    assert main(["char", "orbit", "--lam", "1,1"]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["poly"] == json.loads(json.dumps(orbit_sum((1, 1), 2).to_json()))
 

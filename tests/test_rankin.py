@@ -266,14 +266,6 @@ def test_xi_argument_validation():
         xi(delta((0, 0)), 2, 2, trunc=2, window=4)
 
 
-def test_xi_rejects_beta_with_p_phi():
-    unit = unit_series(SymbolicMode(2))
-    plain = xi(delta((0, 0)), 2, 2, trunc=8)
-    assert xi(delta((0, 0)), 2, 2, p_phi=unit, trunc=8).poly == plain.poly
-    with pytest.raises(ValueError):
-        xi(delta((0, 0)), 2, 2, beta=BETA2, p_phi=unit, trunc=8)
-
-
 def test_epsilon_poly_monomials():
     same_level = epsilon_poly(EpsilonData(2, -1), 2, 3)
     assert same_level.coeffs == {0: SymLaurent.constant(3, Fraction(-1))}

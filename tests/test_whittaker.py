@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from paramodular.coweights import Cone, is_dominant
 from paramodular.rings import SymLaurent, VLaurent, poly_div_exact
+from paramodular.sampling import random_whittaker_data
 from paramodular.whittaker import (
     WhittakerData,
     eta_data,
@@ -86,6 +90,12 @@ def test_whittaker_data_arithmetic_and_json():
     assert doubled.get((1, 0)) == Q + Q
     assert d.scale(0) == WhittakerData(2)
     assert WhittakerData.from_json(d.to_json()) == d
+    d3 = WhittakerData(3, {(0, 0, 0): ONE})
+    with pytest.raises(ValueError):
+        d + d3
+    with pytest.raises(ValueError):
+        d - d3
+    assert d != d3
 
 
 def test_so_modulus_exponent():
@@ -109,10 +119,13 @@ def test_spherical_data_values():
 
 
 def test_spherical_data_rank_two_support():
+    """The data are filled through trace <= cutoff, the weights a series
+    truncated at Y-degree cutoff reads."""
     d = spherical_so_data((Fraction(2), Fraction(3)), 2, 2)
     assert d.get((0, 0)) == ONE
-    assert (2, 1) in d.support and (2, 2) in d.support
-    assert all(max(lam) <= 2 for lam in d.support)
+    assert (1, 1) in d.support and (2, 0) in d.support
+    assert (2, 1) not in d.support
+    assert all(sum(lam) <= 2 for lam in d.support)
 
 
 def delta(lam: tuple[int, int]) -> WhittakerData:
@@ -137,6 +150,30 @@ def test_eta_shifts_support():
     assert eta_data(d) == WhittakerData(2, {(1, 1): ONE, (3, 2): Q})
     d3 = WhittakerData(3, {(1, 0, 0): ONE})
     assert eta_data(d3) == WhittakerData(3, {(2, 1, 1): ONE})
+
+
+# each move with its pointwise rule: (shift s, coefficient c) pairs of
+# result(lam) = sum c * d(lam - s) on the dominant cone, 0 off it
+MOVE_RULES = [
+    (theta_data, 2, [((1, 0), ONE), ((0, 1), Q)]),
+    (theta_prime_data, 2, [((1, 1), ONE), ((0, 0), Q)]),
+    (eta_data, 2, [((1, 1), ONE)]),
+    (eta_data, 3, [((1, 1, 1), ONE)]),
+]
+
+
+@pytest.mark.parametrize("move,n,rule", MOVE_RULES)
+def test_moves_match_their_pointwise_rules(move, n, rule):
+    for trial in range(20):
+        d = random_whittaker_data(random.Random(f"moves:{n}:{trial}"), n)
+        image = move(d)
+        # the box covers every shifted support point and a margin off the cone
+        for lam in itertools.product(range(-1, 5), repeat=n):
+            expected = VLaurent.zero()
+            if is_dominant(lam, Cone.G):
+                for shift, c in rule:
+                    expected = expected + c * d.get(tuple(a - b for a, b in zip(lam, shift)))
+            assert image.get(lam) == expected, (move.__name__, d, lam)
 
 
 def test_rank_restriction_on_theta_operators():
