@@ -38,8 +38,8 @@ from .oldforms import (
     compare_bases,
     dependence_check_a3,
     dependence_sides,
+    depth_shift_factor,
     rank_check,
-    shift_factor,
     theta_factor,
     theta_prime_factor,
 )
@@ -76,13 +76,20 @@ _Q = VLaurent.q_power(1)
 
 _MODES = ("evaluation", "symbolic")
 
-# each n = 2 move: its action on Whittaker data and the factor it
-# multiplies the r = n series by
+# each n = 2 move: the name of its action on Whittaker data in this module
+# and the factor it multiplies the r = n series by
 _MOVES = {
-    "theta": (theta_data, theta_factor()),
-    "theta-prime": (theta_prime_data, theta_prime_factor()),
-    "eta": (eta_data, shift_factor(2)),
+    "theta": ("theta_data", theta_factor()),
+    "theta-prime": ("theta_prime_data", theta_prime_factor()),
+    "eta": ("eta_data", depth_shift_factor(2)),
 }
+
+
+def _apply_move(op: str, d: WhittakerData) -> WhittakerData:
+    """The named move applied to d.  The action is looked up among this
+    module's names at each call, so a rebinding of them (a tracer, a test
+    spy) is seen."""
+    return globals()[_MOVES[op][0]](d)
 
 
 @dataclasses.dataclass
@@ -155,12 +162,10 @@ class Report:
 
 
 def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None:
-    start = min(a.nmin, b.nmin, 0)
-    for k in range(start, through + 1):
-        left, right = a.get(k), b.get(k)
-        if not (left == right):
-            return {"coefficient": k, "expected": str(right), "got": str(left)}
-    return None
+    k = a.first_mismatch(b, through)
+    if k is None:
+        return None
+    return {"coefficient": k, "expected": str(b.get(k)), "got": str(a.get(k))}
 
 
 def _series_factor(factor: SymLaurent, mode) -> TruncSeries:
@@ -204,6 +209,12 @@ def _mode(cfg: VerifyConfig, rng, r: int):
     return SymbolicMode(r)
 
 
+def _random_data(rng, n: int) -> WhittakerData:
+    """Random Whittaker data of rank n on weights of sup norm <= 2, or
+    <= 1 from rank 3 on, where the series grow faster."""
+    return random_whittaker_data(rng, n, max_norm=1 if n >= 3 else 2)
+
+
 def _unramified_cases(cfg: VerifyConfig) -> list[dict]:
     return [
         {"n": n, "r": r, "trial": t}
@@ -236,11 +247,10 @@ def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
 def _gsp4_run(cfg: VerifyConfig, params: dict):
     t, op = params["trial"], params["operator"]
     rng = case_rng(cfg.seed, f"gsp4-raising:{t}")
-    d = random_whittaker_data(rng, 2)
+    d = _random_data(rng, 2)
     mode = SymbolicMode(2)
-    move, factor = _MOVES[op]
-    lhs = psi_series(move(d), 2, 2, cfg.trunc, mode)
-    rhs = psi_series(d, 2, 2, cfg.trunc, mode) * _series_factor(factor, mode)
+    lhs = psi_series(_apply_move(op, d), 2, 2, cfg.trunc, mode)
+    rhs = psi_series(d, 2, 2, cfg.trunc, mode) * _series_factor(_MOVES[op][1], mode)
     return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
 
 
@@ -252,10 +262,11 @@ def _eta_lemma_cases(cfg: VerifyConfig) -> list[dict]:
 def _eta_lemma_run(cfg: VerifyConfig, params: dict):
     n, t = params["n"], params["trial"]
     rng = case_rng(cfg.seed, f"eta-lemma:{n}:{t}")
-    d = random_whittaker_data(rng, n, max_norm=1 if n >= 3 else 2)
+    d = _random_data(rng, n)
     mode = _mode(cfg, rng, n)
     lhs = psi_series(eta_data(d), n, n, cfg.trunc, mode)
-    rhs = psi_series(d, n, n, cfg.trunc, mode) * _series_factor(shift_factor(n), mode)
+    shift = _series_factor(depth_shift_factor(n), mode)
+    rhs = psi_series(d, n, n, cfg.trunc, mode) * shift
     return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
 
 
@@ -298,10 +309,9 @@ def _specialize_sides(cfg: VerifyConfig, n: int, r: int, t: int):
     point.  Data that miss the rank-(r-1) slice are redrawn, so the two
     sides are never both trivially zero."""
     rng = case_rng(cfg.seed, f"prop4:{n}:{r}:{t}")
-    max_norm = 1 if n >= 3 else 2
-    d = random_whittaker_data(rng, n, max_norm=max_norm)
+    d = _random_data(rng, n)
     while all(any(lam[r - 1:]) for lam in d.support):
-        d = random_whittaker_data(rng, n, max_norm=max_norm)
+        d = _random_data(rng, n)
     point = random_point(rng, r - 1)
     v = random_v(rng)
     lhs = psi_series(d, n, r, cfg.trunc, EvaluationMode(r, point + (Fraction(0),), v))
@@ -318,16 +328,16 @@ def _prop4_run(cfg: VerifyConfig, params: dict):
     if check.startswith("zeta"):
         t = params["trial"]
         rng = case_rng(cfg.seed, f"prop4:zeta:{t}")
-        d = random_whittaker_data(rng, 2)
-        move, factor = _MOVES[check.removeprefix("zeta-")]
-        lhs = zeta_series(move(d), 2, cfg.trunc)
-        rhs = zeta_series(d, 2, cfg.trunc) * _zeta_factor(factor)
+        d = _random_data(rng, 2)
+        op = check.removeprefix("zeta-")
+        lhs = zeta_series(_apply_move(op, d), 2, cfg.trunc)
+        rhs = zeta_series(d, 2, cfg.trunc) * _zeta_factor(_MOVES[op][1])
         return echo, _first_mismatch(lhs, rhs, cfg.trunc)
     # symbolic tower compatibility of the full normalized series
     rng = case_rng(cfg.seed, f"prop4:symbolic:{check}")
     beta = random_beta(rng, 2)
     sph = spherical_so_data(beta, 2, cfg.trunc)
-    d = _MOVES[check.removeprefix("xi-specialize-")][0](sph)
+    d = _apply_move(check.removeprefix("xi-specialize-"), sph)
     full = xi(d, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window)
     low = xi(
         d, 2, 1, beta=beta, mode=SymbolicMode(1), trunc=cfg.trunc, window=cfg.window
@@ -349,7 +359,7 @@ def _level_a1_run(cfg: VerifyConfig, params: dict):
     sph = spherical_so_data(beta, 2, cfg.trunc)
     images = {
         op: xi(
-            _MOVES[op][0](sph), 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1
+            _apply_move(op, sph), 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1
         )
         for op in ("theta", "theta-prime")
     }
@@ -458,21 +468,20 @@ def _kernel_cases(cfg: VerifyConfig) -> list[dict]:
 def _kernel_run(cfg: VerifyConfig, params: dict):
     n, r, variant, t = params["n"], params["r"], params["variant"], params["trial"]
     rng = case_rng(cfg.seed, f"kernel:{n}:{r}:{variant}:{t}")
-    max_norm = 1 if n >= 3 else 2
     if variant == "zero":
         d = WhittakerData(n, {})
     elif variant == "delta0":
         d = WhittakerData(n, {(0,) * n: VLaurent.one()})
     elif variant == "on-slice":
-        base = random_whittaker_data(rng, n, max_norm=max_norm)
+        base = _random_data(rng, n)
         kept = {lam: base.get(lam) for lam in base.support if not any(lam[r:])}
         d = WhittakerData(n, kept or {(0,) * n: VLaurent.one()})
     elif variant == "off-slice":
-        base = random_whittaker_data(rng, n, max_norm=max_norm)
+        base = _random_data(rng, n)
         kept = {lam: base.get(lam) for lam in base.support if any(lam[r:])}
         d = WhittakerData(n, kept or {(1,) * n: VLaurent.one()})
     else:
-        d = random_whittaker_data(rng, n, max_norm=max_norm)
+        d = _random_data(rng, n)
     if kernel_check(d, n, r):
         return dict(params), None
     return dict(params), {"reason": "vanishing equivalence failed"}
@@ -756,6 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Bad input (a ValueError or OSError out of the
+    subcommand) ends the run with a one-line error and exit status 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -764,6 +775,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"paramodular: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ the r = n series value by a fixed Laurent polynomial:
                                      (two inequivalent steps; n = 2)
   * a Hecke translation (level +0):  its Satake image
 
-The move factors are stated once, by :func:`shift_factor`,
+The move factors are stated once, by :func:`depth_shift_factor`,
 :func:`theta_factor` and :func:`theta_prime_factor`; the verification
 harness derives its series multipliers and expected images from them.
 
@@ -58,7 +58,7 @@ def theta_prime_factor() -> SymLaurent:
     return SymLaurent(2, {(0, 0): _Q, (1, 1): _Q})
 
 
-def shift_factor(n: int) -> SymLaurent:
+def depth_shift_factor(n: int) -> SymLaurent:
     """Factor of the depth shift: q^{n(n-1)/2} X_1 ... X_n."""
     return SymLaurent(n, {(1,) * n: VLaurent.q_power(n * (n - 1) // 2)})
 
@@ -213,10 +213,10 @@ def rs_specs(gap: int) -> list[BasisElementSpec]:
     return out
 
 
-def xi_image(spec: BasisElementSpec, n: int = 2) -> XiImage:
-    """Series image of a basis element, by composing the per-move factors."""
-    if spec.n != n:
-        raise ValueError("spec rank differs from n")
+def xi_image(spec: BasisElementSpec) -> XiImage:
+    """Series image of a basis element at its rank ``spec.n``, by composing
+    the per-move factors."""
+    n = spec.n
     if spec.kind == "rs_monomial":
         if n != 2:
             raise ValueError("raising words are only realized at n = 2")
@@ -224,13 +224,13 @@ def xi_image(spec: BasisElementSpec, n: int = 2) -> XiImage:
         poly = (
             theta_prime_factor() ** i
             * theta_factor() ** j
-            * shift_factor(2) ** k
+            * depth_shift_factor(2) ** k
         )
         return XiImage(poly, False, spec.label())
     if spec.kind == "eta_lambda":
         shifts = spec.gap // 2
         hecke, stand_in = satake_image(spec.lam, n)
-        poly = shift_factor(n) ** shifts * hecke
+        poly = depth_shift_factor(n) ** shifts * hecke
         return XiImage(poly, stand_in, spec.label())
     if n != 2:
         raise ValueError("raising steps are only realized at n = 2")
@@ -241,7 +241,7 @@ def xi_image(spec: BasisElementSpec, n: int = 2) -> XiImage:
         if spec.kind == "eta_square_theta"
         else theta_prime_factor()
     )
-    poly = shift_factor(2) ** shifts * hecke * step
+    poly = depth_shift_factor(2) ** shifts * hecke * step
     return XiImage(poly, stand_in, spec.label())
 
 
@@ -254,7 +254,7 @@ def bprime_images(gap: int) -> list[XiImage]:
     out = []
     for lam in enumerate_cone(Cone.G, 2, (gap - 1) // 2):
         hecke, stand_in = satake_image(lam, 2)
-        base = shift_factor(2) ** shifts * hecke
+        base = depth_shift_factor(2) ** shifts * hecke
         lam_txt = ",".join(str(x) for x in lam)
         out.append(
             XiImage(base * theta_factor(), stand_in, f"eta*theta[{lam_txt}]")
@@ -270,7 +270,7 @@ def dependence_sides() -> tuple[SymLaurent, SymLaurent]:
     second-kind raise of the translate at (1,0) against q times the
     first-kind raise of the identity translate plus the first-kind raise of
     the translate at (1,1)."""
-    shift = shift_factor(2)
+    shift = depth_shift_factor(2)
     s_e1, _ = satake_image((1, 0), 2)
     s_e12, _ = satake_image((1, 1), 2)
     lhs = shift * s_e1 * theta_prime_factor()

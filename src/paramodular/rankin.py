@@ -39,7 +39,7 @@ from typing import Any
 
 from .characters import _det, _jacobi_trudi, schur
 from .coweights import Coweight, trace
-from .rings import SymLaurent, TruncSeries, VLaurent, is_in_s0
+from .rings import SymLaurent, TruncSeries, VLaurent
 from .whittaker import WhittakerData, gl_modulus_exponent
 
 
@@ -212,18 +212,22 @@ class XiResult:
     """Outcome of the normalized series computation.
 
     ``poly`` is the value at Y = 1 (meaningful when ``stabilized``);
-    ``detected_degree`` is the top Y-degree with a nonzero coefficient
-    (-1 for the zero series); ``stabilized`` records that the final
-    ``window`` coefficients below the truncation order all vanish.
+    ``stabilized`` records that the final ``window`` coefficients below the
+    truncation order all vanish.
     """
 
     n: int
     r: int
     m: int
     poly: Any
-    detected_degree: int
     stabilized: bool
     series: TruncSeries = dataclasses.field(repr=False)
+
+    @property
+    def detected_degree(self) -> int:
+        """The top Y-degree with a nonzero coefficient (-1 for the zero
+        series)."""
+        return max(self.series.coeffs, default=-1)
 
     def to_json(self) -> dict:
         if isinstance(self.poly, SymLaurent):
@@ -275,15 +279,13 @@ def xi(
     p_phi = p_phi_pi(beta, n, r, mode) if beta is not None else unit_series(mode)
     b = p_wedge2(r, mode).invert(trunc, mode.one())
     series = p_phi * psi * b
-    top = series.support_max()
-    detected = -1 if top is None else top
     stabilized = all(
         series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1)
     )
     poly = mode.zero()
     for _, c in sorted(series.coeffs.items()):
         poly = poly + c
-    return XiResult(n, r, level, poly, detected, stabilized, series)
+    return XiResult(n, r, level, poly, stabilized, series)
 
 
 def specialize_last(result: XiResult) -> XiResult:
@@ -298,28 +300,15 @@ def specialize_last(result: XiResult) -> XiResult:
     # X_r = 0 maps zero coefficients to zero, so a window that vanished
     # before still vanishes and the stabilization flag carries over
     coeffs = {k: c.substitute_last_zero() for k, c in result.series.coeffs.items()}
-    series = TruncSeries(
-        coeffs, result.series.trunc, SymLaurent.zero(r - 1), result.series.nmin
-    )
-    top = series.support_max()
+    series = TruncSeries(coeffs, result.series.trunc, SymLaurent.zero(r - 1))
     return XiResult(
         result.n,
         r - 1,
         result.m,
         result.poly.substitute_last_zero(),
-        -1 if top is None else top,
         result.stabilized,
         series,
     )
-
-
-def epsilon_poly(eps: EpsilonData, m: int, r: int) -> TruncSeries:
-    """The monomial sign^r * (X_1...X_r)^{a-m} * Y^{(a-m)r} appearing in the
-    functional equation at level m above conductor a."""
-    a = eps.conductor
-    k = (a - m) * r
-    coeff = SymLaurent.monomial(r, ((a - m),) * r, eps.sign**r)
-    return TruncSeries({k: coeff}, None, SymLaurent.zero(r), nmin=min(k, 0))
 
 
 def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData) -> bool:
@@ -338,28 +327,6 @@ def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData) -> bool:
     return lhs == factor * xi_v.poly
 
 
-def hecke_act(result: XiResult, satake_image: SymLaurent) -> XiResult:
-    """Multiply a rank-equal (r = n) result by a Hecke operator's Satake
-    image, which must be symmetric and invariant under pair inversion."""
-    if result.r != result.n:
-        raise ValueError("Hecke action requires r = n")
-    if not isinstance(result.poly, SymLaurent):
-        raise ValueError("Hecke action requires a symbolic result")
-    if not is_in_s0(satake_image):
-        raise ValueError("Satake image is not invariant under the required group")
-    series = result.series.scalar_mul(satake_image)
-    top = series.support_max()
-    return XiResult(
-        result.n,
-        result.r,
-        result.m,
-        result.poly * satake_image,
-        -1 if top is None else top,
-        result.stabilized,
-        series,
-    )
-
-
 def zeta_series(d: WhittakerData, n: int, trunc: int) -> TruncSeries:
     """The r = 1 series with X_1 evaluated at 1: coefficient of Y^l is
     d((l, 0, ..)) * v^{l(2n-2)}.  Coefficients are VLaurent."""
@@ -372,15 +339,12 @@ def zeta_series(d: WhittakerData, n: int, trunc: int) -> TruncSeries:
     return TruncSeries(coeffs, trunc, VLaurent.zero())
 
 
-def kernel_check(d: WhittakerData, n: int, r: int, trunc: int | None = None) -> bool:
+def kernel_check(d: WhittakerData, n: int, r: int) -> bool:
     """Verify that the normalized series of d vanishes iff d vanishes on the
     rank-r torus slice (support elements with zero tail).  The numerator and
     denominator factors are unit series, so vanishing of the normalized
     series is equivalent to vanishing of the bare torus sum, which is what
-    gets tested; the truncation defaults to the support diameter."""
-    if trunc is None:
-        trunc = d.max_trace()
+    gets tested, through the largest trace in the support."""
     slice_zero = all(any(lam[r:]) for lam in d.support)
-    mode = SymbolicMode(r)
-    series_zero = psi_series(d, n, r, trunc, mode).is_zero()
+    series_zero = psi_series(d, n, r, d.max_trace(), SymbolicMode(r)).is_zero()
     return slice_zero == series_zero

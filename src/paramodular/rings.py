@@ -19,9 +19,10 @@ Three layers, all built on arbitrary-precision rationals
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
     Coefficients live in any ring with ``+``, ``*`` and ``== 0``
-    (SymLaurent in symbolic mode, Fraction in evaluation mode).  The
-    truncation order of a product is the pessimistic minimum of the two
-    operands' orders; ``trunc=None`` marks an exactly-known polynomial.
+    (SymLaurent in symbolic mode, Fraction in evaluation mode).  Degrees
+    start at 0.  The truncation order of a sum or product is the smaller
+    of the two operands' orders; ``trunc=None`` marks an exactly-known
+    polynomial.
 
 All values are normalized (no stored zero coefficients) and treated as
 immutable: every operation returns a fresh object.  Term order for
@@ -539,29 +540,22 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
 class TruncSeries:
     """Truncated power series in Y with coefficients in a caller-chosen ring.
 
-    ``nmin`` is a support lower bound (coefficients below it are exactly
-    zero), ``trunc`` the last trusted degree (``None`` = exact polynomial).
-    ``zero`` is the coefficient ring's zero, needed because coefficients are
-    only duck-typed.
+    Degrees start at 0.  ``trunc`` is the last trusted degree (``None`` =
+    exact polynomial); a sum or product is trusted up to the smaller of its
+    operands' horizons.  ``zero`` is the coefficient ring's zero, needed
+    because coefficients are only duck-typed.
     """
 
-    __slots__ = ("nmin", "trunc", "coeffs", "zero")
+    __slots__ = ("trunc", "coeffs", "zero")
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, Any],
-        trunc: int | None,
-        zero: Any,
-        nmin: int = 0,
-    ):
+    def __init__(self, coeffs: Mapping[int, Any], trunc: int | None, zero: Any):
         self.zero = zero
-        self.nmin = nmin
         self.trunc = trunc
         cc: dict[int, Any] = {}
         for k, x in coeffs.items():
             k = int(k)
-            if k < nmin:
-                raise ValueError("coefficient below the declared lower bound")
+            if k < 0:
+                raise ValueError("series degrees start at 0")
             if trunc is not None and k > trunc:
                 continue
             if not (x == 0):
@@ -576,39 +570,31 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @staticmethod
-    def _trunc_min(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
+    def _horizon(self, other: "TruncSeries") -> int | None:
+        if self.trunc is None:
+            return other.trunc
+        if other.trunc is None:
+            return self.trunc
+        return min(self.trunc, other.trunc)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        t = self._trunc_min(self.trunc, other.trunc)
+        t = self._horizon(other)
         keys = set(self.coeffs) | set(other.coeffs)
         out = {
             k: self.coeffs.get(k, self.zero) + other.coeffs.get(k, other.zero)
             for k in keys
             if t is None or k <= t
         }
-        return TruncSeries(out, t, self.zero, min(self.nmin, other.nmin))
+        return TruncSeries(out, t, self.zero)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(
-            {k: -x for k, x in self.coeffs.items()}, self.trunc, self.zero, self.nmin
-        )
+        return TruncSeries({k: -x for k, x in self.coeffs.items()}, self.trunc, self.zero)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        # A factor supported in degrees >= nmin shifts the other factor's
-        # horizon up by nmin.
-        t = self._trunc_min(
-            None if self.trunc is None else self.trunc + other.nmin,
-            None if other.trunc is None else other.trunc + self.nmin,
-        )
+        t = self._horizon(other)
         out: dict[int, Any] = {}
         for k1, x1 in self.coeffs.items():
             for k2, x2 in other.coeffs.items():
@@ -617,26 +603,12 @@ class TruncSeries:
                     continue
                 p = x1 * x2
                 out[k] = out[k] + p if k in out else p
-        return TruncSeries(out, t, self.zero, self.nmin + other.nmin)
-
-    def scalar_mul(self, c: Any) -> "TruncSeries":
-        return TruncSeries(
-            {k: x * c for k, x in self.coeffs.items()}, self.trunc, self.zero, self.nmin
-        )
-
-    def shift(self, k: int) -> "TruncSeries":
-        """Multiply by Y**k."""
-        return TruncSeries(
-            {i + k: x for i, x in self.coeffs.items()},
-            None if self.trunc is None else self.trunc + k,
-            self.zero,
-            self.nmin + k,
-        )
+        return TruncSeries(out, t, self.zero)
 
     def invert(self, trunc: int, one: Any) -> "TruncSeries":
         """Inverse series through the requested order; the constant
         coefficient must be exactly 1."""
-        if self.nmin > 0 or not (self.get(0) == 1):
+        if not (self.get(0) == 1):
             raise ValueError("series inversion needs constant coefficient 1")
         if self.trunc is not None and self.trunc < trunc:
             raise ValueError("operand not known through the requested order")
@@ -654,14 +626,16 @@ class TruncSeries:
                 inv[k] = acc
         return TruncSeries(inv, trunc, self.zero)
 
-    def coefficients_equal(self, other: "TruncSeries", through: int) -> bool:
-        t = self._trunc_min(self.trunc, other.trunc)
+    def first_mismatch(self, other: "TruncSeries", through: int) -> int | None:
+        """The lowest degree <= ``through`` at which the two series differ,
+        or None; both must be trusted through that degree."""
+        t = self._horizon(other)
         if t is not None and through > t:
             raise ValueError("comparison beyond a truncation order")
-        return all(self.get(k) == other.get(k) for k in range(min(self.nmin, other.nmin), through + 1))
-
-    def support_max(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
+        for k in range(through + 1):
+            if not (self.get(k) == other.get(k)):
+                return k
+        return None
 
     def __repr__(self) -> str:
         body = ", ".join(f"Y^{k}: {x}" for k, x in sorted(self.coeffs.items()))

@@ -50,16 +50,6 @@ def gl_whittaker(lam: Coweight, r: int) -> SymLaurent:
     return SymLaurent.constant(r, VLaurent.v_power(-gl_modulus_exponent(lam, r))) * schur(lam, r)
 
 
-def homogeneity_check(lam: Coweight, r: int) -> bool:
-    """Verify that substituting X_i -> c*X_i multiplies the Whittaker value
-    by c^{trace(lam)}.  The substitution is carried out symbolically by
-    adjoining c as an extra variable."""
-    f = gl_whittaker(lam, r)
-    substituted = {e + (sum(e),): x for e, x in f.c.items()}
-    scaled = {e + (trace(lam),): x for e, x in f.c.items()}
-    return substituted == scaled
-
-
 class WhittakerData:
     """Finitely supported map from the non-negative weakly decreasing cone
     (length-n coweights) to VLaurent, stored as its generating function

@@ -5,10 +5,15 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import paramodular
+from paramodular import cli
 from paramodular.characters import orbit_sum, schur, sp_character
 from paramodular.cli import (
     CaseRecord,
@@ -133,6 +138,67 @@ def test_bad_jobs_value_exits_with_one_line(monkeypatch, value):
     assert "PARAMODULAR_JOBS" in message and repr(value) in message
     assert "\n" not in message
     assert started == []
+
+
+# Each input ends in a ValueError or OSError inside its subcommand; "{dir}"
+# is a directory holding the data files.
+BAD_INPUTS = {
+    "schur-not-decreasing": ["char", "schur", "--lam", "1,2"],
+    "xi-r-above-n": ["xi", "--data", "{dir}/n2.json", "--r", "3"],
+    "xi-out-of-cone": ["xi", "--data", "{dir}/out-of-cone.json", "--r", "2"],
+    "xi-missing-file": ["xi", "--data", "{dir}/missing.json", "--r", "2"],
+    "gap-out-of-range": ["compare-bases", "--m-minus-a", "7"],
+    "window-below-two": ["verify", "unramified", "--window", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_with_one_line(tmp_path, argv):
+    entry = {"lambda": [1, 0], "value": {"0": "1/1"}}
+    (tmp_path / "n2.json").write_text(json.dumps({"n": 2, "entries": [entry]}))
+    outside = {**entry, "lambda": [0, 1]}
+    (tmp_path / "out-of-cone.json").write_text(json.dumps({"n": 2, "entries": [outside]}))
+    src = str(Path(paramodular.__file__).parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from paramodular.cli import main; sys.exit(main(sys.argv[1:]))",
+            *(arg.format(dir=tmp_path) for arg in argv),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "PARAMODULAR_JOBS": "1"},
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paramodular: "), proc.stderr
+    assert proc.stdout == ""
+
+
+def test_moves_are_looked_up_at_call_time(monkeypatch):
+    # a rebinding of cli.theta_data (as a tracer makes) must reach every
+    # suite that applies the theta move
+    calls = []
+    theta_data = cli.theta_data
+
+    def spy(d):
+        calls.append(d)
+        return theta_data(d)
+
+    monkeypatch.setattr(cli, "theta_data", spy)
+    cases = [
+        ("gsp4-raising", {"trial": 0, "operator": "theta"}),
+        ("prop4", {"check": "zeta-theta", "n": 2, "trial": 0}),
+        ("level-a1", {"check": "theta"}),
+    ]
+    for suite, params in cases:
+        seen = len(calls)
+        record = cli._run_case(VerifyConfig(suite=suite), params)
+        assert record.verdict, record.witness
+        assert len(calls) > seen, suite
 
 
 def test_emit_formats():

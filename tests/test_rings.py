@@ -167,10 +167,8 @@ def test_poly_div_exact_with_laurent_tails():
     assert poly_div_exact(a, b) == c
 
 
-def _fseries(coeffs, trunc=None, nmin=0):
-    return TruncSeries(
-        {k: Fraction(x) for k, x in coeffs.items()}, trunc, Fraction(0), nmin
-    )
+def _fseries(coeffs, trunc=None):
+    return TruncSeries({k: Fraction(x) for k, x in coeffs.items()}, trunc, Fraction(0))
 
 
 def test_trunc_series_access_rules():
@@ -185,11 +183,15 @@ def test_trunc_series_access_rules():
 
 def test_trunc_series_product_truncation_is_pessimistic():
     a = _fseries({0: 1, 1: 1}, trunc=3)
-    b = _fseries({2: 1}, trunc=None, nmin=2)
+    b = _fseries({2: 1}, trunc=None)
     prod = a * b
-    # b shifts everything up by 2, so knowledge extends to degree 5
-    assert prod.trunc == 5
-    assert prod.get(2) == 1 and prod.get(3) == 1 and prod.get(5) == 0
+    # a product is trusted up to the smaller operand horizon, even where a
+    # factor without low-degree terms would let it see further
+    assert prod.trunc == 3
+    assert prod.get(2) == 1 and prod.get(3) == 1
+    with pytest.raises(ValueError):
+        prod.get(4)
+    assert (a * _fseries({0: 1}, trunc=5)).trunc == 3
     exact = _fseries({1: 1}) * _fseries({1: -1})
     assert exact.trunc is None and exact.get(2) == -1
 
@@ -200,21 +202,16 @@ def test_trunc_series_invert_geometric():
     inv = s.invert(6, one)
     for k in range(7):
         assert inv.get(k) == 1
-    assert (s * inv).coefficients_equal(_fseries({0: 1}, trunc=6), 6)
+    assert (s * inv).first_mismatch(_fseries({0: 1}, trunc=6), 6) is None
     with pytest.raises(ValueError):
         _fseries({0: 2}).invert(3, one)
 
 
-def test_trunc_series_shift_scalar_and_zero():
+def test_trunc_series_is_zero():
     s = _fseries({1: 3}, trunc=4)
-    shifted = s.shift(2)
-    assert shifted.get(3) == 3 and shifted.trunc == 6 and shifted.nmin == 2
-    scaled = s.scalar_mul(Fraction(1, 3))
-    assert scaled.get(1) == 1
     assert not s.is_zero()
     assert _fseries({}, trunc=2).is_zero()
-    assert s.support_max() == 1
-    assert _fseries({}).support_max() is None
+    assert _fseries({5: 1}, trunc=4).is_zero()  # dropped beyond the horizon
 
 
 def test_trunc_series_add_sub():
@@ -224,6 +221,81 @@ def test_trunc_series_add_sub():
     assert total.trunc == 5
     assert total.get(3) == 0 and total.get(4) == 7
     assert (a - a).is_zero()
+
+
+# Property checks of the series layer on random Fraction series, with
+# derandomized hypothesis examples (skipped where hypothesis is missing).
+
+
+def _hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.strategies, hyp.settings(
+        max_examples=50, derandomize=True, deadline=None, database=None
+    )
+
+
+def _series(st, const=None):
+    """Fraction series of degree <= 8 with horizon None or 0..8; ``const``
+    fixes the constant coefficient."""
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=7)
+    degree = st.integers(min_value=0 if const is None else 1, max_value=8)
+    coeffs = st.dictionaries(degree, coeff, max_size=5)
+    if const is not None:
+        coeffs = coeffs.map(lambda c: {**c, 0: const})
+    horizon = st.none() | st.integers(min_value=0, max_value=8)
+    return st.builds(_fseries, coeffs, horizon)
+
+
+def test_series_times_its_inverse_is_one():
+    hyp, st, settings = _hypothesis()
+    unit = _fseries({0: 1})
+
+    @settings
+    @hyp.given(_series(st, const=Fraction(1)), st.integers(min_value=0, max_value=8))
+    def check(s, t):
+        t = min(t, 8 if s.trunc is None else s.trunc)
+        assert (s * s.invert(t, Fraction(1))).first_mismatch(unit, t) is None
+
+    check()
+
+
+def test_product_is_trusted_to_the_smaller_horizon():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_series(st), _series(st))
+    def check(a, b):
+        prod = a * b
+        horizons = [t for t in (a.trunc, b.trunc) if t is not None]
+        assert prod.trunc == (min(horizons) if horizons else None)
+        for k in range(17 if prod.trunc is None else prod.trunc + 1):
+            assert prod.get(k) == sum(
+                (a.coeffs.get(i, 0) * b.coeffs.get(k - i, 0) for i in range(k + 1)),
+                Fraction(0),
+            )
+
+    check()
+
+
+def test_first_mismatch_is_the_lowest_differing_degree():
+    hyp, st, settings = _hypothesis()
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=7)
+    coeffs = st.dictionaries(st.integers(min_value=0, max_value=8), coeff, max_size=6)
+
+    @settings
+    @hyp.given(coeffs, coeffs, st.integers(min_value=0, max_value=8))
+    def check(base, changes, through):
+        other = {**base, **changes}
+        expected = next(
+            (k for k in range(through + 1) if base.get(k, 0) != other.get(k, 0)), None
+        )
+        a, b = _fseries(base, trunc=8), _fseries(other, trunc=8)
+        assert a.first_mismatch(b, through) == expected
+        assert b.first_mismatch(a, through) == expected
+
+    check()
+    with pytest.raises(ValueError):
+        _fseries({}, trunc=3).first_mismatch(_fseries({}), 4)
 
 
 def test_shared_operators_on_both_laurent_types():

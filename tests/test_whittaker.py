@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from paramodular.coweights import Cone, is_dominant
+from paramodular.coweights import Cone, is_dominant, trace
 from paramodular.rings import SymLaurent, VLaurent, poly_div_exact
 from paramodular.sampling import random_whittaker_data
 from paramodular.whittaker import (
@@ -16,7 +16,6 @@ from paramodular.whittaker import (
     eta_data,
     gl_modulus_exponent,
     gl_whittaker,
-    homogeneity_check,
     so_modulus_exponent,
     spherical_so_data,
     theta_data,
@@ -58,9 +57,10 @@ def test_gl_whittaker_vanishes_off_cone():
 
 
 def test_homogeneity_check():
+    # X_i -> c X_i scales the value by c^{trace(lam)}
     for lam in [(0, 0), (2, 0), (3, 1), (2, -1)]:
-        assert homogeneity_check(lam, 2), lam
-    assert homogeneity_check((2, 1, 0), 3)
+        assert gl_whittaker(lam, 2).is_homogeneous(trace(lam)), lam
+    assert gl_whittaker((2, 1, 0), 3).is_homogeneous(trace((2, 1, 0)))
 
 
 def test_whittaker_data_validation():
