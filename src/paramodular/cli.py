@@ -113,6 +113,10 @@ class VerifyConfig:
             raise ValueError("need trunc >= window >= 2")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        for name in ("n", "r"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"need {name} >= 1, got {value}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 
@@ -195,8 +199,8 @@ def _ranks(cfg: VerifyConfig, default_ns: list[int], r_min: int = 1) -> list[tup
     r or each r from r_min to n."""
     return [
         (n, r)
-        for n in ([cfg.n] if cfg.n else default_ns)
-        for r in ([cfg.r] if cfg.r else range(r_min, n + 1))
+        for n in ([cfg.n] if cfg.n is not None else default_ns)
+        for r in ([cfg.r] if cfg.r is not None else range(r_min, n + 1))
         if r_min <= r <= n
     ]
 
@@ -255,7 +259,9 @@ def _gsp4_run(cfg: VerifyConfig, params: dict):
 
 
 def _eta_lemma_cases(cfg: VerifyConfig) -> list[dict]:
-    ns = [cfg.n] if cfg.n else [3]
+    if cfg.r is not None:
+        raise ValueError("suite eta-lemma runs at r = n and takes no r")
+    ns = [cfg.n] if cfg.n is not None else [3]
     return [{"n": n, "trial": t} for n in ns for t in range(cfg.trials)]
 
 
@@ -271,7 +277,7 @@ def _eta_lemma_run(cfg: VerifyConfig, params: dict):
 
 
 def _dims_cases(cfg: VerifyConfig) -> list[dict]:
-    max_n = cfg.n if cfg.n else 4
+    max_n = cfg.n if cfg.n is not None else 4
     max_gap = cfg.max_gap if cfg.max_gap is not None else 8
     return [
         {"n": n, "m_minus_a": g}
@@ -595,7 +601,12 @@ def _jobs() -> int:
 
 
 def run_suite(config: VerifyConfig) -> Report:
+    """Run every case of the configured suite.  A configuration that
+    selects no case raises ValueError: a report of 0/0 checks nothing."""
     cases = _SUITES[config.suite][0](config)
+    if not cases:
+        options = ", ".join(f"{k}={getattr(config, k)}" for k in ("n", "r", "max_gap"))
+        raise ValueError(f"suite {config.suite} has no cases for {options}")
     jobs = _jobs()
     worker = functools.partial(_run_case, config)
     if jobs > 1 and len(cases) > 1:

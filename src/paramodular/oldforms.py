@@ -26,6 +26,11 @@ flagged ``stand_in``.  Satake transforms are triangular with respect to
 the dominance order, so rank computations are insensitive to the
 substitution, but individual polynomial values are not exact.
 
+Ranks over Q(v) are exact and certified by specialization: the images are
+evaluated at v = 2, 3, 4, ... and eliminated over Q.  One point of full
+rank proves independence; a deficient rank is proved by more points than
+the degree bound of the next-larger minors (see :func:`rank_check`).
+
 Three families are generated at gap = m - a:
 
   * the orbit-paired family: depth shifts of Hecke translates (even gap),
@@ -43,7 +48,10 @@ import dataclasses
 
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant, sup_norm, tilde
 from .characters import orbit_sum
-from .rings import SymLaurent, VLaurent, vlaurent_div_exact
+from .rings import SymLaurent, VLaurent
+# A re-export only: bench/tests/test_tracer.py checks that the tracer
+# rebinds a function imported into a second module through this name.
+from .rings import vlaurent_div_exact  # noqa: F401
 
 _Q = VLaurent.q_power(1)
 
@@ -287,34 +295,69 @@ def dependence_check_a3() -> bool:
 
 
 def rank_check(images: list[SymLaurent]) -> tuple[int, bool]:
-    """Exact rank of the span, by fraction-free elimination on the
-    coefficient matrix over the Laurent coefficient ring (a domain, so the
-    Bareiss divisions are exact)."""
-    if not images:
-        return 0, True
-    var_counts = {p.r for p in images}
-    if len(var_counts) != 1:
+    """Exact rank over Q(v) of the span of the images, and whether they are
+    independent.
+
+    Each image is a row of its coefficient matrix, one column per
+    X-monomial.  Scaling row i by v^(-lo_i), lo_i its lowest v-exponent,
+    makes its entries polynomials of degree at most its span (highest minus
+    lowest v-exponent).  The rank is certified by specializing v to
+    2, 3, 4, ... and eliminating over Q, with no probability and no
+    tolerance:
+
+    * v -> v0 is a ring homomorphism, so a nonzero minor at v0 is nonzero
+      over Q(v).  The rank at any point is a lower bound, and one point of
+      full rank proves independence.
+    * Every (k+1)-minor of the scaled rows has degree at most the sum of
+      the k + 1 largest spans.  Once every point tried has rank <= k and
+      more points than that sum have been tried, every such minor vanishes
+      identically, so the rank is k.
+    """
+    if len({p.r for p in images}) > 1:
         raise ValueError("variable counts differ")
-    cols = sorted(set().union(*(set(p.c) for p in images)))
-    mat = [[p.c.get(col, VLaurent.zero()) for col in cols] for p in images]
-    n_rows, n_cols = len(mat), len(cols)
-    prev = VLaurent.one()
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        pivot = next((i for i in range(row, n_rows) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        for i in range(row + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                num = mat[row][col] * mat[i][j] - mat[i][col] * mat[row][j]
-                mat[i][j] = vlaurent_div_exact(num, prev)
-            mat[i][col] = VLaurent.zero()
-        prev = mat[row][col]
-        row += 1
-    return row, row == len(images)
+    scaled = [_scaled_row(p) for p in images]
+    spans = sorted((span for span, _ in scaled), reverse=True)
+    rows = [row for _, row in scaled]
+    best = tried = 0
+    while best < len(images) and tried <= sum(spans[: best + 1]):
+        best = max(best, _rank_at(rows, 2 + tried))
+        tried += 1
+    return best, best == len(images)
+
+
+def _scaled_row(poly: SymLaurent) -> tuple[int, dict]:
+    """The span of poly's v-exponents, and its coefficients scaled by
+    v^(-lo) as lists of (v-exponent, rational) pairs."""
+    exps = [e for x in poly.c.values() for e in x.c]
+    if not exps:
+        return 0, {}
+    lo = min(exps)
+    row = {mono: [(e - lo, c) for e, c in x.c.items()] for mono, x in poly.c.items()}
+    return max(exps) - lo, row
+
+
+def _rank_at(rows: list[dict], v0: int) -> int:
+    """Rank over Q of the scaled rows at v = v0, by Gaussian elimination on
+    sparse rows: each row is reduced by the pivot rows of its leading
+    monomials until it is zero or has a leading monomial of its own."""
+    pivots: dict[tuple[int, ...], dict] = {}
+    for terms in rows:
+        values = {mono: sum(c * v0**e for e, c in pairs) for mono, pairs in terms.items()}
+        row = {mono: x for mono, x in values.items() if x}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            f = row[lead] / prow[lead]
+            for mono, x in prow.items():
+                y = row.get(mono, 0) - f * x
+                if y:
+                    row[mono] = y
+                else:
+                    del row[mono]
+    return len(pivots)
 
 
 def _canonical(poly: SymLaurent) -> str:

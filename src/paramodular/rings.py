@@ -234,7 +234,8 @@ class VLaurent(_Laurent):
 
 def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
     """Exact division in the Laurent ring Q[v, v^-1]; raises ValueError if
-    den does not divide num.  Used by the fraction-free rank computation."""
+    den does not divide num.  Used by :func:`poly_div_exact` for the
+    quotient of leading v-coefficients."""
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:

@@ -51,6 +51,9 @@ def test_verify_config_validation():
         VerifyConfig(suite="dims", trials=0)
     with pytest.raises(ValueError):
         VerifyConfig(suite="dims", mode="approximate")
+    for rank in ({"n": 0}, {"r": 0}, {"r": -1}):  # 0 used to mean the default grid
+        with pytest.raises(ValueError):
+            VerifyConfig(suite="kernel", **rank)
     cfg = VerifyConfig(suite="kernel")
     assert cfg.trials == 50  # suite default fills in
 
@@ -149,6 +152,11 @@ BAD_INPUTS = {
     "xi-missing-file": ["xi", "--data", "{dir}/missing.json", "--r", "2"],
     "gap-out-of-range": ["compare-bases", "--m-minus-a", "7"],
     "window-below-two": ["verify", "unramified", "--window", "1"],
+    "no-cases": ["verify", "unramified", "--n", "2", "--r", "3"],
+    "no-gaps": ["verify", "oldform-bases", "--max-gap", "-1"],
+    "n-zero": ["verify", "kernel", "--n", "0", "--trials", "1"],
+    "r-zero": ["verify", "unramified", "--r", "0", "--trials", "1"],
+    "eta-lemma-r": ["verify", "eta-lemma", "--r", "2", "--trials", "1"],
 }
 
 

@@ -21,7 +21,7 @@ from paramodular.oldforms import (
     so4_satake_table,
     xi_image,
 )
-from paramodular.rings import SymLaurent, VLaurent
+from paramodular.rings import SymLaurent, VLaurent, vlaurent_div_exact
 
 ONE = VLaurent.one()
 Q = VLaurent.q_power(1)
@@ -144,6 +144,119 @@ def test_rank_check_small_cases():
     assert rank_check([SymLaurent.one(2), e1]) == (2, True)
     assert rank_check([e1, e1 * 2]) == (1, False)
     assert rank_check([SymLaurent.zero(2)]) == (0, False)
+
+
+def _bareiss_rank(images: list[SymLaurent]) -> tuple[int, bool]:
+    """Independent oracle for rank_check: fraction-free (Bareiss)
+    elimination on the coefficient matrix over Q[v, v^-1], a domain, so
+    every Bareiss division is exact."""
+    if not images:
+        return 0, True
+    cols = sorted(set().union(*(set(p.c) for p in images)))
+    mat = [[p.c.get(col, VLaurent.zero()) for col in cols] for p in images]
+    n_rows, n_cols = len(mat), len(cols)
+    prev = VLaurent.one()
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        pivot = next((i for i in range(row, n_rows) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        for i in range(row + 1, n_rows):
+            for j in range(col + 1, n_cols):
+                num = mat[row][col] * mat[i][j] - mat[i][col] * mat[row][j]
+                mat[i][j] = vlaurent_div_exact(num, prev)
+            mat[i][col] = VLaurent.zero()
+        prev = mat[row][col]
+        row += 1
+    return row, row == len(images)
+
+
+def _polys(specs) -> list[SymLaurent]:
+    return [xi_image(s).poly for s in specs]
+
+
+def _oracle_families():
+    for gap in range(9):
+        yield f"orbit-paired n=2 gap={gap}", _polys(basis_specs(2, gap))
+        yield f"raising words gap={gap}", _polys(rs_specs(gap))
+    for gap in range(5):
+        yield f"union gap={gap}", _polys(basis_specs(2, gap)) + _polys(rs_specs(gap))
+    for gap in (3, 5):
+        yield f"unpaired gap={gap}", [im.poly for im in bprime_images(gap)]
+    for gap in (0, 2, 4, 6):
+        yield f"orbit-paired n=3 gap={gap}", _polys(basis_specs(3, gap))
+
+
+def test_rank_check_agrees_with_the_bareiss_oracle():
+    verdicts = {}
+    for name, polys in _oracle_families():
+        verdicts[name] = rank_check(polys)
+        assert verdicts[name] == _bareiss_rank(polys), name
+    # the deficient families, whose rank needs the degree bound
+    assert verdicts["union gap=4"] == (9, False)
+    assert verdicts["unpaired gap=5"][1] is False
+
+
+def test_rank_check_steps_past_points_where_the_rank_drops():
+    # rows (1, v) and (v, 5v - 6): determinant -(v - 2)(v - 3), so the
+    # first two points (v = 2, 3) have rank 1 and v = 4 has rank 2
+    v = VLaurent.v_power(1)
+    rows = [(VLaurent.one(), v), (v, 5 * v - 6)]
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    assert [det.evaluate(k) for k in (2, 3)] == [0, 0] and det.evaluate(4)
+    images = [SymLaurent(2, {(1, 0): a, (0, 1): b}) for a, b in rows]
+    assert rank_check(images) == (2, True) == _bareiss_rank(images)
+    # a multiple of a row that vanishes at the first point stays dependent
+    dependent = [images[0], images[0] * (v - 2)]
+    assert rank_check(dependent) == (1, False) == _bareiss_rank(dependent)
+
+
+def _hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.strategies, hyp.settings(
+        max_examples=50, derandomize=True, deadline=None, database=None
+    )
+
+
+def test_rank_check_matches_the_oracle_on_planted_dependencies():
+    hyp, st, settings = _hypothesis()
+    coeff = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+    vlaurent = st.dictionaries(
+        st.integers(min_value=-2, max_value=2), coeff, max_size=3
+    ).map(VLaurent)
+    monomial = st.tuples(*[st.integers(min_value=-1, max_value=1)] * 2)
+    image = st.dictionaries(monomial, vlaurent, max_size=4).map(
+        lambda c: SymLaurent(2, c)
+    )
+
+    @settings
+    @hyp.given(
+        st.lists(image, min_size=1, max_size=4),
+        st.lists(st.lists(vlaurent, min_size=4, max_size=4), max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def check(base, combos, rnd):
+        planted = [
+            sum((row * c for row, c in zip(base, combo)), SymLaurent.zero(2))
+            for combo in combos
+        ]
+        images = base + planted
+        rnd.shuffle(images)
+        rank, independent = rank_check(images)
+        assert (rank, independent) == _bareiss_rank(images)
+        assert independent == (rank == len(images))
+        assert rank <= len(base)
+
+    check()
+
+
+def test_rank_check_at_rank_three_gaps_six_and_eight():
+    for gap, size in ((6, 30), (8, 55)):
+        assert basis_cardinality(3, gap, 0) == size
+        assert rank_check(_polys(basis_specs(3, gap))) == (size, True)
 
 
 def test_unpaired_family_is_dependent_at_gap_three():
