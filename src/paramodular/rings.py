@@ -10,11 +10,22 @@ Three layers, all built on arbitrary-precision rationals
     polynomial, so no square roots of rationals are ever needed.
 
 ``SymLaurent``
-    Laurent polynomial in X_1 .. X_r with VLaurent coefficients, stored as
-    a map from integer exponent tuples to coefficients.  Exponents may be
-    negative.  Despite the name the container holds arbitrary Laurent
-    polynomials; symmetry and inversion-invariance are *properties* tested
-    by :func:`is_symmetric` and :func:`is_in_s0`.
+    Laurent polynomial in X_1 .. X_r over Q[v, v^-1], stored flat: one map
+    ``num`` from (x_1, .., x_r, v) exponent tuples to int numerators, over
+    one positive int denominator ``den``.  Values are kept in normal form
+    (no zero numerator, gcd(den, numerators) = 1, den = 1 for zero), so
+    each value has exactly one representation and equality is a plain
+    comparison of the dict and the int.  A product is one integer
+    convolution and a sum works over the lcm of the two denominators; each
+    normalizes once at the end, and no Fraction is built on the way.  The
+    constructor takes the nested form {X-exponents: VLaurent | int |
+    Fraction}, and the read-only ``c`` property gives it back, for
+    readers outside this module; nothing here computes with it.  The view
+    is built at most once per object, and not at all when the constructor
+    was given VLaurent coefficients: that input is the view.  Exponents
+    may be negative.  Despite the name the container holds arbitrary
+    Laurent polynomials; symmetry and inversion-invariance are
+    *properties* tested by :func:`is_symmetric` and :func:`is_in_s0`.
 
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
@@ -31,8 +42,11 @@ serialization and printing is lexicographic on exponent tuples.
 
 from __future__ import annotations
 
+import heapq
+import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 Scalar = int | Fraction
@@ -48,7 +62,7 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 class _Laurent:
     """Operators shared by the two Laurent types, derived from each type's
-    ``_coerced``, ``+``, unary ``-``, ``*`` and coefficient map ``c``."""
+    ``_coerced``, ``+``, unary ``-`` and ``*``."""
 
     __slots__ = ()
 
@@ -76,16 +90,7 @@ class _Laurent:
             k >>= 1
         return result
 
-    def __eq__(self, other: Any) -> bool:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
-
     __hash__ = None  # type: ignore[assignment]
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
 
 
 class VLaurent(_Laurent):
@@ -134,6 +139,15 @@ class VLaurent(_Laurent):
             return VLaurent.from_scalar(other)
         return None
 
+    def __eq__(self, other: Any) -> bool:
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self.c == o.c
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
     def __add__(self, other: Any) -> "VLaurent":
         o = self._coerced(other)
         if o is None:
@@ -145,16 +159,12 @@ class VLaurent(_Laurent):
                 c[e] = s
             else:
                 c.pop(e, None)
-        out = VLaurent()
-        out.c = c
-        return out
+        return _vlaurent(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "VLaurent":
-        out = VLaurent()
-        out.c = {e: -x for e, x in self.c.items()}
-        return out
+        return _vlaurent({e: -x for e, x in self.c.items()})
 
     def __mul__(self, other: Any) -> "VLaurent":
         o = self._coerced(other)
@@ -171,9 +181,7 @@ class VLaurent(_Laurent):
                     c[e] = s
                 else:
                     c.pop(e, None)
-        out = VLaurent()
-        out.c = c
-        return out
+        return _vlaurent(c)
 
     __rmul__ = __mul__
 
@@ -232,10 +240,16 @@ class VLaurent(_Laurent):
         return f"VLaurent({self.c!r})"
 
 
+def _vlaurent(c: dict[int, Fraction]) -> VLaurent:
+    """Wrap a map of nonzero Fractions, without copying or checking it."""
+    out = VLaurent.__new__(VLaurent)
+    out.c = c
+    return out
+
+
 def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
     """Exact division in the Laurent ring Q[v, v^-1]; raises ValueError if
-    den does not divide num.  Used by :func:`poly_div_exact` for the
-    quotient of leading v-coefficients."""
+    den does not divide num."""
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
@@ -257,25 +271,68 @@ def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
     return VLaurent(quo)
 
 
-class SymLaurent(_Laurent):
-    """Laurent polynomial in X_1..X_r over VLaurent coefficients."""
+def _over_lcm(terms: Mapping[tuple[int, ...], Scalar]) -> tuple[dict[tuple[int, ...], int], int]:
+    """Nonzero ints and Fractions as int numerators over the lcm of their
+    denominators.  Numerators of lowest-terms fractions over their lcm share
+    no factor with it, so the pair is already in normal form."""
+    den = math.lcm(*(x.denominator for x in terms.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in terms.items()}, den
 
-    __slots__ = ("r", "c")
+
+class SymLaurent(_Laurent):
+    """Laurent polynomial in X_1..X_r over Q[v, v^-1], stored flat.
+
+    ``num`` maps (x_1, .., x_r, v) exponent tuples to nonzero int
+    numerators over the one positive int denominator ``den``, in normal
+    form: gcd(den, numerators) = 1 and den = 1 for zero.  The constructor
+    takes the nested form {X-exponents: VLaurent | int | Fraction}; ``c``
+    gives it back as a read-only view."""
+
+    __slots__ = ("r", "num", "den", "_view")
 
     def __init__(self, r: int, coeffs: Mapping[tuple[int, ...], Any] | None = None):
         if r < 0:
             raise ValueError("variable count must be non-negative")
         self.r = r
-        c: dict[tuple[int, ...], VLaurent] = {}
-        if coeffs:
-            for e, x in coeffs.items():
-                e = tuple(int(k) for k in e)
-                if len(e) != r:
-                    raise ValueError("exponent tuple length differs from variable count")
-                x = x if isinstance(x, VLaurent) else VLaurent.from_scalar(x)
+        nested: dict[tuple[int, ...], Any] = {}
+        for e, x in (coeffs or {}).items():
+            e = tuple(map(int, e))
+            if len(e) != r:
+                raise ValueError("exponent tuple length differs from variable count")
+            if not isinstance(x, (VLaurent, int, Fraction)):
+                raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
+            nested[e] = x
+        terms: dict[tuple[int, ...], Scalar] = {}
+        all_vlaurent = True
+        for e, x in nested.items():
+            if isinstance(x, VLaurent):
+                for ve, f in x.c.items():
+                    terms[(*e, ve)] = f
+            else:
+                all_vlaurent = False
                 if x:
-                    c[e] = x
-        self.c = c
+                    terms[(*e, 0)] = x
+        self.num, self.den = _over_lcm(terms)
+        # Coefficients given as VLaurents already are the nested view.
+        self._view = None
+        if all_vlaurent:
+            self._view = MappingProxyType({e: x for e, x in nested.items() if x})
+
+    @staticmethod
+    def _normal(r: int, num: dict[tuple[int, ...], int], den: int) -> "SymLaurent":
+        """Wrap a numerator map without zero entries over a positive den,
+        dividing out their common factor (den becomes 1 when num is empty)."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: x // g for k, x in num.items()}
+        out = SymLaurent.__new__(SymLaurent)
+        out.r = r
+        out.num = num
+        out.den = den
+        out._view = None
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -289,7 +346,6 @@ class SymLaurent(_Laurent):
 
     @staticmethod
     def constant(r: int, x: Any) -> "SymLaurent":
-        x = x if isinstance(x, VLaurent) else VLaurent.from_scalar(x)
         return SymLaurent(r, {(0,) * r: x})
 
     @staticmethod
@@ -302,6 +358,32 @@ class SymLaurent(_Laurent):
         e[i] = 1
         return SymLaurent(r, {tuple(e): 1})
 
+    # -- the nested view ----------------------------------------------------
+
+    def _grouped(self) -> list[tuple[tuple[int, ...], dict[int, Fraction]]]:
+        """(X-exponents, {v-exponent: coefficient}) pairs in lexicographic
+        order of the exponents."""
+        out: list[tuple[tuple[int, ...], dict[int, Fraction]]] = []
+        last = None
+        for k, x in sorted(self.num.items()):
+            mono = k[:-1]
+            if mono != last:
+                vs: dict[int, Fraction] = {}
+                out.append((mono, vs))
+                last = mono
+            vs[k[-1]] = Fraction(x, self.den)
+        return out
+
+    @property
+    def c(self) -> Mapping[tuple[int, ...], VLaurent]:
+        """Read-only map from X-exponent tuples to VLaurent coefficients,
+        built on first access unless the constructor already had it (values
+        are immutable, so once suffices).  For readers outside this module;
+        no arithmetic here reads it."""
+        if self._view is None:
+            self._view = MappingProxyType({e: _vlaurent(vs) for e, vs in self._grouped()})
+        return self._view
+
     # -- ring operations ---------------------------------------------------
 
     def _coerced(self, other: Any) -> "SymLaurent | None":
@@ -309,97 +391,114 @@ class SymLaurent(_Laurent):
             if other.r != self.r:
                 raise ValueError("variable counts differ")
             return other
-        if isinstance(other, (int, Fraction, VLaurent)):
+        if isinstance(other, (int, Fraction)):
+            num = {(0,) * (self.r + 1): other.numerator} if other else {}
+            return SymLaurent._normal(self.r, num, other.denominator)
+        if isinstance(other, VLaurent):
             return SymLaurent.constant(self.r, other)
         return None
+
+    def __eq__(self, other: Any) -> bool:
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self.den == o.den and self.num == o.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __add__(self, other: Any) -> "SymLaurent":
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        c = dict(self.c)
-        for e, x in o.c.items():
-            s = c.get(e)
-            s = x if s is None else s + x
+        den = math.lcm(self.den, o.den)
+        f1, f2 = den // self.den, den // o.den
+        c = dict(self.num) if f1 == 1 else {k: x * f1 for k, x in self.num.items()}
+        for k, x in o.num.items():
+            s = c.get(k, 0) + x * f2
             if s:
-                c[e] = s
+                c[k] = s
             else:
-                c.pop(e, None)
-        out = SymLaurent(self.r)
-        out.c = c
-        return out
+                del c[k]
+        return SymLaurent._normal(self.r, c, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymLaurent":
-        out = SymLaurent(self.r)
-        out.c = {e: -x for e, x in self.c.items()}
-        return out
+        return SymLaurent._normal(self.r, {k: -x for k, x in self.num.items()}, self.den)
 
     def __mul__(self, other: Any) -> "SymLaurent":
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        c: dict[tuple[int, ...], VLaurent] = {}
-        for e1, x1 in self.c.items():
-            for e2, x2 in o.c.items():
-                e = tuple(map(operator.add, e1, e2))
-                p = x1 * x2
-                s = c.get(e)
-                s = p if s is None else s + p
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        out = SymLaurent(self.r)
-        out.c = c
-        return out
+        add = operator.add
+        a, b = (self.num, o.num) if len(self.num) >= len(o.num) else (o.num, self.num)
+        if len(b) == 1:
+            # a term times a polynomial: no exponents collide, nothing cancels
+            ((k2, x2),) = b.items()
+            c = {tuple(map(add, k1, k2)): x1 * x2 for k1, x1 in a.items()}
+        else:
+            c = {}
+            get = c.get
+            right = list(b.items())
+            for k1, x1 in a.items():
+                for k2, x2 in right:
+                    k = tuple(map(add, k1, k2))
+                    c[k] = get(k, 0) + x1 * x2
+            c = {k: x for k, x in c.items() if x}
+        return SymLaurent._normal(self.r, c, self.den * o.den)
 
     __rmul__ = __mul__
 
     # -- variable manipulations ---------------------------------------------
 
+    def _remapped(self, r: int, key) -> "SymLaurent":
+        """The terms with exponent tuples key(k), dropping those where key
+        returns None; key must be injective on the kept terms."""
+        num = {}
+        for k, x in self.num.items():
+            k2 = key(k)
+            if k2 is not None:
+                num[k2] = x
+        return SymLaurent._normal(r, num, self.den)
+
     def swap_vars(self, i: int, j: int) -> "SymLaurent":
-        c: dict[tuple[int, ...], VLaurent] = {}
-        for e, x in self.c.items():
-            f = list(e)
+        def key(k):
+            f = list(k[:-1])
             f[i], f[j] = f[j], f[i]
-            c[tuple(f)] = x
-        out = SymLaurent(self.r)
-        out.c = c
-        return out
+            return (*f, k[-1])
+
+        return self._remapped(self.r, key)
 
     def invert_vars(self, indices: Iterable[int]) -> "SymLaurent":
         """Substitute X_i -> X_i^-1 for each listed variable index."""
-        idx = set(indices)
-        c: dict[tuple[int, ...], VLaurent] = {}
-        for e, x in self.c.items():
-            f = tuple(-k if i in idx else k for i, k in enumerate(e))
-            c[f] = x
-        out = SymLaurent(self.r)
-        out.c = c
-        return out
+        idx = set(indices) & set(range(self.r))
+        return self._remapped(
+            self.r, lambda k: tuple(-a if i in idx else a for i, a in enumerate(k))
+        )
 
     def invert_all_vars(self) -> "SymLaurent":
         return self.invert_vars(range(self.r))
+
+    def restrict(self, keep) -> "SymLaurent":
+        """The terms whose X-exponent tuple satisfies ``keep``."""
+        return self._remapped(self.r, lambda k: k if keep(k[:-1]) else None)
 
     def substitute_last_zero(self) -> "SymLaurent":
         """Set X_r = 0 and drop that variable.  Rejects negative X_r
         exponents, where the substitution is undefined."""
         if self.r == 0:
             raise ValueError("no variable to specialize")
-        out = SymLaurent(self.r - 1)
-        c: dict[tuple[int, ...], VLaurent] = {}
-        for e, x in self.c.items():
-            if e[-1] < 0:
+
+        def key(k):
+            if k[-2] < 0:
                 raise ValueError("negative exponent in the last variable; X_r = 0 undefined")
-            if e[-1] == 0:
-                c[e[:-1]] = x
-        out.c = c
-        return out
+            return (*k[:-2], k[-1]) if k[-2] == 0 else None
+
+        return self._remapped(self.r - 1, key)
 
     def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.c}
+        return {sum(k) - k[-1] for k in self.num}
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = self.total_degrees()
@@ -411,42 +510,42 @@ class SymLaurent(_Laurent):
 
     def min_var_exp(self) -> int:
         """Smallest exponent appearing on any variable (0 for constants)."""
-        lo = 0
-        for e in self.c:
-            for k in e:
-                if k < lo:
-                    lo = k
-        return lo
+        return min([0, *(a for k in self.num for a in k[:-1])])
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Iterable[Scalar], v_value: Fraction) -> Fraction:
         """Exact evaluation: X_i -> point[i], v -> v_value.  A zero entry in
-        the point is rejected whenever it meets a negative exponent."""
+        the point, or v = 0, is rejected whenever it meets a negative
+        exponent."""
         pt = tuple(Fraction(x) for x in point)
         if len(pt) != self.r:
             raise ValueError("point length differs from variable count")
+        pt += (Fraction(v_value),)
+        powers: list[dict[int, Fraction]] = [{} for _ in pt]
         total = Fraction(0)
-        for e, x in self.c.items():
-            factor = x.evaluate(v_value)
-            for base, k in zip(pt, e):
-                if k == 0:
-                    continue
-                if base == 0:
-                    if k < 0:
-                        raise ZeroDivisionError("zero point entry hits a negative exponent")
-                    factor = Fraction(0)
-                    break
-                factor *= base**k
-            total += factor
-        return total
+        for k, x in self.num.items():
+            term = x
+            for base, a, cache in zip(pt, k, powers):
+                if a:
+                    p = cache.get(a)
+                    if p is None:
+                        if base == 0 and a < 0:
+                            raise ZeroDivisionError("a zero value hits a negative exponent")
+                        p = cache[a] = base**a
+                    term *= p
+            total += term
+        return total / self.den
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[dict]:
         return [
-            {"exponents": list(e), "coeff": x.to_json()}
-            for e, x in sorted(self.c.items())
+            {
+                "exponents": list(e),
+                "coeff": {str(ve): f"{f.numerator}/{f.denominator}" for ve, f in vs.items()},
+            }
+            for e, vs in self._grouped()
         ]
 
     @staticmethod
@@ -458,23 +557,24 @@ class SymLaurent(_Laurent):
         return SymLaurent(r, coeffs)
 
     def __str__(self) -> str:
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
-        for e, x in sorted(self.c.items()):
+        for e, vs in self._grouped():
             mono = "*".join(
                 f"X{i + 1}^{k}" if k != 1 else f"X{i + 1}"
                 for i, k in enumerate(e)
                 if k != 0
             )
-            cs = str(x)
+            cs = str(_vlaurent(vs))
             if "+" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"SymLaurent({self.r}, {{{', '.join(f'{e}: {x}' for e, x in sorted(self.c.items()))}}})"
+        body = ", ".join(f"{e}: {_vlaurent(vs)}" for e, vs in self._grouped())
+        return f"SymLaurent({self.r}, {{{body}}})"
 
 
 def is_symmetric(a: SymLaurent) -> bool:
@@ -500,42 +600,62 @@ def is_in_s0(a: SymLaurent) -> bool:
 
 
 def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
-    """Exact division of multivariate Laurent polynomials.
+    """Exact division of multivariate Laurent polynomials over Q[v, v^-1].
 
-    Reduces the lexicographically leading term at every step.  For an exact
-    division the quotient's exponents are confined, coordinate by
-    coordinate, to the window [min(num) - min(den), max(num) - max(den)]
-    (minimum/maximum-weight components multiply without cancellation in a
-    domain), so leaving the window proves inexactness and guarantees
-    termination."""
+    Works on the flat maps, with v as one more variable: the
+    lexicographically leading term of the remainder is divided by that of
+    den at every step.  For an exact division the quotient's exponents are
+    confined, coordinate by coordinate, to the window [min(num) - min(den),
+    max(num) - max(den)] (minimum/maximum-weight components multiply
+    without cancellation in a domain), so leaving the window proves
+    inexactness and guarantees termination."""
     if num.r != den.r:
         raise ValueError("variable counts differ")
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return SymLaurent.zero(num.r)
-    r = num.r
 
-    def corner(c: dict, pick) -> tuple[int, ...]:
-        return tuple(pick(e[i] for e in c) for i in range(r))
+    def corner(keys, pick) -> list[int]:
+        return [pick(col) for col in zip(*keys)]
 
-    lo = tuple(a - b for a, b in zip(corner(num.c, min), corner(den.c, min)))
-    hi = tuple(a - b for a, b in zip(corner(num.c, max), corner(den.c, max)))
-    dlead = max(den.c)
-    dcoef = den.c[dlead]
-    rem = num
-    quo = SymLaurent.zero(r)
-    while rem:
-        nlead = max(rem.c)
-        e = tuple(a - b for a, b in zip(nlead, dlead))
+    lo = [a - b for a, b in zip(corner(num.num, min), corner(den.num, min))]
+    hi = [a - b for a, b in zip(corner(num.num, max), corner(den.num, max))]
+    dlead = max(den.num)
+    dcoef = den.num[dlead]
+    dtail = [(k, x) for k, x in den.num.items() if k != dlead]
+    # The remainder's numerators (over num.den), and a heap of its keys
+    # negated, so that the lexicographically largest pops first.  Every
+    # key a step adds is below the one it removes.
+    rem: dict[tuple[int, ...], Scalar] = dict(num.num)
+    heap = [tuple(-a for a in k) for k in rem]
+    heapq.heapify(heap)
+    quo: dict[tuple[int, ...], Scalar] = {}
+    while heap:
+        lead = tuple(-a for a in heapq.heappop(heap))
+        x = rem.pop(lead, 0)
+        if not x:
+            continue
+        e = tuple(map(operator.sub, lead, dlead))
         if any(k < l or k > h for k, l, h in zip(e, lo, hi)):
             raise ValueError("inexact Laurent polynomial division")
-        # Leading v-coefficients must divide exactly as well.
-        coef = vlaurent_div_exact(rem.c[nlead], dcoef)
-        t = SymLaurent.monomial(r, e, coef)
-        quo = quo + t
-        rem = rem - t * den
-    return quo
+        coef = Fraction(x, dcoef)
+        if coef.denominator == 1:
+            coef = coef.numerator
+        quo[e] = coef
+        for k, y in dtail:
+            k = tuple(map(operator.add, e, k))
+            s = rem.get(k)
+            if s is None:
+                heapq.heappush(heap, tuple(-a for a in k))
+                s = 0
+            s -= coef * y
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    # num/den = (quo / num.den) / (1 / den.den)
+    return SymLaurent._normal(num.r, *_over_lcm(quo)) * Fraction(den.den, num.den)
 
 
 class TruncSeries:

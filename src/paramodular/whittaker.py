@@ -158,9 +158,7 @@ def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:
     """The data whose generating function is d.gen * symbol, restricted to
     the dominant cone: result(lam) = sum_s c_s d(lam - s) for the terms
     c_s X^s of the symbol."""
-    product = d.gen * symbol
-    product.c = {lam: x for lam, x in product.c.items() if is_dominant(lam, Cone.G)}
-    return WhittakerData._of(product)
+    return WhittakerData._of((d.gen * symbol).restrict(lambda lam: is_dominant(lam, Cone.G)))
 
 
 def _assert_rank_two(d: WhittakerData, name: str) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,85 @@ def test_ginzburg_specialize_drops_last_variable():
     # kills it otherwise
     assert schur((2, 0), 2).substitute_last_zero() == schur((2,), 1)
     assert schur((2, 1), 2).substitute_last_zero() == SymLaurent.zero(1)
+
+
+# Independent cross-checks by sympy: each character as a ratio of two
+# determinants, both expanded by sympy and divided exactly as polynomials
+# (skipped where sympy is missing).
+
+
+def _sympy_quotient(sympy, xs, entry, exps, rho, den_shift, quo_shift):
+    """det(entry(x_j, exps_i)) / det(entry(x_j, rho_i)) times P^quo_shift,
+    P = x_1...x_k, by exact polynomial division: the denominator is
+    multiplied by P^den_shift and the numerator by P^(den_shift +
+    quo_shift), which clears negative powers from both and from the
+    quotient.  The division must leave no remainder."""
+    from sympy.polys.matrices import DomainMatrix
+
+    k = len(xs)
+
+    def det(es, shift):
+        # column j times x_j^shift: the determinant times P^shift
+        matrix = sympy.Matrix(
+            k, k, lambda i, j: sympy.expand(entry(xs[j], es[i]) * xs[j] ** shift)
+        )
+        dm = DomainMatrix.from_Matrix(matrix)
+        return sympy.Poly(dm.domain.to_sympy(dm.det()), *xs)
+
+    quotient, remainder = sympy.div(det(exps, den_shift + quo_shift), det(rho, den_shift))
+    assert remainder.is_zero
+    return quotient
+
+
+def _shifted_poly(sympy, xs, poly: SymLaurent, shift):
+    """poly * (x_1...x_k)^shift as a sympy Poly (v-free polynomials only)."""
+    terms = {}
+    for e, value in poly.c.items():
+        assert set(value.c) == {0}
+        c = value.c[0]
+        terms[tuple(k + shift for k in e)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(terms, *xs)
+
+
+def _decreasing(entries, k):
+    return [
+        lam
+        for lam in itertools.product(entries, repeat=k)
+        if list(lam) == sorted(lam, reverse=True)
+    ]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_schur_matches_the_sympy_bialternant(r):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{r + 1}")
+    for lam in _decreasing(range(-2, 3), r):
+        # det(x_j^(lam_i + r - i)) / det(x_j^(r - i)), i = 1..r
+        quotient = _sympy_quotient(
+            sympy,
+            xs,
+            lambda x, e: x**e,
+            [lam[i] + r - 1 - i for i in range(r)],
+            [r - 1 - i for i in range(r)],
+            den_shift=0,
+            quo_shift=2,
+        )
+        assert quotient == _shifted_poly(sympy, xs, schur(lam, r), 2), lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sp_character_matches_the_sympy_weyl_ratio(n):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{n + 1}")
+    for lam in _decreasing(range(3), n):
+        # det(x_j^(l_i + n - i + 1) - x_j^-(l_i + n - i + 1)) / (same at lam = 0)
+        quotient = _sympy_quotient(
+            sympy,
+            xs,
+            lambda x, e: x**e - x**-e,
+            [lam[i] + n - i for i in range(n)],
+            [n - i for i in range(n)],
+            den_shift=n,
+            quo_shift=lam[0],
+        )
+        assert quotient == _shifted_poly(sympy, xs, sp_character(lam, n), lam[0]), lam

@@ -157,6 +157,13 @@ BAD_INPUTS = {
     "n-zero": ["verify", "kernel", "--n", "0", "--trials", "1"],
     "r-zero": ["verify", "unramified", "--r", "0", "--trials", "1"],
     "eta-lemma-r": ["verify", "eta-lemma", "--r", "2", "--trials", "1"],
+    "level-a1-n-r": ["verify", "level-a1", "--n", "5", "--r", "7"],
+    "dependence-n": ["verify", "dependence", "--n", "9"],
+    "gsp4-raising-r": ["verify", "gsp4-raising", "--r", "2", "--trials", "1"],
+    "oldform-bases-n": ["verify", "oldform-bases", "--n", "2", "--max-gap", "0"],
+    "fe-n": ["verify", "fe", "--n", "2", "--trials", "1"],
+    "fe-max-gap": ["verify", "fe", "--max-gap", "2", "--trials", "1"],
+    "unramified-max-gap": ["verify", "unramified", "--max-gap", "1", "--n", "1", "--trials", "1"],
 }
 
 
@@ -234,6 +241,23 @@ def test_failing_case_shows_witness():
     assert blob["cases"][0]["witness"] == {"reason": "boom"}
     assert "FAIL" in emit(report, "text")
     assert "boom" in emit(report, "text")
+
+
+def test_conditional_pass_on_differing_spans_is_noted_in_text():
+    def case(g, spans_equal, conditional):
+        params = {"m_minus_a": g, "spans_equal": spans_equal, "conditional": conditional}
+        return CaseRecord(f"m_minus_a={g}", params, True, None, 0.5)
+
+    cases = [case(0, True, False), case(3, True, True), case(4, False, True)]
+    report = Report("oldform-bases", VerifyConfig(suite="oldform-bases"), cases)
+    lines = emit(report, "text").splitlines()
+    note = "  note: conditional pass, spans differ"
+    assert lines[1:] == [
+        "  PASS  m_minus_a=0",
+        "  PASS  m_minus_a=3",
+        "  PASS  m_minus_a=4" + note,
+    ]
+    assert "note" not in emit(report, "json")
 
 
 def test_main_verify_and_dims_exit_zero(tmp_path):

@@ -3,6 +3,9 @@ polynomials, truncated series."""
 
 from __future__ import annotations
 
+import json
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -313,3 +316,176 @@ def test_shared_operators_on_both_laurent_types():
             hash(a)
         with pytest.raises(ValueError):
             a ** -1
+
+
+# Oracle and property checks of the flat SymLaurent storage on random sparse
+# operands: r = 0..3, negative exponents, mixed Fraction denominators, zero
+# and constant operands.
+
+
+def _nested_mul(a: SymLaurent, b: SymLaurent) -> SymLaurent:
+    """The product on the nested {X-exponents: VLaurent} form, one VLaurent
+    product per pair of X-monomials: the oracle for the flat convolution."""
+    c: dict = {}
+    for e1, x1 in a.c.items():
+        for e2, x2 in b.c.items():
+            e = tuple(map(operator.add, e1, e2))
+            c[e] = c.get(e, VLaurent.zero()) + x1 * x2
+    return SymLaurent(a.r, c)
+
+
+def _nested_add(a: SymLaurent, b: SymLaurent) -> SymLaurent:
+    c = dict(a.c)
+    for e, x in b.c.items():
+        c[e] = c.get(e, VLaurent.zero()) + x
+    return SymLaurent(a.r, c)
+
+
+def _is_normal(a: SymLaurent) -> bool:
+    nums = list(a.num.values())
+    return (
+        type(a.den) is int
+        and a.den > 0
+        and all(type(x) is int and x for x in nums)
+        and all(len(k) == a.r + 1 for k in a.num)
+        and math.gcd(a.den, *nums) == 1
+    )
+
+
+def _coeff(st):
+    numerator = st.integers(min_value=-7, max_value=7)
+    return st.builds(Fraction, numerator, st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def _vlaurents(st):
+    exps = st.integers(min_value=-2, max_value=2)
+    return st.dictionaries(exps, _coeff(st), max_size=3).map(VLaurent)
+
+
+def _sym(st, r: int):
+    """A sparse SymLaurent in r variables: up to four terms with exponents
+    in -2..2, or a constant (zero included)."""
+    mono = st.tuples(*[st.integers(min_value=-2, max_value=2)] * r)
+    sparse = st.dictionaries(mono, _vlaurents(st), max_size=4)
+    const = st.one_of(_coeff(st), _vlaurents(st)).map(lambda x: {(0,) * r: x})
+    return st.one_of(sparse, const).map(lambda c: SymLaurent(r, c))
+
+
+def _sym_triples(st):
+    return st.one_of([st.tuples(*[_sym(st, r)] * 3) for r in range(4)])
+
+
+def test_flat_product_and_sum_match_the_nested_oracle():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st))
+    def check(abc):
+        a, b, _ = abc
+        for got, want in ((a * b, _nested_mul(a, b)), (a + b, _nested_add(a, b))):
+            assert got == want
+            assert got.to_json() == want.to_json()
+            assert _is_normal(got)
+        assert _is_normal(-a) and _is_normal(a - b)
+
+    check()
+
+
+def test_ring_axioms():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st))
+    def check(abc):
+        a, b, c = abc
+        r = a.r
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert (a * b) * c == a * (b * c) and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + SymLaurent.zero(r) == a and a * SymLaurent.one(r) == a
+        assert a - a == 0 and not (a + (-a))
+        assert a * SymLaurent.zero(r) == 0
+
+    check()
+
+
+def test_exact_divisions_undo_products():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st), _vlaurents(st), _vlaurents(st))
+    def check(abc, x, y):
+        a, b, _ = abc
+        if b:
+            assert poly_div_exact(a * b, b) == a
+        if y:
+            assert vlaurent_div_exact(x * y, y) == x
+
+    check()
+
+
+def test_json_round_trips():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st), _vlaurents(st))
+    def check(abc, x):
+        a = abc[0]
+        assert SymLaurent.from_json(json.loads(json.dumps(a.to_json())), a.r) == a
+        assert VLaurent.from_json(json.loads(json.dumps(x.to_json()))) == x
+
+    check()
+
+
+def test_evaluation_is_a_ring_homomorphism():
+    hyp, st, settings = _hypothesis()
+    nonzero = _coeff(st).filter(bool)
+
+    @settings
+    @hyp.given(_sym_triples(st), st.lists(nonzero, min_size=3, max_size=3), nonzero)
+    def check(abc, point, v):
+        a, b, _ = abc
+        pt = point[: a.r]
+        ea, eb = a.evaluate(pt, v), b.evaluate(pt, v)
+        assert (a * b).evaluate(pt, v) == ea * eb
+        assert (a + b).evaluate(pt, v) == ea + eb
+        assert (-a).evaluate(pt, v) == -ea
+        assert isinstance(ea, Fraction)
+
+    check()
+
+
+def test_equal_values_have_one_normal_form():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st))
+    def check(abc):
+        a, b, _ = abc
+        for same in ((a * Fraction(1, 3)) * 3, (a + b) - b, a * Fraction(2, 4) * 2):
+            assert same == a and same.to_json() == a.to_json()
+            assert (same.num, same.den) == (a.num, a.den)
+
+    check()
+    half = SymLaurent(2, {(1, -1): Fraction(2, 4), (0, 0): VLaurent({-1: Fraction(3, 6)})})
+    same = SymLaurent(2, {(1, -1): Fraction(1, 2), (0, 0): VLaurent({-1: Fraction(1, 2)})})
+    assert half == same and half.to_json() == same.to_json()
+    assert (half.num, half.den) == ({(1, -1, 0): 1, (0, 0, -1): 1}, 2)
+    # sums and restrictions that cancel factors of the denominator
+    whole = SymLaurent(2, {(1, -1): 1, (0, 0): VLaurent({-1: 1})})
+    assert (half + half).den == 1 and half + half == whole
+    assert SymLaurent.zero(3).den == 1 and (half - same).den == 1
+    assert half.restrict(lambda e: e == (1, -1)) == SymLaurent.monomial(2, (1, -1), Fraction(1, 2))
+
+
+def test_nested_view_is_read_only_and_built_once():
+    x = VLaurent({0: Fraction(1, 2), 2: 3})
+    a = SymLaurent(2, {(1, 0): x, (0, 0): 4})
+    assert a.c is a.c
+    assert dict(a.c) == {(1, 0): x, (0, 0): VLaurent.from_scalar(4)}
+    with pytest.raises(TypeError):
+        a.c[(0, 1)] = VLaurent.one()
+    # VLaurent coefficients given to the constructor are the view, zeros dropped
+    b = SymLaurent(2, {(1, 0): x, (0, 1): VLaurent.zero()})
+    assert dict(b.c) == {(1, 0): x} and b.c[(1, 0)] is x
+    assert dict((b * 1).c) == dict(b.c)
