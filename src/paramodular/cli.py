@@ -92,38 +92,52 @@ def _apply_move(op: str, d: WhittakerData) -> WhittakerData:
     return globals()[_MOVES[op][0]](d)
 
 
+# values of the options that not every suite reads, when none is given
+_OPTION_DEFAULTS = {"trunc": 8, "window": 4, "mode": "evaluation"}
+
+
 @dataclasses.dataclass
 class VerifyConfig:
+    """One suite run.  An optional field left at None was not given: the
+    suite's default fills it in, and giving a field the suite does not
+    read is an error."""
+
     suite: str
     n: int | None = None
     r: int | None = None
-    trunc: int = 8
-    window: int = 4
+    trunc: int | None = None
+    window: int | None = None
     trials: int | None = None
     seed: int = 42
-    mode: str = "evaluation"
+    mode: str | None = None
     max_gap: int | None = None
 
     def __post_init__(self) -> None:
         if self.suite not in _SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
+        reads = _SUITE_OPTIONS[self.suite]
+        ignored = [
+            "--" + name.replace("_", "-")
+            for name in ("n", "r", "trunc", "window", "mode", "max_gap")
+            if getattr(self, name) is not None and name not in reads
+        ]
+        if ignored:
+            raise ValueError(f"suite {self.suite} does not read {', '.join(ignored)}")
         if self.trials is None:
             self.trials = _SUITES[self.suite][2]
-        if self.window < 2 or self.trunc < self.window:
+        for name, default in _OPTION_DEFAULTS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
+        if "window" in reads and (self.window < 2 or self.trunc < self.window):
             raise ValueError("need trunc >= window >= 2")
+        if self.trunc < 0:
+            raise ValueError(f"need trunc >= 0, got {self.trunc}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         for name in ("n", "r"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"need {name} >= 1, got {value}")
-        ignored = [
-            "--" + name.replace("_", "-")
-            for name in ("n", "r", "max_gap")
-            if getattr(self, name) is not None and name not in _SUITE_OPTIONS[self.suite]
-        ]
-        if ignored:
-            raise ValueError(f"suite {self.suite} does not read {', '.join(ignored)}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 
@@ -575,19 +589,20 @@ _SUITES = {
     "fe": (_fe_cases, _fe_run, 10),
 }
 
-# the optional options (n, r, max_gap) each suite reads; giving another one
-# is an error, not silently ignored (eta-lemma runs at r = n)
+# the optional options each suite reads; giving another one is an error, not
+# silently ignored (eta-lemma runs at r = n, kernel reads its data through
+# their largest trace, and only unramified and eta-lemma take a mode)
 _SUITE_OPTIONS = {
-    "unramified": ("n", "r"),
-    "gsp4-raising": (),
-    "eta-lemma": ("n",),
+    "unramified": ("n", "r", "trunc", "window", "mode"),
+    "gsp4-raising": ("trunc",),
+    "eta-lemma": ("n", "trunc", "mode"),
     "dims": ("n", "max_gap"),
-    "prop4": ("n", "r"),
-    "level-a1": (),
+    "prop4": ("n", "r", "trunc", "window"),
+    "level-a1": ("trunc", "window"),
     "oldform-bases": ("max_gap",),
     "dependence": (),
     "kernel": ("n", "r"),
-    "fe": (),
+    "fe": ("trunc", "window"),
 }
 
 
@@ -630,8 +645,11 @@ def run_suite(config: VerifyConfig) -> Report:
     jobs = _jobs()
     worker = functools.partial(_run_case, config)
     if jobs > 1 and len(cases) > 1:
+        # about 64 chunks a worker: few enough that a sub-millisecond case
+        # does not pay a round trip of its own, enough to even out the load
+        chunksize = max(1, len(cases) // (64 * jobs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, cases))
+            records = list(pool.map(worker, cases, chunksize=chunksize))
     else:
         records = [worker(c) for c in cases]
     return Report(config.suite, config, records)
@@ -756,11 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=sorted(_SUITES))
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--r", type=int, default=None)
-    pv.add_argument("--trunc", type=int, default=8)
-    pv.add_argument("--window", type=int, default=4)
+    pv.add_argument("--trunc", type=int, default=None, help="default 8")
+    pv.add_argument("--window", type=int, default=None, help="default 4")
     pv.add_argument("--trials", type=int, default=None)
     pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--mode", choices=_MODES, default="evaluation")
+    pv.add_argument("--mode", choices=_MODES, default=None, help="default evaluation")
     pv.add_argument("--max-gap", type=int, default=None, dest="max_gap")
     pv.add_argument("--format", choices=("json", "text", "csv"), default="json")
     pv.add_argument("--out", default=None)

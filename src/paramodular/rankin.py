@@ -28,6 +28,10 @@ and evaluation mode evaluates at its point.  Schur values in evaluation
 mode never go through a polynomial: the complete homogeneous values
 h_m(point) are tabulated once per mode and each s_lam(point) is the
 Jacobi-Trudi determinant of those numbers.
+
+The torus sum reads each weight of the data once: the degree-l
+coefficient walks only the weights of trace l, through the data's trace
+index, and folds each v-power in as a shift of the v-exponents.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from fractions import Fraction
 from typing import Any
 
 from .characters import _det, _jacobi_trudi, schur
-from .coweights import Coweight, trace
+from .coweights import Coweight
 from .rings import SymLaurent, TruncSeries, VLaurent
 from .whittaker import WhittakerData, gl_modulus_exponent
 
@@ -135,24 +139,23 @@ def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any
         raise ValueError("need 1 <= r <= n")
     if d.n != n or mode.r != r:
         raise ValueError("rank mismatch between data, n and mode")
-    total = mode.zero()
-    if ell < 0:
-        return total
     twist = ell * (2 * n - r - 1)
-    for lam, val in d.items():
-        if trace(lam) != ell or any(lam[r:]):
+    total = None
+    for lam, val in d.of_trace(ell):
+        if any(lam[r:]):
             continue
         head = lam[:r]
-        weight = VLaurent.v_power(gl_modulus_exponent(head, r) + twist)
-        total = total + mode.from_vlaurent(val * weight) * mode.schur(head)
-    return total
+        weight = gl_modulus_exponent(head, r) + twist
+        term = mode.from_vlaurent(val.shifted(weight)) * mode.schur(head)
+        total = term if total is None else total + term
+    return mode.zero() if total is None else total
 
 
 def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> TruncSeries:
     coeffs = {}
     for ell in range(trunc + 1):
         c = psi_component(d, n, r, ell, mode)
-        if not (c == 0):
+        if c:
             coeffs[ell] = c
     return TruncSeries(coeffs, trunc, mode.zero())
 
@@ -333,7 +336,7 @@ def zeta_series(d: WhittakerData, n: int, trunc: int) -> TruncSeries:
     coeffs = {}
     for ell in range(trunc + 1):
         lam = (ell,) + (0,) * (n - 1)
-        val = d.get(lam) * VLaurent.v_power(ell * (2 * n - 2))
+        val = d.get(lam).shifted(ell * (2 * n - 2))
         if val:
             coeffs[ell] = val
     return TruncSeries(coeffs, trunc, VLaurent.zero())

@@ -29,11 +29,11 @@ Three layers, all built on arbitrary-precision rationals
 
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
-    Coefficients live in any ring with ``+``, ``*`` and ``== 0``
-    (SymLaurent in symbolic mode, Fraction in evaluation mode).  Degrees
-    start at 0.  The truncation order of a sum or product is the smaller
-    of the two operands' orders; ``trunc=None`` marks an exactly-known
-    polynomial.
+    Coefficients live in any ring with ``+``, ``*``, ``==`` and a truth
+    value that is false exactly at zero (SymLaurent in symbolic mode,
+    Fraction in evaluation mode).  Degrees start at 0.  The truncation
+    order of a sum or product is the smaller of the two operands' orders;
+    ``trunc=None`` marks an exactly-known polynomial.
 
 All values are normalized (no stored zero coefficients) and treated as
 immutable: every operation returns a fresh object.  Term order for
@@ -129,6 +129,10 @@ class VLaurent(_Laurent):
     def q_power(k: int) -> "VLaurent":
         # q = v**2, so half-integral q-powers never appear.
         return VLaurent({2 * k: 1})
+
+    def shifted(self, k: int) -> "VLaurent":
+        """The product with v**k, as a shift of the exponents."""
+        return _vlaurent({e + k: x for e, x in self.c.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -338,15 +342,24 @@ class SymLaurent(_Laurent):
 
     @staticmethod
     def zero(r: int) -> "SymLaurent":
-        return SymLaurent(r)
+        return SymLaurent.constant(r, 0)
 
     @staticmethod
     def one(r: int) -> "SymLaurent":
-        return SymLaurent(r, {(0,) * r: 1})
+        return SymLaurent.constant(r, 1)
 
     @staticmethod
-    def constant(r: int, x: Any) -> "SymLaurent":
-        return SymLaurent(r, {(0,) * r: x})
+    def constant(r: int, x: VLaurent | Scalar) -> "SymLaurent":
+        if r < 0:
+            raise ValueError("variable count must be non-negative")
+        zeros = (0,) * r
+        if isinstance(x, VLaurent):
+            den = math.lcm(*(f.denominator for f in x.c.values()))
+            num = {(*zeros, e): f.numerator * (den // f.denominator) for e, f in x.c.items()}
+            return SymLaurent._normal(r, num, den)
+        if isinstance(x, (int, Fraction)):
+            return SymLaurent._normal(r, {(*zeros, 0): x.numerator} if x else {}, x.denominator)
+        raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
 
     @staticmethod
     def monomial(r: int, exps: Iterable[int], coeff: Any = 1) -> "SymLaurent":
@@ -391,10 +404,7 @@ class SymLaurent(_Laurent):
             if other.r != self.r:
                 raise ValueError("variable counts differ")
             return other
-        if isinstance(other, (int, Fraction)):
-            num = {(0,) * (self.r + 1): other.numerator} if other else {}
-            return SymLaurent._normal(self.r, num, other.denominator)
-        if isinstance(other, VLaurent):
+        if isinstance(other, (int, Fraction, VLaurent)):
             return SymLaurent.constant(self.r, other)
         return None
 
@@ -679,7 +689,7 @@ class TruncSeries:
                 raise ValueError("series degrees start at 0")
             if trunc is not None and k > trunc:
                 continue
-            if not (x == 0):
+            if x:
                 cc[k] = x
         self.coeffs = cc
 
@@ -743,7 +753,7 @@ class TruncSeries:
                     continue
                 acc = acc + aj * bj
             acc = -acc
-            if not (acc == 0):
+            if acc:
                 inv[k] = acc
         return TruncSeries(inv, trunc, self.zero)
 

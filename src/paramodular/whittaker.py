@@ -27,7 +27,7 @@ values are picked up in place (with multiplicity q), not shifted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .characters import schur, sp_character_value
 from .coweights import Cone, Coweight, is_dominant, enumerate_cone, trace
@@ -54,14 +54,16 @@ class WhittakerData:
     """Finitely supported map from the non-negative weakly decreasing cone
     (length-n coweights) to VLaurent, stored as its generating function
     ``gen`` = sum_lam d(lam) X^lam, a SymLaurent in n variables whose terms
-    all lie in the cone.  Immutable by convention."""
+    all lie in the cone.  Immutable by convention, so the by-trace index of
+    the support is built at most once, on first use."""
 
-    __slots__ = ("gen",)
+    __slots__ = ("gen", "_by_trace")
 
     def __init__(self, n: int, values: Mapping[Coweight, VLaurent] | None = None):
         if n < 1:
             raise ValueError("rank must be positive")
         self.gen = SymLaurent(n, values)
+        self._by_trace = None
         for lam in self.gen.c:
             if not is_dominant(lam, Cone.G):
                 raise ValueError(f"support coweight {lam} outside the dominant cone")
@@ -71,6 +73,7 @@ class WhittakerData:
         """Wrap a generating function already supported in the cone."""
         out = WhittakerData.__new__(WhittakerData)
         out.gen = gen
+        out._by_trace = None
         return out
 
     @property
@@ -89,6 +92,16 @@ class WhittakerData:
 
     def items(self) -> Iterable[tuple[Coweight, VLaurent]]:
         return sorted(self.gen.c.items())
+
+    def of_trace(self, ell: int) -> Sequence[tuple[Coweight, VLaurent]]:
+        """The pairs of ``items()`` whose weight has trace ell, in the same
+        order."""
+        if self._by_trace is None:
+            index: dict[int, list[tuple[Coweight, VLaurent]]] = {}
+            for lam, x in self.items():
+                index.setdefault(trace(lam), []).append((lam, x))
+            self._by_trace = index
+        return self._by_trace.get(ell, ())
 
     def max_trace(self) -> int:
         return max((trace(lam) for lam in self.gen.c), default=0)

@@ -44,18 +44,23 @@ def test_verify_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(suite="nonsense")
     with pytest.raises(ValueError):
-        VerifyConfig(suite="dims", trunc=2, window=4)
+        VerifyConfig(suite="unramified", trunc=2, window=4)
     with pytest.raises(ValueError):
-        VerifyConfig(suite="dims", window=1, trunc=8)
+        VerifyConfig(suite="unramified", window=1, trunc=8)
     with pytest.raises(ValueError):
         VerifyConfig(suite="dims", trials=0)
     with pytest.raises(ValueError):
-        VerifyConfig(suite="dims", mode="approximate")
+        VerifyConfig(suite="unramified", mode="approximate")
     for rank in ({"n": 0}, {"r": 0}, {"r": -1}):  # 0 used to mean the default grid
         with pytest.raises(ValueError):
             VerifyConfig(suite="kernel", **rank)
+    with pytest.raises(ValueError):
+        VerifyConfig(suite="gsp4-raising", trunc=-1)
     cfg = VerifyConfig(suite="kernel")
     assert cfg.trials == 50  # suite default fills in
+    assert (cfg.trunc, cfg.window, cfg.mode) == (8, 4, "evaluation")
+    # a suite that reads no window takes a truncation below the default one
+    assert VerifyConfig(suite="gsp4-raising", trunc=3).trunc == 3
 
 
 SMOKE_CONFIGS = [
@@ -96,11 +101,13 @@ def test_parallel_run_matches_serial(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and maps
-    in this process, so that no worker starts."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunk size of each map, and maps in this process, so that no worker
+    starts."""
 
-    def __init__(self, started, max_workers):
+    def __init__(self, started, chunksizes, max_workers):
         started.append(max_workers)
+        self.chunksizes = chunksizes
 
     def __enter__(self):
         return self
@@ -108,24 +115,26 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
 def stub_pool(monkeypatch, cpus):
-    started = []
+    """Returns the lists of worker counts started and chunk sizes mapped."""
+    started, chunksizes = [], []
     monkeypatch.setattr(
         concurrent.futures,
         "ProcessPoolExecutor",
-        lambda max_workers: RecordingPool(started, max_workers),
+        lambda max_workers: RecordingPool(started, chunksizes, max_workers),
     )
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    return started
+    return started, chunksizes
 
 
 @pytest.mark.parametrize("value, workers", [("1", []), ("2", [2]), ("3", [3]), ("64", [3])])
 def test_jobs_are_capped_at_usable_cpus(monkeypatch, value, workers):
-    started = stub_pool(monkeypatch, cpus=3)
+    started, _ = stub_pool(monkeypatch, cpus=3)
     monkeypatch.setenv("PARAMODULAR_JOBS", value)
     assert run_suite(VerifyConfig(suite="dims", n=2, max_gap=2)).all_passed
     assert started == workers
@@ -133,7 +142,7 @@ def test_jobs_are_capped_at_usable_cpus(monkeypatch, value, workers):
 
 @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2"])
 def test_bad_jobs_value_exits_with_one_line(monkeypatch, value):
-    started = stub_pool(monkeypatch, cpus=3)
+    started, _ = stub_pool(monkeypatch, cpus=3)
     monkeypatch.setenv("PARAMODULAR_JOBS", value)
     with pytest.raises(SystemExit) as info:
         main(["verify", "dims", "--max-gap", "1"])
@@ -141,6 +150,35 @@ def test_bad_jobs_value_exits_with_one_line(monkeypatch, value):
     assert "PARAMODULAR_JOBS" in message and repr(value) in message
     assert "\n" not in message
     assert started == []
+
+
+@pytest.mark.parametrize("trials, chunksize", [(40, 1), (1000, 23)])
+def test_long_suites_go_to_the_pool_in_chunks(monkeypatch, trials, chunksize):
+    # 120 cases go one at a time; 3000 go in chunks of 3000 // (64 * 2)
+    _, chunksizes = stub_pool(monkeypatch, cpus=2)
+    monkeypatch.setattr(cli, "_run_case", lambda config, params: None)
+    monkeypatch.setenv("PARAMODULAR_JOBS", "2")
+    run_suite(VerifyConfig(suite="gsp4-raising", trials=trials))
+    assert chunksizes == [chunksize]
+
+
+def test_chunked_pool_run_matches_serial(monkeypatch):
+    # 258 cases on two real workers go in chunks of two
+    cfg = {"suite": "gsp4-raising", "trials": 86, "trunc": 6}
+    serial = run_suite(VerifyConfig(**cfg))
+    chunksizes = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1):
+            chunksizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("PARAMODULAR_JOBS", "2")
+    parallel = run_suite(VerifyConfig(**cfg))
+    assert chunksizes == [2]
+    assert report_fingerprint(serial) == report_fingerprint(parallel)
 
 
 # Each input ends in a ValueError or OSError inside its subcommand; "{dir}"
@@ -164,6 +202,15 @@ BAD_INPUTS = {
     "fe-n": ["verify", "fe", "--n", "2", "--trials", "1"],
     "fe-max-gap": ["verify", "fe", "--max-gap", "2", "--trials", "1"],
     "unramified-max-gap": ["verify", "unramified", "--max-gap", "1", "--n", "1", "--trials", "1"],
+    "gsp4-raising-mode": ["verify", "gsp4-raising", "--mode", "symbolic", "--trials", "1"],
+    "fe-mode": ["verify", "fe", "--mode", "evaluation", "--trials", "1"],
+    "eta-lemma-window": ["verify", "eta-lemma", "--window", "3", "--trials", "1"],
+    "oldform-bases-trunc-window": [
+        "verify", "oldform-bases", "--trunc", "3", "--window", "2", "--max-gap", "0"
+    ],
+    "dims-trunc": ["verify", "dims", "--trunc", "5", "--n", "1", "--max-gap", "0"],
+    "kernel-trunc": ["verify", "kernel", "--trunc", "5", "--n", "2", "--trials", "1"],
+    "dependence-window": ["verify", "dependence", "--window", "3"],
 }
 
 

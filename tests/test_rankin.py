@@ -384,3 +384,65 @@ def test_xi_result_to_json_both_modes():
     ev = EvaluationMode(1, (Fraction(3),), Fraction(2))
     res_ev = xi(d, 1, 1, beta=(Fraction(2),), mode=ev, trunc=6)
     assert res_ev.to_json()["poly"] == "1/1"
+
+
+# psi against the formula as first written (scan every weight of the data
+# for each degree), on derandomized hypothesis examples (skipped where
+# hypothesis is missing).
+
+
+def _psi_oracle(d: WhittakerData, n: int, r: int, ell: int) -> SymLaurent:
+    total = SymLaurent.zero(r)
+    for lam, val in d.items():
+        if sum(lam) != ell or any(lam[r:]):
+            continue
+        head = lam[:r]
+        weight = sum(head[i] * (r - 1 - 2 * i) for i in range(r)) + ell * (2 * n - r - 1)
+        total = total + SymLaurent.constant(r, val * VLaurent.v_power(weight)) * schur(head, r)
+    return total
+
+
+def _psi_inputs(st):
+    """(d, n, r, trunc, point, v): data on up to five weights of sup norm
+    <= 2 (so with nonzero tails whenever r < n), any r <= n, and trunc in
+    0..2n, often below d.max_trace()."""
+    nonzero = st.builds(
+        Fraction,
+        st.integers(min_value=1, max_value=7) | st.integers(min_value=-7, max_value=-1),
+        st.sampled_from((1, 2, 3, 5)),
+    )
+    values = st.dictionaries(st.integers(min_value=-2, max_value=2), nonzero, min_size=1, max_size=2)
+
+    @st.composite
+    def draw(draw):
+        n = draw(st.integers(min_value=1, max_value=3))
+        r = draw(st.integers(min_value=1, max_value=n))
+        cone = enumerate_cone(Cone.G, n, 2)
+        support = draw(st.lists(st.sampled_from(cone), min_size=1, max_size=5, unique=True))
+        d = WhittakerData(n, {lam: VLaurent(draw(values)) for lam in support})
+        trunc = draw(st.integers(min_value=0, max_value=2 * n))
+        point = tuple(draw(nonzero) for _ in range(r))
+        return d, n, r, trunc, point, draw(nonzero)
+
+    return draw()
+
+
+def test_psi_matches_the_scan_every_weight_oracle():
+    hyp = pytest.importorskip("hypothesis")
+    settings = hyp.settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+    @settings
+    @hyp.given(_psi_inputs(hyp.strategies))
+    def check(inputs):
+        d, n, r, trunc, point, v = inputs
+        want = [_psi_oracle(d, n, r, ell) for ell in range(trunc + 1)]
+        sym = psi_series(d, n, r, trunc, SymbolicMode(r))
+        ev = psi_series(d, n, r, trunc, EvaluationMode(r, point, v))
+        assert sym.trunc == ev.trunc == trunc
+        assert set(sym.coeffs) == {ell for ell, c in enumerate(want) if c}
+        for ell, c in enumerate(want):
+            assert psi_component(d, n, r, ell, SymbolicMode(r)) == c
+            assert sym.get(ell) == c
+            assert ev.get(ell) == c.evaluate(point, v)
+
+    check()

@@ -391,6 +391,22 @@ def test_flat_product_and_sum_match_the_nested_oracle():
     check()
 
 
+def test_shift_and_flat_constants_match_the_general_forms():
+    hyp, st, settings = _hypothesis()
+    shifts = st.integers(min_value=-3, max_value=3)
+
+    @settings
+    @hyp.given(_vlaurents(st), _coeff(st), shifts, st.integers(min_value=0, max_value=3))
+    def check(x, f, k, r):
+        assert x.shifted(k) == x * VLaurent.v_power(k)
+        for c in (x, f, f.numerator):
+            const = SymLaurent.constant(r, c)
+            assert const == SymLaurent(r, {(0,) * r: c}) and _is_normal(const)
+        assert SymLaurent.zero(r) == SymLaurent(r) and _is_normal(SymLaurent.zero(r))
+
+    check()
+
+
 def test_ring_axioms():
     hyp, st, settings = _hypothesis()
 

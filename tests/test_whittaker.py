@@ -189,3 +189,17 @@ def test_operators_commute_on_samples():
     assert theta_data(theta_prime_data(d)) == theta_prime_data(theta_data(d))
     assert eta_data(theta_data(d)) == theta_data(eta_data(d))
     assert eta_data(theta_prime_data(d)) == theta_prime_data(eta_data(d))
+
+
+def test_trace_index_agrees_with_items():
+    rng = random.Random("trace-index")
+    for n in (1, 2, 3):
+        for _ in range(5):
+            d = random_whittaker_data(rng, n, max_norm=2, max_entries=6)
+            for data in (d, eta_data(d)):
+                top = data.max_trace()
+                for ell in range(-1, top + 2):
+                    want = [(lam, x) for lam, x in data.items() if trace(lam) == ell]
+                    assert list(data.of_trace(ell)) == want
+                indexed = [pair for ell in range(top + 1) for pair in data.of_trace(ell)]
+                assert sorted(indexed) == list(data.items())
