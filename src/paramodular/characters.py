@@ -44,8 +44,6 @@ def complete_homogeneous(r: int, m: int) -> SymLaurent:
         for i in split:
             e[i] += 1
         coeffs[tuple(e)] = 1
-    if m == 0:
-        coeffs = {(0,) * r: 1}
     return SymLaurent(r, coeffs)
 
 

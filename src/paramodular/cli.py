@@ -29,6 +29,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .characters import orbit_sum, schur, sp_character
@@ -36,7 +37,6 @@ from .coweights import basis_cardinality, dim_formula
 from .oldforms import (
     bprime_images,
     compare_bases,
-    dependence_check_a3,
     dependence_sides,
     depth_shift_factor,
     rank_check,
@@ -115,7 +115,7 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if self.suite not in _SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        reads = _SUITE_OPTIONS[self.suite]
+        reads = _SUITES[self.suite].reads
         ignored = [
             "--" + name.replace("_", "-")
             for name in ("n", "r", "trunc", "window", "mode", "max_gap")
@@ -124,7 +124,7 @@ class VerifyConfig:
         if ignored:
             raise ValueError(f"suite {self.suite} does not read {', '.join(ignored)}")
         if self.trials is None:
-            self.trials = _SUITES[self.suite][2]
+            self.trials = _SUITES[self.suite].trials
         for name, default in _OPTION_DEFAULTS.items():
             if getattr(self, name) is None:
                 setattr(self, name, default)
@@ -211,19 +211,25 @@ def _zeta_factor(factor: SymLaurent) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# suites: each is (case generator, case runner, default trials).  A runner
-# returns the echoed parameters and a witness (None when the case passes).
+# suites: a case generator and a case runner each.  A runner returns the
+# echoed parameters and a witness (None when the case passes).
+
+_UNSTABLE = {"reason": "series did not stabilize"}
 
 
 def _ranks(cfg: VerifyConfig, default_ns: list[int], r_min: int = 1) -> list[tuple]:
     """(n, r) pairs: the requested n or each default one, with the requested
-    r or each r from r_min to n."""
-    return [
+    r or each r from r_min to n.  Options that leave no pair raise
+    ValueError: the cases of those ranks would check nothing."""
+    pairs = [
         (n, r)
         for n in ([cfg.n] if cfg.n is not None else default_ns)
         for r in ([cfg.r] if cfg.r is not None else range(r_min, n + 1))
         if r_min <= r <= n
     ]
+    if not pairs:
+        raise ValueError(f"suite {cfg.suite} has no {r_min} <= r <= n at n={cfg.n}, r={cfg.r}")
+    return pairs
 
 
 def _mode(cfg: VerifyConfig, rng, r: int):
@@ -257,7 +263,7 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     res = xi(d, n, r, beta=beta, mode=mode, trunc=cfg.trunc, window=cfg.window)
     echo = {**params, "beta": [str(b) for b in beta]}
     if not res.stabilized:
-        return echo, {"reason": "series did not stabilize"}
+        return echo, _UNSTABLE
     return echo, _first_mismatch(res.series, unit_series(mode), cfg.trunc)
 
 
@@ -389,10 +395,11 @@ def _level_a1_run(cfg: VerifyConfig, params: dict):
         for op in ("theta", "theta-prime")
     }
     echo = {**params, "beta": [str(b) for b in beta]}
+    read = [images[check]] if check in images else images.values()
+    if not all(res.stabilized for res in read):
+        return echo, _UNSTABLE
     if check in images:
         res, expected = images[check], _MOVES[check][1]
-        if not res.stabilized:
-            return echo, {"reason": "series did not stabilize"}
         if res.poly == expected:
             return echo, None
         return echo, {"expected": str(expected), "got": str(res.poly)}
@@ -452,7 +459,7 @@ def _dependence_run(cfg: VerifyConfig, params: dict):
     echo = dict(params)
     lhs, rhs = dependence_sides()
     if check == "identity":
-        if dependence_check_a3():
+        if lhs == rhs:
             return echo, None
         return echo, {"expected": str(rhs), "got": str(lhs)}
     if check == "negative-control":
@@ -531,83 +538,68 @@ def _fe_run(cfg: VerifyConfig, params: dict):
     sph = spherical_so_data(beta, 2, cfg.trunc)
     eps = EpsilonData(conductor=0, sign=1)
     echo = {**params, "beta": [str(b) for b in beta]}
-    if check == "spherical":
-        res = xi(sph, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window)
-        ok = fe_check(res, res, eps)
-        return echo, None if ok else {"reason": "functional equation failed"}
+    series = functools.partial(xi, n=2, r=2, beta=beta, trunc=cfg.trunc, window=cfg.window)
 
     def raised(ratio: int):
         # image of the level-(a+1) eigenvector theta + ratio * theta'
-        data = theta_data(sph) + theta_prime_data(sph).scale(ratio)
-        return xi(data, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1)
+        return series(theta_data(sph) + theta_prime_data(sph).scale(ratio), level=1)
 
     ratio = -1 if check.endswith("minus") else 1
-    res = raised(ratio)
-    if check in ("plus", "minus"):
-        # the sign-adjusting involution acts on these eigenvectors by
-        # (+-eps)^r = +1 at r = 2, so the image result is res itself
-        ok = fe_check(res, res, eps)
-        return echo, None if ok else {"reason": "functional equation failed"}
+    res = series(sph) if check == "spherical" else raised(ratio)
+    other = raised(-1) if check == "negative-control" else res
+    if not (res.stabilized and other.stabilized):
+        return echo, _UNSTABLE
     if check == "negative-control":
-        if fe_check(res, raised(-1), eps):
+        if fe_check(res, other, eps):
             return echo, {"reason": "mismatched pair passed"}
         return echo, None
-    # palindromicity: in the elementary-symmetric basis the coefficients of
-    # the level-(a+1) eigenvector images form a geometric sequence with
-    # ratio +-1 times the sign
-    zero = VLaurent.zero()
-    b0 = res.poly.c.get((0, 0), zero)
-    b1 = res.poly.c.get((1, 0), zero)
-    b1_other = res.poly.c.get((0, 1), zero)
-    b2 = res.poly.c.get((1, 1), zero)
-    shape_ok = set(res.poly.c) <= {(0, 0), (1, 0), (0, 1), (1, 1)}
-    scale = VLaurent.from_scalar(ratio)
-    if (
-        shape_ok
-        and b1 == b1_other
-        and b1 == b0 * scale
-        and b2 == b1 * scale
-        and b0
-    ):
+    if check in ("spherical", "plus", "minus"):
+        # the sign-adjusting involution fixes the spherical vector and acts
+        # on the raised eigenvectors by (+-eps)^r = +1 at r = 2, so the
+        # image result is res itself
+        ok = fe_check(res, res, eps)
+        return echo, None if ok else {"reason": "functional equation failed"}
+    # palindromicity: the level-(a+1) eigenvector images are b0 times
+    # (1 + ratio X_1)(1 + ratio X_2), ratio = +-1 the sign of the eigenvector
+    b0 = res.poly.c.get((0, 0), VLaurent.zero())
+    expected = SymLaurent(2, {(0, 0): b0, (1, 0): b0 * ratio, (0, 1): b0 * ratio, (1, 1): b0})
+    if b0 and res.poly == expected:
         return echo, None
-    return echo, {
-        "coefficients": [str(b0), str(b1), str(b2)],
-        "expected_ratio": ratio,
-    }
+    return echo, {"expected": str(expected), "got": str(res.poly)}
 
 
+@dataclasses.dataclass(frozen=True)
+class _Suite:
+    """A verify suite: its case generator and case runner, its default
+    number of trials, and the optional options it reads (giving another one
+    is an error, not silently ignored)."""
+
+    cases: Callable[[VerifyConfig], list[dict]]
+    run: Callable[[VerifyConfig, dict], tuple]
+    trials: int
+    reads: tuple[str, ...] = ()
+
+
+# eta-lemma runs at r = n, kernel reads its data through their largest
+# trace, and only unramified and eta-lemma take a mode
 _SUITES = {
-    "unramified": (_unramified_cases, _unramified_run, 20),
-    "gsp4-raising": (_gsp4_cases, _gsp4_run, 100),
-    "eta-lemma": (_eta_lemma_cases, _eta_lemma_run, 50),
-    "dims": (_dims_cases, _dims_run, 1),
-    "prop4": (_prop4_cases, _prop4_run, 20),
-    "level-a1": (_level_a1_cases, _level_a1_run, 1),
-    "oldform-bases": (_oldform_cases, _oldform_run, 1),
-    "dependence": (_dependence_cases, _dependence_run, 1),
-    "kernel": (_kernel_cases, _kernel_run, 50),
-    "fe": (_fe_cases, _fe_run, 10),
-}
-
-# the optional options each suite reads; giving another one is an error, not
-# silently ignored (eta-lemma runs at r = n, kernel reads its data through
-# their largest trace, and only unramified and eta-lemma take a mode)
-_SUITE_OPTIONS = {
-    "unramified": ("n", "r", "trunc", "window", "mode"),
-    "gsp4-raising": ("trunc",),
-    "eta-lemma": ("n", "trunc", "mode"),
-    "dims": ("n", "max_gap"),
-    "prop4": ("n", "r", "trunc", "window"),
-    "level-a1": ("trunc", "window"),
-    "oldform-bases": ("max_gap",),
-    "dependence": (),
-    "kernel": ("n", "r"),
-    "fe": ("trunc", "window"),
+    "unramified": _Suite(
+        _unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "window", "mode")
+    ),
+    "gsp4-raising": _Suite(_gsp4_cases, _gsp4_run, 100, ("trunc",)),
+    "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc", "mode")),
+    "dims": _Suite(_dims_cases, _dims_run, 1, ("n", "max_gap")),
+    "prop4": _Suite(_prop4_cases, _prop4_run, 20, ("n", "r", "trunc", "window")),
+    "level-a1": _Suite(_level_a1_cases, _level_a1_run, 1, ("trunc", "window")),
+    "oldform-bases": _Suite(_oldform_cases, _oldform_run, 1, ("max_gap",)),
+    "dependence": _Suite(_dependence_cases, _dependence_run, 1),
+    "kernel": _Suite(_kernel_cases, _kernel_run, 50, ("n", "r")),
+    "fe": _Suite(_fe_cases, _fe_run, 10, ("trunc", "window")),
 }
 
 
 def _run_case(config: VerifyConfig, params: dict) -> CaseRecord:
-    runner = _SUITES[config.suite][1]
+    runner = _SUITES[config.suite].run
     case_id = ",".join(f"{k}={params[k]}" for k in sorted(params))
     start = time.perf_counter()
     try:
@@ -638,7 +630,7 @@ def _jobs() -> int:
 def run_suite(config: VerifyConfig) -> Report:
     """Run every case of the configured suite.  A configuration that
     selects no case raises ValueError: a report of 0/0 checks nothing."""
-    cases = _SUITES[config.suite][0](config)
+    cases = _SUITES[config.suite].cases(config)
     if not cases:
         options = ", ".join(f"{k}={getattr(config, k)}" for k in ("n", "r", "max_gap"))
         raise ValueError(f"suite {config.suite} has no cases for {options}")
@@ -702,17 +694,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    config = VerifyConfig(
-        suite=args.suite,
-        n=args.n,
-        r=args.r,
-        trunc=args.trunc,
-        window=args.window,
-        trials=args.trials,
-        seed=args.seed,
-        mode=args.mode,
-        max_gap=args.max_gap,
-    )
+    fields = dataclasses.fields(VerifyConfig)
+    config = VerifyConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = run_suite(config)
     _write_output(emit(report, args.format), args.out)
     return 0 if report.all_passed else 1

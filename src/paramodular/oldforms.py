@@ -11,7 +11,8 @@ the r = n series value by a fixed Laurent polynomial:
 
 The move factors are stated once, by :func:`depth_shift_factor`,
 :func:`theta_factor` and :func:`theta_prime_factor`; the verification
-harness derives its series multipliers and expected images from them.
+harness derives its series multipliers and expected images from them, and
+every image below is a word in them (:func:`_word`) times a Hecke part.
 
 For n = 2 the Satake images of the translations indexed by the three
 minuscule coweights of SO_4 are known exactly:
@@ -221,36 +222,33 @@ def rs_specs(gap: int) -> list[BasisElementSpec]:
     return out
 
 
+def _word(i: int, j: int, k: int, n: int = 2) -> SymLaurent:
+    """Factor of the raising word theta'^i theta^j eta^k at rank n: i
+    second-kind steps, j first-kind steps and k depth shifts."""
+    poly = depth_shift_factor(n) ** k
+    if i or j:
+        if n != 2:
+            raise ValueError("raising steps are only realized at n = 2")
+        poly = theta_prime_factor() ** i * theta_factor() ** j * poly
+    return poly
+
+
 def xi_image(spec: BasisElementSpec) -> XiImage:
-    """Series image of a basis element at its rank ``spec.n``, by composing
-    the per-move factors."""
+    """Series image of a basis element at its rank ``spec.n``: its raising
+    word times its Hecke part."""
     n = spec.n
     if spec.kind == "rs_monomial":
         if n != 2:
             raise ValueError("raising words are only realized at n = 2")
-        i, j, k = spec.counts
-        poly = (
-            theta_prime_factor() ** i
-            * theta_factor() ** j
-            * depth_shift_factor(2) ** k
-        )
-        return XiImage(poly, False, spec.label())
+        return XiImage(_word(*spec.counts), False, spec.label())
     if spec.kind == "eta_lambda":
-        shifts = spec.gap // 2
+        word = _word(0, 0, spec.gap // 2, n)
         hecke, stand_in = satake_image(spec.lam, n)
-        poly = depth_shift_factor(n) ** shifts * hecke
-        return XiImage(poly, stand_in, spec.label())
-    if n != 2:
-        raise ValueError("raising steps are only realized at n = 2")
-    shifts = (spec.gap - 1) // 2
-    hecke, stand_in = _paired_satake(spec.lam, n)
-    step = (
-        theta_factor()
-        if spec.kind == "eta_square_theta"
-        else theta_prime_factor()
-    )
-    poly = depth_shift_factor(2) ** shifts * hecke * step
-    return XiImage(poly, stand_in, spec.label())
+    else:
+        i, j = (0, 1) if spec.kind == "eta_square_theta" else (1, 0)
+        word = _word(i, j, (spec.gap - 1) // 2, n)
+        hecke, stand_in = _paired_satake(spec.lam, n)
+    return XiImage(word * hecke, stand_in, spec.label())
 
 
 def bprime_images(gap: int) -> list[XiImage]:
@@ -258,35 +256,23 @@ def bprime_images(gap: int) -> list[XiImage]:
     over the odd orthogonal cone, composed with each raising step."""
     if gap % 2 == 0:
         raise ValueError("the unpaired family lives at odd gaps")
-    shifts = (gap - 1) // 2
     out = []
     for lam in enumerate_cone(Cone.G, 2, (gap - 1) // 2):
         hecke, stand_in = satake_image(lam, 2)
-        base = depth_shift_factor(2) ** shifts * hecke
         lam_txt = ",".join(str(x) for x in lam)
-        out.append(
-            XiImage(base * theta_factor(), stand_in, f"eta*theta[{lam_txt}]")
-        )
-        out.append(
-            XiImage(base * theta_prime_factor(), stand_in, f"eta*theta'[{lam_txt}]")
-        )
+        for step, (i, j) in (("theta", (0, 1)), ("theta'", (1, 0))):
+            word = _word(i, j, (gap - 1) // 2)
+            out.append(XiImage(word * hecke, stand_in, f"eta*{step}[{lam_txt}]"))
     return out
 
 
 def dependence_sides() -> tuple[SymLaurent, SymLaurent]:
     """Both sides of the gap-3 dependence in the unpaired family: the
-    second-kind raise of the translate at (1,0) against q times the
-    first-kind raise of the identity translate plus the first-kind raise of
-    the translate at (1,1)."""
-    shift = depth_shift_factor(2)
+    second-kind raise of the translate at (1,0) against the first-kind
+    raise of q times the identity translate plus the translate at (1,1)."""
     s_e1, _ = satake_image((1, 0), 2)
     s_e12, _ = satake_image((1, 1), 2)
-    lhs = shift * s_e1 * theta_prime_factor()
-    rhs = (
-        shift * theta_factor() * SymLaurent.constant(2, _Q)
-        + shift * s_e12 * theta_factor()
-    )
-    return lhs, rhs
+    return _word(1, 0, 1) * s_e1, _word(0, 1, 1) * (s_e12 + _Q)
 
 
 def dependence_check_a3() -> bool:

@@ -132,13 +132,17 @@ def unit_series(mode: Mode) -> TruncSeries:
     return TruncSeries({0: mode.one()}, None, mode.zero())
 
 
-def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any:
-    """The degree-ell coefficient of the torus-sum series (see module
-    docstring).  Homogeneous of total degree ell in the X variables."""
+def _check_ranks(d: WhittakerData, n: int, r: int, mode: Mode) -> None:
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     if d.n != n or mode.r != r:
         raise ValueError("rank mismatch between data, n and mode")
+
+
+def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any:
+    """The degree-ell coefficient of the torus-sum series (see module
+    docstring).  Homogeneous of total degree ell in the X variables."""
+    _check_ranks(d, n, r, mode)
     twist = ell * (2 * n - r - 1)
     total = None
     for lam, val in d.of_trace(ell):
@@ -152,11 +156,14 @@ def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any
 
 
 def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> TruncSeries:
-    coeffs = {}
-    for ell in range(trunc + 1):
-        c = psi_component(d, n, r, ell, mode)
-        if c:
-            coeffs[ell] = c
+    """The torus-sum series through degree trunc; degrees where d has no
+    weight are zero without a call of psi_component."""
+    _check_ranks(d, n, r, mode)
+    coeffs = {
+        ell: psi_component(d, n, r, ell, mode)
+        for ell in range(trunc + 1)
+        if d.of_trace(ell)
+    }
     return TruncSeries(coeffs, trunc, mode.zero())
 
 
@@ -285,9 +292,7 @@ def xi(
     stabilized = all(
         series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1)
     )
-    poly = mode.zero()
-    for _, c in sorted(series.coeffs.items()):
-        poly = poly + c
+    poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)
 
 
@@ -333,12 +338,10 @@ def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData) -> bool:
 def zeta_series(d: WhittakerData, n: int, trunc: int) -> TruncSeries:
     """The r = 1 series with X_1 evaluated at 1: coefficient of Y^l is
     d((l, 0, ..)) * v^{l(2n-2)}.  Coefficients are VLaurent."""
-    coeffs = {}
-    for ell in range(trunc + 1):
-        lam = (ell,) + (0,) * (n - 1)
-        val = d.get(lam).shifted(ell * (2 * n - 2))
-        if val:
-            coeffs[ell] = val
+    coeffs = {
+        ell: d.get((ell,) + (0,) * (n - 1)).shifted(ell * (2 * n - 2))
+        for ell in range(trunc + 1)
+    }
     return TruncSeries(coeffs, trunc, VLaurent.zero())
 
 

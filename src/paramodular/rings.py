@@ -298,29 +298,26 @@ class SymLaurent(_Laurent):
         if r < 0:
             raise ValueError("variable count must be non-negative")
         self.r = r
-        nested: dict[tuple[int, ...], Any] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
+        # Coefficients given as VLaurents already are the nested view.
+        view: dict[tuple[int, ...], VLaurent] | None = {}
         for e, x in (coeffs or {}).items():
             e = tuple(map(int, e))
             if len(e) != r:
                 raise ValueError("exponent tuple length differs from variable count")
-            if not isinstance(x, (VLaurent, int, Fraction)):
-                raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
-            nested[e] = x
-        terms: dict[tuple[int, ...], Scalar] = {}
-        all_vlaurent = True
-        for e, x in nested.items():
             if isinstance(x, VLaurent):
                 for ve, f in x.c.items():
                     terms[(*e, ve)] = f
-            else:
-                all_vlaurent = False
+                if view is not None and x:
+                    view[e] = x
+            elif isinstance(x, (int, Fraction)):
+                view = None
                 if x:
                     terms[(*e, 0)] = x
+            else:
+                raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
         self.num, self.den = _over_lcm(terms)
-        # Coefficients given as VLaurents already are the nested view.
-        self._view = None
-        if all_vlaurent:
-            self._view = MappingProxyType({e: x for e, x in nested.items() if x})
+        self._view = None if view is None else MappingProxyType(view)
 
     @staticmethod
     def _normal(r: int, num: dict[tuple[int, ...], int], den: int) -> "SymLaurent":
@@ -354,9 +351,7 @@ class SymLaurent(_Laurent):
             raise ValueError("variable count must be non-negative")
         zeros = (0,) * r
         if isinstance(x, VLaurent):
-            den = math.lcm(*(f.denominator for f in x.c.values()))
-            num = {(*zeros, e): f.numerator * (den // f.denominator) for e, f in x.c.items()}
-            return SymLaurent._normal(r, num, den)
+            return SymLaurent._normal(r, *_over_lcm({(*zeros, e): f for e, f in x.c.items()}))
         if isinstance(x, (int, Fraction)):
             return SymLaurent._normal(r, {(*zeros, 0): x.numerator} if x else {}, x.denominator)
         raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
@@ -373,28 +368,17 @@ class SymLaurent(_Laurent):
 
     # -- the nested view ----------------------------------------------------
 
-    def _grouped(self) -> list[tuple[tuple[int, ...], dict[int, Fraction]]]:
-        """(X-exponents, {v-exponent: coefficient}) pairs in lexicographic
-        order of the exponents."""
-        out: list[tuple[tuple[int, ...], dict[int, Fraction]]] = []
-        last = None
-        for k, x in sorted(self.num.items()):
-            mono = k[:-1]
-            if mono != last:
-                vs: dict[int, Fraction] = {}
-                out.append((mono, vs))
-                last = mono
-            vs[k[-1]] = Fraction(x, self.den)
-        return out
-
     @property
     def c(self) -> Mapping[tuple[int, ...], VLaurent]:
         """Read-only map from X-exponent tuples to VLaurent coefficients,
         built on first access unless the constructor already had it (values
-        are immutable, so once suffices).  For readers outside this module;
-        no arithmetic here reads it."""
+        are immutable, so once suffices).  Serialization reads it; no
+        arithmetic here does."""
         if self._view is None:
-            self._view = MappingProxyType({e: _vlaurent(vs) for e, vs in self._grouped()})
+            grouped: dict[tuple[int, ...], dict[int, Fraction]] = {}
+            for k, x in sorted(self.num.items()):
+                grouped.setdefault(k[:-1], {})[k[-1]] = Fraction(x, self.den)
+            self._view = MappingProxyType({e: _vlaurent(vs) for e, vs in grouped.items()})
         return self._view
 
     # -- ring operations ---------------------------------------------------
@@ -550,13 +534,7 @@ class SymLaurent(_Laurent):
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "exponents": list(e),
-                "coeff": {str(ve): f"{f.numerator}/{f.denominator}" for ve, f in vs.items()},
-            }
-            for e, vs in self._grouped()
-        ]
+        return [{"exponents": list(e), "coeff": x.to_json()} for e, x in sorted(self.c.items())]
 
     @staticmethod
     def from_json(data: Iterable[Mapping], r: int) -> "SymLaurent":
@@ -570,20 +548,20 @@ class SymLaurent(_Laurent):
         if not self.num:
             return "0"
         parts = []
-        for e, vs in self._grouped():
+        for e, x in sorted(self.c.items()):
             mono = "*".join(
                 f"X{i + 1}^{k}" if k != 1 else f"X{i + 1}"
                 for i, k in enumerate(e)
                 if k != 0
             )
-            cs = str(_vlaurent(vs))
+            cs = str(x)
             if "+" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{e}: {_vlaurent(vs)}" for e, vs in self._grouped())
+        body = ", ".join(f"{e}: {x}" for e, x in sorted(self.c.items()))
         return f"SymLaurent({self.r}, {{{body}}})"
 
 

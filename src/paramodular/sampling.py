@@ -21,6 +21,9 @@ from .rings import VLaurent
 from .whittaker import WhittakerData
 
 
+_V_EXPONENTS = range(-2, 3)
+
+
 def case_rng(seed: int, case) -> random.Random:
     return random.Random(f"{seed}:{case}")
 
@@ -57,9 +60,10 @@ def random_beta(rng: random.Random, n: int, max_abs: int = 7) -> tuple[Fraction,
     return tuple(out)
 
 
-def random_vlaurent(rng: random.Random, exp_range: int = 2) -> VLaurent:
-    """Nonzero Laurent coefficient with one or two v-monomials."""
-    exps = rng.sample(range(-exp_range, exp_range + 1), rng.randint(1, 2))
+def random_vlaurent(rng: random.Random) -> VLaurent:
+    """Nonzero Laurent coefficient with one or two v-monomials of exponent
+    in -2..2."""
+    exps = rng.sample(_V_EXPONENTS, rng.randint(1, 2))
     return VLaurent({e: random_fraction(rng) for e in exps})
 
 

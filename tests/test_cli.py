@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -211,6 +212,10 @@ BAD_INPUTS = {
     "dims-trunc": ["verify", "dims", "--trunc", "5", "--n", "1", "--max-gap", "0"],
     "kernel-trunc": ["verify", "kernel", "--trunc", "5", "--n", "2", "--trials", "1"],
     "dependence-window": ["verify", "dependence", "--window", "3"],
+    # prop4 without a specialize case would pass on its zeta and xi checks
+    "prop4-n-one": ["verify", "prop4", "--n", "1", "--trials", "1"],
+    "prop4-r-one": ["verify", "prop4", "--r", "1", "--trials", "1"],
+    "prop4-r-above-n": ["verify", "prop4", "--n", "2", "--r", "3", "--trials", "1"],
 }
 
 
@@ -288,6 +293,39 @@ def test_failing_case_shows_witness():
     assert blob["cases"][0]["witness"] == {"reason": "boom"}
     assert "FAIL" in emit(report, "text")
     assert "boom" in emit(report, "text")
+
+
+UNSTABLE = {"reason": "series did not stabilize"}
+
+
+def test_fe_verdicts_need_stabilized_series():
+    # at trunc 3 the raised images have not stabilized on a window of 2
+    report = run_suite(VerifyConfig(suite="fe", trials=1, trunc=3, window=2))
+    witnesses = {c.parameters["check"]: c.witness for c in report.cases}
+    assert witnesses.pop("spherical") is None
+    assert witnesses == dict.fromkeys(witnesses, UNSTABLE) and len(witnesses) == 5
+
+
+def test_level_a1_constants_need_stabilized_series():
+    report = run_suite(VerifyConfig(suite="level-a1", trunc=2, window=2))
+    assert [c.witness for c in report.cases] == [UNSTABLE] * 3
+
+
+def test_palindromic_failure_shows_expected_and_got(monkeypatch):
+    # b0 stays the constant term, so the expected image is the unperturbed one
+    x1 = SymLaurent.variable(2, 0)
+    xi, unperturbed = cli.xi, []
+
+    def perturbed(*args, **kwargs):
+        res = xi(*args, **kwargs)
+        unperturbed.append(res.poly)
+        return dataclasses.replace(res, poly=res.poly + x1)
+
+    monkeypatch.setattr(cli, "xi", perturbed)
+    record = cli._run_case(VerifyConfig(suite="fe"), {"check": "palindromic-minus", "trial": 0})
+    (poly,) = unperturbed
+    assert not record.verdict
+    assert record.witness == {"expected": str(poly), "got": str(poly + x1)}
 
 
 def test_conditional_pass_on_differing_spans_is_noted_in_text():

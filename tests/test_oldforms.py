@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from paramodular.coweights import basis_cardinality
+from paramodular.coweights import Cone, basis_cardinality, enumerate_cone, tilde
 from paramodular.oldforms import (
     BasisElementSpec,
     XiImage,
@@ -306,3 +306,45 @@ def test_xi_image_json_shape():
     assert blob["label"] == "eta[0,0]"
     assert blob["stand_in"] is False
     assert isinstance(blob["poly"], list)
+
+
+def _eta(n: int) -> SymLaurent:
+    return SymLaurent.monomial(n, (1,) * n, VLaurent.q_power(n * (n - 1) // 2))
+
+
+def _expected_image(spec: BasisElementSpec) -> tuple[SymLaurent, bool]:
+    """The image of spec from the hard-coded move factors: q(X1 + X2) for
+    theta, q(1 + X1 X2) for theta', q^{n(n-1)/2} X1...Xn for eta."""
+    if spec.kind == "rs_monomial":
+        i, j, k = spec.counts
+        return E2**i * E1**j * SHIFT**k, False
+    if spec.kind == "eta_lambda":
+        hecke, stand_in = satake_image(spec.lam, spec.n)
+        return _eta(spec.n) ** (spec.gap // 2) * hecke, stand_in
+    hecke, stand_in = satake_image(spec.lam, 2)
+    if tilde(spec.lam) != spec.lam:
+        extra, extra_stand_in = satake_image(tilde(spec.lam), 2)
+        hecke, stand_in = hecke + extra, stand_in or extra_stand_in
+    step = E1 if spec.kind == "eta_square_theta" else E2
+    return SHIFT ** ((spec.gap - 1) // 2) * hecke * step, stand_in
+
+
+def test_images_are_words_in_the_hard_coded_move_factors():
+    specs = [s for g in range(7) for s in basis_specs(2, g) + rs_specs(g)]
+    specs += [s for g in (0, 2, 4) for s in basis_specs(3, g)]
+    for spec in specs:
+        image = xi_image(spec)
+        assert (image.poly, image.stand_in) == _expected_image(spec), spec.label()
+        assert image.label == spec.label()
+    for gap in (1, 3, 5):
+        expected = []
+        for lam in enumerate_cone(Cone.G, 2, (gap - 1) // 2):
+            hecke, stand_in = satake_image(lam, 2)
+            base = SHIFT ** ((gap - 1) // 2) * hecke
+            text = ",".join(map(str, lam))
+            expected.append((f"eta*theta[{text}]", base * E1, stand_in))
+            expected.append((f"eta*theta'[{text}]", base * E2, stand_in))
+        assert [(im.label, im.poly, im.stand_in) for im in bprime_images(gap)] == expected
+    lhs, rhs = dependence_sides()
+    assert lhs == SHIFT * satake_image((1, 0), 2)[0] * E2
+    assert rhs == SHIFT * E1 * Q + SHIFT * satake_image((1, 1), 2)[0] * E1

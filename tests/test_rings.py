@@ -391,6 +391,63 @@ def test_flat_product_and_sum_match_the_nested_oracle():
     check()
 
 
+def _flat_terms(a: SymLaurent) -> list:
+    """(X-exponents, [(v-exponent, coefficient), ...]) in lexicographic
+    order, read off the flat numerators and the shared denominator."""
+    grouped: dict = {}
+    for k in sorted(a.num):
+        grouped.setdefault(k[:-1], []).append((k[-1], Fraction(a.num[k], a.den)))
+    return list(grouped.items())
+
+
+def _ratio(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _flat_v_text(pairs) -> str:
+    return " + ".join(
+        str(f) if e == 0 else f"{f}*v" if e == 1 else f"{f}*v^{e}" for e, f in pairs
+    )
+
+
+def _flat_text(a: SymLaurent) -> str:
+    parts = []
+    for e, pairs in _flat_terms(a):
+        mono = "*".join(
+            f"X{i + 1}" if k == 1 else f"X{i + 1}^{k}" for i, k in enumerate(e) if k
+        )
+        cs = _flat_v_text(pairs)
+        if "+" in cs or "-" in cs[1:]:
+            cs = f"({cs})"
+        parts.append(f"{cs}*{mono}" if mono else cs)
+    return " + ".join(parts) or "0"
+
+
+def test_serialization_matches_a_formatter_of_the_flat_form():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st))
+    def check(abc):
+        a, b, _ = abc
+        # a keeps the view its constructor was given; a * b builds its own
+        for x in (a, a * b, a - b):
+            terms = _flat_terms(x)
+            assert x.to_json() == [
+                {"exponents": list(e), "coeff": {str(ve): _ratio(f) for ve, f in pairs}}
+                for e, pairs in terms
+            ]
+            assert str(x) == _flat_text(x)
+            body = ", ".join(f"{e}: {_flat_v_text(pairs)}" for e, pairs in terms)
+            assert repr(x) == f"SymLaurent({x.r}, {{{body}}})"
+
+    check()
+    # nested input out of order serializes in lexicographic order
+    x = SymLaurent(2, {(1, 0): VLaurent({3: 1, -1: Fraction(-1, 2)}), (0, -1): 2})
+    assert str(x) == "2*X2^-1 + (-1/2*v^-1 + 1*v^3)*X1"
+    assert repr(x) == "SymLaurent(2, {(0, -1): 2, (1, 0): -1/2*v^-1 + 1*v^3})"
+
+
 def test_shift_and_flat_constants_match_the_general_forms():
     hyp, st, settings = _hypothesis()
     shifts = st.integers(min_value=-3, max_value=3)
