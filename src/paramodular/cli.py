@@ -35,6 +35,7 @@ from . import __version__
 from .characters import orbit_sum, schur, sp_character
 from .coweights import basis_cardinality, dim_formula
 from .oldforms import (
+    COMPARE_GAPS,
     bprime_images,
     compare_bases,
     dependence_sides,
@@ -419,7 +420,9 @@ def _level_a1_run(cfg: VerifyConfig, params: dict):
 
 
 def _oldform_cases(cfg: VerifyConfig) -> list[dict]:
-    max_gap = cfg.max_gap if cfg.max_gap is not None else 4
+    max_gap = cfg.max_gap if cfg.max_gap is not None else COMPARE_GAPS[-1]
+    if max_gap > COMPARE_GAPS[-1]:
+        raise ValueError(f"oldform-bases compares gaps 0..{COMPARE_GAPS[-1]}, not {max_gap}")
     return [{"m_minus_a": g} for g in range(max_gap + 1)]
 
 

@@ -46,6 +46,7 @@ Three families are generated at gap = m - a:
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant, sup_norm, tilde
 from .characters import orbit_sum
@@ -312,14 +313,15 @@ def rank_check(images: list[SymLaurent]) -> tuple[int, bool]:
 
 
 def _scaled_row(poly: SymLaurent) -> tuple[int, dict]:
-    """The span of poly's v-exponents, and its coefficients scaled by
-    v^(-lo) as lists of (v-exponent, rational) pairs."""
-    exps = [e for x in poly.c.values() for e in x.c]
-    if not exps:
-        return 0, {}
-    lo = min(exps)
-    row = {mono: [(e - lo, c) for e, c in x.c.items()] for mono, x in poly.c.items()}
-    return max(exps) - lo, row
+    """The span of poly's v-exponents, and its numerators scaled by v^(-lo)
+    as lists of (v-exponent, int) pairs.  Leaving out the shared
+    denominator scales the row, which changes no rank."""
+    exps = [k[-1] for k in poly.num]
+    lo = min(exps, default=0)
+    row: dict[tuple[int, ...], list] = {}
+    for k, x in poly.num.items():
+        row.setdefault(k[:-1], []).append((k[-1] - lo, x))
+    return max(exps, default=0) - lo, row
 
 
 def _rank_at(rows: list[dict], v0: int) -> int:
@@ -336,7 +338,7 @@ def _rank_at(rows: list[dict], v0: int) -> int:
             if prow is None:
                 pivots[lead] = row
                 break
-            f = row[lead] / prow[lead]
+            f = Fraction(row[lead], prow[lead])
             for mono, x in prow.items():
                 y = row.get(mono, 0) - f * x
                 if y:
@@ -350,12 +352,16 @@ def _canonical(poly: SymLaurent) -> str:
     return str(poly.to_json())
 
 
+# The gaps m - a at which compare_bases compares the two families.
+COMPARE_GAPS = range(5)
+
+
 def compare_bases(m_minus_a: int) -> dict:
     """Compare the orbit-paired family with the raising-word family at n = 2:
     image lists, exact ranks, set difference, and span equality (by mutual
     rank).  Results are conditional when a stand-in image entered."""
-    if not 0 <= m_minus_a <= 4:
-        raise ValueError("gap out of the supported range 0..4")
+    if m_minus_a not in COMPARE_GAPS:
+        raise ValueError(f"gap out of the supported range 0..{COMPARE_GAPS[-1]}")
     b_images = [xi_image(s) for s in basis_specs(2, m_minus_a)]
     rs_images = [xi_image(s) for s in rs_specs(m_minus_a)]
     b_polys = [im.poly for im in b_images]

@@ -1,31 +1,28 @@
 """Exact coefficient rings used everywhere else in the package.
 
-Three layers, all built on arbitrary-precision rationals
-(``fractions.Fraction``):
-
-``VLaurent``
-    Laurent polynomial in a single formal variable v, with the convention
-    q = v**2.  Working in v instead of q keeps every half-integral power of
-    q (modulus characters, epsilon factors, normalized Whittaker values)
-    polynomial, so no square roots of rationals are ever needed.
+Two Laurent polynomial classes on one store, and a series class over them,
+all built on ints and ``fractions.Fraction``:
 
 ``SymLaurent``
-    Laurent polynomial in X_1 .. X_r over Q[v, v^-1], stored flat: one map
-    ``num`` from (x_1, .., x_r, v) exponent tuples to int numerators, over
-    one positive int denominator ``den``.  Values are kept in normal form
-    (no zero numerator, gcd(den, numerators) = 1, den = 1 for zero), so
-    each value has exactly one representation and equality is a plain
-    comparison of the dict and the int.  A product is one integer
-    convolution and a sum works over the lcm of the two denominators; each
-    normalizes once at the end, and no Fraction is built on the way.  The
-    constructor takes the nested form {X-exponents: VLaurent | int |
-    Fraction}, and the read-only ``c`` property gives it back, for
-    readers outside this module; nothing here computes with it.  The view
-    is built at most once per object, and not at all when the constructor
-    was given VLaurent coefficients: that input is the view.  Exponents
-    may be negative.  Despite the name the container holds arbitrary
-    Laurent polynomials; symmetry and inversion-invariance are
+    Laurent polynomial in X_1 .. X_r over Q[v, v^-1], with the convention
+    q = v**2.  Working in v instead of q keeps every half-integral power of
+    q (modulus characters, epsilon factors, normalized Whittaker values)
+    polynomial, so no square roots of rationals are ever needed.  Stored
+    flat: one map ``num`` from (x_1, .., x_r, v) exponent tuples to int
+    numerators over one positive int ``den``, in normal form (no zero
+    numerator, gcd(den, numerators) = 1, den = 1 for zero), so equality is
+    a plain comparison of the dict and the int.  A product is one integer
+    convolution and a sum works over the lcm of the two denominators, and
+    no Fraction is built on the way.  Despite the name the container holds
+    arbitrary Laurent polynomials; symmetry and inversion-invariance are
     *properties* tested by :func:`is_symmetric` and :func:`is_in_s0`.
+
+``VLaurent``
+    The case r = 0, keyed (e,): the same store, normal form and arithmetic.
+    It is the coefficient type of the nested form {X-exponents: VLaurent |
+    int | Fraction} that the SymLaurent constructor takes and its read-only
+    ``c`` view gives back; a VLaurent's own ``c`` is {e: Fraction}.  Views
+    are for readers outside this module and built at most once per object.
 
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
@@ -36,7 +33,7 @@ Three layers, all built on arbitrary-precision rationals
     ``trunc=None`` marks an exactly-known polynomial.
 
 All values are normalized (no stored zero coefficients) and treated as
-immutable: every operation returns a fresh object.  Term order for
+immutable, so an operation on a zero may return that zero.  Term order for
 serialization and printing is lexicographic on exponent tuples.
 """
 
@@ -50,33 +47,109 @@ from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 Scalar = int | Fraction
+Key = tuple[int, ...]
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+def _over_lcm(terms: Mapping[Key, tuple[int, int]]) -> tuple[dict[Key, int], int]:
+    """Nonzero (numerator, denominator) pairs as int numerators over the lcm
+    of the denominators.  If the numerators of each denominator share no
+    factor with it (lowest-terms fractions, the terms of a normal-form
+    value), the result is in normal form."""
+    if len(terms) == 1:
+        ((k, (n, d)),) = terms.items()
+        return {k: n}, d
+    den = math.lcm(*[d for _, d in terms.values()])
+    return {k: n * (den // d) for k, (n, d) in terms.items()}, den
 
 
 class _Laurent:
-    """Operators shared by the two Laurent types, derived from each type's
-    ``_coerced``, ``+``, unary ``-`` and ``*``."""
+    """The flat store and the arithmetic of both Laurent types: ``num`` maps
+    exponent tuples of length r + 1, v's last, to int numerators over
+    ``den``, in normal form.  Each subclass supplies ``_coerced``, which
+    brings an operand into its own class or returns None; a result has the
+    class of its operand."""
 
-    __slots__ = ()
+    __slots__ = ("r", "num", "den", "_view")
+
+    @classmethod
+    def _wrap(cls, r: int, num: dict[Key, int], den: int):
+        """Wrap a numerator map that is already in normal form over den."""
+        out = cls.__new__(cls)
+        out.r, out.num, out.den, out._view = r, num, den, None
+        return out
+
+    @classmethod
+    def _normal(cls, r: int, num: dict[Key, int], den: int):
+        """Wrap a numerator map without zero entries over a positive den,
+        dividing out their common factor (den becomes 1 when num is empty)."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: x // g for k, x in num.items()}
+        return cls._wrap(r, num, den)
+
+    @classmethod
+    def _scalar(cls, r: int, x: Scalar):
+        return cls._wrap(r, {(0,) * (r + 1): x.numerator} if x else {}, x.denominator)
+
+    def __eq__(self, other: Any) -> bool:
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self.den == o.den and self.num == o.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other: Any):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        den = math.lcm(self.den, o.den)
+        f1, f2 = den // self.den, den // o.den
+        c = dict(self.num) if f1 == 1 else {k: x * f1 for k, x in self.num.items()}
+        for k, x in o.num.items():
+            s = c.get(k, 0) + x * f2
+            if s:
+                c[k] = s
+            else:
+                del c[k]
+        return self._normal(self.r, c, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap(self.r, {k: -x for k, x in self.num.items()}, self.den)
+
+    def __mul__(self, other: Any):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        add = operator.add
+        a, b = (self.num, o.num) if len(self.num) >= len(o.num) else (o.num, self.num)
+        if not b:
+            return self if not self.num else o
+        if len(b) == 1:
+            # a term times a polynomial: no exponents collide, nothing cancels
+            ((k2, x2),) = b.items()
+            c = {tuple(map(add, k1, k2)): x1 * x2 for k1, x1 in a.items()}
+        else:
+            c = {}
+            get = c.get
+            right = list(b.items())
+            for k1, x1 in a.items():
+                for k2, x2 in right:
+                    k = tuple(map(add, k1, k2))
+                    c[k] = get(k, 0) + x1 * x2
+            c = {k: x for k, x in c.items() if x}
+        return self._normal(self.r, c, self.den * o.den)
 
     def __sub__(self, other: Any):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other: Any):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -92,20 +165,43 @@ class _Laurent:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def _evaluate(self, pt: tuple[Fraction, ...]) -> Fraction:
+        """The value at pt (v last) as one sum of ints: coordinate p/q with
+        exponents in lo..hi (lo <= 0 <= hi) maps a to p^(a-lo) q^(hi-a) over
+        q^hi p^-lo.  A zero entry meeting a negative exponent is rejected."""
+        tables = []
+        den = self.den
+        for base, col in zip(pt, zip(*self.num)):
+            p, q = base.numerator, base.denominator
+            lo, hi = min(0, *col), max(0, *col)
+            if p == 0 and lo < 0:
+                raise ZeroDivisionError("a zero value hits a negative exponent")
+            den *= q**hi * p**-lo
+            tables.append({a: p ** (a - lo) * q ** (hi - a) for a in set(col)})
+        total = 0
+        for k, x in self.num.items():
+            for a, table in zip(k, tables):
+                x *= table[a]
+            total += x
+        return Fraction(total, den)
+
 
 class VLaurent(_Laurent):
-    """Laurent polynomial in v (q = v**2) with exact rational coefficients."""
+    """Laurent polynomial in v (q = v**2) with exact rational coefficients:
+    the flat store with no X-variables, keyed (e,).  The constructor takes
+    {e: int | Fraction}; ``c`` gives it back as a read-only view."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Fraction] = {}
-        if coeffs:
-            for e, x in coeffs.items():
-                f = _as_fraction(x)
-                if f:
-                    c[int(e)] = f
-        self.c = c
+        terms: dict[Key, tuple[int, int]] = {}
+        for e, x in (coeffs or {}).items():
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+            if x:
+                terms[(int(e),)] = x.as_integer_ratio()
+        self.num, self.den = _over_lcm(terms)
+        self.r, self._view = 0, None
 
     # -- constructors -----------------------------------------------------
 
@@ -132,7 +228,16 @@ class VLaurent(_Laurent):
 
     def shifted(self, k: int) -> "VLaurent":
         """The product with v**k, as a shift of the exponents."""
-        return _vlaurent({e + k: x for e, x in self.c.items()})
+        return self._wrap(0, {(e + k,): x for (e,), x in self.num.items()}, self.den)
+
+    @property
+    def c(self) -> Mapping[int, Fraction]:
+        """Read-only map from v-exponents to nonzero Fractions, built on
+        first access (values are immutable, so once suffices)."""
+        if self._view is None:
+            view = {e: Fraction(x, self.den) for (e,), x in self.num.items()}
+            self._view = MappingProxyType(view)
+        return self._view
 
     # -- ring operations ---------------------------------------------------
 
@@ -140,80 +245,32 @@ class VLaurent(_Laurent):
         if isinstance(other, VLaurent):
             return other
         if isinstance(other, (int, Fraction)):
-            return VLaurent.from_scalar(other)
+            return VLaurent._scalar(0, other)
         return None
 
-    def __eq__(self, other: Any) -> bool:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __add__(self, other: Any) -> "VLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self.c)
-        for e, x in o.c.items():
-            s = c.get(e, Fraction(0)) + x
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return _vlaurent(c)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "VLaurent":
-        return _vlaurent({e: -x for e, x in self.c.items()})
-
+    # An own binding of the shared rule, so that bench/tracer.py can wrap
+    # VLaurent.__mul__ by name.
     def __mul__(self, other: Any) -> "VLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, x1 in self.c.items():
-            for e2, x2 in o.c.items():
-                e = e1 + e2
-                p = x1 * x2
-                s = c.get(e)
-                s = p if s is None else s + p
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        return _vlaurent(c)
+        return _Laurent.__mul__(self, other)
 
     __rmul__ = __mul__
 
     # -- queries -----------------------------------------------------------
 
     def min_exp(self) -> int:
-        if not self.c:
+        if not self.num:
             raise ValueError("zero polynomial has no exponents")
-        return min(self.c)
+        return min(self.num)[0]
 
     def max_exp(self) -> int:
-        if not self.c:
+        if not self.num:
             raise ValueError("zero polynomial has no exponents")
-        return max(self.c)
+        return max(self.num)[0]
 
     def evaluate(self, v_value: Fraction) -> Fraction:
         """Exact evaluation at a rational v.  v = 0 is rejected when a
         negative exponent is present."""
-        v_value = Fraction(v_value)
-        total = Fraction(0)
-        for e, x in self.c.items():
-            if v_value == 0:
-                if e < 0:
-                    raise ZeroDivisionError("v = 0 hits a negative exponent")
-                total += x if e == 0 else Fraction(0)
-            else:
-                total += x * v_value**e
-        return total
+        return self._evaluate((Fraction(v_value),))
 
     # -- serialization -----------------------------------------------------
 
@@ -228,7 +285,7 @@ class VLaurent(_Laurent):
         return VLaurent({int(e): Fraction(s) for e, s in data.items()})
 
     def __str__(self) -> str:
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
         for e, x in sorted(self.c.items()):
@@ -241,99 +298,39 @@ class VLaurent(_Laurent):
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"VLaurent({self.c!r})"
-
-
-def _vlaurent(c: dict[int, Fraction]) -> VLaurent:
-    """Wrap a map of nonzero Fractions, without copying or checking it."""
-    out = VLaurent.__new__(VLaurent)
-    out.c = c
-    return out
-
-
-def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
-    """Exact division in the Laurent ring Q[v, v^-1]; raises ValueError if
-    den does not divide num."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return VLaurent.zero()
-    # In an exact division the quotient support is confined to this window.
-    lo = num.min_exp() - den.min_exp()
-    hi = num.max_exp() - den.max_exp()
-    rem = num
-    quo: dict[int, Fraction] = {}
-    dmax = den.max_exp()
-    dlead = den.c[dmax]
-    while rem:
-        e = rem.max_exp() - dmax
-        if e < lo or e > hi:
-            raise ValueError("inexact division in Q[v, v^-1]")
-        coef = rem.c[rem.max_exp()] / dlead
-        quo[e] = coef
-        rem = rem - VLaurent({e: coef}) * den
-    return VLaurent(quo)
-
-
-def _over_lcm(terms: Mapping[tuple[int, ...], Scalar]) -> tuple[dict[tuple[int, ...], int], int]:
-    """Nonzero ints and Fractions as int numerators over the lcm of their
-    denominators.  Numerators of lowest-terms fractions over their lcm share
-    no factor with it, so the pair is already in normal form."""
-    den = math.lcm(*(x.denominator for x in terms.values()))
-    return {k: x.numerator * (den // x.denominator) for k, x in terms.items()}, den
+        return f"VLaurent({dict(self.c)!r})"
 
 
 class SymLaurent(_Laurent):
-    """Laurent polynomial in X_1..X_r over Q[v, v^-1], stored flat.
+    """Laurent polynomial in X_1..X_r over Q[v, v^-1] in the flat store.
+    The constructor takes the nested form {X-exponents: VLaurent | int |
+    Fraction}; ``c`` gives it back as a read-only view."""
 
-    ``num`` maps (x_1, .., x_r, v) exponent tuples to nonzero int
-    numerators over the one positive int denominator ``den``, in normal
-    form: gcd(den, numerators) = 1 and den = 1 for zero.  The constructor
-    takes the nested form {X-exponents: VLaurent | int | Fraction}; ``c``
-    gives it back as a read-only view."""
+    __slots__ = ()
 
-    __slots__ = ("r", "num", "den", "_view")
-
-    def __init__(self, r: int, coeffs: Mapping[tuple[int, ...], Any] | None = None):
+    def __init__(self, r: int, coeffs: Mapping[Key, Any] | None = None):
         if r < 0:
             raise ValueError("variable count must be non-negative")
-        self.r = r
-        terms: dict[tuple[int, ...], Scalar] = {}
+        terms: dict[Key, tuple[int, int]] = {}
         # Coefficients given as VLaurents already are the nested view.
-        view: dict[tuple[int, ...], VLaurent] | None = {}
+        view: dict[Key, VLaurent] | None = {}
         for e, x in (coeffs or {}).items():
             e = tuple(map(int, e))
             if len(e) != r:
                 raise ValueError("exponent tuple length differs from variable count")
             if isinstance(x, VLaurent):
-                for ve, f in x.c.items():
-                    terms[(*e, ve)] = f
+                for k, n in x.num.items():
+                    terms[e + k] = (n, x.den)
                 if view is not None and x:
                     view[e] = x
             elif isinstance(x, (int, Fraction)):
                 view = None
                 if x:
-                    terms[(*e, 0)] = x
+                    terms[(*e, 0)] = x.as_integer_ratio()
             else:
                 raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
         self.num, self.den = _over_lcm(terms)
-        self._view = None if view is None else MappingProxyType(view)
-
-    @staticmethod
-    def _normal(r: int, num: dict[tuple[int, ...], int], den: int) -> "SymLaurent":
-        """Wrap a numerator map without zero entries over a positive den,
-        dividing out their common factor (den becomes 1 when num is empty)."""
-        if den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {k: x // g for k, x in num.items()}
-        out = SymLaurent.__new__(SymLaurent)
-        out.r = r
-        out.num = num
-        out.den = den
-        out._view = None
-        return out
+        self.r, self._view = r, None if view is None else MappingProxyType(view)
 
     # -- constructors -----------------------------------------------------
 
@@ -349,11 +346,10 @@ class SymLaurent(_Laurent):
     def constant(r: int, x: VLaurent | Scalar) -> "SymLaurent":
         if r < 0:
             raise ValueError("variable count must be non-negative")
-        zeros = (0,) * r
         if isinstance(x, VLaurent):
-            return SymLaurent._normal(r, *_over_lcm({(*zeros, e): f for e, f in x.c.items()}))
+            return SymLaurent._wrap(r, {(0,) * r + k: n for k, n in x.num.items()}, x.den)
         if isinstance(x, (int, Fraction)):
-            return SymLaurent._normal(r, {(*zeros, 0): x.numerator} if x else {}, x.denominator)
+            return SymLaurent._scalar(r, x)
         raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
 
     @staticmethod
@@ -369,16 +365,17 @@ class SymLaurent(_Laurent):
     # -- the nested view ----------------------------------------------------
 
     @property
-    def c(self) -> Mapping[tuple[int, ...], VLaurent]:
+    def c(self) -> Mapping[Key, VLaurent]:
         """Read-only map from X-exponent tuples to VLaurent coefficients,
         built on first access unless the constructor already had it (values
-        are immutable, so once suffices).  Serialization reads it; no
-        arithmetic here does."""
+        are immutable, so once suffices).  No arithmetic here reads it."""
         if self._view is None:
-            grouped: dict[tuple[int, ...], dict[int, Fraction]] = {}
+            grouped: dict[Key, dict[Key, int]] = {}
             for k, x in sorted(self.num.items()):
-                grouped.setdefault(k[:-1], {})[k[-1]] = Fraction(x, self.den)
-            self._view = MappingProxyType({e: _vlaurent(vs) for e, vs in grouped.items()})
+                grouped.setdefault(k[:-1], {})[k[-1:]] = x
+            self._view = MappingProxyType(
+                {e: VLaurent._normal(0, vs, self.den) for e, vs in grouped.items()}
+            )
         return self._view
 
     # -- ring operations ---------------------------------------------------
@@ -392,55 +389,15 @@ class SymLaurent(_Laurent):
             return SymLaurent.constant(self.r, other)
         return None
 
-    def __eq__(self, other: Any) -> bool:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.den == o.den and self.num == o.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
+    # Own bindings of the shared rules, so that bench/tracer.py can wrap
+    # SymLaurent.__add__, __mul__ and evaluate by name.
     def __add__(self, other: Any) -> "SymLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        den = math.lcm(self.den, o.den)
-        f1, f2 = den // self.den, den // o.den
-        c = dict(self.num) if f1 == 1 else {k: x * f1 for k, x in self.num.items()}
-        for k, x in o.num.items():
-            s = c.get(k, 0) + x * f2
-            if s:
-                c[k] = s
-            else:
-                del c[k]
-        return SymLaurent._normal(self.r, c, den)
+        return _Laurent.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "SymLaurent":
-        return SymLaurent._normal(self.r, {k: -x for k, x in self.num.items()}, self.den)
-
     def __mul__(self, other: Any) -> "SymLaurent":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        add = operator.add
-        a, b = (self.num, o.num) if len(self.num) >= len(o.num) else (o.num, self.num)
-        if len(b) == 1:
-            # a term times a polynomial: no exponents collide, nothing cancels
-            ((k2, x2),) = b.items()
-            c = {tuple(map(add, k1, k2)): x1 * x2 for k1, x1 in a.items()}
-        else:
-            c = {}
-            get = c.get
-            right = list(b.items())
-            for k1, x1 in a.items():
-                for k2, x2 in right:
-                    k = tuple(map(add, k1, k2))
-                    c[k] = get(k, 0) + x1 * x2
-            c = {k: x for k, x in c.items() if x}
-        return SymLaurent._normal(self.r, c, self.den * o.den)
+        return _Laurent.__mul__(self, other)
 
     __rmul__ = __mul__
 
@@ -515,21 +472,7 @@ class SymLaurent(_Laurent):
         pt = tuple(Fraction(x) for x in point)
         if len(pt) != self.r:
             raise ValueError("point length differs from variable count")
-        pt += (Fraction(v_value),)
-        powers: list[dict[int, Fraction]] = [{} for _ in pt]
-        total = Fraction(0)
-        for k, x in self.num.items():
-            term = x
-            for base, a, cache in zip(pt, k, powers):
-                if a:
-                    p = cache.get(a)
-                    if p is None:
-                        if base == 0 and a < 0:
-                            raise ZeroDivisionError("a zero value hits a negative exponent")
-                        p = cache[a] = base**a
-                    term *= p
-            total += term
-        return total / self.den
+        return self._evaluate((*pt, Fraction(v_value)))
 
     # -- serialization -----------------------------------------------------
 
@@ -588,7 +531,8 @@ def is_in_s0(a: SymLaurent) -> bool:
 
 
 def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
-    """Exact division of multivariate Laurent polynomials over Q[v, v^-1].
+    """Exact division of Laurent polynomials over Q[v, v^-1] of either class
+    (the quotient has num's); ValueError if den does not divide num.
 
     Works on the flat maps, with v as one more variable: the
     lexicographically leading term of the remainder is divided by that of
@@ -602,7 +546,7 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
-        return SymLaurent.zero(num.r)
+        return num
 
     def corner(keys, pick) -> list[int]:
         return [pick(col) for col in zip(*keys)]
@@ -615,10 +559,10 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
     # The remainder's numerators (over num.den), and a heap of its keys
     # negated, so that the lexicographically largest pops first.  Every
     # key a step adds is below the one it removes.
-    rem: dict[tuple[int, ...], Scalar] = dict(num.num)
+    rem: dict[Key, Scalar] = dict(num.num)
     heap = [tuple(-a for a in k) for k in rem]
     heapq.heapify(heap)
-    quo: dict[tuple[int, ...], Scalar] = {}
+    quo: dict[Key, tuple[int, int]] = {}
     while heap:
         lead = tuple(-a for a in heapq.heappop(heap))
         x = rem.pop(lead, 0)
@@ -628,9 +572,9 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
         if any(k < l or k > h for k, l, h in zip(e, lo, hi)):
             raise ValueError("inexact Laurent polynomial division")
         coef = Fraction(x, dcoef)
+        quo[e] = (coef.numerator, coef.denominator)
         if coef.denominator == 1:
             coef = coef.numerator
-        quo[e] = coef
         for k, y in dtail:
             k = tuple(map(operator.add, e, k))
             s = rem.get(k)
@@ -643,7 +587,13 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
             else:
                 del rem[k]
     # num/den = (quo / num.den) / (1 / den.den)
-    return SymLaurent._normal(num.r, *_over_lcm(quo)) * Fraction(den.den, num.den)
+    return num._wrap(num.r, *_over_lcm(quo)) * Fraction(den.den, num.den)
+
+
+def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
+    """Exact division in the Laurent ring Q[v, v^-1]; raises ValueError if
+    den does not divide num."""
+    return poly_div_exact(num, den)
 
 
 class TruncSeries:

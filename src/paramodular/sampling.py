@@ -13,6 +13,7 @@ size, and small witnesses falsify wrong identities just as well.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -67,11 +68,17 @@ def random_vlaurent(rng: random.Random) -> VLaurent:
     return VLaurent({e: random_fraction(rng) for e in exps})
 
 
+@functools.cache
+def _cone(n: int, max_norm: int) -> tuple:
+    """The cone the data are drawn from, enumerated once per (n, max_norm)."""
+    return tuple(enumerate_cone(Cone.G, n, max_norm))
+
+
 def random_whittaker_data(
     rng: random.Random, n: int, max_norm: int = 2, max_entries: int = 4
 ) -> WhittakerData:
     """Nonzero data supported on dominant coweights of sup norm <= max_norm."""
-    cone = enumerate_cone(Cone.G, n, max_norm)
+    cone = _cone(n, max_norm)
     count = rng.randint(1, min(max_entries, len(cone)))
     support = rng.sample(cone, count)
     return WhittakerData(n, {lam: random_vlaurent(rng) for lam in support})

@@ -27,7 +27,7 @@ values are picked up in place (with multiplicity q), not shifted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .characters import schur, sp_character_value
 from .coweights import Cone, Coweight, is_dominant, enumerate_cone, trace
@@ -132,12 +132,22 @@ class WhittakerData:
         }
 
     @staticmethod
-    def from_json(data: Mapping) -> "WhittakerData":
-        values = {
-            tuple(entry["lambda"]): VLaurent.from_json(entry["value"])
-            for entry in data["entries"]
-        }
-        return WhittakerData(int(data["n"]), values)
+    def from_json(data: Any) -> "WhittakerData":
+        """The inverse of ``to_json``.  Raises ValueError naming the field
+        of data that is missing or malformed."""
+        field, values = "the top level", {}
+        try:
+            if not isinstance(data, Mapping):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            field = "n"
+            n = int(data["n"])
+            field = "entries"
+            for i, entry in enumerate(data["entries"]):
+                field = f"entries[{i}]"
+                values[tuple(entry["lambda"])] = VLaurent.from_json(entry["value"])
+        except (LookupError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+            raise ValueError(f"bad Whittaker data at {field}: {exc!r}") from None
+        return WhittakerData(n, values)
 
     def __repr__(self) -> str:
         return f"WhittakerData(n={self.n}, support={self.support})"

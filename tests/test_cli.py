@@ -189,10 +189,15 @@ BAD_INPUTS = {
     "xi-r-above-n": ["xi", "--data", "{dir}/n2.json", "--r", "3"],
     "xi-out-of-cone": ["xi", "--data", "{dir}/out-of-cone.json", "--r", "2"],
     "xi-missing-file": ["xi", "--data", "{dir}/missing.json", "--r", "2"],
+    "xi-empty-object": ["xi", "--data", "{dir}/empty.json", "--r", "2"],
+    "xi-entry-without-value": ["xi", "--data", "{dir}/no-value.json", "--r", "2"],
+    "xi-zero-denominator": ["xi", "--data", "{dir}/zero-denominator.json", "--r", "2"],
+    "xi-top-level-list": ["xi", "--data", "{dir}/list.json", "--r", "2"],
     "gap-out-of-range": ["compare-bases", "--m-minus-a", "7"],
     "window-below-two": ["verify", "unramified", "--window", "1"],
     "no-cases": ["verify", "unramified", "--n", "2", "--r", "3"],
     "no-gaps": ["verify", "oldform-bases", "--max-gap", "-1"],
+    "oldform-bases-gap-above-four": ["verify", "oldform-bases", "--max-gap", "5"],
     "n-zero": ["verify", "kernel", "--n", "0", "--trials", "1"],
     "r-zero": ["verify", "unramified", "--r", "0", "--trials", "1"],
     "eta-lemma-r": ["verify", "eta-lemma", "--r", "2", "--trials", "1"],
@@ -222,9 +227,17 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_with_one_line(tmp_path, argv):
     entry = {"lambda": [1, 0], "value": {"0": "1/1"}}
-    (tmp_path / "n2.json").write_text(json.dumps({"n": 2, "entries": [entry]}))
     outside = {**entry, "lambda": [0, 1]}
-    (tmp_path / "out-of-cone.json").write_text(json.dumps({"n": 2, "entries": [outside]}))
+    payloads = {
+        "n2": {"n": 2, "entries": [entry]},
+        "out-of-cone": {"n": 2, "entries": [outside]},
+        "empty": {},
+        "no-value": {"n": 2, "entries": [{"lambda": [1, 0]}]},
+        "zero-denominator": {"n": 2, "entries": [{**entry, "value": {"0": "1/0"}}]},
+        "list": [{"n": 2, "entries": [entry]}],
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     src = str(Path(paramodular.__file__).parents[1])
     proc = subprocess.run(
         [

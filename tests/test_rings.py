@@ -318,30 +318,47 @@ def test_shared_operators_on_both_laurent_types():
             a ** -1
 
 
-# Oracle and property checks of the flat SymLaurent storage on random sparse
-# operands: r = 0..3, negative exponents, mixed Fraction denominators, zero
-# and constant operands.
+# Oracle and property checks of the flat store shared by SymLaurent and
+# VLaurent on random sparse operands: r = 0..3 and VLaurents, negative
+# exponents, mixed Fraction denominators, zero and constant operands.
 
 
-def _nested_mul(a: SymLaurent, b: SymLaurent) -> SymLaurent:
-    """The product on the nested {X-exponents: VLaurent} form, one VLaurent
-    product per pair of X-monomials: the oracle for the flat convolution."""
+def _plain(a) -> dict:
+    """{X-exponents: {v-exponent: Fraction}} read off the ``c`` views; a
+    VLaurent is the one X-monomial ()."""
+    if isinstance(a, VLaurent):
+        return {(): dict(a.c)} if a else {}
+    return {e: dict(x.c) for e, x in a.c.items()}
+
+
+def _nonzero(terms: dict) -> dict:
+    kept = {e: {k: f for k, f in x.items() if f} for e, x in terms.items()}
+    return {e: x for e, x in kept.items() if x}
+
+
+def _nested_mul(a: dict, b: dict) -> dict:
+    """The product of two _plain forms, one Fraction product per pair of
+    terms: the oracle for the flat convolution, using no Laurent class."""
     c: dict = {}
-    for e1, x1 in a.c.items():
-        for e2, x2 in b.c.items():
-            e = tuple(map(operator.add, e1, e2))
-            c[e] = c.get(e, VLaurent.zero()) + x1 * x2
-    return SymLaurent(a.r, c)
+    for e1, x1 in a.items():
+        for e2, x2 in b.items():
+            acc = c.setdefault(tuple(map(operator.add, e1, e2)), {})
+            for k1, f1 in x1.items():
+                for k2, f2 in x2.items():
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + f1 * f2
+    return _nonzero(c)
 
 
-def _nested_add(a: SymLaurent, b: SymLaurent) -> SymLaurent:
-    c = dict(a.c)
-    for e, x in b.c.items():
-        c[e] = c.get(e, VLaurent.zero()) + x
-    return SymLaurent(a.r, c)
+def _nested_add(a: dict, b: dict) -> dict:
+    c = {e: dict(x) for e, x in a.items()}
+    for e, x in b.items():
+        acc = c.setdefault(e, {})
+        for k, f in x.items():
+            acc[k] = acc.get(k, 0) + f
+    return _nonzero(c)
 
 
-def _is_normal(a: SymLaurent) -> bool:
+def _is_normal(a: SymLaurent | VLaurent) -> bool:
     nums = list(a.num.values())
     return (
         type(a.den) is int
@@ -375,18 +392,46 @@ def _sym_triples(st):
     return st.one_of([st.tuples(*[_sym(st, r)] * 3) for r in range(4)])
 
 
+def _triples(st):
+    """Three operands of one class: SymLaurents in r = 0..3 or VLaurents."""
+    return st.one_of(_sym_triples(st), st.tuples(*[_vlaurents(st)] * 3))
+
+
 def test_flat_product_and_sum_match_the_nested_oracle():
     hyp, st, settings = _hypothesis()
 
     @settings
-    @hyp.given(_sym_triples(st))
+    @hyp.given(_triples(st))
     def check(abc):
         a, b, _ = abc
-        for got, want in ((a * b, _nested_mul(a, b)), (a + b, _nested_add(a, b))):
-            assert got == want
-            assert got.to_json() == want.to_json()
+        pa, pb = _plain(a), _plain(b)
+        for got, want in ((a * b, _nested_mul(pa, pb)), (a + b, _nested_add(pa, pb))):
+            assert type(got) is type(a)
+            assert _plain(got) == want
             assert _is_normal(got)
-        assert _is_normal(-a) and _is_normal(a - b)
+        negated = {e: {k: -f for k, f in x.items()} for e, x in pa.items()}
+        assert _plain(-a) == negated and _is_normal(-a)
+        assert _plain(a - b) == _nested_add(pa, _plain(-b)) and _is_normal(a - b)
+
+    check()
+
+
+def test_mixed_vlaurent_and_symlaurent_operands():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st), _vlaurents(st))
+    def check(abc, x):
+        a = abc[0]
+        const = {(0,) * a.r: dict(x.c)} if x else {}
+        want = _nested_mul(_plain(a), const)
+        for got in (a * x, x * a):
+            assert type(got) is SymLaurent and _plain(got) == want and _is_normal(got)
+        for got in (a + x, x + a):
+            assert type(got) is SymLaurent and _plain(got) == _nested_add(_plain(a), const)
+        lifted = SymLaurent.constant(a.r, x)
+        assert lifted == x and x == lifted
+        assert (a == x) == (x == a) == (_plain(a) == const)
 
     check()
 
@@ -456,6 +501,7 @@ def test_shift_and_flat_constants_match_the_general_forms():
     @hyp.given(_vlaurents(st), _coeff(st), shifts, st.integers(min_value=0, max_value=3))
     def check(x, f, k, r):
         assert x.shifted(k) == x * VLaurent.v_power(k)
+        assert _plain(x.shifted(k)) == _nested_mul(_plain(x), {(): {k: Fraction(1)}})
         for c in (x, f, f.numerator):
             const = SymLaurent.constant(r, c)
             assert const == SymLaurent(r, {(0,) * r: c}) and _is_normal(const)
@@ -468,16 +514,15 @@ def test_ring_axioms():
     hyp, st, settings = _hypothesis()
 
     @settings
-    @hyp.given(_sym_triples(st))
+    @hyp.given(_triples(st))
     def check(abc):
         a, b, c = abc
-        r = a.r
         assert (a + b) + c == a + (b + c) and a + b == b + a
         assert (a * b) * c == a * (b * c) and a * b == b * a
         assert a * (b + c) == a * b + a * c
-        assert a + SymLaurent.zero(r) == a and a * SymLaurent.one(r) == a
+        assert a + 0 == a and a * 1 == a
         assert a - a == 0 and not (a + (-a))
-        assert a * SymLaurent.zero(r) == 0
+        assert a * 0 == 0
 
     check()
 
@@ -492,7 +537,8 @@ def test_exact_divisions_undo_products():
         if b:
             assert poly_div_exact(a * b, b) == a
         if y:
-            assert vlaurent_div_exact(x * y, y) == x
+            quotient = vlaurent_div_exact(x * y, y)
+            assert type(quotient) is VLaurent and quotient == x
 
     check()
 
@@ -505,7 +551,8 @@ def test_json_round_trips():
     def check(abc, x):
         a = abc[0]
         assert SymLaurent.from_json(json.loads(json.dumps(a.to_json())), a.r) == a
-        assert VLaurent.from_json(json.loads(json.dumps(x.to_json()))) == x
+        back = VLaurent.from_json(json.loads(json.dumps(x.to_json())))
+        assert back == x and _is_normal(back)
 
     check()
 
@@ -549,6 +596,27 @@ def test_equal_values_have_one_normal_form():
     assert (half + half).den == 1 and half + half == whole
     assert SymLaurent.zero(3).den == 1 and (half - same).den == 1
     assert half.restrict(lambda e: e == (1, -1)) == SymLaurent.monomial(2, (1, -1), Fraction(1, 2))
+
+
+def test_vlaurent_values_have_the_flat_normal_form():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_vlaurents(st), _vlaurents(st), st.integers(min_value=-3, max_value=3))
+    def check(x, y, k):
+        results = [x + y, x * y, -x, x - y, x.shifted(k), (x * Fraction(1, 3)) * 3]
+        if y:
+            results.append(vlaurent_div_exact(x * y, y))
+        for got in results:
+            assert type(got) is VLaurent and _is_normal(got)
+        same = (x + y) - y
+        assert (same.num, same.den) == (x.num, x.den)
+
+    check()
+    half = VLaurent({-1: Fraction(2, 4), 1: Fraction(3, 2)})
+    assert (half.num, half.den) == ({(-1,): 1, (1,): 3}, 2)
+    assert ((half + half).num, (half + half).den) == ({(-1,): 1, (1,): 3}, 1)
+    assert (half * 2).den == 1 and half * 2 == VLaurent({-1: 1, 1: 3})
 
 
 def test_nested_view_is_read_only_and_built_once():
