@@ -7,7 +7,9 @@
   exact polynomial division acting as a built-in self-check, plus the Weyl
   dimension formula as a second oracle;
 * numeric symplectic characters at a rational point, as a ratio of two
-  integer alternants over a shared denominator (no polynomial is built);
+  integer alternants over a shared denominator (no polynomial is built),
+  with the alternant rows and the Weyl denominator tabulated once per
+  point;
 * orbit sums under the type D Weyl group (permutations and even sign
   changes), the triangular stand-in used where exact Satake values are not
   tabulated.
@@ -19,7 +21,10 @@ specialization X_r -> 0 that drops the last GL variable is
 
 Every determinant here (Jacobi-Trudi and both alternants, symbolic or
 numeric) goes through one Leibniz expansion, ``_det``, and every
-Jacobi-Trudi matrix through one index rule, ``_jacobi_trudi``.
+Jacobi-Trudi matrix through one index rule, ``_jacobi_trudi``.  A numeric
+determinant is always one of ints, over a denominator shared by the whole
+point, and both symplectic characters check their weight with one rule,
+``_sp_weight``.
 """
 
 from __future__ import annotations
@@ -166,11 +171,7 @@ def sp_character(lam: Coweight, n: int) -> SymLaurent:
         det(x_j^{n - i + 1}       - x_j^{-(n - i + 1)})
 
     The division must be exact; a remainder means a bug upstream."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("weight length differs from rank")
-    if not is_dominant(lam, Cone.G):
-        raise ValueError("weight must be weakly decreasing and non-negative")
+    lam = _sp_weight(lam, n)
     num = _alternant([lam[i] + n - i for i in range(n)], n)
     den = _alternant([n - i for i in range(n)], n)
     try:
@@ -179,46 +180,78 @@ def sp_character(lam: Coweight, n: int) -> SymLaurent:
         raise ArithmeticError(f"Weyl alternant division failed for {lam}") from exc
 
 
+def _sp_weight(lam: Coweight, n: int) -> Coweight:
+    """The Sp_{2n} highest weight lam as a tuple, or ValueError: shared by
+    :func:`sp_character` and :func:`sp_character_value`, so that both
+    reject the same weights."""
+    lam = tuple(lam)
+    if len(lam) != n:
+        raise ValueError("weight length differs from rank")
+    if not is_dominant(lam, Cone.G):
+        raise ValueError("weight must be weakly decreasing and non-negative")
+    return lam
+
+
+class _SpPoint:
+    """The integer alternant rows of one Satake point beta, with beta_j =
+    p_j / q_j in lowest terms: row(e, top) has the entries
+    (p_j^(2e) - q_j^(2e)) (p_j q_j)^(top - e) for 0 < e <= top, built once
+    each, ``weyl`` is the Weyl denominator's integer determinant at
+    top = n and ``pq`` is prod_j p_j q_j.  Building the table rejects a
+    degenerate point."""
+
+    __slots__ = ("cols", "rows", "weyl", "pq")
+
+    def __init__(self, beta: tuple[Fraction, ...]):
+        if any(b == 0 for b in beta):
+            raise ValueError("degenerate Satake point: zero coordinate")
+        self.cols = [(b.numerator, b.denominator) for b in beta]
+        self.rows: dict[tuple[int, int], list[int]] = {}
+        n = len(beta)
+        self.weyl = self.alternant([n - i for i in range(n)], n)
+        if self.weyl == 0:
+            raise ValueError("degenerate Satake point: Weyl denominator vanishes")
+        self.pq = math.prod(p * q for p, q in self.cols)
+
+    def row(self, e: int, top: int) -> list[int]:
+        row = self.rows.get((e, top))
+        if row is None:
+            row = [(p ** (2 * e) - q ** (2 * e)) * (p * q) ** (top - e) for p, q in self.cols]
+            self.rows[e, top] = row
+        return row
+
+    def alternant(self, exps: list[int], top: int) -> int:
+        return _det([self.row(e, top) for e in exps], 0, 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _sp_point(beta: tuple) -> _SpPoint:
+    """The table of the last Satake point asked for: the weights of one
+    point are evaluated together, so one entry suffices."""
+    return _SpPoint(tuple(Fraction(b) for b in beta))
+
+
 def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
     """Numeric symplectic character: the alternant ratio evaluated at an
     exact rational point.  The point must avoid the Weyl denominator's zero
     locus (beta_i distinct from beta_j^{+-1} and from +-1, all nonzero).
 
     With beta_j = p_j / q_j in lowest terms, an alternant entry is
-    beta_j^e - beta_j^{-e} = sign(e) (p_j^{2|e|} - q_j^{2|e|}) / (p_j q_j)^{|e|}.
-    Scaling column j by (p_j q_j)^E makes every entry with |e| <= E an
-    integer, so an alternant is an integer determinant over the shared
-    denominator prod_j (p_j q_j)^E.  The Weyl denominator needs E = n, the
-    numerator E = lam_1 + n, so the character is
-    num_det / (den_det * prod_j (p_j q_j)^(E - n))."""
-    n = len(beta)
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("weight length differs from rank")
-    beta = tuple(Fraction(b) for b in beta)
-    if any(b == 0 for b in beta):
-        raise ValueError("degenerate Satake point: zero coordinate")
-    cols = [(b.numerator, b.denominator) for b in beta]
-
-    def alternant(exps: list[int], top: int) -> int:
-        rows = [
-            [
-                (1 if e > 0 else -1)
-                * (p ** (2 * abs(e)) - q ** (2 * abs(e)))
-                * (p * q) ** (top - abs(e))
-                for p, q in cols
-            ]
-            for e in exps
-        ]
-        return _det(rows, 0, 1)
-
-    den = alternant([n - i for i in range(n)], n)
-    if den == 0:
-        raise ValueError("degenerate Satake point: Weyl denominator vanishes")
-    num_exps = [lam[i] + n - i for i in range(n)]
-    top = max([n] + [abs(e) for e in num_exps])
-    scale = math.prod(p * q for p, q in cols) ** (top - n)
-    return Fraction(alternant(num_exps, top), den * scale)
+    beta_j^e - beta_j^{-e} = (p_j^{2e} - q_j^{2e}) / (p_j q_j)^e for e > 0
+    (lam is dominant, so every exponent is).  Scaling column j by
+    (p_j q_j)^E makes every entry with e <= E an integer, so an alternant
+    is an integer determinant over the shared denominator
+    prod_j (p_j q_j)^E.  The Weyl denominator needs E = n, the numerator
+    E = lam_1 + n, so the character is
+    num_det / (den_det * prod_j (p_j q_j)^lam_1).  The rows and den_det
+    come from a table built once per point."""
+    beta = tuple(beta)
+    lam = _sp_weight(lam, len(beta))
+    point = _sp_point(beta)
+    n = len(lam)
+    top = n + max(lam, default=0)
+    num = point.alternant([lam[i] + n - i for i in range(n)], top)
+    return Fraction(num, point.weyl * point.pq ** (top - n))
 
 
 def sp_dimension(lam: Coweight, n: int) -> int:

@@ -9,7 +9,8 @@ Coweights are plain integer tuples.  Three dominance cones appear:
   used for the even orthogonal group of rank n).
 
 Cone enumeration generates the weakly decreasing tuples directly rather
-than filtering the whole box of integer tuples.  Alongside it this module
+than filtering the whole box of integer tuples, and the partitions of
+bounded trace are generated directly by trace.  Alongside it this module
 carries the closed-form dimension count for paramodular fixed spaces at
 level m above the newform level a, and the cardinality of the
 raising-operator basis that should match it.
@@ -79,6 +80,26 @@ def enumerate_cone(cone: Cone, n: int, bound: int) -> list[Coweight]:
     ]
     out.sort()
     return out
+
+
+def enumerate_partitions(n: int, max_trace: int) -> list[Coweight]:
+    """The G-dominant coweights of length n with trace <= max_trace (the
+    partitions into at most n parts, padded with zeros), in lexicographic
+    order: ``[lam for lam in enumerate_cone(Cone.G, n, max_trace) if
+    trace(lam) <= max_trace]``, generated directly."""
+    if n < 1:
+        raise ValueError("rank must be positive")
+
+    def parts(k: int, cap: int, budget: int):
+        # weakly decreasing k-tuples with entries <= cap and sum <= budget
+        if k == 0:
+            yield ()
+            return
+        for first in range(min(cap, budget) + 1):
+            for rest in parts(k - 1, first, budget - first):
+                yield (first, *rest)
+
+    return list(parts(n, max_trace, max_trace))
 
 
 def dim_formula(n: int, m: int, a: int) -> int:

@@ -25,9 +25,11 @@ exact rationals, coefficients are Fractions).  Both are exact.  A mode
 maps the two coefficient layers into its ring: ``from_vlaurent`` for a
 VLaurent and ``lift`` for a SymLaurent, which symbolic mode keeps as it is
 and evaluation mode evaluates at its point.  Schur values in evaluation
-mode never go through a polynomial: the complete homogeneous values
-h_m(point) are tabulated once per mode and each s_lam(point) is the
-Jacobi-Trudi determinant of those numbers.
+mode never go through a polynomial and build no Fraction before the last
+step: with the point x = y / B, y integer and B the lcm of its
+denominators, the integers h_m(y) = B^m h_m(x) are tabulated once per mode
+and each s_lam(point) is the integer Jacobi-Trudi determinant of those
+numbers over B^|core|, times the twist of a negative lam_r.
 
 The torus sum reads each weight of the data once: the degree-l
 coefficient walks only the weights of trace l, through the data's trace
@@ -81,8 +83,12 @@ class EvaluationMode:
         if self.v_value == 0:
             raise ValueError("v must be nonzero")
         self._schur_cache: dict[Coweight, Fraction] = {}
-        # _h_rows[k][m] = h_m(x_1..x_{k+1}) at the point, extended on demand
-        self._h_rows = [[Fraction(1)] for _ in range(r)]
+        # The point is y / B with y integer and B the lcm of its
+        # denominators; _h_rows[k][m] = h_m(y_1..y_{k+1}) = B^m h_m(x_1..),
+        # extended on demand
+        self._den = math.lcm(*(x.denominator for x in self.point))
+        self._y = [x.numerator * (self._den // x.denominator) for x in self.point]
+        self._h_rows = [[1] for _ in range(r)]
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -96,29 +102,32 @@ class EvaluationMode:
     def from_vlaurent(self, c: VLaurent) -> Fraction:
         return c.evaluate(self.v_value)
 
-    def _h(self, m: int) -> Fraction:
-        """h_m(x_1..x_r) at the point, by the recurrence
-        h_m(x_1..x_k) = h_m(x_1..x_{k-1}) + x_k h_{m-1}(x_1..x_k)."""
+    def _h(self, m: int) -> int:
+        """B^m h_m(x_1..x_r) = h_m(y_1..y_r), by the recurrence
+        h_m(y_1..y_k) = h_m(y_1..y_{k-1}) + y_k h_{m-1}(y_1..y_k)."""
         if m < 0:
-            return Fraction(0)
+            return 0
         rows = self._h_rows
         while len(rows[0]) <= m:
-            below = Fraction(0)  # h of no variables in positive degree
-            for x, row in zip(self.point, rows):
-                below = below + x * row[-1]
+            below = 0  # h of no variables in positive degree
+            for y, row in zip(self._y, rows):
+                below += y * row[-1]
                 row.append(below)
         return rows[-1][m]
 
     def schur(self, lam: Coweight) -> Fraction:
         """s_lam at the point: equals ``lift(schur(lam, r))``, including its
         ValueErrors and the ZeroDivisionError of a negative lam_r at a
-        point with a zero entry."""
+        point with a zero entry.  s_core is homogeneous of degree |core|,
+        so s_core(x) = s_core(y) / B^|core|, and s_core(y) is the
+        Jacobi-Trudi determinant of the integers h_m(y)."""
         lam = tuple(lam)
         val = self._schur_cache.get(lam)
         if val is None:
             shift, index = _jacobi_trudi(lam, self.r)
             matrix = [[self._h(m) for m in row] for row in index]
-            val = _det(matrix, Fraction(0), Fraction(1))
+            size = sum(lam) - shift * self.r
+            val = Fraction(_det(matrix, 0, 1), self._den**size)
             if shift:
                 val = val * math.prod(self.point) ** shift
             self._schur_cache[lam] = val

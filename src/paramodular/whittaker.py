@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .characters import schur, sp_character_value
-from .coweights import Cone, Coweight, is_dominant, enumerate_cone, trace
-from .rings import SymLaurent, VLaurent
+from .coweights import Cone, Coweight, enumerate_partitions, is_dominant, trace
+from .rings import SymLaurent, VLaurent, _over_lcm
 
 
 def gl_modulus_exponent(lam: Coweight, r: int) -> int:
@@ -170,11 +170,15 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
         raise ValueError("Satake parameter length differs from rank")
     if any(b == 0 for b in beta):
         raise ValueError("Satake parameters must be nonzero")
-    values = {}
-    for lam in enumerate_cone(Cone.G, n, cutoff):
-        if trace(lam) <= cutoff:
-            values[lam] = VLaurent({-so_modulus_exponent(lam, n): sp_character_value(lam, beta)})
-    return WhittakerData(n, values)
+    # the generating function's flat terms (lam..., v-exponent), one per
+    # weight whose character does not vanish; weights come from the
+    # partitions, so the cone needs no second check
+    terms = {}
+    for lam in enumerate_partitions(n, cutoff):
+        x = sp_character_value(lam, beta)
+        if x:
+            terms[(*lam, -so_modulus_exponent(lam, n))] = (x.numerator, x.denominator)
+    return WhittakerData._of(SymLaurent._wrap(n, *_over_lcm(terms)))
 
 
 def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:

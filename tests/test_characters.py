@@ -16,7 +16,7 @@ from paramodular.characters import (
     sp_character_value,
     sp_dimension,
 )
-from paramodular.coweights import Cone, enumerate_cone, tilde
+from paramodular.coweights import Cone, enumerate_cone, is_dominant, tilde
 from paramodular.oldforms import so4_satake_table
 from paramodular.rings import SymLaurent, VLaurent, is_symmetric
 
@@ -138,6 +138,60 @@ def test_sp_character_value_rejects_degenerate_points():
         sp_character_value((1, 0), (Fraction(3), Fraction(3)))
     with pytest.raises(ValueError):
         sp_character_value((1, 0), (Fraction(0), Fraction(2)))
+
+
+def test_sp_character_and_value_reject_the_same_weights():
+    # the numeric character used to answer non-dominant weights silently:
+    # at beta = (2, 3), (0, 1) gave 0 and (1, -3) gave -28/3
+    for lam in [(0, 1), (1, -3)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            sp_character_value(lam, (2, 3))
+    for n in range(1, 4):
+        beta = SP_POINTS[n][0]
+        for k in range(n - 1, n + 2):
+            for lam in itertools.product(range(-2, 3), repeat=k):
+                if k == n and is_dominant(lam, Cone.G):
+                    assert sp_character_value(lam, beta) == sp_character(lam, n).evaluate(
+                        beta, Fraction(1)
+                    ), (lam, beta)
+                    continue
+                with pytest.raises(ValueError) as symbolic:
+                    sp_character(lam, n)
+                with pytest.raises(ValueError) as numeric:
+                    sp_character_value(lam, beta)
+                assert str(numeric.value) == str(symbolic.value), lam
+
+
+def test_sp_character_value_table_follows_the_point():
+    """The alternant rows come from a table built once per point: two
+    interleaved points, with a degenerate one between them, must each get
+    their own values, and the degenerate one must raise every time."""
+    good = [SP_POINTS[2][0], SP_POINTS[2][3]]
+    lams = enumerate_cone(Cone.G, 2, 3)
+    want = {
+        (lam, beta): sp_character(lam, 2).evaluate(beta, Fraction(1))
+        for lam in lams
+        for beta in good
+    }
+    degenerate = {
+        "zero coordinate": (Fraction(0), Fraction(2)),
+        "Weyl denominator vanishes": (Fraction(3), Fraction(1, 3)),
+    }
+    for message, bad in degenerate.items():
+        for lam in lams:
+            for beta in (good[0], bad, good[1], bad, good[0], good[1]):
+                if beta is bad:
+                    with pytest.raises(ValueError, match=message):
+                        sp_character_value(lam, bad)
+                else:
+                    assert sp_character_value(lam, beta) == want[lam, beta], (lam, beta)
+    # ints and Fractions name the same point, in either order
+    for lam in lams:
+        as_ints = sp_character_value(lam, (2, 3))
+        as_fractions = sp_character_value(lam, (Fraction(2), Fraction(3)))
+        assert as_ints == as_fractions == sp_character(lam, 2).evaluate((2, 3), Fraction(1))
+        assert isinstance(as_ints, Fraction)
+        assert sp_character_value(lam, (2, 3)) == as_ints
 
 
 def test_so4_minuscule_characters():

@@ -398,6 +398,26 @@ def test_main_version_exits_zero():
     assert info.value.code == 0
 
 
+def test_python_dash_m_runs_the_command_line():
+    # the package runs as a module, with main's exit status and output
+    src = str(Path(paramodular.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PARAMODULAR_JOBS": "1"}
+    argv = [sys.executable, "-m", "paramodular", "verify", "unramified", "--trials", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["all_passed"] and len(report["cases"]) == 6
+    bad = subprocess.run(
+        [*argv[:3], "char", "schur", "--lam", "1,2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("paramodular: ") and "Traceback" not in bad.stderr
+
+
 def test_xi_subcommand(tmp_path):
     data = tmp_path / "data.json"
     out = tmp_path / "xi.json"

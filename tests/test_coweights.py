@@ -11,6 +11,7 @@ from paramodular.coweights import (
     basis_cardinality,
     dim_formula,
     enumerate_cone,
+    enumerate_partitions,
     is_dominant,
     sup_norm,
     tilde,
@@ -64,6 +65,18 @@ def test_enumerate_cone_is_sorted_and_dominant():
                 box = itertools.product(range(-bound, bound + 1), repeat=n)
                 want = sorted(lam for lam in box if is_dominant(lam, cone))
                 assert enumerate_cone(cone, n, bound) == want, (cone, n, bound)
+
+
+def test_enumerate_partitions_is_the_cone_cut_by_trace():
+    # oracle: the G cone of sup norm <= bound, filtered by trace, keeps its
+    # lexicographic order
+    for n in range(1, 5):
+        for bound in range(-1, 9):
+            want = [lam for lam in enumerate_cone(Cone.G, n, bound) if trace(lam) <= bound]
+            assert enumerate_partitions(n, bound) == want, (n, bound)
+    assert enumerate_partitions(2, 2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    with pytest.raises(ValueError):
+        enumerate_partitions(0, 3)
 
 
 def test_dim_formula_frozen_values():

@@ -86,6 +86,22 @@ def test_evaluation_mode_schur_matches_symbolic_schur():
             ev = EvaluationMode(r, pt, v)
             for lam in enumerate_cone(Cone.GL, r, 3 if r < 4 else 2):
                 assert ev.schur(lam) == schur(lam, r).evaluate(pt, v), (lam, pt)
+    # the values are integer determinants over a power of the lcm B of the
+    # denominators: distinct coprime denominators make B a product, negative
+    # signs enter every h_m, and a negative lam_r meets the twist at nonzero
+    # points; r = 5 over a small box
+    points = [
+        (Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(5, 7), Fraction(-7, 11)),
+        (Fraction(3), Fraction(-1, 4), Fraction(5, 9), Fraction(-4, 5), Fraction(2, 7)),
+    ]
+    for pt in points:
+        for r in (2, 3, 5):
+            ev = EvaluationMode(r, pt[:r], Fraction(3, 2))
+            lams = enumerate_cone(Cone.GL, r, 2 if r < 5 else 1)
+            assert any(lam[-1] < 0 for lam in lams)
+            for lam in lams:
+                want = schur(lam, r).evaluate(pt[:r], Fraction(3, 2))
+                assert ev.schur(lam) == want, (lam, pt[:r])
     # a zero entry: fine for partitions, a division by zero for lam_r < 0,
     # exactly as when the symbolic polynomial is evaluated
     zero = EvaluationMode(2, (Fraction(0), Fraction(3)), Fraction(2))

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from paramodular.coweights import Cone, is_dominant, trace
+from paramodular.characters import sp_character
+from paramodular.coweights import Cone, enumerate_cone, is_dominant, trace
 from paramodular.rings import SymLaurent, VLaurent, poly_div_exact
 from paramodular.sampling import random_whittaker_data
 from paramodular.whittaker import (
@@ -126,6 +127,33 @@ def test_spherical_data_rank_two_support():
     assert (1, 1) in d.support and (2, 0) in d.support
     assert (2, 1) not in d.support
     assert all(sum(lam) <= 2 for lam in d.support)
+
+
+def test_spherical_data_matches_the_symbolic_characters():
+    """Oracle: the data built weight by weight from the symbolic Weyl
+    character, chi_lam(beta) v^-w on every dominant weight of trace <=
+    cutoff where the character does not vanish, with the same support."""
+    points = {
+        1: [(Fraction(-5, 7),), (Fraction(3),)],
+        # at beta_2 = -beta_1 the characters of odd trace vanish
+        2: [(Fraction(-2, 7), Fraction(5, 6)), (Fraction(2, 7), Fraction(-2, 7))],
+        3: [(Fraction(-3, 7), Fraction(4, 5), Fraction(-7, 2))],
+    }
+    vanished = 0
+    for n, betas in points.items():
+        for beta in betas:
+            for cutoff in range(9):
+                weights = [lam for lam in enumerate_cone(Cone.G, n, cutoff) if trace(lam) <= cutoff]
+                want = {}
+                for lam in weights:
+                    x = sp_character(lam, n).evaluate(beta, Fraction(1))
+                    if x:
+                        want[lam] = VLaurent({-so_modulus_exponent(lam, n): x})
+                d = spherical_so_data(beta, n, cutoff)
+                assert d == WhittakerData(n, want), (n, beta, cutoff)
+                assert d.support == sorted(want)
+                vanished += len(weights) - len(want)
+    assert vanished
 
 
 def delta(lam: tuple[int, int]) -> WhittakerData:
