@@ -685,7 +685,14 @@ def _parse_coweight(text: str) -> tuple[int, ...]:
 
 
 def _parse_beta(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part) for part in text.split(","))
+    """Comma-separated rationals; ValueError naming an entry that is not one."""
+    beta = []
+    for part in text.split(","):
+        try:
+            beta.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--beta entry {part!r} is not a rational number") from None
+    return tuple(beta)
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -46,7 +46,7 @@ from typing import Any
 from .characters import _det, _jacobi_trudi, schur
 from .coweights import Coweight
 from .rings import SymLaurent, TruncSeries, VLaurent
-from .whittaker import WhittakerData, gl_modulus_exponent
+from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
 class SymbolicMode:
@@ -82,7 +82,6 @@ class EvaluationMode:
         self.v_value = Fraction(v_value)
         if self.v_value == 0:
             raise ValueError("v must be nonzero")
-        self._schur_cache: dict[Coweight, Fraction] = {}
         # The point is y / B with y integer and B the lcm of its
         # denominators; _h_rows[k][m] = h_m(y_1..y_{k+1}) = B^m h_m(x_1..),
         # extended on demand
@@ -121,16 +120,12 @@ class EvaluationMode:
         point with a zero entry.  s_core is homogeneous of degree |core|,
         so s_core(x) = s_core(y) / B^|core|, and s_core(y) is the
         Jacobi-Trudi determinant of the integers h_m(y)."""
-        lam = tuple(lam)
-        val = self._schur_cache.get(lam)
-        if val is None:
-            shift, index = _jacobi_trudi(lam, self.r)
-            matrix = [[self._h(m) for m in row] for row in index]
-            size = sum(lam) - shift * self.r
-            val = Fraction(_det(matrix, 0, 1), self._den**size)
-            if shift:
-                val = val * math.prod(self.point) ** shift
-            self._schur_cache[lam] = val
+        shift, index = _jacobi_trudi(lam, self.r)
+        matrix = [[self._h(m) for m in row] for row in index]
+        size = sum(lam) - shift * self.r
+        val = Fraction(_det(matrix, 0, 1), self._den**size)
+        if shift:
+            val = val * math.prod(self.point) ** shift
         return val
 
 
@@ -180,11 +175,7 @@ def p_phi_pi(beta, n: int, r: int, mode: Mode) -> TruncSeries:
     """Numerator local factor: prod over j <= r, i <= n, both signs, of
     (1 - beta_i^{+-1} v^{-1} X_j Y).  Exact polynomial of Y-degree 2nr with
     constant coefficient 1."""
-    beta = tuple(Fraction(b) for b in beta)
-    if len(beta) != n:
-        raise ValueError("Satake parameter length differs from n")
-    if any(b == 0 for b in beta):
-        raise ValueError("Satake parameters must be nonzero")
+    beta = _satake(beta, n)
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
     out = unit_series(mode)
@@ -290,6 +281,8 @@ def xi(
         mode = SymbolicMode(r)
     if window < 2:
         raise ValueError("window must be at least 2")
+    if level < 0:
+        raise ValueError("level must be non-negative")
     if trunc is None:
         trunc = default_trunc(d, n, r, window)
     if trunc < window:

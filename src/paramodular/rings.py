@@ -15,7 +15,7 @@ all built on ints and ``fractions.Fraction``:
     convolution and a sum works over the lcm of the two denominators, and
     no Fraction is built on the way.  Despite the name the container holds
     arbitrary Laurent polynomials; symmetry and inversion-invariance are
-    *properties* tested by :func:`is_symmetric` and :func:`is_in_s0`.
+    properties of particular values, which the type does not enforce.
 
 ``VLaurent``
     The case r = 0, keyed (e,): the same store, normal form and arithmetic.
@@ -214,10 +214,6 @@ class VLaurent(_Laurent):
         return VLaurent({0: 1})
 
     @staticmethod
-    def from_scalar(x: Scalar) -> "VLaurent":
-        return VLaurent({0: x})
-
-    @staticmethod
     def v_power(k: int) -> "VLaurent":
         return VLaurent({k: 1})
 
@@ -255,17 +251,7 @@ class VLaurent(_Laurent):
 
     __rmul__ = __mul__
 
-    # -- queries -----------------------------------------------------------
-
-    def min_exp(self) -> int:
-        if not self.num:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.num)[0]
-
-    def max_exp(self) -> int:
-        if not self.num:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.num)[0]
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, v_value: Fraction) -> Fraction:
         """Exact evaluation at a rational v.  v = 0 is rejected when a
@@ -413,14 +399,6 @@ class SymLaurent(_Laurent):
                 num[k2] = x
         return SymLaurent._normal(r, num, self.den)
 
-    def swap_vars(self, i: int, j: int) -> "SymLaurent":
-        def key(k):
-            f = list(k[:-1])
-            f[i], f[j] = f[j], f[i]
-            return (*f, k[-1])
-
-        return self._remapped(self.r, key)
-
     def invert_vars(self, indices: Iterable[int]) -> "SymLaurent":
         """Substitute X_i -> X_i^-1 for each listed variable index."""
         idx = set(indices) & set(range(self.r))
@@ -447,21 +425,6 @@ class SymLaurent(_Laurent):
             return (*k[:-2], k[-1]) if k[-2] == 0 else None
 
         return self._remapped(self.r - 1, key)
-
-    def total_degrees(self) -> set[int]:
-        return {sum(k) - k[-1] for k in self.num}
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = self.total_degrees()
-        if not degs:
-            return True
-        if degree is None:
-            return len(degs) == 1
-        return degs == {degree}
-
-    def min_var_exp(self) -> int:
-        """Smallest exponent appearing on any variable (0 for constants)."""
-        return min([0, *(a for k in self.num for a in k[:-1])])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -506,28 +469,6 @@ class SymLaurent(_Laurent):
     def __repr__(self) -> str:
         body = ", ".join(f"{e}: {x}" for e, x in sorted(self.c.items()))
         return f"SymLaurent({self.r}, {{{body}}})"
-
-
-def is_symmetric(a: SymLaurent) -> bool:
-    """True iff a is invariant under every permutation of the variables
-    (checked on adjacent transpositions, which generate)."""
-    for i in range(a.r - 1):
-        if a.swap_vars(i, i + 1) != a:
-            return False
-    return True
-
-
-def is_in_s0(a: SymLaurent) -> bool:
-    """True iff a is symmetric and invariant under inverting any *pair* of
-    variables.  The pair inversions and the symmetric group are generated by
-    adjacent transpositions together with inversion of the last two
-    variables, so only those are checked."""
-    if not is_symmetric(a):
-        return False
-    if a.r >= 2:
-        if a.invert_vars((a.r - 2, a.r - 1)) != a:
-            return False
-    return True
 
 
 def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:

@@ -159,17 +159,24 @@ def so_modulus_exponent(lam: Coweight, n: int) -> int:
     return sum(lam[i] * (2 * n - 2 * i - 1) for i in range(n))
 
 
+def _satake(beta, n: int) -> tuple[Fraction, ...]:
+    """The Satake parameter beta of rank n as Fractions; ValueError unless
+    it has n entries, all nonzero."""
+    beta = tuple(Fraction(b) for b in beta)
+    if len(beta) != n:
+        raise ValueError("Satake parameter length differs from n")
+    if any(b == 0 for b in beta):
+        raise ValueError("Satake parameters must be nonzero")
+    return beta
+
+
 def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> WhittakerData:
     """Whittaker data of the normalized spherical vector with Satake
     parameter beta (Casselman-Shalika: modulus square root times the
     symplectic character of the dual group), populated through trace
     <= cutoff: all that a series truncated at Y-degree cutoff reads, also
     after raising moves, which read at equal or lower trace."""
-    beta = tuple(Fraction(b) for b in beta)
-    if len(beta) != n:
-        raise ValueError("Satake parameter length differs from rank")
-    if any(b == 0 for b in beta):
-        raise ValueError("Satake parameters must be nonzero")
+    beta = _satake(beta, n)
     # the generating function's flat terms (lam..., v-exponent), one per
     # weight whose character does not vanish; weights come from the
     # partitions, so the cone needs no second check

@@ -193,6 +193,8 @@ BAD_INPUTS = {
     "xi-entry-without-value": ["xi", "--data", "{dir}/no-value.json", "--r", "2"],
     "xi-zero-denominator": ["xi", "--data", "{dir}/zero-denominator.json", "--r", "2"],
     "xi-top-level-list": ["xi", "--data", "{dir}/list.json", "--r", "2"],
+    "xi-beta-zero-denominator": ["xi", "--data", "{dir}/n2.json", "--r", "2", "--beta", "1/0,2"],
+    "xi-negative-level": ["xi", "--data", "{dir}/n2.json", "--r", "2", "--level", "-3"],
     "gap-out-of-range": ["compare-bases", "--m-minus-a", "7"],
     "window-below-two": ["verify", "unramified", "--window", "1"],
     "no-cases": ["verify", "unramified", "--n", "2", "--r", "3"],
