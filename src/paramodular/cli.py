@@ -429,7 +429,8 @@ def _oldform_cases(cfg: VerifyConfig) -> list[dict]:
 def _oldform_run(cfg: VerifyConfig, params: dict):
     g = params["m_minus_a"]
     rep = compare_bases(g)
-    cardinality = basis_cardinality(2, g, 0)
+    # the closed form, not an enumeration of the cone the family is built on
+    dimension = dim_formula(2, g, 0)
     echo = {
         **params,
         "b_size": len(rep["b_images"]),
@@ -441,8 +442,8 @@ def _oldform_run(cfg: VerifyConfig, params: dict):
         "spans_equal": rep["spans_equal"],
         "conditional": rep["conditional"],
     }
-    if len(rep["b_images"]) != cardinality:
-        return echo, {"expected": cardinality, "got": len(rep["b_images"])}
+    if len(rep["b_images"]) != dimension:
+        return echo, {"expected": dimension, "got": len(rep["b_images"])}
     if not rep["b_independent"]:
         return echo, {"reason": "orbit-paired family images are dependent"}
     if not rep["rs_independent"]:

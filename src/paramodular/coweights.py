@@ -8,17 +8,17 @@ Coweights are plain integer tuples.  Three dominance cones appear:
 * H-dominant:  lambda_1 >= ... >= lambda_{n-1} >= |lambda_n| (type D cone,
   used for the even orthogonal group of rank n).
 
-Cone enumeration generates the weakly decreasing tuples directly rather
-than filtering the whole box of integer tuples, and the partitions of
-bounded trace are generated directly by trace.  Alongside it this module
-carries the closed-form dimension count for paramodular fixed spaces at
-level m above the newform level a, and the cardinality of the
-raising-operator basis that should match it.
+One enumerator serves every cone and every bound: it generates the weakly
+decreasing tuples of bounded sup norm directly rather than filtering the
+whole box of integer tuples, and it prunes by trace, so the partitions of
+bounded trace come from it too.  Alongside it this module carries the
+closed-form dimension count for paramodular fixed spaces at level m above
+the newform level a, and the cardinality of the raising-operator basis that
+should match it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 
@@ -60,46 +60,36 @@ def is_dominant(lam: Coweight, cone: Cone) -> bool:
     raise ValueError(f"unknown cone {cone}")
 
 
-def enumerate_cone(cone: Cone, n: int, bound: int) -> list[Coweight]:
-    """All dominant coweights of length n with sup norm <= bound, in
-    lexicographic order.
+def enumerate_cone(
+    cone: Cone, n: int, bound: int, max_trace: int | None = None
+) -> list[Coweight]:
+    """All dominant coweights of length n with sup norm <= bound and, when
+    max_trace is given, trace <= max_trace, in lexicographic order.
 
-    Every cone lies inside the weakly decreasing tuples, and the G cone
-    inside the non-negative ones, so the candidates are generated directly
-    as non-increasing tuples with entries in [lo, bound] and then
-    filtered."""
+    Every cone lies inside the weakly decreasing tuples with entries in
+    [lo, bound], where lo is 0 on the G cone and -bound otherwise, so those
+    are generated directly, smallest first entry first.  A branch stops as
+    soon as its remaining entries, each at least lo, cannot keep the trace
+    within max_trace.  Only the H cone needs a filter afterwards."""
     if n < 1:
         raise ValueError("rank must be positive")
     if bound < 0:
         return []
     lo = 0 if cone is Cone.G else -bound
-    out = [
-        lam
-        for lam in itertools.combinations_with_replacement(range(bound, lo - 1, -1), n)
-        if is_dominant(lam, cone)
-    ]
-    out.sort()
-    return out
 
-
-def enumerate_partitions(n: int, max_trace: int) -> list[Coweight]:
-    """The G-dominant coweights of length n with trace <= max_trace (the
-    partitions into at most n parts, padded with zeros), in lexicographic
-    order: ``[lam for lam in enumerate_cone(Cone.G, n, max_trace) if
-    trace(lam) <= max_trace]``, generated directly."""
-    if n < 1:
-        raise ValueError("rank must be positive")
-
-    def parts(k: int, cap: int, budget: int):
-        # weakly decreasing k-tuples with entries <= cap and sum <= budget
+    def tails(k: int, cap: int, budget: int):
+        # weakly decreasing k-tuples with entries in [lo, cap] and sum <= budget
         if k == 0:
             yield ()
             return
-        for first in range(min(cap, budget) + 1):
-            for rest in parts(k - 1, first, budget - first):
+        for first in range(lo, min(cap, budget - (k - 1) * lo) + 1):
+            for rest in tails(k - 1, first, budget - first):
                 yield (first, *rest)
 
-    return list(parts(n, max_trace, max_trace))
+    out = tails(n, bound, n * bound if max_trace is None else max_trace)
+    if cone is Cone.H:
+        return [lam for lam in out if is_dominant(lam, cone)]
+    return list(out)
 
 
 def dim_formula(n: int, m: int, a: int) -> int:

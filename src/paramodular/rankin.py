@@ -289,7 +289,7 @@ def xi(
         raise ValueError("truncation order must be at least the window")
     psi = psi_series(d, n, r, trunc, mode)
     p_phi = p_phi_pi(beta, n, r, mode) if beta is not None else unit_series(mode)
-    b = p_wedge2(r, mode).invert(trunc, mode.one())
+    b = p_wedge2(r, mode).invert(trunc)
     series = p_phi * psi * b
     stabilized = all(
         series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1)

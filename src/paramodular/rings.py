@@ -29,8 +29,9 @@ all built on ints and ``fractions.Fraction``:
     Coefficients live in any ring with ``+``, ``*``, ``==`` and a truth
     value that is false exactly at zero (SymLaurent in symbolic mode,
     Fraction in evaluation mode).  Degrees start at 0.  The truncation
-    order of a sum or product is the smaller of the two operands' orders;
-    ``trunc=None`` marks an exactly-known polynomial.
+    order of a product is the smaller of the two operands' orders, and an
+    inverse is known through the order asked for; ``trunc=None`` marks an
+    exactly-known polynomial.
 
 All values are normalized (no stored zero coefficients) and treated as
 immutable, so an operation on a zero may return that zero.  Term order for
@@ -267,8 +268,15 @@ class VLaurent(_Laurent):
         }
 
     @staticmethod
-    def from_json(data: Mapping[str, str]) -> "VLaurent":
-        return VLaurent({int(e): Fraction(s) for e, s in data.items()})
+    def from_json(data: Mapping[str, str | int]) -> "VLaurent":
+        """The inverse of ``to_json``; a coefficient may also be an int, but
+        never a float or a boolean, which would not be exact input."""
+        coeffs = {}
+        for e, s in data.items():
+            if type(s) not in (str, int):
+                raise TypeError(f"expected a coefficient string or int, got {s!r}")
+            coeffs[int(e)] = Fraction(s)
+        return VLaurent(coeffs)
 
     def __str__(self) -> str:
         if not self.num:
@@ -399,15 +407,9 @@ class SymLaurent(_Laurent):
                 num[k2] = x
         return SymLaurent._normal(r, num, self.den)
 
-    def invert_vars(self, indices: Iterable[int]) -> "SymLaurent":
-        """Substitute X_i -> X_i^-1 for each listed variable index."""
-        idx = set(indices) & set(range(self.r))
-        return self._remapped(
-            self.r, lambda k: tuple(-a if i in idx else a for i, a in enumerate(k))
-        )
-
     def invert_all_vars(self) -> "SymLaurent":
-        return self.invert_vars(range(self.r))
+        """Substitute X_i -> X_i^-1 for every variable; v is left alone."""
+        return self._remapped(self.r, lambda k: (*(-a for a in k[:-1]), k[-1]))
 
     def restrict(self, keep) -> "SymLaurent":
         """The terms whose X-exponent tuple satisfies ``keep``."""
@@ -541,7 +543,7 @@ class TruncSeries:
     """Truncated power series in Y with coefficients in a caller-chosen ring.
 
     Degrees start at 0.  ``trunc`` is the last trusted degree (``None`` =
-    exact polynomial); a sum or product is trusted up to the smaller of its
+    exact polynomial); a product is trusted up to the smaller of its
     operands' horizons.  ``zero`` is the coefficient ring's zero, needed
     because coefficients are only duck-typed.
     """
@@ -577,22 +579,6 @@ class TruncSeries:
             return self.trunc
         return min(self.trunc, other.trunc)
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        t = self._horizon(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        out = {
-            k: self.coeffs.get(k, self.zero) + other.coeffs.get(k, other.zero)
-            for k in keys
-            if t is None or k <= t
-        }
-        return TruncSeries(out, t, self.zero)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries({k: -x for k, x in self.coeffs.items()}, self.trunc, self.zero)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         t = self._horizon(other)
         out: dict[int, Any] = {}
@@ -605,10 +591,11 @@ class TruncSeries:
                 out[k] = out[k] + p if k in out else p
         return TruncSeries(out, t, self.zero)
 
-    def invert(self, trunc: int, one: Any) -> "TruncSeries":
+    def invert(self, trunc: int) -> "TruncSeries":
         """Inverse series through the requested order; the constant
-        coefficient must be exactly 1."""
-        if not (self.get(0) == 1):
+        coefficient must be exactly 1, and is the inverse's too."""
+        one = self.get(0)
+        if not (one == 1):
             raise ValueError("series inversion needs constant coefficient 1")
         if self.trunc is not None and self.trunc < trunc:
             raise ValueError("operand not known through the requested order")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .characters import schur, sp_character_value
-from .coweights import Cone, Coweight, enumerate_partitions, is_dominant, trace
+from .coweights import Cone, Coweight, enumerate_cone, is_dominant, trace
 from .rings import SymLaurent, VLaurent, _over_lcm
 
 
@@ -48,6 +48,14 @@ def gl_whittaker(lam: Coweight, r: int) -> SymLaurent:
     if not is_dominant(lam, Cone.GL):
         return SymLaurent.zero(r)
     return SymLaurent.constant(r, VLaurent.v_power(-gl_modulus_exponent(lam, r))) * schur(lam, r)
+
+
+def _json_int(x: Any) -> int:
+    """x if it is a JSON integer; TypeError for a float, a boolean (which
+    Python counts as an int) or anything else."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 class WhittakerData:
@@ -140,11 +148,12 @@ class WhittakerData:
             if not isinstance(data, Mapping):
                 raise TypeError(f"expected a JSON object, got {type(data).__name__}")
             field = "n"
-            n = int(data["n"])
+            n = _json_int(data["n"])
             field = "entries"
             for i, entry in enumerate(data["entries"]):
                 field = f"entries[{i}]"
-                values[tuple(entry["lambda"])] = VLaurent.from_json(entry["value"])
+                lam = tuple(map(_json_int, entry["lambda"]))
+                values[lam] = VLaurent.from_json(entry["value"])
         except (LookupError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise ValueError(f"bad Whittaker data at {field}: {exc!r}") from None
         return WhittakerData(n, values)
@@ -179,9 +188,9 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     beta = _satake(beta, n)
     # the generating function's flat terms (lam..., v-exponent), one per
     # weight whose character does not vanish; weights come from the
-    # partitions, so the cone needs no second check
+    # enumerated cone, so they need no second check
     terms = {}
-    for lam in enumerate_partitions(n, cutoff):
+    for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
         x = sp_character_value(lam, beta)
         if x:
             terms[(*lam, -so_modulus_exponent(lam, n))] = (x.numerator, x.denominator)

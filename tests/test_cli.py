@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import paramodular
-from paramodular import cli
+from paramodular import cli, coweights, oldforms
 from paramodular.characters import orbit_sum, schur, sp_character
 from paramodular.cli import (
     CaseRecord,
@@ -219,6 +219,11 @@ BAD_INPUTS = {
     "dims-trunc": ["verify", "dims", "--trunc", "5", "--n", "1", "--max-gap", "0"],
     "kernel-trunc": ["verify", "kernel", "--trunc", "5", "--n", "2", "--trials", "1"],
     "dependence-window": ["verify", "dependence", "--window", "3"],
+    # the JSON numbers must be integers (or, for coefficients, strings);
+    # each was once read as something else
+    "xi-fractional-weight": ["xi", "--data", "{dir}/fractional-weight.json", "--r", "1"],
+    "xi-boolean-rank": ["xi", "--data", "{dir}/boolean-rank.json", "--r", "1"],
+    "xi-float-coefficient": ["xi", "--data", "{dir}/float-coefficient.json", "--r", "1"],
     # prop4 without a specialize case would pass on its zeta and xi checks
     "prop4-n-one": ["verify", "prop4", "--n", "1", "--trials", "1"],
     "prop4-r-one": ["verify", "prop4", "--r", "1", "--trials", "1"],
@@ -237,6 +242,9 @@ def test_bad_input_exits_with_one_line(tmp_path, argv):
         "no-value": {"n": 2, "entries": [{"lambda": [1, 0]}]},
         "zero-denominator": {"n": 2, "entries": [{**entry, "value": {"0": "1/0"}}]},
         "list": [{"n": 2, "entries": [entry]}],
+        "fractional-weight": {"n": 2, "entries": [{**entry, "lambda": [1.5, 0]}]},
+        "boolean-rank": {"n": True, "entries": [{**entry, "lambda": [True]}]},
+        "float-coefficient": {"n": 2, "entries": [{**entry, "value": {"0": 0.1}}]},
     }
     for name, payload in payloads.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
@@ -341,6 +349,24 @@ def test_palindromic_failure_shows_expected_and_got(monkeypatch):
     (poly,) = unperturbed
     assert not record.verdict
     assert record.witness == {"expected": str(poly), "got": str(poly + x1)}
+
+
+def test_oldform_bases_catches_a_dropped_weight(monkeypatch):
+    # The family and basis_cardinality enumerate the same cone, so the size
+    # check must not rest on that enumeration: with the last weight dropped
+    # from both, gap 4 has 8 images against a dimension of 9.  Gap 4 is
+    # conditional, so no span check catches it.
+    enumerate_cone = coweights.enumerate_cone
+
+    def short(*args, **kwargs):
+        return enumerate_cone(*args, **kwargs)[:-1]
+
+    monkeypatch.setattr(oldforms, "enumerate_cone", short)
+    monkeypatch.setattr(coweights, "enumerate_cone", short)
+    record = cli._run_case(VerifyConfig(suite="oldform-bases"), {"m_minus_a": 4})
+    assert record.parameters["conditional"]
+    assert not record.verdict
+    assert record.witness == {"expected": 9, "got": 8}
 
 
 def test_conditional_pass_on_differing_spans_is_noted_in_text():

@@ -11,7 +11,6 @@ from paramodular.coweights import (
     basis_cardinality,
     dim_formula,
     enumerate_cone,
-    enumerate_partitions,
     is_dominant,
     sup_norm,
     tilde,
@@ -58,25 +57,27 @@ def test_enumerate_cone_is_sorted_and_dominant():
         assert items == sorted(items)
         assert all(is_dominant(lam, cone) for lam in items)
         assert all(sup_norm(lam) <= 2 for lam in items)
-    # oracle: filter the whole box of integer tuples
+    with pytest.raises(ValueError):
+        enumerate_cone(Cone.G, 0, 3)
+
+
+def test_enumerate_cone_matches_the_box_oracle():
+    # oracle: filter the whole box of integer tuples by cone and trace
     for cone in Cone:
         for n in range(1, 5):
             for bound in range(-1, 6):
                 box = itertools.product(range(-bound, bound + 1), repeat=n)
-                want = sorted(lam for lam in box if is_dominant(lam, cone))
-                assert enumerate_cone(cone, n, bound) == want, (cone, n, bound)
-
-
-def test_enumerate_partitions_is_the_cone_cut_by_trace():
-    # oracle: the G cone of sup norm <= bound, filtered by trace, keeps its
-    # lexicographic order
-    for n in range(1, 5):
-        for bound in range(-1, 9):
-            want = [lam for lam in enumerate_cone(Cone.G, n, bound) if trace(lam) <= bound]
-            assert enumerate_partitions(n, bound) == want, (n, bound)
-    assert enumerate_partitions(2, 2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
-    with pytest.raises(ValueError):
-        enumerate_partitions(0, 3)
+                cone_part = sorted(lam for lam in box if is_dominant(lam, cone))
+                assert enumerate_cone(cone, n, bound) == cone_part, (cone, n, bound)
+                for max_trace in [None, *range(-2, n * bound + 1)]:
+                    got = enumerate_cone(cone, n, bound, max_trace=max_trace)
+                    if max_trace is None:
+                        want = cone_part
+                    else:
+                        want = [lam for lam in cone_part if trace(lam) <= max_trace]
+                    assert got == want, (cone, n, bound, max_trace)
+    # the partitions of 2 into at most two parts, from the G cone cut by trace
+    assert enumerate_cone(Cone.G, 2, 2, max_trace=2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
 
 
 def test_dim_formula_frozen_values():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,24 @@ def test_whittaker_data_arithmetic_and_json():
     with pytest.raises(ValueError):
         d - d3
     assert d != d3
+
+
+@pytest.mark.parametrize(
+    "field, data",
+    [
+        ("n", {"n": 2.0, "entries": []}),
+        ("n", {"n": True, "entries": []}),
+        ("n", {"n": "2", "entries": []}),
+        ("entries[0]", {"n": 2, "entries": [{"lambda": [1.5, 0], "value": {"0": "1"}}]}),
+        ("entries[0]", {"n": 1, "entries": [{"lambda": [True], "value": {"0": "1"}}]}),
+        ("entries[0]", {"n": 1, "entries": [{"lambda": ["1"], "value": {"0": "1"}}]}),
+        ("entries[0]", {"n": 1, "entries": [{"lambda": [1], "value": {"0": 0.1}}]}),
+    ],
+    ids=["n-float", "n-bool", "n-str", "lambda-float", "lambda-bool", "lambda-str", "coeff-float"],
+)
+def test_whittaker_data_json_takes_only_exact_integers(field, data):
+    with pytest.raises(ValueError, match=rf"bad Whittaker data at {re.escape(field)}:"):
+        WhittakerData.from_json(data)
 
 
 def test_so_modulus_exponent():
