@@ -29,7 +29,11 @@ mode never go through a polynomial and build no Fraction before the last
 step: with the point x = y / B, y integer and B the lcm of its
 denominators, the integers h_m(y) = B^m h_m(x) are tabulated once per mode
 and each s_lam(point) is the integer Jacobi-Trudi determinant of those
-numbers over B^|core|, times the twist of a negative lam_r.
+numbers over B^|core|, times the twist of a negative lam_r.  The
+numerator factor P_phi is r copies of one polynomial E_beta, whose
+coefficients are integers over one denominator den; evaluation mode builds
+it the same way, as one integer convolution whose degree-k coefficient
+lies over den^r M^k, where x_j / v = c_j / M with c_j and M integers.
 
 The torus sum reads each weight of the data once: the degree-l
 coefficient walks only the weights of trace l, through the data's trace
@@ -39,7 +43,9 @@ index, and folds each v-power in as a shift of the v-exponents.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Any
 
@@ -69,6 +75,20 @@ class SymbolicMode:
 
     def schur(self, lam: Coweight) -> SymLaurent:
         return schur(lam, self.r)
+
+    def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
+        """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k: the product
+        of r series whose coefficients are the monomials
+        (e_k / den) v^-k X_j^k."""
+        r = self.r
+        factors = []
+        for j in range(r):
+            coeffs = {}
+            for k, x in enumerate(e):
+                exps = (0,) * j + (k,) + (0,) * (r - 1 - j)
+                coeffs[k] = SymLaurent.monomial(r, exps, VLaurent({-k: Fraction(x, den)}))
+            factors.append(TruncSeries(coeffs, None, self.zero()))
+        return functools.reduce(operator.mul, factors) if factors else unit_series(self)
 
 
 class EvaluationMode:
@@ -128,6 +148,28 @@ class EvaluationMode:
             val = val * math.prod(self.point) ** shift
         return val
 
+    def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
+        """prod_j E(x_j Y / v) at the point for E(t) = sum_k (e_k / den) t^k.
+        With x_j / v = c_j / M, c_j = y_j v_den and M = B v_num, the
+        degree-k coefficient is entry k of the integer convolution of the r
+        lists [e_0 c_j^0, e_1 c_j^1, ...], over den^r M^k."""
+        total = [1]
+        for y in self._y:
+            c = y * self.v_value.denominator
+            row = [x * c**k for k, x in enumerate(e)]
+            conv = [0] * (len(total) + len(row) - 1)
+            for a, x in enumerate(total):
+                for b, z in enumerate(row):
+                    conv[a + b] += x * z
+            total = conv
+        m = self._den * self.v_value.numerator
+        coeffs, scale = {}, den**self.r
+        for k, x in enumerate(total):
+            if x:
+                coeffs[k] = Fraction(x, scale)
+            scale *= m
+        return TruncSeries(coeffs, None, self.zero())
+
 
 Mode = SymbolicMode | EvaluationMode
 
@@ -171,21 +213,34 @@ def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> Trun
     return TruncSeries(coeffs, trunc, mode.zero())
 
 
+def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """E_beta(t) = det(1 - t s_pi) = prod_i (1 - beta_i t)(1 - beta_i^-1 t)
+    as its 2n+1 integer coefficient numerators over one denominator.  With
+    beta_i = p/q each pair of factors is (q - p t)(p - q t) / (p q), that is
+    (pq - (p^2 + q^2) t + pq t^2) / (pq).  The list is palindromic and its
+    constant term equals the denominator."""
+    e, den = [1], 1
+    for b in beta:
+        p, q = b.numerator, b.denominator
+        pq, mid = p * q, -(p * p + q * q)
+        out = [0] * (len(e) + 2)
+        for k, x in enumerate(e):
+            out[k] += x * pq
+            out[k + 1] += x * mid
+            out[k + 2] += x * pq
+        e, den = out, den * pq
+    return e, den
+
+
 def p_phi_pi(beta, n: int, r: int, mode: Mode) -> TruncSeries:
     """Numerator local factor: prod over j <= r, i <= n, both signs, of
-    (1 - beta_i^{+-1} v^{-1} X_j Y).  Exact polynomial of Y-degree 2nr with
-    constant coefficient 1."""
+    (1 - beta_i^{+-1} v^{-1} X_j Y), that is P_phi = prod_j E_beta(v^{-1}
+    X_j Y) with E_beta from ``e_beta``.  Exact polynomial of Y-degree 2nr
+    with constant coefficient 1."""
     beta = _satake(beta, n)
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
-    out = unit_series(mode)
-    for j in range(r):
-        xj = mode.lift(SymLaurent.variable(r, j))
-        for b in beta:
-            for root in (b, 1 / b):
-                lin = mode.from_vlaurent(VLaurent({-1: -root})) * xj
-                out = out * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
-    return out
+    return mode.numerator_factor(*e_beta(beta))
 
 
 def p_wedge2(r: int, mode: Mode) -> TruncSeries:

@@ -43,12 +43,15 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 Scalar = int | Fraction
 Key = tuple[int, ...]
+# the exponent keys VLaurent.to_json writes: str(e) for an int e
+_EXPONENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _over_lcm(terms: Mapping[Key, tuple[int, int]]) -> tuple[dict[Key, int], int]:
@@ -270,9 +273,13 @@ class VLaurent(_Laurent):
     @staticmethod
     def from_json(data: Mapping[str, str | int]) -> "VLaurent":
         """The inverse of ``to_json``; a coefficient may also be an int, but
-        never a float or a boolean, which would not be exact input."""
+        never a float or a boolean, which would not be exact input.  An
+        exponent key must be canonical decimal, as ``to_json`` writes it, so
+        that no two keys name one exponent."""
         coeffs = {}
         for e, s in data.items():
+            if not (isinstance(e, str) and _EXPONENT_KEY.fullmatch(e)):
+                raise ValueError(f"expected a canonical decimal exponent key, got {e!r}")
             if type(s) not in (str, int):
                 raise TypeError(f"expected a coefficient string or int, got {s!r}")
             coeffs[int(e)] = Fraction(s)
@@ -349,12 +356,6 @@ class SymLaurent(_Laurent):
     @staticmethod
     def monomial(r: int, exps: Iterable[int], coeff: Any = 1) -> "SymLaurent":
         return SymLaurent(r, {tuple(exps): coeff})
-
-    @staticmethod
-    def variable(r: int, i: int) -> "SymLaurent":
-        e = [0] * r
-        e[i] = 1
-        return SymLaurent(r, {tuple(e): 1})
 
     # -- the nested view ----------------------------------------------------
 

@@ -153,6 +153,8 @@ class WhittakerData:
             for i, entry in enumerate(data["entries"]):
                 field = f"entries[{i}]"
                 lam = tuple(map(_json_int, entry["lambda"]))
+                if lam in values:
+                    raise ValueError(f"repeated lambda {list(lam)}")
                 values[lam] = VLaurent.from_json(entry["value"])
         except (LookupError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise ValueError(f"bad Whittaker data at {field}: {exc!r}") from None

@@ -224,6 +224,12 @@ BAD_INPUTS = {
     "xi-fractional-weight": ["xi", "--data", "{dir}/fractional-weight.json", "--r", "1"],
     "xi-boolean-rank": ["xi", "--data", "{dir}/boolean-rank.json", "--r", "1"],
     "xi-float-coefficient": ["xi", "--data", "{dir}/float-coefficient.json", "--r", "1"],
+    # an exponent key int() reads as another exponent, a padded key that
+    # collides with a canonical one, and a repeated weight: each value was
+    # once kept or dropped silently
+    "xi-exponent-separator": ["xi", "--data", "{dir}/exponent-separator.json", "--r", "2"],
+    "xi-exponent-leading-zero": ["xi", "--data", "{dir}/exponent-leading-zero.json", "--r", "2"],
+    "xi-repeated-lambda": ["xi", "--data", "{dir}/repeated-lambda.json", "--r", "2"],
     # prop4 without a specialize case would pass on its zeta and xi checks
     "prop4-n-one": ["verify", "prop4", "--n", "1", "--trials", "1"],
     "prop4-r-one": ["verify", "prop4", "--r", "1", "--trials", "1"],
@@ -245,6 +251,9 @@ def test_bad_input_exits_with_one_line(tmp_path, argv):
         "fractional-weight": {"n": 2, "entries": [{**entry, "lambda": [1.5, 0]}]},
         "boolean-rank": {"n": True, "entries": [{**entry, "lambda": [True]}]},
         "float-coefficient": {"n": 2, "entries": [{**entry, "value": {"0": 0.1}}]},
+        "exponent-separator": {"n": 2, "entries": [{**entry, "value": {"1_0": "1", " 2 ": 3}}]},
+        "exponent-leading-zero": {"n": 2, "entries": [{**entry, "value": {"1": "1", "01": "2"}}]},
+        "repeated-lambda": {"n": 2, "entries": [entry, {**entry, "value": {"0": "2"}}]},
     }
     for name, payload in payloads.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
@@ -336,7 +345,7 @@ def test_level_a1_constants_need_stabilized_series():
 
 def test_palindromic_failure_shows_expected_and_got(monkeypatch):
     # b0 stays the constant term, so the expected image is the unperturbed one
-    x1 = SymLaurent.variable(2, 0)
+    x1 = SymLaurent.monomial(2, (1, 0))
     xi, unperturbed = cli.xi, []
 
     def perturbed(*args, **kwargs):

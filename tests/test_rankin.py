@@ -16,6 +16,7 @@ from paramodular.rankin import (
     SymbolicMode,
     XiResult,
     default_trunc,
+    e_beta,
     fe_check,
     kernel_check,
     p_phi_pi,
@@ -57,7 +58,7 @@ def delta(lam, n=2):
 def test_symbolic_mode_helpers():
     sym = SymbolicMode(2)
     assert sym.one() == SymLaurent.one(2)
-    assert sym.lift(SymLaurent.variable(2, 0)) == SymLaurent.variable(2, 0)
+    assert sym.lift(SymLaurent.monomial(2, (1, 0))) == SymLaurent.monomial(2, (1, 0))
     assert sym.schur((1, 1)) == SymLaurent.monomial(2, (1, 1))
     assert sym.from_vlaurent(Q) == SymLaurent.constant(2, Q)
 
@@ -212,6 +213,72 @@ def test_p_phi_pi_degree_and_validation():
         p_phi_pi(BETA2, 2, 2, SymbolicMode(1))
 
 
+def _p_phi_oracle(beta, r: int, mode) -> TruncSeries:
+    """P_phi as the product of its 2nr linear factors
+    (1 - beta_i^{+-1} v^{-1} X_j Y), one series product each."""
+    out = unit_series(mode)
+    for j in range(r):
+        xj = mode.lift(SymLaurent.monomial(r, [int(i == j) for i in range(r)]))
+        for b in beta:
+            for root in (b, 1 / b):
+                lin = mode.from_vlaurent(VLaurent({-1: -root})) * xj
+                out = out * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
+    return out
+
+
+F = Fraction
+P_PHI_BETAS = {
+    1: [(F(2),), (F(-3, 5),), (F(1),), (F(-1),)],
+    2: [(F(2), F(3, 2)), (F(1), F(-1)), (F(-2, 7), F(5, 3)), (F(-4), F(-1, 9))],
+    3: [(F(2), F(-1, 3), F(5, 4)), (F(1), F(-1), F(7)), (F(-3, 2), F(2, 5), F(-1))],
+}
+P_PHI_POINTS = [
+    ((F(2), F(-3), F(1, 5)), F(1, 2)),
+    ((F(0), F(3, 4), F(-2)), F(-3)),
+    ((F(-5, 3), F(0), F(0)), F(-2, 5)),
+    ((F(1), F(7, 2), F(0)), F(5, 3)),
+]
+
+
+def test_e_beta_is_palindromic_with_constant_term_one():
+    for n, betas in P_PHI_BETAS.items():
+        for beta in betas:
+            e, den = e_beta(beta)
+            assert len(e) == 2 * n + 1
+            assert e == e[::-1]
+            assert e[0] == den
+    # beta = (1, -1): E(t) = (1 - t)^2 (1 + t)^2 = 1 - 2t^2 + t^4
+    e, den = e_beta((F(1), F(-1)))
+    assert [F(x, den) for x in e] == [1, 0, -2, 0, 1]
+
+
+def test_p_phi_pi_matches_the_linear_factor_product():
+    for n, betas in P_PHI_BETAS.items():
+        for beta in betas:
+            for r in range(1, n + 1):
+                modes = [SymbolicMode(r)] + [
+                    EvaluationMode(r, pt[:r], v) for pt, v in P_PHI_POINTS
+                ]
+                for mode in modes:
+                    got = p_phi_pi(beta, n, r, mode)
+                    assert got.trunc is None
+                    assert got.coeffs == _p_phi_oracle(beta, r, mode).coeffs, (beta, r, mode)
+                    assert got.get(0) == 1
+                assert max(p_phi_pi(beta, n, r, modes[0]).coeffs) == 2 * n * r
+
+
+def test_p_phi_pi_at_rank_four():
+    beta = (F(2), F(-3, 5), F(1), F(7, 4))
+    modes = [
+        SymbolicMode(4),
+        EvaluationMode(4, (F(3, 2), F(-1), F(0), F(5, 7)), F(-4, 3)),
+    ]
+    for mode in modes:
+        got = p_phi_pi(beta, 4, 4, mode)
+        assert got.coeffs == _p_phi_oracle(beta, 4, mode).coeffs
+    assert max(p_phi_pi(beta, 4, 4, modes[0]).coeffs) == 32
+
+
 def test_p_wedge2_small_ranks():
     assert p_wedge2(1, SymbolicMode(1)).coeffs == {0: SymLaurent.one(1)}
     p2 = p_wedge2(2, SymbolicMode(2))
@@ -287,7 +354,7 @@ def mk_result(poly, r, n=2, m=0):
 
 
 def test_fe_check_manual_cases():
-    x = SymLaurent.variable(1, 0)
+    x = SymLaurent.monomial(1, (1,))
     assert not fe_check(mk_result(x, 1), mk_result(x, 1), EpsilonData(0, 1))
     # conductor 0 at level 2 supplies the compensating X^{-2}
     assert fe_check(mk_result(x, 1, m=2), mk_result(x, 1, m=2), EpsilonData(0, 1))

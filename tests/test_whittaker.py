@@ -112,8 +112,31 @@ def test_whittaker_data_arithmetic_and_json():
         ("entries[0]", {"n": 1, "entries": [{"lambda": [True], "value": {"0": "1"}}]}),
         ("entries[0]", {"n": 1, "entries": [{"lambda": ["1"], "value": {"0": "1"}}]}),
         ("entries[0]", {"n": 1, "entries": [{"lambda": [1], "value": {"0": 0.1}}]}),
+        ("entries[0]", {"n": 1, "entries": [{"lambda": [1], "value": {"1_0": "1"}}]}),
+        ("entries[0]", {"n": 1, "entries": [{"lambda": [1], "value": {"1": "1", "01": "2"}}]}),
+        (
+            "entries[1]",
+            {
+                "n": 1,
+                "entries": [
+                    {"lambda": [1], "value": {"0": "1"}},
+                    {"lambda": [1], "value": {"0": "2"}},
+                ],
+            },
+        ),
     ],
-    ids=["n-float", "n-bool", "n-str", "lambda-float", "lambda-bool", "lambda-str", "coeff-float"],
+    ids=[
+        "n-float",
+        "n-bool",
+        "n-str",
+        "lambda-float",
+        "lambda-bool",
+        "lambda-str",
+        "coeff-float",
+        "exponent-separator",
+        "exponent-leading-zero",
+        "lambda-repeated",
+    ],
 )
 def test_whittaker_data_json_takes_only_exact_integers(field, data):
     with pytest.raises(ValueError, match=rf"bad Whittaker data at {re.escape(field)}:"):
