@@ -1,11 +1,11 @@
 """Weyl characters with exact coefficients.
 
-* Schur polynomials for GL_r via Jacobi-Trudi, extended to weakly
-  decreasing integer vectors with negative entries by a determinant twist,
-  plus an independent semistandard-tableau oracle;
+* Schur polynomials for GL_r as bialternants a_{lam+delta} / a_delta, for
+  weakly decreasing integer vectors (negative entries included), plus an
+  independent semistandard-tableau oracle;
 * symplectic characters for Sp_{2n} by the Weyl alternant ratio, with the
-  exact polynomial division acting as a built-in self-check, plus the Weyl
-  dimension formula as a second oracle;
+  exact division acting as a built-in self-check, plus the Weyl dimension
+  formula as a second oracle;
 * numeric symplectic characters at a rational point, as a ratio of two
   integer alternants over a shared denominator (no polynomial is built),
   with the alternant rows and the Weyl denominator tabulated once per
@@ -19,12 +19,17 @@ Satake images, in :func:`paramodular.oldforms.so4_satake_table`.  The
 specialization X_r -> 0 that drops the last GL variable is
 :meth:`paramodular.rings.SymLaurent.substitute_last_zero`.
 
-Every determinant here (Jacobi-Trudi and both alternants, symbolic or
-numeric) goes through one Leibniz expansion, ``_det``, and every
-Jacobi-Trudi matrix through one index rule, ``_jacobi_trudi``.  A numeric
-determinant is always one of ints, over a denominator shared by the whole
-point, and both symplectic characters check their weight with one rule,
-``_sp_weight``.
+A symbolic character is an alternant over a factored Weyl denominator: the
+numerator alternant is written out as its signed monomials, one per
+permutation and choice of signs, and divided by the denominator's two-term
+factors X^a - X^b one at a time (``_alternant``, ``_weyl_ratio``); no
+determinant and no polynomial product is formed.  The Leibniz expansion
+``_det`` is numeric only: the integer alternants of
+:func:`sp_character_value` and the integer Jacobi-Trudi determinants of
+:class:`paramodular.rankin.EvaluationMode`, whose matrices come from one
+index rule, ``_jacobi_trudi``.  A numeric determinant is always one of
+ints, over a denominator shared by the whole point.  Each character checks
+its weight with one rule per group, ``_gl_weight`` or ``_sp_weight``.
 """
 
 from __future__ import annotations
@@ -35,21 +40,7 @@ import math
 from fractions import Fraction
 
 from .coweights import Cone, Coweight, is_dominant
-from .rings import SymLaurent, VLaurent, poly_div_exact
-
-
-@functools.cache
-def complete_homogeneous(r: int, m: int) -> SymLaurent:
-    """h_m(X_1..X_r): sum of all degree-m monomials."""
-    if m < 0:
-        return SymLaurent.zero(r)
-    coeffs = {}
-    for split in itertools.combinations_with_replacement(range(r), m):
-        e = [0] * r
-        for i in split:
-            e[i] += 1
-        coeffs[tuple(e)] = 1
-    return SymLaurent(r, coeffs)
+from .rings import SymLaurent, _div_binomial
 
 
 @functools.cache
@@ -62,21 +53,94 @@ def _leibniz(k: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
     )
 
 
-def _det(entries: list[list], zero, one):
-    """Leibniz determinant of a square matrix over any commutative ring
-    (SymLaurent, Fraction or int), given the ring's zero and one.  Terms
-    with a zero factor are skipped: Jacobi-Trudi matrices are mostly
-    zeros below the diagonal band."""
-    total = zero
+def _det(entries: list[list[int]]) -> int:
+    """Leibniz determinant of a square integer matrix.  Terms with a zero
+    factor are skipped: Jacobi-Trudi matrices are mostly zeros below the
+    diagonal band."""
+    total = 0
     for odd, perm in _leibniz(len(entries)):
         factors = [row[j] for row, j in zip(entries, perm)]
         if not all(factors):
             continue
-        prod = one
-        for x in factors:
-            prod = prod * x
+        prod = math.prod(factors)
         total = total - prod if odd else total + prod
     return total
+
+
+def _alternant(mu: list[int], signs: tuple[int, ...]) -> SymLaurent:
+    """det(sum_{s in signs} s X_j^(s mu_i)) written out as its signed
+    monomials, one for each permutation and choice of signs: signs (1,)
+    gives the type A alternant a_mu, signs (1, -1) the type C one.  For
+    strictly decreasing mu (positive, in type C) no two monomials
+    coincide."""
+    r = len(mu)
+    terms = {}
+    for odd, perm in _leibniz(r):
+        for eps in itertools.product(signs, repeat=r):
+            e = [0] * r
+            for m, j, s in zip(mu, perm, eps):
+                e[j] = s * m
+            terms[tuple(e)] = -math.prod(eps) if odd else math.prod(eps)
+    return SymLaurent(r, terms)
+
+
+def _unit(r: int, *signed: tuple[int, int]) -> tuple[int, ...]:
+    """The exponent tuple sum of s e_i over the (i, s) pairs given."""
+    e = [0] * r
+    for i, s in signed:
+        e[i] += s
+    return tuple(e)
+
+
+@functools.cache
+def _gl_weyl_factors(r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """a_delta = det(X_j^(r-i)) = prod_{i<j} (X_i - X_j), as the (a, b)
+    of its factors X^a - X^b."""
+    return tuple(
+        (_unit(r, (i, 1)), _unit(r, (j, 1))) for i in range(r) for j in range(i + 1, r)
+    )
+
+
+@functools.cache
+def _sp_weyl_factors(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The type C Weyl denominator det(x_j^(n-i+1) - x_j^-(n-i+1)) =
+    prod_i (x_i - x_i^-1) prod_{i<j} (x_i - x_j)(1 - x_i^-1 x_j^-1), as the
+    (a, b) of its factors X^a - X^b.  The alternant is prod_i (x_i - x_i^-1)
+    times the Vandermonde determinant in y = x + x^-1, and
+    y_i - y_j = (x_i - x_j)(1 - x_i^-1 x_j^-1)."""
+    return tuple((_unit(n, (i, 1)), _unit(n, (i, -1))) for i in range(n)) + tuple(
+        pair
+        for i in range(n)
+        for j in range(i + 1, n)
+        for pair in [
+            (_unit(n, (i, 1)), _unit(n, (j, 1))),
+            (_unit(n), _unit(n, (i, -1), (j, -1))),
+        ]
+    )
+
+
+def _weyl_ratio(num: SymLaurent, factors, lam: Coweight) -> SymLaurent:
+    """num divided by the product of the factors X^a - X^b, one at a time.
+    num is a multiple of the product iff every step is exact; a remainder
+    means a bug upstream."""
+    try:
+        for a, b in factors:
+            num = _div_binomial(num, a, b)
+    except ValueError as exc:  # pragma: no cover - internal consistency check
+        raise ArithmeticError(f"Weyl alternant division failed for {lam}") from exc
+    return num
+
+
+def _gl_weight(lam: Coweight, r: int) -> Coweight:
+    """The GL_r weight lam as a tuple, or ValueError: shared by
+    :func:`schur` and :func:`_jacobi_trudi`, so that symbolic and numeric
+    Schur values reject the same weights."""
+    lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("weight length differs from variable count")
+    if not is_dominant(lam, Cone.GL):
+        raise ValueError("weight is not weakly decreasing")
+    return lam
 
 
 def _jacobi_trudi(lam: Coweight, r: int) -> tuple[int, list[list[int]]]:
@@ -84,32 +148,25 @@ def _jacobi_trudi(lam: Coweight, r: int) -> tuple[int, list[list[int]]]:
     det(h_{index[i][j]}), where shift is lam_r when negative (else 0) and
     index[i][j] = core_i - i + j for the partition core = lam - shift.
 
-    Shared by :func:`schur` and the numeric Schur values of
+    Used by the numeric Schur values of
     :class:`paramodular.rankin.EvaluationMode`.  Like ``_det`` it is
     private, so its time counts toward the caller's span when the package
     is traced (``bench/tracer.py`` wraps public functions only)."""
-    lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("weight length differs from variable count")
-    if not is_dominant(lam, Cone.GL):
-        raise ValueError("weight is not weakly decreasing")
+    lam = _gl_weight(lam, r)
     shift = min(lam[-1], 0)
     return shift, [[lam[i] - shift - i + j for j in range(r)] for i in range(r)]
 
 
 @functools.cache
 def schur(lam: Coweight, r: int) -> SymLaurent:
-    """Schur polynomial s_lam(X_1..X_r) by Jacobi-Trudi.
+    """Schur polynomial s_lam(X_1..X_r) as the bialternant
+    a_{lam+delta} / a_delta, delta = (r-1, ..., 1, 0).
 
-    lam must be weakly decreasing of length r; a negative last entry is
-    handled through s_lam = (X_1...X_r)^{lam_r} * s_{lam - lam_r}.
-    """
-    shift, index = _jacobi_trudi(lam, r)
-    matrix = [[complete_homogeneous(r, m) for m in row] for row in index]
-    s = _det(matrix, SymLaurent.zero(r), SymLaurent.one(r))
-    if shift:
-        s = s * SymLaurent.monomial(r, (shift,) * r)
-    return s
+    lam must be weakly decreasing of length r.  Negative entries need no
+    special case: the ratio holds for Laurent exponents."""
+    lam = _gl_weight(lam, r)
+    num = _alternant([lam[i] + r - 1 - i for i in range(r)], (1,))
+    return _weyl_ratio(num, _gl_weyl_factors(r), lam)
 
 
 def schur_oracle(lam: Coweight, r: int) -> SymLaurent:
@@ -149,18 +206,6 @@ def schur_oracle(lam: Coweight, r: int) -> SymLaurent:
     return SymLaurent(r, weights)
 
 
-def _alternant(exps: list[int], n: int) -> SymLaurent:
-    entries = [
-        [
-            SymLaurent.monomial(n, tuple(exps[i] if k == j else 0 for k in range(n)))
-            - SymLaurent.monomial(n, tuple(-exps[i] if k == j else 0 for k in range(n)))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _det(entries, SymLaurent.zero(n), SymLaurent.one(n))
-
-
 @functools.cache
 def sp_character(lam: Coweight, n: int) -> SymLaurent:
     """Character of the irreducible Sp_{2n} representation with highest
@@ -170,14 +215,12 @@ def sp_character(lam: Coweight, n: int) -> SymLaurent:
         -----------------------------------------------------
         det(x_j^{n - i + 1}       - x_j^{-(n - i + 1)})
 
-    The division must be exact; a remainder means a bug upstream."""
+    The numerator is written out as its 2^n n! signed monomials and divided
+    by the n^2 two-term factors of the denominator.  Every division must
+    be exact; a remainder means a bug upstream."""
     lam = _sp_weight(lam, n)
-    num = _alternant([lam[i] + n - i for i in range(n)], n)
-    den = _alternant([n - i for i in range(n)], n)
-    try:
-        return poly_div_exact(num, den)
-    except ValueError as exc:  # pragma: no cover - internal consistency check
-        raise ArithmeticError(f"Weyl alternant division failed for {lam}") from exc
+    num = _alternant([lam[i] + n - i for i in range(n)], (1, -1))
+    return _weyl_ratio(num, _sp_weyl_factors(n), lam)
 
 
 def _sp_weight(lam: Coweight, n: int) -> Coweight:
@@ -221,7 +264,7 @@ class _SpPoint:
         return row
 
     def alternant(self, exps: list[int], top: int) -> int:
-        return _det([self.row(e, top) for e in exps], 0, 1)
+        return _det([self.row(e, top) for e in exps])
 
 
 @functools.lru_cache(maxsize=1)

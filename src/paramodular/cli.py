@@ -29,7 +29,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 from . import __version__
 from .characters import orbit_sum, schur, sp_character
@@ -712,9 +712,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _whittaker_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object of ``xi --data`` as a dict, or ValueError on a
+    repeated key: plain json.load keeps the last value and drops the rest
+    silently."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"bad Whittaker data: repeated key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def _cmd_xi(args) -> int:
     with open(args.data, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payload = json.load(handle, object_pairs_hook=_whittaker_object)
     d = WhittakerData.from_json(payload)
     beta = _parse_beta(args.beta) if args.beta else None
     result = xi(

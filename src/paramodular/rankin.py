@@ -143,7 +143,7 @@ class EvaluationMode:
         shift, index = _jacobi_trudi(lam, self.r)
         matrix = [[self._h(m) for m in row] for row in index]
         size = sum(lam) - shift * self.r
-        val = Fraction(_det(matrix, 0, 1), self._den**size)
+        val = Fraction(_det(matrix), self._den**size)
         if shift:
             val = val * math.prod(self.point) ** shift
         return val

@@ -447,10 +447,17 @@ class SymLaurent(_Laurent):
 
     @staticmethod
     def from_json(data: Iterable[Mapping], r: int) -> "SymLaurent":
-        coeffs = {
-            tuple(term["exponents"]): VLaurent.from_json(term["coeff"])
-            for term in data
-        }
+        """The inverse of ``to_json``.  An exponent must be a JSON integer
+        (not a float, a boolean or a string), and no two terms may share
+        their exponents, so that no value is rounded or dropped."""
+        coeffs = {}
+        for term in data:
+            e = tuple(term["exponents"])
+            if any(type(a) is not int for a in e):
+                raise TypeError(f"expected integer exponents, got {list(e)!r}")
+            if e in coeffs:
+                raise ValueError(f"repeated exponents {list(e)}")
+            coeffs[e] = VLaurent.from_json(term["coeff"])
         return SymLaurent(r, coeffs)
 
     def __str__(self) -> str:
@@ -532,6 +539,46 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
                 del rem[k]
     # num/den = (quo / num.den) / (1 / den.den)
     return num._wrap(num.r, *_over_lcm(quo)) * Fraction(den.den, num.den)
+
+
+def _div_binomial(num: SymLaurent, a: Key, b: Key) -> SymLaurent:
+    """num / (X^a - X^b) for X-exponent tuples a != b; ValueError if the
+    division leaves a remainder.
+
+    The keys of num lie on lines g + t*d, d = a - b (v fixed).  From
+    num_m = quo_{m-a} - quo_{m+d-a}, the quotient at m - a is the suffix
+    sum num_m + num_{m+d} + ..., constant between the keys of num, so the
+    division is exact iff every line sums to zero.  Linear in the terms of
+    num and of the quotient, which keeps num's den: a factor that divided
+    den and every quotient numerator would divide every numerator of num."""
+    d = (*map(operator.sub, a, b), 0)
+    i = next((i for i, x in enumerate(d) if x), None)
+    if i is None:
+        raise ZeroDivisionError("division by the zero polynomial")
+    sub = operator.sub
+    # t * d for each step t met, so that keys move by C-level maps
+    steps: dict[int, Key] = {}
+    lines: dict[Key, list[tuple[int, int]]] = {}
+    for k, x in num.num.items():
+        t = k[i] // d[i]
+        td = steps.get(t)
+        if td is None:
+            td = steps[t] = tuple(t * q for q in d)
+        lines.setdefault(tuple(map(sub, k, td)), []).append((t, x))
+    quo = {}
+    for g, terms in lines.items():
+        terms.sort(reverse=True)
+        acc = 0
+        for (t, x), (stop, _) in zip(terms, terms[1:]):
+            acc += x
+            if acc:
+                key = tuple(map(sub, map(operator.add, g, steps[t]), (*a, 0)))
+                for _ in range(t, stop, -1):
+                    quo[key] = acc
+                    key = tuple(map(sub, key, d))
+        if acc + terms[-1][1]:
+            raise ValueError("inexact Laurent polynomial division")
+    return num._wrap(num.r, quo, num.den)
 
 
 def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:

@@ -1,0 +1,78 @@
+"""Determinant oracles for the symbolic characters, used by the tests only.
+
+``paramodular.characters`` divides written-out alternants by the two-term
+factors of the Weyl denominators.  The oracles here take the older routes,
+through symbolic Leibniz determinants: Jacobi-Trudi for Schur polynomials,
+and the full Weyl alternant ratio by generic exact division for symplectic
+characters.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+from paramodular.rings import SymLaurent, poly_div_exact
+
+
+@functools.cache
+def complete_homogeneous(r: int, m: int) -> SymLaurent:
+    """h_m(X_1..X_r): sum of all degree-m monomials."""
+    if m < 0:
+        return SymLaurent.zero(r)
+    coeffs = {}
+    for split in itertools.combinations_with_replacement(range(r), m):
+        e = [0] * r
+        for i in split:
+            e[i] += 1
+        coeffs[tuple(e)] = 1
+    return SymLaurent(r, coeffs)
+
+
+def leibniz_det(entries: list[list[SymLaurent]], r: int) -> SymLaurent:
+    """Leibniz determinant of a square matrix of SymLaurents in r
+    variables, skipping terms with a zero factor."""
+    k = len(entries)
+    total = SymLaurent.zero(r)
+    for perm in itertools.permutations(range(k)):
+        factors = [row[j] for row, j in zip(entries, perm)]
+        if not all(factors):
+            continue
+        prod = SymLaurent.one(r)
+        for x in factors:
+            prod = prod * x
+        odd = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2
+        total = total - prod if odd else total + prod
+    return total
+
+
+def jacobi_trudi_schur(lam: tuple[int, ...], r: int) -> SymLaurent:
+    """s_lam = det(h_{lam_i - i + j}), after the twist s_lam =
+    (X_1...X_r)^lam_r s_{lam - lam_r} for a negative last entry."""
+    shift = min(lam[-1], 0)
+    core = [x - shift for x in lam]
+    matrix = [[complete_homogeneous(r, core[i] - i + j) for j in range(r)] for i in range(r)]
+    return leibniz_det(matrix, r) * SymLaurent.monomial(r, (shift,) * r)
+
+
+def _power(r: int, j: int, e: int) -> SymLaurent:
+    """X_j^e in r variables."""
+    return SymLaurent.monomial(r, [e if k == j else 0 for k in range(r)])
+
+
+def gl_alternant(exps: list[int], r: int) -> SymLaurent:
+    """det(X_j^{exps_i})."""
+    return leibniz_det([[_power(r, j, e) for j in range(r)] for e in exps], r)
+
+
+def sp_alternant(exps: list[int], n: int) -> SymLaurent:
+    """det(x_j^{exps_i} - x_j^{-exps_i})."""
+    entries = [[_power(n, j, e) - _power(n, j, -e) for j in range(n)] for e in exps]
+    return leibniz_det(entries, n)
+
+
+def sp_character_by_division(lam: tuple[int, ...], n: int) -> SymLaurent:
+    """The Weyl ratio det(x_j^{l_i + n - i + 1} - ...) / det(x_j^{n - i + 1}
+    - ...) by generic exact division of the two expanded alternants."""
+    num = sp_alternant([lam[i] + n - i for i in range(n)], n)
+    return poly_div_exact(num, sp_alternant([n - i for i in range(n)], n))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from paramodular.characters import (
-    complete_homogeneous,
+    _gl_weyl_factors,
+    _sp_weyl_factors,
     orbit_sum,
     schur,
     schur_oracle,
@@ -20,6 +22,13 @@ from paramodular.coweights import Cone, enumerate_cone, is_dominant, tilde
 from paramodular.oldforms import so4_satake_table
 from paramodular.rings import SymLaurent, VLaurent
 
+from character_oracles import (
+    complete_homogeneous,
+    gl_alternant,
+    jacobi_trudi_schur,
+    sp_alternant,
+    sp_character_by_division,
+)
 from laurent_oracles import is_homogeneous, is_symmetric
 
 ONE = VLaurent.one()
@@ -47,6 +56,42 @@ def test_schur_negative_entries_via_determinant_twist():
     expected = SymLaurent(2, {(1, -1): ONE, (0, 0): ONE, (-1, 1): ONE})
     assert schur((1, -1), 2) == expected
     assert schur((0, -1), 2) == SymLaurent(2, {(0, -1): ONE, (-1, 0): ONE})
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_schur_matches_the_jacobi_trudi_oracle(r):
+    # every weakly decreasing weight with entries in -3..2: 6, 21, 56, 126
+    lams = _decreasing(range(-3, 3), r)
+    assert len(lams) == math.comb(r + 5, r)
+    for lam in lams:
+        assert schur(lam, r) == jacobi_trudi_schur(lam, r), lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sp_character_matches_the_division_oracle(n):
+    for lam in enumerate_cone(Cone.G, n, 3):
+        assert sp_character(lam, n) == sp_character_by_division(lam, n), lam
+
+
+def _product(r, factors):
+    out = SymLaurent.one(r)
+    for a, b in factors:
+        out = out * (SymLaurent.monomial(r, a) - SymLaurent.monomial(r, b))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_gl_weyl_factors_multiply_to_the_vandermonde_alternant(r):
+    factors = _gl_weyl_factors(r)
+    assert len(factors) == math.comb(r, 2)
+    assert _product(r, factors) == gl_alternant([r - 1 - i for i in range(r)], r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sp_weyl_factors_multiply_to_the_weyl_denominator(n):
+    factors = _sp_weyl_factors(n)
+    assert len(factors) == n * n
+    assert _product(n, factors) == sp_alternant([n - i for i in range(n)], n)
 
 
 def test_schur_rejects_non_dominant():

@@ -230,6 +230,8 @@ BAD_INPUTS = {
     "xi-exponent-separator": ["xi", "--data", "{dir}/exponent-separator.json", "--r", "2"],
     "xi-exponent-leading-zero": ["xi", "--data", "{dir}/exponent-leading-zero.json", "--r", "2"],
     "xi-repeated-lambda": ["xi", "--data", "{dir}/repeated-lambda.json", "--r", "2"],
+    # a key repeated in one JSON object, which json.load resolves to the last
+    "xi-repeated-json-key": ["xi", "--data", "{dir}/repeated-json-key.json", "--r", "2"],
     # prop4 without a specialize case would pass on its zeta and xi checks
     "prop4-n-one": ["verify", "prop4", "--n", "1", "--trials", "1"],
     "prop4-r-one": ["verify", "prop4", "--r", "1", "--trials", "1"],
@@ -257,6 +259,10 @@ def test_bad_input_exits_with_one_line(tmp_path, argv):
     }
     for name, payload in payloads.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    # json.dumps cannot write a repeated key
+    (tmp_path / "repeated-json-key.json").write_text(
+        '{"n": 2, "entries": [{"lambda": [1, 0], "value": {"0": "1", "0": "5"}}]}'
+    )
     src = str(Path(paramodular.__file__).parents[1])
     proc = subprocess.run(
         [
