@@ -37,7 +37,10 @@ lies over den^r M^k, where x_j / v = c_j / M with c_j and M integers.
 
 The torus sum reads each weight of the data once: the degree-l
 coefficient walks only the weights of trace l, through the data's trace
-index, and folds each v-power in as a shift of the v-exponents.
+index, and folds each v-power in as a shift of the v-exponents.  It is
+then one sum of products d(lam) v^w * s_lam, formed in one accumulator
+and normalized once, in both modes; so is every coefficient of the
+series products and of the inverse of P_wedge2.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Any
 
 from .characters import _det, _jacobi_trudi, schur
 from .coweights import Coweight
-from .rings import SymLaurent, TruncSeries, VLaurent
+from .rings import SymLaurent, TruncSeries, VLaurent, _dot
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
@@ -60,12 +63,14 @@ class SymbolicMode:
 
     def __init__(self, r: int):
         self.r = r
+        # values are immutable, so one of each serves every caller
+        self._zero, self._one = SymLaurent.zero(r), SymLaurent.one(r)
 
     def zero(self) -> SymLaurent:
-        return SymLaurent.zero(self.r)
+        return self._zero
 
     def one(self) -> SymLaurent:
-        return SymLaurent.one(self.r)
+        return self._one
 
     def lift(self, poly: SymLaurent) -> SymLaurent:
         return poly
@@ -190,15 +195,14 @@ def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any
     docstring).  Homogeneous of total degree ell in the X variables."""
     _check_ranks(d, n, r, mode)
     twist = ell * (2 * n - r - 1)
-    total = None
+    pairs = []
     for lam, val in d.of_trace(ell):
         if any(lam[r:]):
             continue
         head = lam[:r]
         weight = gl_modulus_exponent(head, r) + twist
-        term = mode.from_vlaurent(val.shifted(weight)) * mode.schur(head)
-        total = term if total is None else total + term
-    return mode.zero() if total is None else total
+        pairs.append((mode.from_vlaurent(val.shifted(weight)), mode.schur(head)))
+    return _dot(pairs, mode.zero())
 
 
 def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> TruncSeries:

@@ -26,12 +26,13 @@ all built on ints and ``fractions.Fraction``:
 
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
-    Coefficients live in any ring with ``+``, ``*``, ``==`` and a truth
-    value that is false exactly at zero (SymLaurent in symbolic mode,
-    Fraction in evaluation mode).  Degrees start at 0.  The truncation
-    order of a product is the smaller of the two operands' orders, and an
-    inverse is known through the order asked for; ``trunc=None`` marks an
-    exactly-known polynomial.
+    Coefficients are SymLaurent (symbolic mode), VLaurent (the zeta
+    series) or Fraction (evaluation mode).  Degrees start at 0.  Each
+    coefficient of a product, and of an inverse, is one sum of products,
+    formed in one accumulator and normalized once (``_dot``).  The
+    truncation order of a product is the smaller of the two operands'
+    orders, and an inverse is known through the order asked for;
+    ``trunc=None`` marks an exactly-known polynomial.
 
 All values are normalized (no stored zero coefficients) and treated as
 immutable, so an operation on a zero may return that zero.  Term order for
@@ -130,24 +131,33 @@ class _Laurent:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        a, b = (self, o) if len(self.num) >= len(o.num) else (o, self)
+        if len(b.num) != 1:
+            return self._dot([(a, b)], a.den * b.den) if b.num else b
+        # a term times a polynomial: no exponents collide, nothing cancels
         add = operator.add
-        a, b = (self.num, o.num) if len(self.num) >= len(o.num) else (o.num, self.num)
-        if not b:
-            return self if not self.num else o
-        if len(b) == 1:
-            # a term times a polynomial: no exponents collide, nothing cancels
-            ((k2, x2),) = b.items()
-            c = {tuple(map(add, k1, k2)): x1 * x2 for k1, x1 in a.items()}
-        else:
-            c = {}
-            get = c.get
-            right = list(b.items())
-            for k1, x1 in a.items():
-                for k2, x2 in right:
+        ((k2, x2),) = b.num.items()
+        c = {tuple(map(add, k1, k2)): x1 * x2 for k1, x1 in a.num.items()}
+        return self._normal(self.r, c, a.den * b.den)
+
+    def _dot(self, pairs: list, den: int):
+        """Sum of a * b over pairs of values of this class and r.  Every
+        term product goes into one integer dict over den, a common multiple
+        of the products' denominators (their lcm keeps the integers
+        smallest), the factor den / (a.den b.den) folded into the smaller
+        operand, and the sum is normalized once."""
+        add = operator.add
+        c: dict[Key, int] = {}
+        get = c.get
+        for a, b in pairs:
+            f = den // (a.den * b.den)
+            a, b = (a.num, b.num) if len(a.num) >= len(b.num) else (b.num, a.num)
+            for k2, x2 in b.items():
+                x2 *= f
+                for k1, x1 in a.items():
                     k = tuple(map(add, k1, k2))
                     c[k] = get(k, 0) + x1 * x2
-            c = {k: x for k, x in c.items() if x}
-        return self._normal(self.r, c, self.den * o.den)
+        return self._normal(self.r, {k: x for k, x in c.items() if x}, den)
 
     def __sub__(self, other: Any):
         return self + (-other)
@@ -587,13 +597,34 @@ def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
     return poly_div_exact(num, den)
 
 
+def _dot(pairs: list, zero: Any) -> Any:
+    """Sum of a * b over the pairs, in the ring of ``zero``: zero itself
+    for no pairs, a plain product for one.  In a Laurent ring ``_coerced``
+    brings every operand in (a mismatched r raises) and all term products
+    go into one accumulator; over the rationals the products are summed as
+    ints over the lcm of their denominators into one Fraction."""
+    laurent = isinstance(zero, _Laurent)
+    if len(pairs) < 2:
+        if not pairs:
+            return zero
+        ((a, b),) = pairs
+        return zero._coerced(a) * b if laurent else a * b
+    if laurent:
+        co = zero._coerced
+        pairs = [(co(a), co(b)) for a, b in pairs]
+        return zero._dot(pairs, math.lcm(*[a.den * b.den for a, b in pairs]))
+    prods = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs]
+    den = math.lcm(*[d for _, d in prods])
+    return Fraction(sum([x * (den // d) for x, d in prods]), den)
+
+
 class TruncSeries:
     """Truncated power series in Y with coefficients in a caller-chosen ring.
 
     Degrees start at 0.  ``trunc`` is the last trusted degree (``None`` =
     exact polynomial); a product is trusted up to the smaller of its
-    operands' horizons.  ``zero`` is the coefficient ring's zero, needed
-    because coefficients are only duck-typed.
+    operands' horizons.  ``zero`` is the coefficient ring's zero, which
+    names the ring every product is formed in.
     """
 
     __slots__ = ("trunc", "coeffs", "zero")
@@ -629,15 +660,13 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         t = self._horizon(other)
-        out: dict[int, Any] = {}
+        pairs: dict[int, list] = {}
         for k1, x1 in self.coeffs.items():
             for k2, x2 in other.coeffs.items():
                 k = k1 + k2
-                if t is not None and k > t:
-                    continue
-                p = x1 * x2
-                out[k] = out[k] + p if k in out else p
-        return TruncSeries(out, t, self.zero)
+                if t is None or k <= t:
+                    pairs.setdefault(k, []).append((x1, x2))
+        return TruncSeries({k: _dot(p, self.zero) for k, p in pairs.items()}, t, self.zero)
 
     def invert(self, trunc: int) -> "TruncSeries":
         """Inverse series through the requested order; the constant
@@ -647,16 +676,11 @@ class TruncSeries:
             raise ValueError("series inversion needs constant coefficient 1")
         if self.trunc is not None and self.trunc < trunc:
             raise ValueError("operand not known through the requested order")
+        a = self.coeffs
         inv: dict[int, Any] = {0: one}
         for k in range(1, trunc + 1):
-            acc = self.zero
-            for j in range(1, k + 1):
-                aj = self.coeffs.get(j)
-                bj = inv.get(k - j)
-                if aj is None or bj is None:
-                    continue
-                acc = acc + aj * bj
-            acc = -acc
+            pairs = [(a[j], inv[k - j]) for j in range(1, k + 1) if j in a and k - j in inv]
+            acc = -_dot(pairs, self.zero)
             if acc:
                 inv[k] = acc
         return TruncSeries(inv, trunc, self.zero)

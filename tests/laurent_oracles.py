@@ -1,13 +1,16 @@
-"""Property oracles for Laurent polynomials, used by the tests only.
+"""Property oracles for Laurent polynomials and truncated series, used by
+the tests only.
 
 Written on the public API of ``paramodular.rings`` alone (the constructor
-and the nested view ``c``), so that they check the flat store from outside
-rather than through its own rules.
+and the nested view ``c``; a series' ``coeffs``, ``trunc`` and ``zero``),
+so that they check the flat store and the series kernel from outside
+rather than through their own rules.  The series oracles form every
+coefficient one product and one sum at a time.
 """
 
 from __future__ import annotations
 
-from paramodular.rings import SymLaurent
+from paramodular.rings import SymLaurent, TruncSeries
 
 
 def _transposed(a: SymLaurent, i: int) -> SymLaurent:
@@ -52,3 +55,34 @@ def is_homogeneous(a: SymLaurent, degree: int | None = None) -> bool:
 def min_var_exp(a: SymLaurent) -> int:
     """Smallest exponent on any variable (0 for constants)."""
     return min([0, *(x for e in a.c for x in e)])
+
+
+def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b, one coefficient product and one sum per pair of degrees, up
+    to the smaller of the two horizons."""
+    horizons = [t for t in (a.trunc, b.trunc) if t is not None]
+    t = min(horizons) if horizons else None
+    out: dict = {}
+    for k1, x1 in a.coeffs.items():
+        for k2, x2 in b.coeffs.items():
+            k = k1 + k2
+            if t is not None and k > t:
+                continue
+            p = x1 * x2
+            out[k] = out[k] + p if k in out else p
+    return TruncSeries(out, t, a.zero)
+
+
+def series_inverse(s: TruncSeries, trunc: int) -> TruncSeries:
+    """The inverse of a series with constant coefficient 1 through degree
+    trunc, by the recurrence b_k = -(a_1 b_{k-1} + ... + a_k b_0), one
+    product and one sum at a time."""
+    inv = {0: s.coeffs[0]}
+    for k in range(1, trunc + 1):
+        acc = s.zero
+        for j in range(1, k + 1):
+            if j in s.coeffs and k - j in inv:
+                acc = acc + s.coeffs[j] * inv[k - j]
+        if acc:
+            inv[k] = -acc
+    return TruncSeries(inv, trunc, s.zero)

@@ -19,7 +19,14 @@ from paramodular.rings import (
     vlaurent_div_exact,
 )
 
-from laurent_oracles import is_homogeneous, is_in_s0, is_symmetric, min_var_exp
+from laurent_oracles import (
+    is_homogeneous,
+    is_in_s0,
+    is_symmetric,
+    min_var_exp,
+    series_inverse,
+    series_product,
+)
 
 
 def test_vlaurent_basic_arithmetic():
@@ -252,8 +259,10 @@ def test_trunc_series_invert_geometric():
     for k in range(7):
         assert inv.get(k) == 1
     assert (s * inv).first_mismatch(_fseries({0: 1}, trunc=6), 6) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^series inversion needs constant coefficient 1$"):
         _fseries({0: 2}).invert(3)
+    with pytest.raises(ValueError, match="^operand not known through the requested order$"):
+        _fseries({0: 1, 1: 1}, trunc=2).invert(3)
 
 
 def test_symbolic_series_inverse_has_the_ring_one_as_constant():
@@ -624,6 +633,113 @@ def test_binomial_division_undoes_the_product():
     check()
     with pytest.raises(ZeroDivisionError):
         rings._div_binomial(SymLaurent.one(2), (1, 0), (1, 0))
+
+
+def _dot_cases(st):
+    """(zero, pairs): up to four pairs of operands of one ring, SymLaurent
+    in r = 0..3, VLaurent, or the rationals with int and Fraction
+    operands; zero operands and denominators above 1 included."""
+
+    def case(zero, operand):
+        return st.tuples(st.just(zero), st.lists(st.tuples(operand, operand), max_size=4))
+
+    rationals = st.one_of(_coeff(st), st.integers(min_value=-7, max_value=7))
+    return st.one_of(
+        *[case(SymLaurent.zero(r), _sym(st, r)) for r in range(4)],
+        case(VLaurent.zero(), _vlaurents(st)),
+        case(Fraction(0), rationals),
+    )
+
+
+def test_sum_of_products_kernel_matches_the_pairwise_sum():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_dot_cases(st))
+    def check(case):
+        zero, pairs = case
+        got = rings._dot(pairs, zero)
+        assert got == sum((a * b for a, b in pairs), zero)
+        cancelled = rings._dot(pairs + [(-a, b) for a, b in pairs], zero)
+        assert cancelled == 0
+        if isinstance(zero, Fraction):
+            assert math.gcd(got.numerator, got.denominator) == 1
+        else:
+            assert type(got) is type(zero) and _is_normal(got)
+            assert (cancelled.num, cancelled.den) == ({}, 1)
+
+    check()
+    for zero in (SymLaurent.zero(2), VLaurent.zero(), Fraction(0)):
+        assert rings._dot([], zero) is zero
+
+
+def test_sum_of_products_kernel_coerces_into_the_ring_of_zero():
+    """Scalar and VLaurent operands join a SymLaurent sum as constants; a
+    VLaurent key (e,) must not meet a SymLaurent key unlifted."""
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_sym_triples(st), _vlaurents(st), _coeff(st), st.integers(min_value=-3, max_value=3))
+    def check(abc, x, f, k):
+        a, b, c = abc
+        zero = SymLaurent.zero(a.r)
+
+        def lifted(y):
+            return y if isinstance(y, SymLaurent) else SymLaurent.constant(a.r, y)
+
+        for pairs in ([(x, a), (b, x)], [(x, x)], [(f, x), (k, a), (c, f)], [(x, f), (k, x)]):
+            got = rings._dot(pairs, zero)
+            want = sum((lifted(y) * lifted(z) for y, z in pairs), zero)
+            assert type(got) is SymLaurent and got == want and _is_normal(got)
+
+    check()
+    one1, one2 = SymLaurent.one(1), SymLaurent.one(2)
+    for pairs in ([(one1, one2)], [(one2, one2), (one1, one1)], [(one1, one1)]):
+        with pytest.raises(ValueError, match="variable counts differ"):
+            rings._dot(pairs, SymLaurent.zero(2))
+
+
+def _series_pairs(st):
+    """Two series over one coefficient ring, symbolic (SymLaurent in r = 1
+    or 2), VLaurent (the zeta series' ring) or Fraction, each with horizon
+    None or 0..6; the first has constant coefficient 1, so it inverts."""
+
+    def series(zero, coeff, one=None):
+        low = 0 if one is None else 1
+        coeffs = st.dictionaries(st.integers(min_value=low, max_value=6), coeff, max_size=4)
+        if one is not None:
+            coeffs = coeffs.map(lambda c: {**c, 0: one})
+        horizon = st.none() | st.integers(min_value=0, max_value=6)
+        return st.builds(TruncSeries, coeffs, horizon, st.just(zero))
+
+    kinds = [(SymLaurent.zero(r), _sym(st, r), SymLaurent.one(r)) for r in (1, 2)]
+    kinds += [(VLaurent.zero(), _vlaurents(st), VLaurent.one()), (Fraction(0), _coeff(st), Fraction(1))]
+    return st.one_of(
+        [st.tuples(series(zero, c, one), series(zero, c)) for zero, c, one in kinds]
+    )
+
+
+def _same_series(got: TruncSeries, want: TruncSeries) -> bool:
+    return (
+        got.trunc == want.trunc
+        and got.coeffs == want.coeffs
+        and all(type(got.coeffs[k]) is type(x) for k, x in want.coeffs.items())
+    )
+
+
+def test_series_product_and_inverse_match_the_pairwise_oracles():
+    hyp, st, settings = _hypothesis()
+
+    @settings
+    @hyp.given(_series_pairs(st), st.integers(min_value=0, max_value=6))
+    def check(ab, t):
+        a, b = ab
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _same_series(x * y, series_product(x, y))
+        t = min(t, 6 if a.trunc is None else a.trunc)
+        assert _same_series(a.invert(t), series_inverse(a, t))
+
+    check()
 
 
 def test_json_round_trips():
