@@ -6,10 +6,9 @@
 * symplectic characters for Sp_{2n} by the Weyl alternant ratio, with the
   exact division acting as a built-in self-check, plus the Weyl dimension
   formula as a second oracle;
-* numeric symplectic characters at a rational point, as a ratio of two
-  integer alternants over a shared denominator (no polynomial is built),
-  with the alternant rows and the Weyl denominator tabulated once per
-  point;
+* numeric characters at a rational point, Schur and symplectic alike, as
+  Jacobi-Trudi determinants of integers read from one table of complete
+  homogeneous sums per point (no polynomial is built);
 * orbit sums under the type D Weyl group (permutations and even sign
   changes), the triangular stand-in used where exact Satake values are not
   tabulated.
@@ -24,12 +23,16 @@ numerator alternant is written out as its signed monomials, one per
 permutation and choice of signs, and divided by the denominator's two-term
 factors X^a - X^b one at a time (``_alternant``, ``_weyl_ratio``); no
 determinant and no polynomial product is formed.  The Leibniz expansion
-``_det`` is numeric only: the integer alternants of
-:func:`sp_character_value` and the integer Jacobi-Trudi determinants of
-:class:`paramodular.rankin.EvaluationMode`, whose matrices come from one
-index rule, ``_jacobi_trudi``.  A numeric determinant is always one of
-ints, over a denominator shared by the whole point.  Each character checks
-its weight with one rule per group, ``_gl_weight`` or ``_sp_weight``.
+``_det`` is numeric only.  Every numeric character is one rule,
+``_jacobi_trudi``: a Jacobi-Trudi determinant, Koike-Terada's in type C,
+of the integers h_m(y) = B^m h_m(z) of an ``_HTable``, where B is the lcm
+of the point's denominators and y = B z, over one power of B.  Schur
+values read the table of the point (:func:`_schur_value`, for
+:class:`paramodular.rankin.EvaluationMode`); :func:`sp_character_value`
+reads the table of the 2n values beta_j^{+-1}.  The symbolic and numeric
+symplectic characters are thus independent formulas.  Each character
+checks its weight with one rule per group, ``_gl_weight`` or
+``_sp_weight``.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def _weyl_ratio(num: SymLaurent, factors, lam: Coweight) -> SymLaurent:
 
 def _gl_weight(lam: Coweight, r: int) -> Coweight:
     """The GL_r weight lam as a tuple, or ValueError: shared by
-    :func:`schur` and :func:`_jacobi_trudi`, so that symbolic and numeric
+    :func:`schur` and :func:`_schur_value`, so that symbolic and numeric
     Schur values reject the same weights."""
     lam = tuple(lam)
     if len(lam) != r:
@@ -141,20 +144,6 @@ def _gl_weight(lam: Coweight, r: int) -> Coweight:
     if not is_dominant(lam, Cone.GL):
         raise ValueError("weight is not weakly decreasing")
     return lam
-
-
-def _jacobi_trudi(lam: Coweight, r: int) -> tuple[int, list[list[int]]]:
-    """Split a GL_r weight for Jacobi-Trudi: s_lam = (X_1...X_r)^shift *
-    det(h_{index[i][j]}), where shift is lam_r when negative (else 0) and
-    index[i][j] = core_i - i + j for the partition core = lam - shift.
-
-    Used by the numeric Schur values of
-    :class:`paramodular.rankin.EvaluationMode`.  Like ``_det`` it is
-    private, so its time counts toward the caller's span when the package
-    is traced (``bench/tracer.py`` wraps public functions only)."""
-    lam = _gl_weight(lam, r)
-    shift = min(lam[-1], 0)
-    return shift, [[lam[i] - shift - i + j for j in range(r)] for i in range(r)]
 
 
 @functools.cache
@@ -235,66 +224,93 @@ def _sp_weight(lam: Coweight, n: int) -> Coweight:
     return lam
 
 
-class _SpPoint:
-    """The integer alternant rows of one Satake point beta, with beta_j =
-    p_j / q_j in lowest terms: row(e, top) has the entries
-    (p_j^(2e) - q_j^(2e)) (p_j q_j)^(top - e) for 0 < e <= top, built once
-    each, ``weyl`` is the Weyl denominator's integer determinant at
-    top = n and ``pq`` is prod_j p_j q_j.  Building the table rejects a
-    degenerate point."""
+class _HTable:
+    """The complete homogeneous sums of one rational point z, as integers:
+    with B the lcm of z's denominators and y = B z, ``h(m)`` is
+    h_m(y) = B^m h_m(z), tabulated on demand.  ``den`` is B."""
 
-    __slots__ = ("cols", "rows", "weyl", "pq")
+    __slots__ = ("den", "y", "_rows")
 
-    def __init__(self, beta: tuple[Fraction, ...]):
-        if any(b == 0 for b in beta):
-            raise ValueError("degenerate Satake point: zero coordinate")
-        self.cols = [(b.numerator, b.denominator) for b in beta]
-        self.rows: dict[tuple[int, int], list[int]] = {}
-        n = len(beta)
-        self.weyl = self.alternant([n - i for i in range(n)], n)
-        if self.weyl == 0:
-            raise ValueError("degenerate Satake point: Weyl denominator vanishes")
-        self.pq = math.prod(p * q for p, q in self.cols)
+    def __init__(self, z):
+        # _rows[k][m] = h_m(y_1..y_{k+1}), extended on demand
+        self.den = math.lcm(*(x.denominator for x in z))
+        self.y = [x.numerator * (self.den // x.denominator) for x in z]
+        self._rows = [[1] for _ in self.y]
 
-    def row(self, e: int, top: int) -> list[int]:
-        row = self.rows.get((e, top))
-        if row is None:
-            row = [(p ** (2 * e) - q ** (2 * e)) * (p * q) ** (top - e) for p, q in self.cols]
-            self.rows[e, top] = row
-        return row
+    def h(self, m: int) -> int:
+        """B^m h_m(z) = h_m(y_1..y_k), by the recurrence
+        h_m(y_1..y_k) = h_m(y_1..y_{k-1}) + y_k h_{m-1}(y_1..y_k)."""
+        if m < 0:
+            return 0
+        rows = self._rows
+        while len(rows[0]) <= m:
+            below = 0  # h of no variables in positive degree
+            for y, row in zip(self.y, rows):
+                below += y * row[-1]
+                row.append(below)
+        return rows[-1][m]
 
-    def alternant(self, exps: list[int], top: int) -> int:
-        return _det([self.row(e, top) for e in exps])
+
+def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> Fraction:
+    """The Jacobi-Trudi determinant at the point z of table for a
+    partition lam with l nonzero parts, a_i = lam_i - i and 0 <= i, j < l:
+    s_lam(z) = det(h_{a_i+j}), and with sp the Sp_{2n} character of lam at
+    z = (b_1, 1/b_1, .., b_n, 1/b_n), det(M) with M[i][0] = h_{a_i} and
+    M[i][j] = h_{a_i+j} + h_{a_i-j} for j > 0.  That is Koike-Terada's
+    1/2 det(h_{lam_i-i+j} + h_{lam_i-i-j+2}) (1-based; J. Algebra 107,
+    1987) with its doubled first column halved.  Scaling row i by B^{a_i}
+    and column j by B^j makes every entry the integer h_{a_i+j}(y)
+    (+ B^{2j} h_{a_i-j}(y)) and scales the determinant by
+    B^{sum_i a_i + sum_j j} = B^|lam|, so the value is one integer
+    determinant over B^|lam|.  l = 0 gives 1."""
+    parts = [x for x in lam if x]
+    h = table.h
+    matrix = []
+    for i, x in enumerate(parts):
+        row = [h(x - i + j) for j in range(len(parts))]
+        if sp:
+            for j in range(1, len(parts)):
+                row[j] += h(x - i - j) * table.den ** (2 * j)
+        matrix.append(row)
+    return Fraction(_det(matrix), table.den ** sum(parts))
+
+
+def _schur_value(lam: Coweight, table: _HTable) -> Fraction:
+    """s_lam at the point z of table: equals ``schur(lam, r).evaluate(z, v)``,
+    including its ValueErrors and the ZeroDivisionError of a negative lam_r
+    at a point with a zero entry.  s_lam = (z_1..z_r)^shift s_core, where
+    shift is lam_r when negative (else 0) and core = lam - shift."""
+    r = len(table.y)
+    lam = _gl_weight(lam, r)
+    shift = min(lam[-1], 0)
+    val = _jacobi_trudi(table, [x - shift for x in lam], False)
+    if shift:
+        val *= Fraction(math.prod(table.y), table.den**r) ** shift
+    return val
 
 
 @functools.lru_cache(maxsize=1)
-def _sp_point(beta: tuple) -> _SpPoint:
-    """The table of the last Satake point asked for: the weights of one
-    point are evaluated together, so one entry suffices."""
-    return _SpPoint(tuple(Fraction(b) for b in beta))
+def _sp_table(beta: tuple) -> _HTable:
+    """The table of the 2n values beta_j^{+-1} of the last Satake point
+    asked for: the weights of one point are evaluated together, so one
+    entry suffices."""
+    beta = [Fraction(b) for b in beta]
+    if any(b == 0 for b in beta):
+        raise ValueError("degenerate Satake point: zero coordinate")
+    return _HTable([z for b in beta for z in (b, 1 / b)])
 
 
 def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
-    """Numeric symplectic character: the alternant ratio evaluated at an
-    exact rational point.  The point must avoid the Weyl denominator's zero
-    locus (beta_i distinct from beta_j^{+-1} and from +-1, all nonzero).
-
-    With beta_j = p_j / q_j in lowest terms, an alternant entry is
-    beta_j^e - beta_j^{-e} = (p_j^{2e} - q_j^{2e}) / (p_j q_j)^e for e > 0
-    (lam is dominant, so every exponent is).  Scaling column j by
-    (p_j q_j)^E makes every entry with e <= E an integer, so an alternant
-    is an integer determinant over the shared denominator
-    prod_j (p_j q_j)^E.  The Weyl denominator needs E = n, the numerator
-    E = lam_1 + n, so the character is
-    num_det / (den_det * prod_j (p_j q_j)^lam_1).  The rows and den_det
-    come from a table built once per point."""
+    """Numeric symplectic character at an exact rational point with no
+    zero entry: the Koike-Terada Jacobi-Trudi determinant of
+    ``_jacobi_trudi``, over the complete homogeneous sums of the 2n values
+    beta_j^{+-1}, tabulated once per point.  It needs no Weyl denominator,
+    so every nonzero point is valid, beta_i = +-1 and beta_i = beta_j^{+-1}
+    included, and a determinant has as many rows as lam has nonzero
+    parts."""
     beta = tuple(beta)
     lam = _sp_weight(lam, len(beta))
-    point = _sp_point(beta)
-    n = len(lam)
-    top = n + max(lam, default=0)
-    num = point.alternant([lam[i] + n - i for i in range(n)], top)
-    return Fraction(num, point.weyl * point.pq ** (top - n))
+    return _jacobi_trudi(_sp_table(beta), lam, True)
 
 
 def sp_dimension(lam: Coweight, n: int) -> int:

@@ -27,9 +27,10 @@ VLaurent and ``lift`` for a SymLaurent, which symbolic mode keeps as it is
 and evaluation mode evaluates at its point.  Schur values in evaluation
 mode never go through a polynomial and build no Fraction before the last
 step: with the point x = y / B, y integer and B the lcm of its
-denominators, the integers h_m(y) = B^m h_m(x) are tabulated once per mode
-and each s_lam(point) is the integer Jacobi-Trudi determinant of those
-numbers over B^|core|, times the twist of a negative lam_r.  The
+denominators, the mode holds one ``characters._HTable`` of the integers
+h_m(y) = B^m h_m(x), and each s_lam(point) is the integer Jacobi-Trudi
+determinant of those numbers over B^|core|, times the twist of a negative
+lam_r, by the rule that also gives the numeric symplectic characters.  The
 numerator factor P_phi is r copies of one polynomial E_beta, whose
 coefficients are integers over one denominator den; evaluation mode builds
 it the same way, as one integer convolution whose degree-k coefficient
@@ -47,12 +48,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import operator
 from fractions import Fraction
 from typing import Any
 
-from .characters import _det, _jacobi_trudi, schur
+from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
 from .rings import SymLaurent, TruncSeries, VLaurent, _dot
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
@@ -107,12 +107,7 @@ class EvaluationMode:
         self.v_value = Fraction(v_value)
         if self.v_value == 0:
             raise ValueError("v must be nonzero")
-        # The point is y / B with y integer and B the lcm of its
-        # denominators; _h_rows[k][m] = h_m(y_1..y_{k+1}) = B^m h_m(x_1..),
-        # extended on demand
-        self._den = math.lcm(*(x.denominator for x in self.point))
-        self._y = [x.numerator * (self._den // x.denominator) for x in self.point]
-        self._h_rows = [[1] for _ in range(r)]
+        self._table = _HTable(self.point)
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -126,32 +121,12 @@ class EvaluationMode:
     def from_vlaurent(self, c: VLaurent) -> Fraction:
         return c.evaluate(self.v_value)
 
-    def _h(self, m: int) -> int:
-        """B^m h_m(x_1..x_r) = h_m(y_1..y_r), by the recurrence
-        h_m(y_1..y_k) = h_m(y_1..y_{k-1}) + y_k h_{m-1}(y_1..y_k)."""
-        if m < 0:
-            return 0
-        rows = self._h_rows
-        while len(rows[0]) <= m:
-            below = 0  # h of no variables in positive degree
-            for y, row in zip(self._y, rows):
-                below += y * row[-1]
-                row.append(below)
-        return rows[-1][m]
-
     def schur(self, lam: Coweight) -> Fraction:
         """s_lam at the point: equals ``lift(schur(lam, r))``, including its
         ValueErrors and the ZeroDivisionError of a negative lam_r at a
-        point with a zero entry.  s_core is homogeneous of degree |core|,
-        so s_core(x) = s_core(y) / B^|core|, and s_core(y) is the
-        Jacobi-Trudi determinant of the integers h_m(y)."""
-        shift, index = _jacobi_trudi(lam, self.r)
-        matrix = [[self._h(m) for m in row] for row in index]
-        size = sum(lam) - shift * self.r
-        val = Fraction(_det(matrix), self._den**size)
-        if shift:
-            val = val * math.prod(self.point) ** shift
-        return val
+        point with a zero entry; the Jacobi-Trudi rule of ``characters``
+        over the mode's table."""
+        return _schur_value(lam, self._table)
 
     def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
         """prod_j E(x_j Y / v) at the point for E(t) = sum_k (e_k / den) t^k.
@@ -159,7 +134,7 @@ class EvaluationMode:
         degree-k coefficient is entry k of the integer convolution of the r
         lists [e_0 c_j^0, e_1 c_j^1, ...], over den^r M^k."""
         total = [1]
-        for y in self._y:
+        for y in self._table.y:
             c = y * self.v_value.denominator
             row = [x * c**k for k, x in enumerate(e)]
             conv = [0] * (len(total) + len(row) - 1)
@@ -167,7 +142,7 @@ class EvaluationMode:
                 for b, z in enumerate(row):
                     conv[a + b] += x * z
             total = conv
-        m = self._den * self.v_value.numerator
+        m = self._table.den * self.v_value.numerator
         coeffs, scale = {}, den**self.r
         for k, x in enumerate(total):
             if x:

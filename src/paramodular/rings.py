@@ -213,7 +213,7 @@ class VLaurent(_Laurent):
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
             if x:
-                terms[(int(e),)] = x.as_integer_ratio()
+                terms[(operator.index(e),)] = x.as_integer_ratio()
         self.num, self.den = _over_lcm(terms)
         self.r, self._view = 0, None
 
@@ -326,7 +326,7 @@ class SymLaurent(_Laurent):
         # Coefficients given as VLaurents already are the nested view.
         view: dict[Key, VLaurent] | None = {}
         for e, x in (coeffs or {}).items():
-            e = tuple(map(int, e))
+            e = tuple(map(operator.index, e))
             if len(e) != r:
                 raise ValueError("exponent tuple length differs from variable count")
             if isinstance(x, VLaurent):
@@ -634,7 +634,7 @@ class TruncSeries:
         self.trunc = trunc
         cc: dict[int, Any] = {}
         for k, x in coeffs.items():
-            k = int(k)
+            k = operator.index(k)
             if k < 0:
                 raise ValueError("series degrees start at 0")
             if trunc is not None and k > trunc:

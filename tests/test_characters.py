@@ -177,14 +177,16 @@ def test_sp_character_value_is_exact_at_integer_points():
 
 
 def test_sp_character_value_rejects_degenerate_points():
-    with pytest.raises(ValueError):
-        sp_character_value((1, 0), (Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError):
-        sp_character_value((1, 0), (Fraction(2), Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        sp_character_value((1, 0), (Fraction(3), Fraction(3)))
-    with pytest.raises(ValueError):
+    # only a zero coordinate is degenerate: beta^-1 must exist
+    with pytest.raises(ValueError, match="zero coordinate"):
         sp_character_value((1, 0), (Fraction(0), Fraction(2)))
+    # the Weyl denominator vanishes at these points, where the alternant
+    # ratio used to raise; the Jacobi-Trudi determinant needs no division
+    for beta in [(1, 2), (2, Fraction(1, 2)), (3, 3), (3, Fraction(1, 3))]:
+        beta = tuple(map(Fraction, beta))
+        for lam in enumerate_cone(Cone.G, 2, 3):
+            want = sp_character(lam, 2).evaluate(beta, Fraction(1))
+            assert sp_character_value(lam, beta) == want, (lam, beta)
 
 
 def test_sp_character_and_value_reject_the_same_weights():
@@ -210,28 +212,25 @@ def test_sp_character_and_value_reject_the_same_weights():
 
 
 def test_sp_character_value_table_follows_the_point():
-    """The alternant rows come from a table built once per point: two
-    interleaved points, with a degenerate one between them, must each get
-    their own values, and the degenerate one must raise every time."""
-    good = [SP_POINTS[2][0], SP_POINTS[2][3]]
+    """The complete homogeneous sums come from a table built once per
+    point: interleaved points, one of them on the Weyl denominator's zero
+    locus and one with a zero coordinate, must each get their own values,
+    and the zero one must raise every time."""
+    good = [SP_POINTS[2][0], (Fraction(3), Fraction(1, 3)), SP_POINTS[2][3]]
     lams = enumerate_cone(Cone.G, 2, 3)
     want = {
         (lam, beta): sp_character(lam, 2).evaluate(beta, Fraction(1))
         for lam in lams
         for beta in good
     }
-    degenerate = {
-        "zero coordinate": (Fraction(0), Fraction(2)),
-        "Weyl denominator vanishes": (Fraction(3), Fraction(1, 3)),
-    }
-    for message, bad in degenerate.items():
-        for lam in lams:
-            for beta in (good[0], bad, good[1], bad, good[0], good[1]):
-                if beta is bad:
-                    with pytest.raises(ValueError, match=message):
-                        sp_character_value(lam, bad)
-                else:
-                    assert sp_character_value(lam, beta) == want[lam, beta], (lam, beta)
+    bad = (Fraction(0), Fraction(2))
+    for lam in lams:
+        for beta in (good[0], bad, good[1], good[2], bad, good[0], good[1]):
+            if beta is bad:
+                with pytest.raises(ValueError, match="zero coordinate"):
+                    sp_character_value(lam, bad)
+            else:
+                assert sp_character_value(lam, beta) == want[lam, beta], (lam, beta)
     # ints and Fractions name the same point, in either order
     for lam in lams:
         as_ints = sp_character_value(lam, (2, 3))
@@ -239,6 +238,34 @@ def test_sp_character_value_table_follows_the_point():
         assert as_ints == as_fractions == sp_character(lam, 2).evaluate((2, 3), Fraction(1))
         assert isinstance(as_ints, Fraction)
         assert sp_character_value(lam, (2, 3)) == as_ints
+
+
+def test_sp_character_value_matches_symbolic_at_degenerate_points():
+    """Random nonzero rational points of rank n <= 4 whose coordinates
+    are often +-1 or inverses and repeats of each other: the Jacobi-Trudi
+    value equals the symbolic Weyl ratio at the point."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+    @st.composite
+    def points(draw):
+        n = draw(st.integers(min_value=1, max_value=4))
+        beta = [draw(st.sampled_from([Fraction(1), Fraction(-1)]) | nonzero)]
+        for _ in range(n - 1):
+            b = draw(st.sampled_from(beta))
+            beta.append(draw(st.sampled_from([b, 1 / b, -b]) | nonzero))
+        return tuple(beta)
+
+    @hyp.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @hyp.given(points(), st.data())
+    def check(beta, data):
+        n = len(beta)
+        lam = data.draw(st.sampled_from(enumerate_cone(Cone.G, n, 3)))
+        want = sp_character(lam, n).evaluate(beta, Fraction(1))
+        assert sp_character_value(lam, beta) == want
+
+    check()
 
 
 def test_so4_minuscule_characters():

@@ -18,6 +18,7 @@ from paramodular.rings import (
     poly_div_exact,
     vlaurent_div_exact,
 )
+from paramodular.whittaker import WhittakerData
 
 from laurent_oracles import (
     is_homogeneous,
@@ -183,6 +184,22 @@ def test_symlaurent_from_json_rejects_non_integer_exponents():
     for bad in ([1.5], [1.0], [True], ["1"], [0, None]):
         with pytest.raises(TypeError, match="integer exponents"):
             SymLaurent.from_json([{"exponents": bad, "coeff": {"0": "1"}}], len(bad))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VLaurent({1.5: 1}),
+        lambda: SymLaurent.monomial(2, (0.5, 1)),
+        lambda: TruncSeries({1.5: Fraction(1)}, None, Fraction(0)),
+        lambda: WhittakerData(2, {(1.7, 0): VLaurent.one()}),
+    ],
+    ids=["vlaurent", "symlaurent", "series", "whittaker"],
+)
+def test_fractional_exponents_are_rejected_not_truncated(build):
+    # int() used to read these as v, X2, Y^1 and support (1, 0)
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_symmetry_predicates():
