@@ -3,10 +3,13 @@
 A verification run is a named suite expanded into independent cases; each
 case draws its own deterministic random generator from (seed, case key),
 so results do not depend on execution order and cases can run in separate
-processes (PARAMODULAR_JOBS of them, at most one per usable CPU).  A
-failing case always carries a witness: the first mismatching series
-coefficient (or the offending values) plus the parameters needed to replay
-it.
+processes (PARAMODULAR_JOBS of them, at most one per usable CPU).  Within
+one run_suite call the cases of one trial share what they draw and derive
+(the fe and gsp4-raising suites draw once per trial).  That too is
+independent of order, because every shared value is keyed by (seed, trial)
+and is computed by whichever case reads it first.  A failing case always
+carries a witness: the first mismatching series coefficient (or the
+offending values) plus the parameters needed to replay it.
 
 Reports serialize to JSON (schema "paramodular-report/1"), plain text, or
 CSV.  Apart from elapsed-time fields the JSON output is byte-deterministic
@@ -204,6 +207,13 @@ def _series_factor(factor: SymLaurent, mode) -> TruncSeries:
     return TruncSeries(coeffs, None, mode.zero())
 
 
+@functools.cache
+def _gsp4_factor(op: str) -> TruncSeries:
+    """The named move's factor as a multiplier of the rank-two symbolic
+    series; a constant, so it is built once per process."""
+    return _series_factor(_MOVES[op][1], SymbolicMode(2))
+
+
 def _zeta_factor(factor: SymLaurent) -> TruncSeries:
     """A rank-two move factor as a multiplier of the zeta series: X_2 = 0
     drops every monomial in X_2, and X_1^k goes to Y^k at X_1 = 1."""
@@ -216,6 +226,28 @@ def _zeta_factor(factor: SymLaurent) -> TruncSeries:
 # echoed parameters and a witness (None when the case passes).
 
 _UNSTABLE = {"reason": "series did not stabilize"}
+
+# What the cases of the current trial share: the trial's key and its values
+# by name.  run_suite turns this on (an empty dict) and off again (None);
+# outside it every case computes everything it reads.
+_trial_values: dict | None = None
+_trial_key: tuple | None = None
+
+
+def _shared(trial_key: tuple, name: str, make: Callable[[], Any]) -> Any:
+    """make(), remembered under name for the trial that trial_key names.
+    The key holds every input the value depends on.  Only one trial's values
+    are kept: a case of another trial empties them."""
+    global _trial_key
+    values = _trial_values
+    if values is None:
+        return make()
+    if trial_key != _trial_key:
+        values.clear()
+        _trial_key = trial_key
+    if name not in values:
+        values[name] = make()
+    return values[name]
 
 
 def _ranks(cfg: VerifyConfig, default_ns: list[int], r_min: int = 1) -> list[tuple]:
@@ -278,12 +310,16 @@ def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
 
 def _gsp4_run(cfg: VerifyConfig, params: dict):
     t, op = params["trial"], params["operator"]
-    rng = case_rng(cfg.seed, f"gsp4-raising:{t}")
-    d = _random_data(rng, 2)
-    mode = SymbolicMode(2)
+
+    def draw():
+        # the trial's data and their series, which all three operators read
+        d = _random_data(case_rng(cfg.seed, f"gsp4-raising:{t}"), 2)
+        mode = SymbolicMode(2)
+        return d, mode, psi_series(d, 2, 2, cfg.trunc, mode)
+
+    d, mode, psi = _shared(("gsp4-raising", cfg.seed, cfg.trunc, t), "data", draw)
     lhs = psi_series(_apply_move(op, d), 2, 2, cfg.trunc, mode)
-    rhs = psi_series(d, 2, 2, cfg.trunc, mode) * _series_factor(_MOVES[op][1], mode)
-    return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
+    return dict(params), _first_mismatch(lhs, psi * _gsp4_factor(op), cfg.trunc)
 
 
 def _eta_lemma_cases(cfg: VerifyConfig) -> list[dict]:
@@ -537,20 +573,31 @@ def _fe_cases(cfg: VerifyConfig) -> list[dict]:
 
 def _fe_run(cfg: VerifyConfig, params: dict):
     check, t = params["check"], params["trial"]
-    rng = case_rng(cfg.seed, f"fe:{t}")
-    beta = random_beta(rng, 2)
-    sph = spherical_so_data(beta, 2, cfg.trunc)
+    # the trial's six cases read three images of one spherical vector
+    trial = ("fe", cfg.seed, cfg.trunc, cfg.window, t)
+
+    def draw():
+        beta = random_beta(case_rng(cfg.seed, f"fe:{t}"), 2)
+        return beta, spherical_so_data(beta, 2, cfg.trunc)
+
+    beta, sph = _shared(trial, "data", draw)
     eps = EpsilonData(conductor=0, sign=1)
     echo = {**params, "beta": [str(b) for b in beta]}
     series = functools.partial(xi, n=2, r=2, beta=beta, trunc=cfg.trunc, window=cfg.window)
 
-    def raised(ratio: int):
-        # image of the level-(a+1) eigenvector theta + ratio * theta'
-        return series(theta_data(sph) + theta_prime_data(sph).scale(ratio), level=1)
+    def image(ratio: int):
+        # ratio 0: image of the spherical vector; ratio +-1: image of the
+        # level-(a+1) eigenvector theta + ratio * theta'
+        def make():
+            if not ratio:
+                return series(sph)
+            return series(theta_data(sph) + theta_prime_data(sph).scale(ratio), level=1)
+
+        return _shared(trial, f"image{ratio:+d}", make)
 
     ratio = -1 if check.endswith("minus") else 1
-    res = series(sph) if check == "spherical" else raised(ratio)
-    other = raised(-1) if check == "negative-control" else res
+    res = image(0 if check == "spherical" else ratio)
+    other = image(-1) if check == "negative-control" else res
     if not (res.stabilized and other.stabilized):
         return echo, _UNSTABLE
     if check == "negative-control":
@@ -634,20 +681,28 @@ def _jobs() -> int:
 def run_suite(config: VerifyConfig) -> Report:
     """Run every case of the configured suite.  A configuration that
     selects no case raises ValueError: a report of 0/0 checks nothing."""
+    global _trial_values, _trial_key
     cases = _SUITES[config.suite].cases(config)
     if not cases:
         options = ", ".join(f"{k}={getattr(config, k)}" for k in ("n", "r", "max_gap"))
         raise ValueError(f"suite {config.suite} has no cases for {options}")
     jobs = _jobs()
     worker = functools.partial(_run_case, config)
-    if jobs > 1 and len(cases) > 1:
-        # about 64 chunks a worker: few enough that a sub-millisecond case
-        # does not pay a round trip of its own, enough to even out the load
-        chunksize = max(1, len(cases) // (64 * jobs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, cases, chunksize=chunksize))
-    else:
-        records = [worker(c) for c in cases]
+    # shared trial values live for this call only: a value kept from an
+    # earlier run could have been computed by other code (a test's spy);
+    # forked workers inherit the empty cache, spawned ones see it off
+    _trial_values, _trial_key = {}, None
+    try:
+        if jobs > 1 and len(cases) > 1:
+            # about 64 chunks a worker: few enough that a sub-millisecond case
+            # does not pay a round trip of its own, enough to even out the load
+            chunksize = max(1, len(cases) // (64 * jobs))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                records = list(pool.map(worker, cases, chunksize=chunksize))
+        else:
+            records = [worker(c) for c in cases]
+    finally:
+        _trial_values, _trial_key = None, None
     return Report(config.suite, config, records)
 
 
@@ -681,19 +736,16 @@ def emit(report: Report, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _parse_coweight(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
-def _parse_beta(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals; ValueError naming an entry that is not one."""
-    beta = []
+def _parse_entries(text: str, flag: str, read: Callable, kind: str) -> tuple:
+    """The comma-separated entries of a flag, each read by read;
+    ValueError naming the flag and an entry that is not kind."""
+    entries = []
     for part in text.split(","):
         try:
-            beta.append(Fraction(part))
+            entries.append(read(part))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--beta entry {part!r} is not a rational number") from None
-    return tuple(beta)
+            raise ValueError(f"{flag} entry {part!r} is not {kind}") from None
+    return tuple(entries)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -728,7 +780,7 @@ def _cmd_xi(args) -> int:
     with open(args.data, encoding="utf-8") as handle:
         payload = json.load(handle, object_pairs_hook=_whittaker_object)
     d = WhittakerData.from_json(payload)
-    beta = _parse_beta(args.beta) if args.beta else None
+    beta = _parse_entries(args.beta, "--beta", Fraction, "a rational number") if args.beta else None
     result = xi(
         d,
         d.n,
@@ -743,7 +795,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    lam = _parse_coweight(args.lam)
+    lam = _parse_entries(args.lam, "--lam", int, "an integer")
     size = "vars" if args.kind == "schur" else "n"
     character = {"schur": schur, "sp": sp_character, "orbit": orbit_sum}[args.kind]
     poly = character(lam, len(lam))

@@ -164,9 +164,8 @@ def test_long_suites_go_to_the_pool_in_chunks(monkeypatch, trials, chunksize):
 
 
 def test_chunked_pool_run_matches_serial(monkeypatch):
-    # 258 cases on two real workers go in chunks of two
-    cfg = {"suite": "gsp4-raising", "trials": 86, "trunc": 6}
-    serial = run_suite(VerifyConfig(**cfg))
+    # 258 cases on two real workers go in chunks of two; in both suites a
+    # chunk boundary splits trials whose cases share their draws
     chunksizes = []
 
     class Pool(concurrent.futures.ProcessPoolExecutor):
@@ -174,12 +173,71 @@ def test_chunked_pool_run_matches_serial(monkeypatch):
             chunksizes.append(chunksize)
             return super().map(fn, *iterables, chunksize=chunksize)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("PARAMODULAR_JOBS", "2")
-    parallel = run_suite(VerifyConfig(**cfg))
-    assert chunksizes == [2]
-    assert report_fingerprint(serial) == report_fingerprint(parallel)
+    for cfg in (
+        {"suite": "gsp4-raising", "trials": 86, "trunc": 6},
+        {"suite": "fe", "trials": 43, "trunc": 6},
+    ):
+        monkeypatch.delenv("PARAMODULAR_JOBS", raising=False)
+        serial = run_suite(VerifyConfig(**cfg))
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setenv("PARAMODULAR_JOBS", "2")
+            chunksizes.clear()
+            parallel = run_suite(VerifyConfig(**cfg))
+        assert chunksizes == [2]
+        assert report_fingerprint(serial) == report_fingerprint(parallel)
+
+
+def spy_on(monkeypatch, *names):
+    """Replace each named function of cli with a spy that counts its calls
+    and returns what the function returns; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_cases_of_one_trial_share_their_draws(monkeypatch):
+    # one fe trial has three distinct images (spherical, raised +1 and -1)
+    # of one spherical vector; one gsp4-raising trial draws one datum and
+    # needs its series plus one moved series per operator
+    calls = spy_on(monkeypatch, "xi", "spherical_so_data")
+    report = run_suite(VerifyConfig(suite="fe", trials=1))
+    assert report.all_passed and len(report.cases) == 6
+    assert calls == {"xi": 3, "spherical_so_data": 1}
+    calls = spy_on(monkeypatch, "random_whittaker_data", "psi_series")
+    report = run_suite(VerifyConfig(suite="gsp4-raising", trials=1))
+    assert report.all_passed and len(report.cases) == 3
+    assert calls == {"random_whittaker_data": 1, "psi_series": 4}
+
+
+def test_shared_values_do_not_outlive_run_suite(monkeypatch):
+    # an image computed in one run must stand in neither for a case run
+    # directly nor for a later run; here both must see a perturbed xi
+    cfg = VerifyConfig(suite="fe", trials=1)
+    assert run_suite(cfg).all_passed
+    x1 = SymLaurent.monomial(2, (1, 0))
+    xi, calls = cli.xi, []
+
+    def perturbed(*args, **kwargs):
+        calls.append(args)
+        res = xi(*args, **kwargs)
+        return dataclasses.replace(res, poly=res.poly + x1)
+
+    monkeypatch.setattr(cli, "xi", perturbed)
+    record = cli._run_case(cfg, {"check": "spherical", "trial": 0})
+    assert len(calls) == 1 and not record.verdict
+    report = run_suite(cfg)
+    assert len(calls) == 4 and not report.all_passed
+    # only the mismatched pair of negative-control still fails to match
+    passed = [c.parameters["check"] for c in report.cases if c.verdict]
+    assert passed == ["negative-control"]
 
 
 # Each input ends in a ValueError or OSError inside its subcommand; "{dir}"
@@ -281,6 +339,15 @@ def test_bad_input_exits_with_one_line(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("paramodular: "), proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("lam, entry", [("1,a", "'a'"), ("", "''")], ids=["letter", "empty"])
+def test_bad_lam_entry_names_the_flag(lam, entry):
+    with pytest.raises(SystemExit) as info:
+        main(["char", "schur", "--lam", lam])
+    message = str(info.value.code)
+    assert message.startswith("paramodular: ") and "\n" not in message
+    assert "--lam" in message and entry in message
 
 
 def test_moves_are_looked_up_at_call_time(monkeypatch):

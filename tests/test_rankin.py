@@ -318,6 +318,32 @@ def test_unramified_rank_two_series_is_one():
     assert res.detected_degree == 0
 
 
+# Satake points random_beta never draws: beta_i = +-1, beta_i = beta_j^-1
+# and beta_i = beta_j
+DEGENERATE_BETAS = [
+    (Fraction(1), Fraction(2)),
+    (Fraction(3), Fraction(1, 3)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(2), Fraction(2)),
+]
+
+
+@pytest.mark.parametrize("beta", DEGENERATE_BETAS, ids=lambda b: ",".join(map(str, b)))
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("mode_name", ["evaluation", "symbolic"])
+def test_unramified_series_is_one_at_degenerate_points(beta, r, mode_name):
+    # the unramified identity end to end, at points where the symplectic
+    # character's Weyl denominator vanishes
+    if mode_name == "symbolic":
+        mode = SymbolicMode(r)
+    else:
+        mode = EvaluationMode(r, (Fraction(5, 7), Fraction(-3, 2))[:r], Fraction(3, 2))
+    d = spherical_so_data(beta, 2, 8)
+    res = xi(d, 2, r, beta=beta, mode=mode, trunc=8)
+    assert res.stabilized
+    assert res.series.first_mismatch(unit_series(mode), 8) is None
+
+
 def test_raised_data_normalized_series():
     d = spherical_so_data(BETA2, 2, 12)
     res_t = xi(theta_data(d), 2, 2, beta=BETA2, trunc=10, level=1)
