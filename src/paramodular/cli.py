@@ -29,6 +29,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -736,6 +737,19 @@ def emit(report: Report, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# an integer entry of a flag: an optional minus sign and ASCII digits, so
+# that the digit separators, padding and plus sign int() takes are refused
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """text as an int when it is written as _INTEGER; ValueError
+    otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_entries(text: str, flag: str, read: Callable, kind: str) -> tuple:
     """The comma-separated entries of a flag, each read by read;
     ValueError naming the flag and an entry that is not kind."""
@@ -795,7 +809,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    lam = _parse_entries(args.lam, "--lam", int, "an integer")
+    lam = _parse_entries(args.lam, "--lam", _integer, "an integer")
     size = "vars" if args.kind == "schur" else "n"
     character = {"schur": schur, "sp": sp_character, "orbit": orbit_sum}[args.kind]
     poly = character(lam, len(lam))

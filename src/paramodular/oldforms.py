@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant, sup_norm, tilde
 from .characters import orbit_sum
-from .rings import SymLaurent, VLaurent
+from .rings import _MASK, _W, SymLaurent, VLaurent
 # A re-export only: bench/tests/test_tracer.py checks that the tracer
 # rebinds a function imported into a second module through this name.
 from .rings import vlaurent_div_exact  # noqa: F401
@@ -314,21 +314,24 @@ def rank_check(images: list[SymLaurent]) -> tuple[int, bool]:
 
 def _scaled_row(poly: SymLaurent) -> tuple[int, dict]:
     """The span of poly's v-exponents, and its numerators scaled by v^(-lo)
-    as lists of (v-exponent, int) pairs.  Leaving out the shared
+    as lists of (v-exponent, int) pairs, keyed by the packed X-fields of
+    the store's keys, whose order is that of the X-exponent tuples.  A
+    key's low field is its v-exponent plus a fixed offset, so field
+    differences are exponent differences.  Leaving out the shared
     denominator scales the row, which changes no rank."""
-    exps = [k[-1] for k in poly.num]
-    lo = min(exps, default=0)
-    row: dict[tuple[int, ...], list] = {}
+    fields = [k & _MASK for k in poly.num]
+    lo = min(fields, default=0)
+    row: dict[int, list] = {}
     for k, x in poly.num.items():
-        row.setdefault(k[:-1], []).append((k[-1] - lo, x))
-    return max(exps, default=0) - lo, row
+        row.setdefault(k >> _W, []).append(((k & _MASK) - lo, x))
+    return max(fields, default=0) - lo, row
 
 
 def _rank_at(rows: list[dict], v0: int) -> int:
     """Rank over Q of the scaled rows at v = v0, by Gaussian elimination on
     sparse rows: each row is reduced by the pivot rows of its leading
     monomials until it is zero or has a leading monomial of its own."""
-    pivots: dict[tuple[int, ...], dict] = {}
+    pivots: dict[int, dict] = {}
     for terms in rows:
         values = {mono: sum(c * v0**e for e, c in pairs) for mono, pairs in terms.items()}
         row = {mono: x for mono, x in values.items() if x}

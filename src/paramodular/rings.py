@@ -8,21 +8,23 @@ all built on ints and ``fractions.Fraction``:
     q = v**2.  Working in v instead of q keeps every half-integral power of
     q (modulus characters, epsilon factors, normalized Whittaker values)
     polynomial, so no square roots of rationals are ever needed.  Stored
-    flat: one map ``num`` from (x_1, .., x_r, v) exponent tuples to int
+    flat: one map ``num`` from packed exponent keys (below) to int
     numerators over one positive int ``den``, in normal form (no zero
     numerator, gcd(den, numerators) = 1, den = 1 for zero), so equality is
     a plain comparison of the dict and the int.  A product is one integer
     convolution and a sum works over the lcm of the two denominators, and
-    no Fraction is built on the way.  Despite the name the container holds
-    arbitrary Laurent polynomials; symmetry and inversion-invariance are
-    properties of particular values, which the type does not enforce.
+    no Fraction and no tuple is built on the way.  Despite the name the
+    container holds arbitrary Laurent polynomials; symmetry and
+    inversion-invariance are properties of particular values, which the
+    type does not enforce.
 
 ``VLaurent``
-    The case r = 0, keyed (e,): the same store, normal form and arithmetic.
-    It is the coefficient type of the nested form {X-exponents: VLaurent |
-    int | Fraction} that the SymLaurent constructor takes and its read-only
-    ``c`` view gives back; a VLaurent's own ``c`` is {e: Fraction}.  Views
-    are for readers outside this module and built at most once per object.
+    The case r = 0, keyed by v alone: the same store, normal form and
+    arithmetic.  It is the coefficient type of the nested form
+    {X-exponents: VLaurent | int | Fraction} that the SymLaurent
+    constructor takes and its read-only ``c`` view gives back; a VLaurent's
+    own ``c`` is {e: Fraction}.  Views are for readers outside this module
+    and built at most once per object.
 
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
@@ -34,6 +36,26 @@ all built on ints and ``fractions.Fraction``:
     orders, and an inverse is known through the order asked for;
     ``trunc=None`` marks an exactly-known polynomial.
 
+Packed keys.  The exponent tuple (x_1, .., x_r, v) of a term is one
+non-negative int of r + 1 fields, W = 16 bits each, x_1's the highest and
+v's the lowest.  A field holds its exponent plus the offset 2^(W-1), so an
+exponent e with |e| <= 2^(W-1) - 1 = 32767 gives a field in 1 .. 2^W - 1.
+As every field is non-negative and below 2^W, numeric order on keys is
+lexicographic order on tuples, and the key of a sum of two tuples is the
+sum of their keys minus the bias, the key of the zero tuple: a product of
+two terms is one int addition.  A VLaurent key is one field, exactly the
+low field of a SymLaurent key.  Tuples are read and written only at the
+edges: the constructors, the views (and so serialization and printing),
+the predicate of ``restrict`` and the two oracle divisions; evaluation,
+the variable substitutions and the binomial division work on fields.
+
+A field must never overflow into its neighbour, so every value carries
+``_bound``, an upper bound on the |exponent| of its keys: a product's is the
+sum of its operands', a sum's the larger of the two, and a shift by v^k
+adds |k|; constructors take the largest exponent they are given, and
+``_div_binomial`` states its own rule.  An operation whose bound would pass
+32767 raises OverflowError and returns nothing.
+
 All values are normalized (no stored zero coefficients) and treated as
 immutable, so an operation on a zero may return that zero.  Term order for
 serialization and printing is lexicographic on exponent tuples.
@@ -41,10 +63,13 @@ serialization and printing is lexicographic on exponent tuples.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 import operator
 import re
+import struct
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
@@ -54,8 +79,52 @@ Key = tuple[int, ...]
 # the exponent keys VLaurent.to_json writes: str(e) for an int e
 _EXPONENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
+# the width of a packed field (that of a struct "h"), its mask, the offset
+# that makes it non-negative and the largest |exponent| it holds
+_W = 16
+_MASK = (1 << _W) - 1
+_OFFSET = 1 << (_W - 1)
+_LIMIT = _OFFSET - 1
 
-def _over_lcm(terms: Mapping[Key, tuple[int, int]]) -> tuple[dict[Key, int], int]:
+
+def _pack(exps: Iterable[int]) -> int:
+    """The key of an exponent tuple, its last entry in the lowest field;
+    the entries must lie within _LIMIT, which the caller checks."""
+    key = 0
+    for e in exps:
+        key = (key << _W) + e + _OFFSET
+    return key
+
+
+@functools.cache
+def _bias(r: int) -> int:
+    """The key of the zero exponent tuple of a value in r X-variables."""
+    return _pack((0,) * (r + 1))
+
+
+@functools.cache
+def _layout(size: int) -> tuple:
+    """How to read keys of size fields: a field e + offset with its top bit
+    flipped is e in 16-bit two's complement, so a key xor the bias is the
+    big-endian bytes of a struct of size signed shorts."""
+    return struct.Struct(f">{size}h").unpack, _bias(size - 1), 2 * size
+
+
+def _unpack(key: int, size: int) -> Key:
+    """The exponent tuple of length size that key packs."""
+    read, bias, nbytes = _layout(size)
+    return read((key ^ bias).to_bytes(nbytes, "big"))
+
+
+def _checked(bound: int) -> int:
+    """bound, or OverflowError if it passes the largest exponent a field
+    holds."""
+    if bound > _LIMIT:
+        raise OverflowError(f"an exponent bound of {bound} exceeds the packed field limit {_LIMIT}")
+    return bound
+
+
+def _over_lcm(terms: Mapping[int, tuple[int, int]]) -> tuple[dict[int, int], int]:
     """Nonzero (numerator, denominator) pairs as int numerators over the lcm
     of the denominators.  If the numerators of each denominator share no
     factor with it (lowest-terms fractions, the terms of a normal-form
@@ -68,23 +137,30 @@ def _over_lcm(terms: Mapping[Key, tuple[int, int]]) -> tuple[dict[Key, int], int
 
 
 class _Laurent:
-    """The flat store and the arithmetic of both Laurent types: ``num`` maps
-    exponent tuples of length r + 1, v's last, to int numerators over
-    ``den``, in normal form.  Each subclass supplies ``_coerced``, which
-    brings an operand into its own class or returns None; a result has the
-    class of its operand."""
+    """The flat store and the arithmetic of both Laurent types.  ``num``
+    maps keys to int numerators over ``den``, in normal form.  A key packs
+    an exponent tuple of length r + 1 into r + 1 fields of W = 16 bits, v's
+    the lowest, each the exponent plus 2^(W-1); as no field is negative,
+    numeric order on keys is lexicographic order on tuples.  The bias is
+    the key of the zero tuple, so the product of keys k1 and k2 is
+    k1 + k2 - bias, the bias taken off the outer operand's key once.
+    ``_bound`` bounds every |exponent|; an operation whose bound would pass
+    2^(W-1) - 1 raises OverflowError (see the module docstring).  Each
+    subclass supplies ``_coerced``, which brings an operand into its own
+    class or returns None; a result has the class of its operand."""
 
-    __slots__ = ("r", "num", "den", "_view")
+    __slots__ = ("r", "num", "den", "_bound", "_view")
 
     @classmethod
-    def _wrap(cls, r: int, num: dict[Key, int], den: int):
-        """Wrap a numerator map that is already in normal form over den."""
+    def _wrap(cls, r: int, num: dict[int, int], den: int, bound: int):
+        """Wrap a numerator map that is already in normal form over den,
+        with a bound already checked."""
         out = cls.__new__(cls)
-        out.r, out.num, out.den, out._view = r, num, den, None
+        out.r, out.num, out.den, out._bound, out._view = r, num, den, bound, None
         return out
 
     @classmethod
-    def _normal(cls, r: int, num: dict[Key, int], den: int):
+    def _normal(cls, r: int, num: dict[int, int], den: int, bound: int):
         """Wrap a numerator map without zero entries over a positive den,
         dividing out their common factor (den becomes 1 when num is empty)."""
         if den != 1:
@@ -92,11 +168,11 @@ class _Laurent:
             if g != 1:
                 den //= g
                 num = {k: x // g for k, x in num.items()}
-        return cls._wrap(r, num, den)
+        return cls._wrap(r, num, den, bound)
 
     @classmethod
     def _scalar(cls, r: int, x: Scalar):
-        return cls._wrap(r, {(0,) * (r + 1): x.numerator} if x else {}, x.denominator)
+        return cls._wrap(r, {_bias(r): x.numerator} if x else {}, x.denominator, 0)
 
     def __eq__(self, other: Any) -> bool:
         o = self._coerced(other)
@@ -120,12 +196,13 @@ class _Laurent:
                 c[k] = s
             else:
                 del c[k]
-        return self._normal(self.r, c, den)
+        bound = self._bound if self._bound >= o._bound else o._bound
+        return self._normal(self.r, c, den, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(self.r, {k: -x for k, x in self.num.items()}, self.den)
+        return self._wrap(self.r, {k: -x for k, x in self.num.items()}, self.den, self._bound)
 
     def __mul__(self, other: Any):
         o = self._coerced(other)
@@ -135,10 +212,11 @@ class _Laurent:
         if len(b.num) != 1:
             return self._dot([(a, b)], a.den * b.den) if b.num else b
         # a term times a polynomial: no exponents collide, nothing cancels
-        add = operator.add
+        bound = _checked(a._bound + b._bound)
         ((k2, x2),) = b.num.items()
-        c = {tuple(map(add, k1, k2)): x1 * x2 for k1, x1 in a.num.items()}
-        return self._normal(self.r, c, a.den * b.den)
+        k2 -= _bias(self.r)
+        c = {k1 + k2: x1 * x2 for k1, x1 in a.num.items()}
+        return self._normal(self.r, c, a.den * b.den, bound)
 
     def _dot(self, pairs: list, den: int):
         """Sum of a * b over pairs of values of this class and r.  Every
@@ -146,18 +224,23 @@ class _Laurent:
         of the products' denominators (their lcm keeps the integers
         smallest), the factor den / (a.den b.den) folded into the smaller
         operand, and the sum is normalized once."""
-        add = operator.add
-        c: dict[Key, int] = {}
+        bias = _bias(self.r)
+        c: dict[int, int] = {}
         get = c.get
+        bound = 0
         for a, b in pairs:
+            s = a._bound + b._bound
+            if s > bound:
+                bound = _checked(s)
             f = den // (a.den * b.den)
             a, b = (a.num, b.num) if len(a.num) >= len(b.num) else (b.num, a.num)
             for k2, x2 in b.items():
                 x2 *= f
+                k2 -= bias
                 for k1, x1 in a.items():
-                    k = tuple(map(add, k1, k2))
+                    k = k1 + k2
                     c[k] = get(k, 0) + x1 * x2
-        return self._normal(self.r, {k: x for k, x in c.items() if x}, den)
+        return self._normal(self.r, {k: x for k, x in c.items() if x}, den, bound)
 
     def __sub__(self, other: Any):
         return self + (-other)
@@ -173,8 +256,9 @@ class _Laurent:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     __hash__ = None  # type: ignore[assignment]
@@ -182,38 +266,47 @@ class _Laurent:
     def _evaluate(self, pt: tuple[Fraction, ...]) -> Fraction:
         """The value at pt (v last) as one sum of ints: coordinate p/q with
         exponents in lo..hi (lo <= 0 <= hi) maps a to p^(a-lo) q^(hi-a) over
-        q^hi p^-lo.  A zero entry meeting a negative exponent is rejected."""
+        q^hi p^-lo.  A zero entry meeting a negative exponent is rejected.
+        Exponents stay in their fields: a field f is a + offset."""
         tables = []
         den = self.den
-        for base, col in zip(pt, zip(*self.num)):
+        for base, s in zip(pt, range(_W * self.r, -1, -_W)):
+            col = {k >> s & _MASK for k in self.num}
+            col.add(_OFFSET)
             p, q = base.numerator, base.denominator
-            lo, hi = min(0, *col), max(0, *col)
+            lo, hi = min(col) - _OFFSET, max(col) - _OFFSET
             if p == 0 and lo < 0:
                 raise ZeroDivisionError("a zero value hits a negative exponent")
             den *= q**hi * p**-lo
-            tables.append({a: p ** (a - lo) * q ** (hi - a) for a in set(col)})
+            tables.append((s, {f: p ** (f - lo - _OFFSET) * q ** (hi + _OFFSET - f) for f in col}))
         total = 0
         for k, x in self.num.items():
-            for a, table in zip(k, tables):
-                x *= table[a]
+            for s, table in tables:
+                x *= table[k >> s & _MASK]
             total += x
         return Fraction(total, den)
 
 
 class VLaurent(_Laurent):
     """Laurent polynomial in v (q = v**2) with exact rational coefficients:
-    the flat store with no X-variables, keyed (e,).  The constructor takes
-    {e: int | Fraction}; ``c`` gives it back as a read-only view."""
+    the flat store with no X-variables, a key being the one field e +
+    offset.  The constructor takes {e: int | Fraction}; ``c`` gives it back
+    as a read-only view."""
 
     __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        terms: dict[Key, tuple[int, int]] = {}
+        terms: dict[int, tuple[int, int]] = {}
+        bound = 0
         for e, x in (coeffs or {}).items():
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
             if x:
-                terms[(operator.index(e),)] = x.as_integer_ratio()
+                e = operator.index(e)
+                if e > bound or -e > bound:
+                    bound = abs(e)
+                terms[e + _OFFSET] = x.as_integer_ratio()
+        self._bound = _checked(bound)
         self.num, self.den = _over_lcm(terms)
         self.r, self._view = 0, None
 
@@ -236,16 +329,23 @@ class VLaurent(_Laurent):
         # q = v**2, so half-integral q-powers never appear.
         return VLaurent({2 * k: 1})
 
+    @staticmethod
+    def _term(e: int, x: Fraction) -> "VLaurent":
+        """x v^e for a nonzero Fraction x: the constructor's value and
+        check, without its loop."""
+        return VLaurent._wrap(0, {e + _OFFSET: x.numerator}, x.denominator, _checked(abs(e)))
+
     def shifted(self, k: int) -> "VLaurent":
-        """The product with v**k, as a shift of the exponents."""
-        return self._wrap(0, {(e + k,): x for (e,), x in self.num.items()}, self.den)
+        """The product with v**k, as a shift of the keys."""
+        bound = _checked(self._bound + abs(k))
+        return self._wrap(0, {e + k: x for e, x in self.num.items()}, self.den, bound)
 
     @property
     def c(self) -> Mapping[int, Fraction]:
         """Read-only map from v-exponents to nonzero Fractions, built on
         first access (values are immutable, so once suffices)."""
         if self._view is None:
-            view = {e: Fraction(x, self.den) for (e,), x in self.num.items()}
+            view = {e - _OFFSET: Fraction(x, self.den) for e, x in self.num.items()}
             self._view = MappingProxyType(view)
         return self._view
 
@@ -322,24 +422,37 @@ class SymLaurent(_Laurent):
     def __init__(self, r: int, coeffs: Mapping[Key, Any] | None = None):
         if r < 0:
             raise ValueError("variable count must be non-negative")
-        terms: dict[Key, tuple[int, int]] = {}
+        terms: dict[int, tuple[int, int]] = {}
+        bound = 0
+        # the X-fields of the zero tuple, over a zero v-field
+        xbias = _bias(r) - _OFFSET
         # Coefficients given as VLaurents already are the nested view.
         view: dict[Key, VLaurent] | None = {}
         for e, x in (coeffs or {}).items():
             e = tuple(map(operator.index, e))
             if len(e) != r:
                 raise ValueError("exponent tuple length differs from variable count")
+            # the X-fields of every key of this term, packed inline
+            prefix = 0
+            for a in e:
+                prefix = (prefix << _W) + a
+                if a > bound or -a > bound:
+                    bound = abs(a)
+            prefix = (prefix << _W) + xbias
             if isinstance(x, VLaurent):
+                if x._bound > bound:
+                    bound = x._bound
                 for k, n in x.num.items():
-                    terms[e + k] = (n, x.den)
+                    terms[prefix + k] = (n, x.den)
                 if view is not None and x:
                     view[e] = x
             elif isinstance(x, (int, Fraction)):
                 view = None
                 if x:
-                    terms[(*e, 0)] = x.as_integer_ratio()
+                    terms[prefix + _OFFSET] = x.as_integer_ratio()
             else:
                 raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
+        self._bound = _checked(bound)
         self.num, self.den = _over_lcm(terms)
         self.r, self._view = r, None if view is None else MappingProxyType(view)
 
@@ -358,7 +471,9 @@ class SymLaurent(_Laurent):
         if r < 0:
             raise ValueError("variable count must be non-negative")
         if isinstance(x, VLaurent):
-            return SymLaurent._wrap(r, {(0,) * r + k: n for k, n in x.num.items()}, x.den)
+            # a VLaurent key is the low field: add the zero X-fields
+            shift = _bias(r) - _OFFSET
+            return SymLaurent._wrap(r, {k + shift: n for k, n in x.num.items()}, x.den, x._bound)
         if isinstance(x, (int, Fraction)):
             return SymLaurent._scalar(r, x)
         raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
@@ -373,13 +488,17 @@ class SymLaurent(_Laurent):
     def c(self) -> Mapping[Key, VLaurent]:
         """Read-only map from X-exponent tuples to VLaurent coefficients,
         built on first access unless the constructor already had it (values
-        are immutable, so once suffices).  No arithmetic here reads it."""
+        are immutable, so once suffices).  No arithmetic here reads it.
+        A key's X-fields are key >> W and its VLaurent key the low field."""
         if self._view is None:
-            grouped: dict[Key, dict[Key, int]] = {}
+            grouped: dict[int, dict[int, int]] = {}
             for k, x in sorted(self.num.items()):
-                grouped.setdefault(k[:-1], {})[k[-1:]] = x
+                grouped.setdefault(k >> _W, {})[k & _MASK] = x
             self._view = MappingProxyType(
-                {e: VLaurent._normal(0, vs, self.den) for e, vs in grouped.items()}
+                {
+                    _unpack(p, self.r): VLaurent._normal(0, vs, self.den, self._bound)
+                    for p, vs in grouped.items()
+                }
             )
         return self._view
 
@@ -407,37 +526,39 @@ class SymLaurent(_Laurent):
     __rmul__ = __mul__
 
     # -- variable manipulations ---------------------------------------------
-
-    def _remapped(self, r: int, key) -> "SymLaurent":
-        """The terms with exponent tuples key(k), dropping those where key
-        returns None; key must be injective on the kept terms."""
-        num = {}
-        for k, x in self.num.items():
-            k2 = key(k)
-            if k2 is not None:
-                num[k2] = x
-        return SymLaurent._normal(r, num, self.den)
+    #
+    # Each keeps or moves keys without raising any |exponent|, so the bound
+    # carries over.
 
     def invert_all_vars(self) -> "SymLaurent":
-        """Substitute X_i -> X_i^-1 for every variable; v is left alone."""
-        return self._remapped(self.r, lambda k: (*(-a for a in k[:-1]), k[-1]))
+        """Substitute X_i -> X_i^-1 for every variable; v is left alone.
+        An X-field f becomes 2 * offset - f, so the X-fields of a key k,
+        k - (k & mask), become 2 * xbias minus them."""
+        xbias = _bias(self.r) - _OFFSET
+        num = {2 * xbias - k + 2 * (k & _MASK): x for k, x in self.num.items()}
+        return SymLaurent._wrap(self.r, num, self.den, self._bound)
 
     def restrict(self, keep) -> "SymLaurent":
         """The terms whose X-exponent tuple satisfies ``keep``."""
-        return self._remapped(self.r, lambda k: k if keep(k[:-1]) else None)
+        r = self.r
+        kept = {p for p in {k >> _W for k in self.num} if keep(_unpack(p, r))}
+        num = {k: x for k, x in self.num.items() if k >> _W in kept}
+        return SymLaurent._normal(r, num, self.den, self._bound)
 
     def substitute_last_zero(self) -> "SymLaurent":
-        """Set X_r = 0 and drop that variable.  Rejects negative X_r
-        exponents, where the substitution is undefined."""
+        """Set X_r = 0 and drop that variable, whose field sits just above
+        v's.  Rejects negative X_r exponents, where the substitution is
+        undefined."""
         if self.r == 0:
             raise ValueError("no variable to specialize")
-
-        def key(k):
-            if k[-2] < 0:
+        num = {}
+        for k, x in self.num.items():
+            last = (k >> _W) & _MASK
+            if last < _OFFSET:
                 raise ValueError("negative exponent in the last variable; X_r = 0 undefined")
-            return (*k[:-2], k[-1]) if k[-2] == 0 else None
-
-        return self._remapped(self.r - 1, key)
+            if last == _OFFSET:
+                num[((k >> 2 * _W) << _W) + (k & _MASK)] = x
+        return SymLaurent._normal(self.r - 1, num, self.den, self._bound)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -501,26 +622,30 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
     confined, coordinate by coordinate, to the window [min(num) - min(den),
     max(num) - max(den)] (minimum/maximum-weight components multiply
     without cancellation in a domain), so leaving the window proves
-    inexactness and guarantees termination."""
+    inexactness and guarantees termination.  The keys are unpacked to
+    exponent tuples on entry and the quotient's packed on exit."""
     if num.r != den.r:
         raise ValueError("variable counts differ")
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return num
+    size = num.r + 1
+    nterms = {_unpack(k, size): x for k, x in num.num.items()}
+    dterms = {_unpack(k, size): x for k, x in den.num.items()}
 
     def corner(keys, pick) -> list[int]:
         return [pick(col) for col in zip(*keys)]
 
-    lo = [a - b for a, b in zip(corner(num.num, min), corner(den.num, min))]
-    hi = [a - b for a, b in zip(corner(num.num, max), corner(den.num, max))]
-    dlead = max(den.num)
-    dcoef = den.num[dlead]
-    dtail = [(k, x) for k, x in den.num.items() if k != dlead]
+    lo = [a - b for a, b in zip(corner(nterms, min), corner(dterms, min))]
+    hi = [a - b for a, b in zip(corner(nterms, max), corner(dterms, max))]
+    dlead = max(dterms)
+    dcoef = dterms[dlead]
+    dtail = [(k, x) for k, x in dterms.items() if k != dlead]
     # The remainder's numerators (over num.den), and a heap of its keys
     # negated, so that the lexicographically largest pops first.  Every
     # key a step adds is below the one it removes.
-    rem: dict[Key, Scalar] = dict(num.num)
+    rem: dict[Key, Scalar] = nterms
     heap = [tuple(-a for a in k) for k in rem]
     heapq.heapify(heap)
     quo: dict[Key, tuple[int, int]] = {}
@@ -548,33 +673,44 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
             else:
                 del rem[k]
     # num/den = (quo / num.den) / (1 / den.den)
-    return num._wrap(num.r, *_over_lcm(quo)) * Fraction(den.den, num.den)
+    bound = _checked(max(map(abs, itertools.chain.from_iterable(quo))))
+    quotient = num._wrap(num.r, *_over_lcm({_pack(k): x for k, x in quo.items()}), bound)
+    return quotient * Fraction(den.den, num.den)
 
 
 def _div_binomial(num: SymLaurent, a: Key, b: Key) -> SymLaurent:
     """num / (X^a - X^b) for X-exponent tuples a != b; ValueError if the
     division leaves a remainder.
 
-    The keys of num lie on lines g + t*d, d = a - b (v fixed).  From
+    The terms of num lie on lines g + t*d, d = a - b (v fixed).  From
     num_m = quo_{m-a} - quo_{m+d-a}, the quotient at m - a is the suffix
-    sum num_m + num_{m+d} + ..., constant between the keys of num, so the
+    sum num_m + num_{m+d} + ..., constant between the terms of num, so the
     division is exact iff every line sums to zero.  Linear in the terms of
     num and of the quotient, which keeps num's den: a factor that divided
-    den and every quotient numerator would divide every numerator of num."""
-    d = (*map(operator.sub, a, b), 0)
+    den and every quotient numerator would divide every numerator of num.
+
+    Keys move by int arithmetic: with D and A the signed packed forms of d
+    and a (the sums of d_j and a_j at their field places), g is k - t*D
+    and the quotient key of m is m - A.  With B = num._bound, every base
+    point has |g_j| <= B (1 + max|d_j|), few enough for the packed g to
+    tell the lines apart, and the quotient's Newton polytope is num's less
+    the segment [a, b], so its exponents keep within B plus the overhang
+    max(0, min(a_j, b_j), -max(a_j, b_j))."""
+    d = tuple(map(operator.sub, a, b))
     i = next((i for i, x in enumerate(d) if x), None)
     if i is None:
         raise ZeroDivisionError("division by the zero polynomial")
-    sub = operator.sub
-    # t * d for each step t met, so that keys move by C-level maps
-    steps: dict[int, Key] = {}
-    lines: dict[Key, list[tuple[int, int]]] = {}
+    r = num.r
+    overhang = max(0, *(max(min(x, y), -max(x, y)) for x, y in zip(a, b)))
+    _checked(num._bound * (1 + max(map(abs, d))))
+    bound = _checked(num._bound + overhang)
+    bias = _bias(r)
+    big_d, big_a = _pack((*d, 0)) - bias, _pack((*a, 0)) - bias
+    s, di = _W * (r - i), d[i]
+    lines: dict[int, list[tuple[int, int]]] = {}
     for k, x in num.num.items():
-        t = k[i] // d[i]
-        td = steps.get(t)
-        if td is None:
-            td = steps[t] = tuple(t * q for q in d)
-        lines.setdefault(tuple(map(sub, k, td)), []).append((t, x))
+        t = (((k >> s) & _MASK) - _OFFSET) // di
+        lines.setdefault(k - t * big_d, []).append((t, x))
     quo = {}
     for g, terms in lines.items():
         terms.sort(reverse=True)
@@ -582,13 +718,13 @@ def _div_binomial(num: SymLaurent, a: Key, b: Key) -> SymLaurent:
         for (t, x), (stop, _) in zip(terms, terms[1:]):
             acc += x
             if acc:
-                key = tuple(map(sub, map(operator.add, g, steps[t]), (*a, 0)))
+                key = g + t * big_d - big_a
                 for _ in range(t, stop, -1):
                     quo[key] = acc
-                    key = tuple(map(sub, key, d))
+                    key -= big_d
         if acc + terms[-1][1]:
             raise ValueError("inexact Laurent polynomial division")
-    return num._wrap(num.r, quo, num.den)
+    return num._wrap(r, quo, num.den, bound)
 
 
 def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:

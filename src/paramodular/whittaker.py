@@ -31,7 +31,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .characters import schur, sp_character_value
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant, trace
-from .rings import SymLaurent, VLaurent, _over_lcm
+from .rings import SymLaurent, VLaurent
 
 
 def gl_modulus_exponent(lam: Coweight, r: int) -> int:
@@ -188,15 +188,16 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     <= cutoff: all that a series truncated at Y-degree cutoff reads, also
     after raising moves, which read at equal or lower trace."""
     beta = _satake(beta, n)
-    # the generating function's flat terms (lam..., v-exponent), one per
-    # weight whose character does not vanish; weights come from the
-    # enumerated cone, so they need no second check
-    terms = {}
+    # the generating function's terms, one per weight whose character does
+    # not vanish; given as VLaurents they are also its nested view, which
+    # every reader of the data goes through.  Weights come from the
+    # enumerated cone, so they need no second check.
+    values = {}
     for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
         x = sp_character_value(lam, beta)
         if x:
-            terms[(*lam, -so_modulus_exponent(lam, n))] = (x.numerator, x.denominator)
-    return WhittakerData._of(SymLaurent._wrap(n, *_over_lcm(terms)))
+            values[lam] = VLaurent._term(-so_modulus_exponent(lam, n), x)
+    return WhittakerData._of(SymLaurent(n, values))
 
 
 def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:

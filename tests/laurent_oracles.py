@@ -5,12 +5,29 @@ Written on the public API of ``paramodular.rings`` alone (the constructor
 and the nested view ``c``; a series' ``coeffs``, ``trunc`` and ``zero``),
 so that they check the flat store and the series kernel from outside
 rather than through their own rules.  The series oracles form every
-coefficient one product and one sum at a time.
+coefficient one product and one sum at a time.  ``unpacked`` alone reads
+the store itself, for the tests of its layout.
 """
 
 from __future__ import annotations
 
-from paramodular.rings import SymLaurent, TruncSeries
+import operator
+from fractions import Fraction
+
+from paramodular.rings import SymLaurent, TruncSeries, VLaurent, _pack, _unpack
+
+
+def unpacked(a) -> dict[tuple[int, ...], int]:
+    """The flat store of a Laurent value as {(x_1, .., x_r, v): numerator
+    over a.den}, read with the module's own unpacking.  AssertionError
+    unless every key is exactly the packing of its r + 1 exponents and the
+    value's bound covers them."""
+    out = {}
+    for k, x in a.num.items():
+        e = _unpack(k, a.r + 1)
+        assert _pack(e) == k and max(map(abs, e)) <= a._bound, (k, e)
+        out[e] = x
+    return out
 
 
 def _transposed(a: SymLaurent, i: int) -> SymLaurent:
@@ -55,6 +72,25 @@ def is_homogeneous(a: SymLaurent, degree: int | None = None) -> bool:
 def min_var_exp(a: SymLaurent) -> int:
     """Smallest exponent on any variable (0 for constants)."""
     return min([0, *(x for e in a.c for x in e)])
+
+
+def flat_view(a) -> dict[tuple[int, ...], Fraction]:
+    """{(x_1, .., x_r, v): coefficient} of a Laurent value, read off its
+    nested view; a VLaurent's terms are keyed (v,)."""
+    if isinstance(a, VLaurent):
+        return {(e,): f for e, f in a.c.items()}
+    return {(*e, k): f for e, x in a.c.items() for k, f in x.c.items()}
+
+
+def laurent_product(a, b) -> dict[tuple[int, ...], Fraction]:
+    """The flat view of a * b, one product of two terms at a time in tuple
+    arithmetic: no Laurent product and no packed key is involved."""
+    out: dict = {}
+    for e1, f1 in flat_view(a).items():
+        for e2, f2 in flat_view(b).items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + f1 * f2
+    return {e: f for e, f in out.items() if f}
 
 
 def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:

@@ -350,6 +350,21 @@ def test_bad_lam_entry_names_the_flag(lam, entry):
     assert "--lam" in message and entry in message
 
 
+@pytest.mark.parametrize(
+    "lam, entry",
+    [("1_0", "'1_0'"), (" 2", "' 2'"), ("+2", "'+2'")],
+    ids=["digit-separator", "padded", "plus-sign"],
+)
+def test_lam_entries_are_read_strictly(lam, entry, capsys):
+    # int() would read each of these as a number: (10), (2) and (2)
+    with pytest.raises(SystemExit) as info:
+        main(["char", "schur", "--lam", lam])
+    message = str(info.value.code)
+    assert message.startswith("paramodular: ") and "\n" not in message
+    assert "--lam" in message and entry in message
+    assert capsys.readouterr().out == ""
+
+
 def test_moves_are_looked_up_at_call_time(monkeypatch):
     # a rebinding of cli.theta_data (as a tracer makes) must reach every
     # suite that applies the theta move

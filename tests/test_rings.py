@@ -21,12 +21,15 @@ from paramodular.rings import (
 from paramodular.whittaker import WhittakerData
 
 from laurent_oracles import (
+    flat_view,
     is_homogeneous,
     is_in_s0,
     is_symmetric,
+    laurent_product,
     min_var_exp,
     series_inverse,
     series_product,
+    unpacked,
 )
 
 
@@ -437,7 +440,7 @@ def _is_normal(a: SymLaurent | VLaurent) -> bool:
         type(a.den) is int
         and a.den > 0
         and all(type(x) is int and x for x in nums)
-        and all(len(k) == a.r + 1 for k in a.num)
+        and all(len(k) == a.r + 1 for k in unpacked(a))
         and math.gcd(a.den, *nums) == 1
     )
 
@@ -513,8 +516,9 @@ def _flat_terms(a: SymLaurent) -> list:
     """(X-exponents, [(v-exponent, coefficient), ...]) in lexicographic
     order, read off the flat numerators and the shared denominator."""
     grouped: dict = {}
-    for k in sorted(a.num):
-        grouped.setdefault(k[:-1], []).append((k[-1], Fraction(a.num[k], a.den)))
+    terms = unpacked(a)
+    for k in sorted(terms):
+        grouped.setdefault(k[:-1], []).append((k[-1], Fraction(terms[k], a.den)))
     return list(grouped.items())
 
 
@@ -806,7 +810,7 @@ def test_equal_values_have_one_normal_form():
     half = SymLaurent(2, {(1, -1): Fraction(2, 4), (0, 0): VLaurent({-1: Fraction(3, 6)})})
     same = SymLaurent(2, {(1, -1): Fraction(1, 2), (0, 0): VLaurent({-1: Fraction(1, 2)})})
     assert half == same and half.to_json() == same.to_json()
-    assert (half.num, half.den) == ({(1, -1, 0): 1, (0, 0, -1): 1}, 2)
+    assert (unpacked(half), half.den) == ({(1, -1, 0): 1, (0, 0, -1): 1}, 2)
     # sums and restrictions that cancel factors of the denominator
     whole = SymLaurent(2, {(1, -1): 1, (0, 0): VLaurent({-1: 1})})
     assert (half + half).den == 1 and half + half == whole
@@ -830,8 +834,8 @@ def test_vlaurent_values_have_the_flat_normal_form():
 
     check()
     half = VLaurent({-1: Fraction(2, 4), 1: Fraction(3, 2)})
-    assert (half.num, half.den) == ({(-1,): 1, (1,): 3}, 2)
-    assert ((half + half).num, (half + half).den) == ({(-1,): 1, (1,): 3}, 1)
+    assert (unpacked(half), half.den) == ({(-1,): 1, (1,): 3}, 2)
+    assert (unpacked(half + half), (half + half).den) == ({(-1,): 1, (1,): 3}, 1)
     assert (half * 2).den == 1 and half * 2 == VLaurent({-1: 1, 1: 3})
 
 
@@ -846,3 +850,119 @@ def test_nested_view_is_read_only_and_built_once():
     b = SymLaurent(2, {(1, 0): x, (0, 1): VLaurent.zero()})
     assert dict(b.c) == {(1, 0): x} and b.c[(1, 0)] is x
     assert dict((b * 1).c) == dict(b.c)
+
+
+# The packed store: each exponent tuple is one int of W-bit fields offset to
+# be non-negative, and every value bounds its |exponent| by the field limit.
+
+LIMIT = rings._LIMIT
+
+
+def test_packed_keys_round_trip_and_keep_the_lexicographic_order():
+    hyp, st, settings = _hypothesis()
+    exponent = st.integers(min_value=-LIMIT, max_value=LIMIT) | st.sampled_from(
+        (-LIMIT, -LIMIT + 1, -1, 0, 1, LIMIT - 1, LIMIT)
+    )
+
+    def tuples(r):
+        terms = st.lists(st.tuples(*[exponent] * (r + 1)), min_size=1, max_size=8, unique=True)
+        return st.tuples(st.just(r), terms)
+
+    @settings
+    @hyp.given(st.integers(min_value=0, max_value=5).flatmap(tuples))
+    def check(case):
+        r, exps = case
+        keys = [rings._pack(e) for e in exps]
+        assert all(type(k) is int and k >= 0 for k in keys)
+        assert [rings._unpack(k, r + 1) for k in keys] == exps
+        assert [rings._unpack(k, r + 1) for k in sorted(keys)] == sorted(exps)
+        # the constructor stores exactly these keys, and the views and
+        # serialization read them back in lexicographic order
+        nested: dict = {}
+        for e in exps:
+            nested.setdefault(e[:-1], {})[e[-1]] = 1
+        a = SymLaurent(r, {x: VLaurent(vs) for x, vs in nested.items()})
+        assert sorted(a.num) == sorted(keys) and unpacked(a) == {e: 1 for e in exps}
+        assert list(flat_view(a * 1)) == sorted(exps)
+        assert [(*t["exponents"], int(k)) for t in a.to_json() for k in t["coeff"]] == sorted(exps)
+
+    check()
+
+
+def test_exponents_at_the_field_limit_and_one_past_it():
+    top = VLaurent.v_power(LIMIT)
+    assert dict(top.c) == {LIMIT: 1} and top * 3 == VLaurent({LIMIT: 3})
+    assert VLaurent.v_power(LIMIT - 1) * VLaurent.v_power(1) == top
+    assert VLaurent.v_power(LIMIT - 1).shifted(1) == top
+    assert VLaurent.v_power(1) ** LIMIT == top
+    assert VLaurent.from_json(top.to_json()) == top
+    low = VLaurent({-LIMIT: Fraction(1, 2)})
+    assert low * (VLaurent.one() + 2) == VLaurent({-LIMIT: Fraction(3, 2)})
+    corner = SymLaurent(2, {(LIMIT, -LIMIT): low, (-LIMIT, LIMIT): 3, (0, 0): top})
+    assert unpacked(corner) == {(LIMIT, -LIMIT, -LIMIT): 1, (-LIMIT, LIMIT, 0): 6, (0, 0, LIMIT): 2}
+    assert corner.den == 2 and SymLaurent.from_json(corner.to_json(), 2) == corner
+    assert corner.invert_all_vars().invert_all_vars() == corner
+    assert corner * Fraction(2, 3) + corner * Fraction(1, 3) == corner
+    assert corner.evaluate((1, 1), 1) == Fraction(1, 2) + 3 + 1
+    # two operands whose bounds sum to exactly the limit
+    half = SymLaurent(2, {(LIMIT // 2, -(LIMIT // 2)): VLaurent({LIMIT // 2: 1}), (1, -1): 1})
+    rest = SymLaurent(2, {(-(LIMIT - LIMIT // 2), 1): VLaurent({LIMIT - LIMIT // 2: 2}), (0, 0): 1})
+    assert flat_view(half * rest) == laurent_product(half, rest)
+    assert unpacked(half * rest)[(-1, 1 - LIMIT // 2, LIMIT)] == 2
+
+    past = LIMIT + 1
+    overflowing = {
+        "VLaurent constructor": lambda: VLaurent({past: 1}),
+        "negative VLaurent exponent": lambda: VLaurent.v_power(-past),
+        "SymLaurent constructor": lambda: SymLaurent(2, {(0, past): 1}),
+        "negative X-exponent": lambda: SymLaurent(2, {(-past, 0): VLaurent.one()}),
+        "VLaurent.from_json": lambda: VLaurent.from_json({str(past): "1"}),
+        "SymLaurent.from_json": lambda: SymLaurent.from_json(
+            [{"exponents": [past, 0], "coeff": {"0": "1"}}], 2
+        ),
+        "term product": lambda: top * VLaurent.v_power(1),
+        "polynomial product": lambda: (top + 1) * (VLaurent.v_power(-1) + 1),
+        "SymLaurent product": lambda: corner * SymLaurent.monomial(2, (1, 0)),
+        "power": lambda: VLaurent.v_power(1) ** past,
+        "square": lambda: (top + 1) ** 2,
+        "shift up": lambda: top.shifted(1),
+        "shift down": lambda: low.shifted(-1),
+    }
+    for name, build in overflowing.items():
+        with pytest.raises(OverflowError):
+            build()
+            pytest.fail(f"{name} returned a value")
+
+
+def test_products_whose_fields_borrow_match_the_oracle():
+    hyp, st, settings = _hypothesis()
+    # operands bounded by half the limit, so that every product fits
+    half = LIMIT // 2
+    magnitude = st.integers(min_value=1, max_value=half)
+
+    def operands(r):
+        signed = st.tuples(*[magnitude.flatmap(lambda m: st.sampled_from((m, -m)))] * (r + 1))
+        terms = st.dictionaries(signed, st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4)
+        pos, neg = st.tuples(*[magnitude] * (r + 1)), st.tuples(*[magnitude.map(operator.neg)] * (r + 1))
+        # each operand has a term of each sign in every coordinate, so
+        # every coordinate of the product mixes signs and its fields borrow
+        both = st.tuples(terms, pos, neg).map(lambda t: {**t[0], t[1]: 1, t[2]: -2})
+        return st.tuples(st.just(r), both, both)
+
+    def build(r, terms):
+        nested: dict = {}
+        for e, f in terms.items():
+            nested.setdefault(e[:-1], {})[e[-1]] = f
+        return SymLaurent(r, {x: VLaurent(vs) for x, vs in nested.items()})
+
+    @settings
+    @hyp.given(st.integers(min_value=1, max_value=4).flatmap(operands))
+    def check(case):
+        r, ta, tb = case
+        a, b = build(r, ta), build(r, tb)
+        got = a * b
+        assert flat_view(got) == laurent_product(a, b)
+        assert unpacked(got) and _is_normal(got)
+        assert flat_view(a * b.invert_all_vars()) == laurent_product(a, b.invert_all_vars())
+
+    check()
