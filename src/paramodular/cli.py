@@ -738,8 +738,11 @@ def emit(report: Report, fmt: str = "json") -> str:
 
 
 # an integer entry of a flag: an optional minus sign and ASCII digits, so
-# that the digit separators, padding and plus sign int() takes are refused
+# that the digit separators, padding and plus sign int() takes are refused;
+# a rational entry is one such integer, or one over ASCII digits, which
+# refuses what Fraction() would also take
 _INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _integer(text: str) -> int:
@@ -748,6 +751,32 @@ def _integer(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def _rational(text: str) -> Fraction:
+    """text as a Fraction when it is written as _RATIONAL; ValueError
+    otherwise, ZeroDivisionError for a zero denominator."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts with a minus sign and a digit
+    joined by "=" to the long option before it.  argparse reads a value
+    such as "-1,0" as an unknown option (only a lone negative number
+    passes), while "--lam=-1,0" is always a value; every option here but
+    --version takes one value, so the joined form means the same, also for
+    an abbreviated option such as "--la"."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        option = len(prev) > 2 and prev[:2] == "--" and "=" not in prev
+        if option and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_entries(text: str, flag: str, read: Callable, kind: str) -> tuple:
@@ -794,7 +823,7 @@ def _cmd_xi(args) -> int:
     with open(args.data, encoding="utf-8") as handle:
         payload = json.load(handle, object_pairs_hook=_whittaker_object)
     d = WhittakerData.from_json(payload)
-    beta = _parse_entries(args.beta, "--beta", Fraction, "a rational number") if args.beta else None
+    beta = _parse_entries(args.beta, "--beta", _rational, "a rational number") if args.beta else None
     result = xi(
         d,
         d.n,
@@ -890,7 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  Bad input (a ValueError or OSError out of the
     subcommand) ends the run with a one-line error and exit status 1."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

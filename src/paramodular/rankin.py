@@ -22,39 +22,45 @@ at x_i = v^{-1} X_i Y, i.e. the normalized series collapses to 1.
 Everything runs in one of two modes: symbolic (coefficients are Laurent
 polynomials in X_1..X_r over VLaurent) or evaluation (X_i and v bound to
 exact rationals, coefficients are Fractions).  Both are exact.  A mode
-maps the two coefficient layers into its ring: ``from_vlaurent`` for a
-VLaurent and ``lift`` for a SymLaurent, which symbolic mode keeps as it is
-and evaluation mode evaluates at its point.  Schur values in evaluation
-mode never go through a polynomial and build no Fraction before the last
-step: with the point x = y / B, y integer and B the lcm of its
-denominators, the mode holds one ``characters._HTable`` of the integers
-h_m(y) = B^m h_m(x), and each s_lam(point) is the integer Jacobi-Trudi
-determinant of those numbers over B^|core|, times the twist of a negative
-lam_r, by the rule that also gives the numeric symplectic characters.  The
-numerator factor P_phi is r copies of one polynomial E_beta, whose
+maps a SymLaurent into its ring with ``lift``, which symbolic mode keeps
+as it is and evaluation mode evaluates at its point.  Schur values in
+evaluation mode never go through a polynomial and build no Fraction
+before the last step: with the point x = y / B, y integer and B the lcm
+of its denominators, the mode holds one ``characters._HTable`` of the
+integers h_m(y) = B^m h_m(x), and each s_lam(point) is the integer
+Jacobi-Trudi determinant of those numbers over B^|core|, times the twist
+of a negative lam_r, by the rule that also gives the numeric symplectic
+characters.  The numerator factor P_phi is r copies of one polynomial E_beta, whose
 coefficients are integers over one denominator den; evaluation mode builds
 it the same way, as one integer convolution whose degree-k coefficient
 lies over den^r M^k, where x_j / v = c_j / M with c_j and M integers.
 
-The torus sum reads each weight of the data once: the degree-l
-coefficient walks only the weights of trace l, through the data's trace
-index, and folds each v-power in as a shift of the v-exponents.  It is
-then one sum of products d(lam) v^w * s_lam, formed in one accumulator
-and normalized once, in both modes; so is every coefficient of the
-series products and of the inverse of P_wedge2.
+The torus sum reads each weight of the data once, from the data's flat
+terms: the degree-l coefficient walks only the weights of trace l, through
+the data's trace index, which gives each weight's exponent tuple and its
+terms (e, x), d(lam) = sum x / den v^e over the one denominator of the
+data's generating function, with no VLaurent built.  s_lam is looked up
+once per weight (``mode.schur``), and the mode's ``_torus_sum`` is the one
+place where it enters: symbolic mode adds each numerator product x * y
+into one packed-key accumulator at s_lam's key k plus e + w (v^w being the
+weight's v-power) and normalizes once; evaluation mode sums
+x v^(e + w) s_lam(point) as ints over one denominator.  Every coefficient
+of the series products and of the inverse of P_wedge2 is likewise one sum
+of products, formed in one accumulator and normalized once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 from fractions import Fraction
 from typing import Any
 
 from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
-from .rings import SymLaurent, TruncSeries, VLaurent, _dot
+from .rings import SymLaurent, TruncSeries, VLaurent
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
@@ -75,11 +81,14 @@ class SymbolicMode:
     def lift(self, poly: SymLaurent) -> SymLaurent:
         return poly
 
-    def from_vlaurent(self, c: VLaurent) -> SymLaurent:
-        return SymLaurent.constant(self.r, c)
-
     def schur(self, lam: Coweight) -> SymLaurent:
         return schur(lam, self.r)
+
+    def _torus_sum(self, weights: list, den: int) -> SymLaurent:
+        """The sum over weights (s, w, terms) of s * sum (x / den) v^(e + w)
+        over the terms (e, x): one accumulator of packed keys, normalized
+        once (``SymLaurent._shifted_dot``)."""
+        return self._zero._shifted_dot(weights, den)
 
     def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
         """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k: the product
@@ -118,15 +127,32 @@ class EvaluationMode:
     def lift(self, poly: SymLaurent) -> Fraction:
         return poly.evaluate(self.point, self.v_value)
 
-    def from_vlaurent(self, c: VLaurent) -> Fraction:
-        return c.evaluate(self.v_value)
-
     def schur(self, lam: Coweight) -> Fraction:
         """s_lam at the point: equals ``lift(schur(lam, r))``, including its
         ValueErrors and the ZeroDivisionError of a negative lam_r at a
         point with a zero entry; the Jacobi-Trudi rule of ``characters``
         over the mode's table."""
         return _schur_value(lam, self._table)
+
+    def _torus_sum(self, weights: list, den: int) -> Fraction:
+        """The sum over weights (s, w, terms) of s * sum (x / den) v^(e + w)
+        over the terms (e, x), as one sum of ints: with v = p / q and every
+        t = e + w in lo..hi (lo <= 0 <= hi), v^t is p^(t - lo) q^(hi - t)
+        over p^-lo q^hi, and s is s.numerator * (L / s.denominator) over the
+        lcm L of the Schur denominators.  No key is formed, so no exponent
+        bound applies."""
+        lo = min(0, *[terms[0][0] + w for _, w, terms in weights])
+        hi = max(0, *[terms[-1][0] + w for _, w, terms in weights])
+        p, q = self.v_value.numerator, self.v_value.denominator
+        lcm = math.lcm(*[s.denominator for s, _, _ in weights])
+        total = 0
+        for s, w, terms in weights:
+            part = 0
+            for e, x in terms:
+                t = e + w
+                part += x * p ** (t - lo) * q ** (hi - t)
+            total += part * s.numerator * (lcm // s.denominator)
+        return Fraction(total, den * lcm * p**-lo * q**hi)
 
     def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
         """prod_j E(x_j Y / v) at the point for E(t) = sum_k (e_k / den) t^k.
@@ -170,24 +196,26 @@ def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any
     docstring).  Homogeneous of total degree ell in the X variables."""
     _check_ranks(d, n, r, mode)
     twist = ell * (2 * n - r - 1)
-    pairs = []
-    for lam, val in d.of_trace(ell):
+    weights = []
+    for lam, terms in d._trace_index().get(ell, ()):
         if any(lam[r:]):
             continue
         head = lam[:r]
-        weight = gl_modulus_exponent(head, r) + twist
-        pairs.append((mode.from_vlaurent(val.shifted(weight)), mode.schur(head)))
-    return _dot(pairs, mode.zero())
+        weights.append((mode.schur(head), gl_modulus_exponent(head, r) + twist, terms))
+    if not weights:
+        return mode.zero()
+    return mode._torus_sum(weights, d.gen.den)
 
 
 def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> TruncSeries:
     """The torus-sum series through degree trunc; degrees where d has no
     weight are zero without a call of psi_component."""
     _check_ranks(d, n, r, mode)
+    index = d._trace_index()
     coeffs = {
         ell: psi_component(d, n, r, ell, mode)
         for ell in range(trunc + 1)
-        if d.of_trace(ell)
+        if ell in index
     }
     return TruncSeries(coeffs, trunc, mode.zero())
 

@@ -45,16 +45,20 @@ lexicographic order on tuples, and the key of a sum of two tuples is the
 sum of their keys minus the bias, the key of the zero tuple: a product of
 two terms is one int addition.  A VLaurent key is one field, exactly the
 low field of a SymLaurent key.  Tuples are read and written only at the
-edges: the constructors, the views (and so serialization and printing),
-the predicate of ``restrict`` and the two oracle divisions; evaluation,
-the variable substitutions and the binomial division work on fields.
+edges: the constructors, the views and ``_grouped`` (and so serialization,
+printing and the trace index of Whittaker data), the predicate of
+``restrict`` and the two oracle divisions; evaluation, the variable
+substitutions and the binomial division work on fields.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
 sum of its operands', a sum's the larger of the two, and a shift by v^k
 adds |k|; constructors take the largest exponent they are given, and
-``_div_binomial`` states its own rule.  An operation whose bound would pass
-32767 raises OverflowError and returns nothing.
+``_div_binomial`` states its own rule.  These sums run ahead of the true
+exponents when exponents cancel, so an operation whose summed bound would
+pass 32767 first re-reads its operands' bounds from their keys, which
+keeps the check O(1) on the common path; only if the bound still passes
+does it raise OverflowError, returning nothing.
 
 All values are normalized (no stored zero coefficients) and treated as
 immutable, so an operation on a zero may return that zero.  Term order for
@@ -116,9 +120,16 @@ def _unpack(key: int, size: int) -> Key:
     return read((key ^ bias).to_bytes(nbytes, "big"))
 
 
-def _checked(bound: int) -> int:
-    """bound, or OverflowError if it passes the largest exponent a field
-    holds."""
+def _checked(bound: int, *values: "_Laurent") -> int:
+    """bound, if it is within the largest exponent a field holds.  When
+    bound is a fixed part plus the tracked bounds of values and passes the
+    limit, each value's bound is first re-read from its keys (``_tighten``),
+    so that a value whose exponents cancelled is not refused; OverflowError
+    if the bound still passes the limit.  The common path is one
+    comparison."""
+    if bound > _LIMIT and values:
+        fixed = bound - sum(x._bound for x in values)
+        bound = fixed + sum(x._tighten() for x in values)
     if bound > _LIMIT:
         raise OverflowError(f"an exponent bound of {bound} exceeds the packed field limit {_LIMIT}")
     return bound
@@ -145,9 +156,10 @@ class _Laurent:
     the key of the zero tuple, so the product of keys k1 and k2 is
     k1 + k2 - bias, the bias taken off the outer operand's key once.
     ``_bound`` bounds every |exponent|; an operation whose bound would pass
-    2^(W-1) - 1 raises OverflowError (see the module docstring).  Each
-    subclass supplies ``_coerced``, which brings an operand into its own
-    class or returns None; a result has the class of its operand."""
+    2^(W-1) - 1, also once re-read from the keys, raises OverflowError
+    (see the module docstring).  Each subclass supplies ``_coerced``, which
+    brings an operand into its own class or returns None; a result has the
+    class of its operand."""
 
     __slots__ = ("r", "num", "den", "_bound", "_view")
 
@@ -173,6 +185,18 @@ class _Laurent:
     @classmethod
     def _scalar(cls, r: int, x: Scalar):
         return cls._wrap(r, {_bias(r): x.numerator} if x else {}, x.denominator, 0)
+
+    def _tighten(self) -> int:
+        """Re-read ``_bound`` from the keys, the largest |exponent| in any
+        field (0 for zero), and return it.  It never rises, so the value
+        still passes every check it passed; only the bound changes."""
+        bound = 0
+        if self.num:
+            for s in range(0, _W * (self.r + 1), _W):
+                col = {k >> s & _MASK for k in self.num}
+                bound = max(bound, max(col) - _OFFSET, _OFFSET - min(col))
+        self._bound = bound
+        return bound
 
     def __eq__(self, other: Any) -> bool:
         o = self._coerced(other)
@@ -212,7 +236,7 @@ class _Laurent:
         if len(b.num) != 1:
             return self._dot([(a, b)], a.den * b.den) if b.num else b
         # a term times a polynomial: no exponents collide, nothing cancels
-        bound = _checked(a._bound + b._bound)
+        bound = _checked(a._bound + b._bound, a, b)
         ((k2, x2),) = b.num.items()
         k2 -= _bias(self.r)
         c = {k1 + k2: x1 * x2 for k1, x1 in a.num.items()}
@@ -231,7 +255,9 @@ class _Laurent:
         for a, b in pairs:
             s = a._bound + b._bound
             if s > bound:
-                bound = _checked(s)
+                s = _checked(s, a, b)
+                if s > bound:
+                    bound = s
             f = den // (a.den * b.den)
             a, b = (a.num, b.num) if len(a.num) >= len(b.num) else (b.num, a.num)
             for k2, x2 in b.items():
@@ -241,6 +267,44 @@ class _Laurent:
                     k = k1 + k2
                     c[k] = get(k, 0) + x1 * x2
         return self._normal(self.r, {k: x for k, x in c.items() if x}, den, bound)
+
+    def _shifted_dot(self, weights: list, den: int):
+        """The sum over weights (s, w, terms) of s * sum (x / den) v^(e + w)
+        over the terms (e, x), e ascending, x an int and s a value of this
+        class and r.  Each numerator product goes into one accumulator at
+        s's key k plus e + w, a shift of its v-field, over den times the lcm
+        L of the s denominators (so s's products are scaled by L / s.den),
+        and the sum is normalized once.  The bound of s plus the largest
+        |e + w| of its terms bounds its products; OverflowError if that
+        passes the limit also once s's bound is re-read."""
+        lcm = math.lcm(*[s.den for s, _, _ in weights])
+        acc: dict[int, int] = {}
+        bound = 0
+        merged = False
+        for s, w, terms in weights:
+            lo, hi = terms[0][0] + w, terms[-1][0] + w
+            b = s._bound + (hi if hi > -lo else -lo)
+            if b > _LIMIT:
+                b = _checked(b, s)
+            if b > bound:
+                bound = b
+            f = lcm // s.den
+            items = s.num.items()
+            for e, x in terms:
+                x *= f
+                t = e + w
+                if not acc:
+                    # the first product: no two keys meet, nothing cancels
+                    acc = {k + t: x * y for k, y in items}
+                    get = acc.get
+                    continue
+                merged = True
+                for k, y in items:
+                    k += t
+                    acc[k] = get(k, 0) + x * y
+        if merged:
+            acc = {k: x for k, x in acc.items() if x}
+        return self._normal(self.r, acc, den * lcm, bound)
 
     def __sub__(self, other: Any):
         return self + (-other)
@@ -337,7 +401,7 @@ class VLaurent(_Laurent):
 
     def shifted(self, k: int) -> "VLaurent":
         """The product with v**k, as a shift of the keys."""
-        bound = _checked(self._bound + abs(k))
+        bound = _checked(self._bound + abs(k), self)
         return self._wrap(0, {e + k: x for e, x in self.num.items()}, self.den, bound)
 
     @property
@@ -491,16 +555,28 @@ class SymLaurent(_Laurent):
         are immutable, so once suffices).  No arithmetic here reads it.
         A key's X-fields are key >> W and its VLaurent key the low field."""
         if self._view is None:
-            grouped: dict[int, dict[int, int]] = {}
-            for k, x in sorted(self.num.items()):
-                grouped.setdefault(k >> _W, {})[k & _MASK] = x
             self._view = MappingProxyType(
                 {
-                    _unpack(p, self.r): VLaurent._normal(0, vs, self.den, self._bound)
-                    for p, vs in grouped.items()
+                    e: VLaurent._normal(0, {v + _OFFSET: x for v, x in terms}, self.den, self._bound)
+                    for e, terms in self._grouped()
                 }
             )
         return self._view
+
+    def _grouped(self) -> list[tuple[Key, list[tuple[int, int]]]]:
+        """The content of the nested view with no VLaurent and no gcd: each
+        X-exponent tuple, in lexicographic order, with its (v-exponent,
+        numerator) pairs over ``den``, v-exponents ascending."""
+        out: list[tuple[Key, list[tuple[int, int]]]] = []
+        last = None
+        for k, x in sorted(self.num.items()):
+            p = k >> _W
+            if p != last:
+                terms: list[tuple[int, int]] = []
+                out.append((_unpack(p, self.r), terms))
+                last = p
+            terms.append(((k & _MASK) - _OFFSET, x))
+        return out
 
     # -- ring operations ---------------------------------------------------
 
@@ -702,8 +778,11 @@ def _div_binomial(num: SymLaurent, a: Key, b: Key) -> SymLaurent:
         raise ZeroDivisionError("division by the zero polynomial")
     r = num.r
     overhang = max(0, *(max(min(x, y), -max(x, y)) for x, y in zip(a, b)))
-    _checked(num._bound * (1 + max(map(abs, d))))
-    bound = _checked(num._bound + overhang)
+    spread = 1 + max(map(abs, d))
+    if num._bound * spread > _LIMIT:
+        num._tighten()
+    _checked(num._bound * spread)
+    bound = _checked(num._bound + overhang, num)
     bias = _bias(r)
     big_d, big_a = _pack((*d, 0)) - bias, _pack((*a, 0)) - bias
     s, di = _W * (r - i), d[i]

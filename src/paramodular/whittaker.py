@@ -26,17 +26,23 @@ values are picked up in place (with multiplicity q), not shifted.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from .characters import schur, sp_character_value
-from .coweights import Cone, Coweight, enumerate_cone, is_dominant, trace
+from .coweights import Cone, Coweight, enumerate_cone, is_dominant
 from .rings import SymLaurent, VLaurent
+
+# the weights of one trace: each with its (v-exponent, numerator) terms
+# over the generating function's denominator
+_Weights = list[tuple[Coweight, list[tuple[int, int]]]]
 
 
 def gl_modulus_exponent(lam: Coweight, r: int) -> int:
     """Exponent w with delta_B^{1/2}(pi^lam) = v^{-w} for GL_r."""
-    return sum(lam[i] * (r - 1 - 2 * i) for i in range(r))
+    return sum(map(operator.mul, lam, range(r - 1, -r, -2)))
 
 
 def gl_whittaker(lam: Coweight, r: int) -> SymLaurent:
@@ -62,16 +68,19 @@ class WhittakerData:
     """Finitely supported map from the non-negative weakly decreasing cone
     (length-n coweights) to VLaurent, stored as its generating function
     ``gen`` = sum_lam d(lam) X^lam, a SymLaurent in n variables whose terms
-    all lie in the cone.  Immutable by convention, so the by-trace index of
-    the support is built at most once, on first use."""
+    all lie in the cone.  Immutable by convention, so the trace index of
+    the support is built at most once, on first use.  The index reads the
+    flat terms of ``gen`` (each weight's v-exponents and int numerators
+    over ``gen.den``), not its nested view, which only ``get``,
+    ``support``, ``items`` and serialization build."""
 
-    __slots__ = ("gen", "_by_trace")
+    __slots__ = ("gen", "_index")
 
     def __init__(self, n: int, values: Mapping[Coweight, VLaurent] | None = None):
         if n < 1:
             raise ValueError("rank must be positive")
         self.gen = SymLaurent(n, values)
-        self._by_trace = None
+        self._index = None
         for lam in self.gen.c:
             if not is_dominant(lam, Cone.G):
                 raise ValueError(f"support coweight {lam} outside the dominant cone")
@@ -81,7 +90,7 @@ class WhittakerData:
         """Wrap a generating function already supported in the cone."""
         out = WhittakerData.__new__(WhittakerData)
         out.gen = gen
-        out._by_trace = None
+        out._index = None
         return out
 
     @property
@@ -101,18 +110,19 @@ class WhittakerData:
     def items(self) -> Iterable[tuple[Coweight, VLaurent]]:
         return sorted(self.gen.c.items())
 
-    def of_trace(self, ell: int) -> Sequence[tuple[Coweight, VLaurent]]:
-        """The pairs of ``items()`` whose weight has trace ell, in the same
-        order."""
-        if self._by_trace is None:
-            index: dict[int, list[tuple[Coweight, VLaurent]]] = {}
-            for lam, x in self.items():
-                index.setdefault(trace(lam), []).append((lam, x))
-            self._by_trace = index
-        return self._by_trace.get(ell, ())
+    def _trace_index(self) -> dict[int, _Weights]:
+        """Map each trace to its weights in ``items()`` order, each weight
+        lam with the terms (e, x) of d(lam) = sum x / gen.den v^e,
+        e ascending."""
+        if self._index is None:
+            index: dict[int, _Weights] = {}
+            for lam, terms in self.gen._grouped():
+                index.setdefault(sum(lam), []).append((lam, terms))
+            self._index = index
+        return self._index
 
     def max_trace(self) -> int:
-        return max((trace(lam) for lam in self.gen.c), default=0)
+        return max(self._trace_index(), default=0)
 
     def __add__(self, other: "WhittakerData") -> "WhittakerData":
         return WhittakerData._of(self.gen + other.gen)
@@ -190,8 +200,8 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     beta = _satake(beta, n)
     # the generating function's terms, one per weight whose character does
     # not vanish; given as VLaurents they are also its nested view, which
-    # every reader of the data goes through.  Weights come from the
-    # enumerated cone, so they need no second check.
+    # lookups and serialization read.  Weights come from the enumerated
+    # cone, so they need no second check.
     values = {}
     for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
         x = sp_character_value(lam, beta)
@@ -200,11 +210,28 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     return WhittakerData._of(SymLaurent(n, values))
 
 
+def _in_cone(lam: Coweight) -> bool:
+    """``is_dominant(lam, Cone.G)`` for a non-empty lam, read from the
+    tuple with no dispatch on the cone."""
+    return lam[-1] >= 0 and all(map(operator.ge, lam, lam[1:]))
+
+
 def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:
     """The data whose generating function is d.gen * symbol, restricted to
     the dominant cone: result(lam) = sum_s c_s d(lam - s) for the terms
     c_s X^s of the symbol."""
-    return WhittakerData._of((d.gen * symbol).restrict(lambda lam: is_dominant(lam, Cone.G)))
+    return WhittakerData._of((d.gen * symbol).restrict(_in_cone))
+
+
+# The symbols of the moves.  Values are immutable, so one of each serves
+# every call: the rank-2 ones are built here, eta's once per rank.
+_THETA = SymLaurent(2, {(1, 0): 1, (0, 1): VLaurent.q_power(1)})
+_THETA_PRIME = SymLaurent(2, {(1, 1): 1, (0, 0): VLaurent.q_power(1)})
+
+
+@functools.cache
+def _eta_symbol(n: int) -> SymLaurent:
+    return SymLaurent.monomial(n, (1,) * n)
 
 
 def _assert_rank_two(d: WhittakerData, name: str) -> None:
@@ -216,14 +243,14 @@ def eta_data(d: WhittakerData) -> WhittakerData:
     """Data-level action of the torus translation by -(1,..,1): result(lam)
     = d(lam - (1,..,1)), so the support shifts up by one box in every
     coordinate."""
-    return _move(d, SymLaurent.monomial(d.n, (1,) * d.n))
+    return _move(d, _eta_symbol(d.n))
 
 
 def theta_data(d: WhittakerData) -> WhittakerData:
     """Rank-2 degree-one raising operator: result(lam) = d(lam - e1)
     + q * d(lam - e2), with out-of-cone lookups contributing 0."""
     _assert_rank_two(d, "theta_data")
-    return _move(d, SymLaurent(2, {(1, 0): 1, (0, 1): VLaurent.q_power(1)}))
+    return _move(d, _THETA)
 
 
 def theta_prime_data(d: WhittakerData) -> WhittakerData:
@@ -231,4 +258,4 @@ def theta_prime_data(d: WhittakerData) -> WhittakerData:
     + q * d(lam).  The second family of cosets acts through a unipotent on
     which the Whittaker character is trivial, hence the in-place term."""
     _assert_rank_two(d, "theta_prime_data")
-    return _move(d, SymLaurent(2, {(1, 1): 1, (0, 0): VLaurent.q_power(1)}))
+    return _move(d, _THETA_PRIME)

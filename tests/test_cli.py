@@ -365,6 +365,44 @@ def test_lam_entries_are_read_strictly(lam, entry, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "beta, entry",
+    [("1_0, 2", "'1_0'"), (" 2", "' 2'"), ("+2", "'+2'"), ("2,3/2 ", "'3/2 '"), ("1.5", "'1.5'")],
+    ids=["digit-separator", "padded", "plus-sign", "trailing-space", "decimal"],
+)
+def test_beta_entries_are_read_strictly(tmp_path, beta, entry, capsys):
+    # Fraction() would read each of these as a number
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"n": 2, "entries": [{"lambda": [1, 0], "value": {"0": "1"}}]}))
+    with pytest.raises(SystemExit) as info:
+        main(["xi", "--data", str(data), "--r", "2", "--beta", beta])
+    assert info.value.code == f"paramodular: --beta entry {entry} is not a rational number"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "orbit", "--lam", "-1,0"],
+        ["char", "schur", "--lam", "-1,-2"],
+        ["char", "schur", "--la", "-2,-3"],
+        ["xi", "--data", "{data}", "--r", "2", "--beta", "-2,3/2"],
+    ],
+    ids=["orbit", "schur", "abbreviated", "xi-beta"],
+)
+def test_a_value_may_start_with_a_minus_sign(tmp_path, argv, capsys):
+    # argparse alone reads "-1,0" as an unknown option and exits 2
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(spherical_so_data(BETA2, 2, 4).to_json()))
+    argv = [arg.format(data=data) for arg in argv]
+    assert main(argv) == 0
+    spaced = capsys.readouterr().out
+    assert main([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == 0
+    assert capsys.readouterr().out == spaced
+    if argv[0] == "char":
+        assert json.loads(spaced)["lam"] == [int(x) for x in argv[-1].split(",")]
+
+
 def test_moves_are_looked_up_at_call_time(monkeypatch):
     # a rebinding of cli.theta_data (as a tracer makes) must reach every
     # suite that applies the theta move

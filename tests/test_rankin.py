@@ -28,6 +28,7 @@ from paramodular.rankin import (
     xi,
     zeta_series,
 )
+from paramodular import rings
 from paramodular.rings import SymLaurent, TruncSeries, VLaurent
 from paramodular.sampling import (
     random_beta,
@@ -60,14 +61,12 @@ def test_symbolic_mode_helpers():
     assert sym.one() == SymLaurent.one(2)
     assert sym.lift(SymLaurent.monomial(2, (1, 0))) == SymLaurent.monomial(2, (1, 0))
     assert sym.schur((1, 1)) == SymLaurent.monomial(2, (1, 1))
-    assert sym.from_vlaurent(Q) == SymLaurent.constant(2, Q)
 
 
 def test_evaluation_mode_helpers():
     ev = EvaluationMode(2, (Fraction(2), Fraction(3)), Fraction(1, 2))
     assert ev.lift(SymLaurent.monomial(2, (1, 2))) == 18
     assert ev.lift(SymLaurent.monomial(2, (1, 0), Q)) == Fraction(1, 2)
-    assert ev.from_vlaurent(Q) == Fraction(1, 4)
     assert ev.schur((2, 1)) == schur((2, 1), 2).evaluate(
         (Fraction(2), Fraction(3)), Fraction(1, 2)
     )
@@ -192,6 +191,104 @@ def test_psi_series_collects_components():
         assert s.get(ell) == psi_component(d, 2, 2, ell, sym)
 
 
+class _ScaledSchur:
+    """A mode mixin whose s_lam is scaled by 1 / (lam_1 + 2), so that the
+    Schur values of one trace carry different denominators, and which
+    records every lookup."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = []
+
+    def schur(self, lam):
+        self.lookups.append(lam)
+        return super().schur(lam) * Fraction(1, lam[0] + 2)
+
+
+class _ScaledSymbolic(_ScaledSchur, SymbolicMode):
+    pass
+
+
+class _ScaledEvaluation(_ScaledSchur, EvaluationMode):
+    pass
+
+
+def _scaled_psi_oracle(d, n, r, ell):
+    """psi_ell with each s_lam scaled as _ScaledSchur does, scanning every
+    weight of items()."""
+    out = SymLaurent.zero(r)
+    for lam, x in d.items():
+        if sum(lam) == ell and not any(lam[r:]):
+            head = lam[:r]
+            w = sum(head[i] * (r - 1 - 2 * i) for i in range(r)) + ell * (2 * n - r - 1)
+            scaled = schur(head, r) * Fraction(1, head[0] + 2)
+            out = out + SymLaurent.constant(r, x * VLaurent.v_power(w)) * scaled
+    return out
+
+
+def test_schur_is_looked_up_once_per_weight_and_its_denominator_kept():
+    # several weights per trace, values of up to three v-terms with
+    # different denominators, and weights with a nonzero tail
+    rng = random.Random("psi-weights")
+    point, v = (Fraction(2), Fraction(-3, 5), Fraction(7)), Fraction(5, 3)
+    for n in (2, 3):
+        cone = enumerate_cone(Cone.G, n, 2)
+        for _ in range(4):
+            support = rng.sample(cone, min(6, len(cone)))
+            d = WhittakerData(n, {lam: random_vlaurent(rng) + random_vlaurent(rng) for lam in support})
+            for r in range(1, n + 1):
+                sym, ev = _ScaledSymbolic(r), _ScaledEvaluation(r, point[:r], v)
+                top = d.max_trace()
+                for mode in (sym, ev):
+                    psi_series(d, n, r, top, mode)
+                want = sorted(lam[:r] for lam in d.support if not any(lam[r:]))
+                assert sorted(sym.lookups) == sorted(ev.lookups) == want
+                for ell in range(top + 1):
+                    c = _scaled_psi_oracle(d, n, r, ell)
+                    assert psi_component(d, n, r, ell, _ScaledSymbolic(r)) == c
+                    got = psi_component(d, n, r, ell, _ScaledEvaluation(r, point[:r], v))
+                    assert got == c.evaluate(point[:r], v)
+
+
+def test_psi_reads_the_flat_store_and_builds_no_nested_view():
+    rng = random.Random("psi-no-view")
+    for n, moves in ((2, (theta_data, theta_prime_data, eta_data)), (3, (eta_data,))):
+        for _ in range(3):
+            d = random_whittaker_data(rng, n)
+            for move in moves:
+                moved = move(d)
+                assert moved.gen._view is None
+                for r in range(1, n + 1):
+                    point = random_point(rng, r)
+                    for mode in (SymbolicMode(r), EvaluationMode(r, point, random_v(rng))):
+                        psi_series(moved, n, r, 6, mode)
+                        xi(moved, n, r, mode=mode)
+                assert moved.gen._view is None
+                # the view, built afterwards, agrees with what psi read
+                series = psi_series(moved, n, n, 6, SymbolicMode(n))
+                assert [series.get(ell) for ell in range(7)] == [
+                    _psi_oracle(moved, n, n, ell) for ell in range(7)
+                ]
+
+
+def test_psi_component_refuses_a_v_exponent_past_the_field_limit():
+    # at n = r = 2 the weight (1, 0) adds 2 to its v-exponents, and its
+    # Schur polynomial X_1 + X_2 has bound 1
+    limit = rings._LIMIT
+    fits = WhittakerData(2, {(1, 0): VLaurent.v_power(limit - 3)})
+    top = VLaurent.v_power(limit - 1)
+    assert psi_component(fits, 2, 2, 1, SymbolicMode(2)) == SymLaurent(2, {(1, 0): top, (0, 1): top})
+    for e in (limit - 2, limit):
+        past = WhittakerData(2, {(1, 0): VLaurent({e: 1, 0: 1})})
+        for call in (
+            lambda: psi_component(past, 2, 2, 1, SymbolicMode(2)),
+            lambda: psi_series(past, 2, 2, 2, SymbolicMode(2)),
+        ):
+            with pytest.raises(OverflowError):
+                call()
+                pytest.fail("a value past the field limit was returned")
+
+
 def test_p_phi_pi_rank_one_expansion():
     p = p_phi_pi((Fraction(2),), 1, 1, SymbolicMode(1))
     assert p.trunc is None
@@ -218,10 +315,10 @@ def _p_phi_oracle(beta, r: int, mode) -> TruncSeries:
     (1 - beta_i^{+-1} v^{-1} X_j Y), one series product each."""
     out = unit_series(mode)
     for j in range(r):
-        xj = mode.lift(SymLaurent.monomial(r, [int(i == j) for i in range(r)]))
+        xj = [int(i == j) for i in range(r)]
         for b in beta:
             for root in (b, 1 / b):
-                lin = mode.from_vlaurent(VLaurent({-1: -root})) * xj
+                lin = mode.lift(SymLaurent.monomial(r, xj, VLaurent({-1: -root})))
                 out = out * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
     return out
 

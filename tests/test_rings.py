@@ -3,6 +3,7 @@ polynomials, truncated series."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -927,6 +928,48 @@ def test_exponents_at_the_field_limit_and_one_past_it():
         "square": lambda: (top + 1) ** 2,
         "shift up": lambda: top.shifted(1),
         "shift down": lambda: low.shifted(-1),
+    }
+    for name, build in overflowing.items():
+        with pytest.raises(OverflowError):
+            build()
+            pytest.fail(f"{name} returned a value")
+
+
+def test_a_bound_that_ran_ahead_is_reread_from_the_keys():
+    # X^a * X^-a is 1 while the tracked bound of the product is 2|a|, so a
+    # chain of such products passes the limit long before its exponents do
+    up, down = SymLaurent.monomial(2, (1000, -1000)), SymLaurent.monomial(2, (-1000, 1000))
+    start = SymLaurent(2, {(1, 0): 1, (0, 1): VLaurent.v_power(2)})
+    x = start
+    for _ in range(20):  # a tracked bound of 40001 without re-reading
+        x = x * up * down
+    assert x == start and x._bound <= LIMIT
+
+    # a value whose tracked bound sits at the limit, exponents at most 2:
+    # the term product, the sum of products, a shift and a series product
+    # each re-read it and succeed, and the re-read bound stays
+    def inflated(value):
+        value._bound = LIMIT
+        return value
+
+    two = SymLaurent(2, {(0, 1): 1, (1, 0): 3})
+    assert inflated(start * 1) * SymLaurent.monomial(2, (0, 1)) == start * SymLaurent.monomial(2, (0, 1))
+    assert inflated(start * 1) * two == start * two
+    y = inflated(start * 1)
+    assert y * two == start * two and y._bound == 2
+    v = VLaurent({1: 1, -2: 3})
+    assert inflated(v * 1).shifted(5) == v.shifted(5)
+    series = TruncSeries({0: inflated(start * 1), 1: inflated(two * 1)}, None, SymLaurent.zero(2))
+    plain = TruncSeries({0: start, 1: two}, None, SymLaurent.zero(2))
+    assert (series * series).coeffs == (plain * plain).coeffs
+
+    # a true overflow still raises, also from an inflated bound
+    top = SymLaurent.monomial(2, (0, 0), VLaurent.v_power(LIMIT))
+    overflowing = {
+        "term product": lambda: inflated(start * 1) * top,
+        "sum of products": lambda: inflated(start * 1) * (top + two),
+        "shift": lambda: inflated(VLaurent.v_power(-3) * 1).shifted(-LIMIT),
+        "chain": lambda: functools.reduce(operator.mul, [VLaurent.v_power(1000)] * 33),
     }
     for name, build in overflowing.items():
         with pytest.raises(OverflowError):

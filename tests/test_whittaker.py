@@ -264,14 +264,25 @@ def test_operators_commute_on_samples():
 
 
 def test_trace_index_agrees_with_items():
+    """The trace index, its terms read back over gen.den, holds the pairs of
+    items() of each trace in the same order, v-exponents ascending, before
+    and after every move."""
     rng = random.Random("trace-index")
     for n in (1, 2, 3):
+        moves = (eta_data, theta_data, theta_prime_data) if n == 2 else (eta_data,)
         for _ in range(5):
             d = random_whittaker_data(rng, n, max_norm=2, max_entries=6)
-            for data in (d, eta_data(d)):
+            for data in (d, *(move(d) for move in moves)):
+                index = data._trace_index()
+                assert data._trace_index() is index
                 top = data.max_trace()
                 for ell in range(-1, top + 2):
+                    got = []
+                    for lam, terms in index.get(ell, ()):
+                        exps = [e for e, _ in terms]
+                        assert exps == sorted(set(exps))
+                        assert all(type(x) is int and x for _, x in terms)
+                        got.append((lam, VLaurent({e: Fraction(x, data.gen.den) for e, x in terms})))
                     want = [(lam, x) for lam, x in data.items() if trace(lam) == ell]
-                    assert list(data.of_trace(ell)) == want
-                indexed = [pair for ell in range(top + 1) for pair in data.of_trace(ell)]
-                assert sorted(indexed) == list(data.items())
+                    assert got == want
+                assert set(index) == {trace(lam) for lam in data.support}
