@@ -547,11 +547,11 @@ def _kernel_run(cfg: VerifyConfig, params: dict):
         d = WhittakerData(n, {(0,) * n: VLaurent.one()})
     elif variant == "on-slice":
         base = _random_data(rng, n)
-        kept = {lam: base.get(lam) for lam in base.support if not any(lam[r:])}
+        kept = {lam: x for lam, x in base.items() if not any(lam[r:])}
         d = WhittakerData(n, kept or {(0,) * n: VLaurent.one()})
     elif variant == "off-slice":
         base = _random_data(rng, n)
-        kept = {lam: base.get(lam) for lam in base.support if any(lam[r:])}
+        kept = {lam: x for lam, x in base.items() if any(lam[r:])}
         d = WhittakerData(n, kept or {(1,) * n: VLaurent.one()})
     else:
         d = _random_data(rng, n)
@@ -918,7 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Bad input (a ValueError or OSError out of the
-    subcommand) ends the run with a one-line error and exit status 1."""
+    subcommand, or the OverflowError of an exponent past the packed field
+    limit) ends the run with a one-line error and exit status 1."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_signed_values(argv))
     try:
@@ -928,7 +929,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         raise SystemExit(f"paramodular: {exc}") from None
 
 

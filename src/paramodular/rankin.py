@@ -401,11 +401,14 @@ def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData) -> bool:
 
 def zeta_series(d: WhittakerData, n: int, trunc: int) -> TruncSeries:
     """The r = 1 series with X_1 evaluated at 1: coefficient of Y^l is
-    d((l, 0, ..)) * v^{l(2n-2)}.  Coefficients are VLaurent."""
-    coeffs = {
-        ell: d.get((ell,) + (0,) * (n - 1)).shifted(ell * (2 * n - 2))
-        for ell in range(trunc + 1)
-    }
+    d((l, 0, ..)) * v^{l(2n-2)}.  Coefficients are VLaurent: the symbolic
+    torus sum at r = 1 (s_(l) = X_1^l, the GL_1 modulus is trivial) read
+    at its one X-exponent."""
+    psi = psi_series(d, n, 1, trunc, SymbolicMode(1))
+    coeffs = {}
+    for ell, s in psi.coeffs.items():
+        ((_, terms),) = s._grouped()
+        coeffs[ell] = VLaurent({e: Fraction(x, s.den) for e, x in terms})
     return TruncSeries(coeffs, trunc, VLaurent.zero())
 
 

@@ -23,8 +23,9 @@ all built on ints and ``fractions.Fraction``:
     arithmetic.  It is the coefficient type of the nested form
     {X-exponents: VLaurent | int | Fraction} that the SymLaurent
     constructor takes and its read-only ``c`` view gives back; a VLaurent's
-    own ``c`` is {e: Fraction}.  Views are for readers outside this module
-    and built at most once per object.
+    own ``c`` is {e: Fraction}.  A value holds only its flat store, so each
+    read of ``c`` builds a fresh view (values are immutable, so it is
+    always right); views are for readers outside this module.
 
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
@@ -161,14 +162,14 @@ class _Laurent:
     brings an operand into its own class or returns None; a result has the
     class of its operand."""
 
-    __slots__ = ("r", "num", "den", "_bound", "_view")
+    __slots__ = ("r", "num", "den", "_bound")
 
     @classmethod
     def _wrap(cls, r: int, num: dict[int, int], den: int, bound: int):
         """Wrap a numerator map that is already in normal form over den,
         with a bound already checked."""
         out = cls.__new__(cls)
-        out.r, out.num, out.den, out._bound, out._view = r, num, den, bound, None
+        out.r, out.num, out.den, out._bound = r, num, den, bound
         return out
 
     @classmethod
@@ -372,7 +373,7 @@ class VLaurent(_Laurent):
                 terms[e + _OFFSET] = x.as_integer_ratio()
         self._bound = _checked(bound)
         self.num, self.den = _over_lcm(terms)
-        self.r, self._view = 0, None
+        self.r = 0
 
     # -- constructors -----------------------------------------------------
 
@@ -406,12 +407,9 @@ class VLaurent(_Laurent):
 
     @property
     def c(self) -> Mapping[int, Fraction]:
-        """Read-only map from v-exponents to nonzero Fractions, built on
-        first access (values are immutable, so once suffices)."""
-        if self._view is None:
-            view = {e - _OFFSET: Fraction(x, self.den) for e, x in self.num.items()}
-            self._view = MappingProxyType(view)
-        return self._view
+        """Read-only map from v-exponents to nonzero Fractions, built afresh
+        on each read."""
+        return MappingProxyType({e - _OFFSET: Fraction(x, self.den) for e, x in self.num.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -490,8 +488,6 @@ class SymLaurent(_Laurent):
         bound = 0
         # the X-fields of the zero tuple, over a zero v-field
         xbias = _bias(r) - _OFFSET
-        # Coefficients given as VLaurents already are the nested view.
-        view: dict[Key, VLaurent] | None = {}
         for e, x in (coeffs or {}).items():
             e = tuple(map(operator.index, e))
             if len(e) != r:
@@ -508,17 +504,14 @@ class SymLaurent(_Laurent):
                     bound = x._bound
                 for k, n in x.num.items():
                     terms[prefix + k] = (n, x.den)
-                if view is not None and x:
-                    view[e] = x
             elif isinstance(x, (int, Fraction)):
-                view = None
                 if x:
                     terms[prefix + _OFFSET] = x.as_integer_ratio()
             else:
                 raise TypeError(f"expected int, Fraction or VLaurent, got {type(x).__name__}")
         self._bound = _checked(bound)
         self.num, self.den = _over_lcm(terms)
-        self.r, self._view = r, None if view is None else MappingProxyType(view)
+        self.r = r
 
     # -- constructors -----------------------------------------------------
 
@@ -551,17 +544,14 @@ class SymLaurent(_Laurent):
     @property
     def c(self) -> Mapping[Key, VLaurent]:
         """Read-only map from X-exponent tuples to VLaurent coefficients,
-        built on first access unless the constructor already had it (values
-        are immutable, so once suffices).  No arithmetic here reads it.
-        A key's X-fields are key >> W and its VLaurent key the low field."""
-        if self._view is None:
-            self._view = MappingProxyType(
-                {
-                    e: VLaurent._normal(0, {v + _OFFSET: x for v, x in terms}, self.den, self._bound)
-                    for e, terms in self._grouped()
-                }
-            )
-        return self._view
+        built afresh on each read; no arithmetic reads it.  A key's X-fields
+        are key >> W and its VLaurent key the low field."""
+        return MappingProxyType(
+            {
+                e: VLaurent._normal(0, {v + _OFFSET: x for v, x in terms}, self.den, self._bound)
+                for e, terms in self._grouped()
+            }
+        )
 
     def _grouped(self) -> list[tuple[Key, list[tuple[int, int]]]]:
         """The content of the nested view with no VLaurent and no gcd: each

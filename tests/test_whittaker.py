@@ -84,6 +84,26 @@ def test_whittaker_data_validation():
     assert d.max_trace() == 2
 
 
+def test_the_cone_is_checked_on_the_support_of_nonzero_values():
+    # a nonzero value outside the cone is rejected, also among valid ones
+    for n, lam in ((1, (-1,)), (2, (0, 1)), (2, (1, -1)), (3, (2, 3, 1)), (3, (1, 1, -1))):
+        for values in ({lam: ONE}, {lam: 2, (0,) * n: ONE}):
+            with pytest.raises(ValueError, match="outside the dominant cone"):
+                WhittakerData(n, values)
+    # a zero value outside the cone is dropped with the term
+    d = WhittakerData(2, {(0, 1): VLaurent.zero(), (1, -1): 0, (2, 0): Fraction(0), (1, 0): Q})
+    assert d.support == [(1, 0)] and d.get((0, 1)) == VLaurent.zero()
+    assert WhittakerData(3, {(0, 0, 1): VLaurent.zero()}).support == []
+    # the support, read through the trace index, is the weights of items()
+    rng = random.Random("support-from-index")
+    for n in (1, 2, 3):
+        moves = (eta_data, theta_data, theta_prime_data) if n == 2 else (eta_data,)
+        for _ in range(5):
+            d = random_whittaker_data(rng, n, max_norm=3, max_entries=8)
+            for data in (d, *(move(d) for move in moves), d - d):
+                assert data.support == [lam for lam, _ in data.items()]
+
+
 def test_whittaker_data_arithmetic_and_json():
     d = WhittakerData(2, {(0, 0): ONE, (1, 0): Q})
     e = WhittakerData(2, {(1, 0): -Q, (2, 1): ONE})
