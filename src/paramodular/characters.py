@@ -22,14 +22,18 @@ A symbolic character is an alternant over a factored Weyl denominator: the
 numerator alternant is written out as its signed monomials, one per
 permutation and choice of signs, and divided by the denominator's two-term
 factors X^a - X^b one at a time (``_alternant``, ``_weyl_ratio``); no
-determinant and no polynomial product is formed.  The Leibniz expansion
-``_det`` is numeric only.  Every numeric character is one rule,
-``_jacobi_trudi``: a Jacobi-Trudi determinant, Koike-Terada's in type C,
-of the integers h_m(y) = B^m h_m(z) of an ``_HTable``, where B is the lcm
-of the point's denominators and y = B z, over one power of B.  Schur
-values read the table of the point (:func:`_schur_value`, for
+determinant and no polynomial product is formed; the alternant keeps
+the Leibniz sign table (``_leibniz``).  Every numeric character is one
+rule, ``_jacobi_trudi``: a Jacobi-Trudi determinant, Koike-Terada's in
+type C, of the integers h_m(y) = B^m h_m(z) of an ``_HTable``, where B is
+the lcm of the point's denominators and y = B z, over one power of B.  The
+integer determinant (``_jacobi_trudi_det``) is taken by fraction-free
+Bareiss elimination (``_det``), O(k^3) for k rows.  Schur values read the
+table of the point (:func:`_schur_value`, for
 :class:`paramodular.rankin.EvaluationMode`); :func:`sp_character_value`
-reads the table of the 2n values beta_j^{+-1}.  The symbolic and numeric
+reads the table of the 2n values beta_j^{+-1}, and
+:func:`paramodular.whittaker.spherical_so_data` reads the integer
+determinants of one such table for all its weights.  The symbolic and numeric
 symplectic characters are thus independent formulas.  Each character
 checks its weight with one rule per group, ``_gl_weight`` or
 ``_sp_weight``.
@@ -48,26 +52,48 @@ from .rings import SymLaurent, _div_binomial
 
 @functools.cache
 def _leibniz(k: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
-    """The Leibniz sign table: every permutation of range(k) with whether
-    it is odd (an odd number of inversions)."""
+    """The Leibniz sign table: every permutation of range(k), in
+    lexicographic order, with whether it is odd.  A permutation starting
+    with i puts i before the i smaller entries, so its parity is that of i
+    plus that of the rest, a permutation of the table for k - 1 (relabelled
+    monotonely, which keeps its inversions)."""
+    if k == 0:
+        return ((False, ()),)
     return tuple(
-        (sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1, p)
-        for p in itertools.permutations(range(k))
+        (odd != (i % 2 == 1), (i, *(j + (j >= i) for j in rest)))
+        for i in range(k)
+        for odd, rest in _leibniz(k - 1)
     )
 
 
 def _det(entries: list[list[int]]) -> int:
-    """Leibniz determinant of a square integer matrix.  Terms with a zero
-    factor are skipped: Jacobi-Trudi matrices are mostly zeros below the
-    diagonal band."""
-    total = 0
-    for odd, perm in _leibniz(len(entries)):
-        factors = [row[j] for row, j in zip(entries, perm)]
-        if not all(factors):
-            continue
-        prod = math.prod(factors)
-        total = total - prod if odd else total + prod
-    return total
+    """Determinant of a square integer matrix by fraction-free Gaussian
+    elimination (Bareiss, Math. Comp. 22, 1968): after step i every entry
+    below and right of the pivot is a minor of the matrix, so each
+    division by the previous pivot is exact.  A zero pivot is replaced by
+    a row below it with a nonzero entry in its column, flipping the sign;
+    if there is none the determinant is 0.  The empty matrix gives 1."""
+    m = [list(row) for row in entries]
+    k = len(m)
+    sign, prev = 1, 1
+    for i in range(k - 1):
+        pivot_row = m[i]
+        if not pivot_row[i]:
+            for s in range(i + 1, k):
+                if m[s][i]:
+                    m[i], m[s] = m[s], pivot_row
+                    pivot_row = m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        p = pivot_row[i]
+        for row in m[i + 1 :]:
+            x = row[i]
+            for j in range(i + 1, k):
+                row[j] = (p * row[j] - x * pivot_row[j]) // prev
+        prev = p
+    return sign * m[-1][-1] if k else 1
 
 
 def _alternant(mu: list[int], signs: tuple[int, ...]) -> SymLaurent:
@@ -226,8 +252,9 @@ def _sp_weight(lam: Coweight, n: int) -> Coweight:
 
 class _HTable:
     """The complete homogeneous sums of one rational point z, as integers:
-    with B the lcm of z's denominators and y = B z, ``h(m)`` is
-    h_m(y) = B^m h_m(z), tabulated on demand.  ``den`` is B."""
+    with B the lcm of z's denominators and y = B z, ``upto(m)`` lists
+    h_i(y) = B^i h_i(z) for i = 0 .. m at least, tabulated on demand.
+    ``den`` is B."""
 
     __slots__ = ("den", "y", "_rows")
 
@@ -237,18 +264,38 @@ class _HTable:
         self.y = [x.numerator * (self.den // x.denominator) for x in z]
         self._rows = [[1] for _ in self.y]
 
-    def h(self, m: int) -> int:
-        """B^m h_m(z) = h_m(y_1..y_k), by the recurrence
-        h_m(y_1..y_k) = h_m(y_1..y_{k-1}) + y_k h_{m-1}(y_1..y_k)."""
-        if m < 0:
-            return 0
+    def upto(self, m: int) -> list[int]:
+        """The table's list of B^i h_i(z) = h_i(y_1..y_k), tabulated at least
+        through i = m, by the recurrence h_i(y_1..y_k) = h_i(y_1..y_{k-1})
+        + y_k h_{i-1}(y_1..y_k)."""
         rows = self._rows
         while len(rows[0]) <= m:
             below = 0  # h of no variables in positive degree
             for y, row in zip(self.y, rows):
                 below += y * row[-1]
                 row.append(below)
-        return rows[-1][m]
+        return rows[-1]
+
+
+def _jacobi_trudi_det(h: list[int], squared: int, parts: Coweight, sp: bool) -> int:
+    """B^|lam| times the Jacobi-Trudi determinant at the point z of a table,
+    as one integer determinant, for the nonzero parts of a partition lam:
+    the rule of :func:`_jacobi_trudi`.  h is the table's list, tabulated
+    at least through degree parts[0] + len(parts) - 1, and squared is
+    B^2."""
+    k = len(parts)
+    matrix = []
+    for i, x in enumerate(parts):
+        a = x - i
+        # h_{a+j} for j < k, zero at a negative degree
+        row = h[a : a + k] if a >= 0 else [h[m] if m >= 0 else 0 for m in range(a, a + k)]
+        if sp and a > 0:
+            scale = 1
+            for j in range(1, a + 1 if a < k else k):
+                scale *= squared
+                row[j] += h[a - j] * scale
+        matrix.append(row)
+    return _det(matrix)
 
 
 def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> Fraction:
@@ -262,17 +309,10 @@ def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> Fraction:
     and column j by B^j makes every entry the integer h_{a_i+j}(y)
     (+ B^{2j} h_{a_i-j}(y)) and scales the determinant by
     B^{sum_i a_i + sum_j j} = B^|lam|, so the value is one integer
-    determinant over B^|lam|.  l = 0 gives 1."""
+    determinant (``_jacobi_trudi_det``) over B^|lam|.  l = 0 gives 1."""
     parts = [x for x in lam if x]
-    h = table.h
-    matrix = []
-    for i, x in enumerate(parts):
-        row = [h(x - i + j) for j in range(len(parts))]
-        if sp:
-            for j in range(1, len(parts)):
-                row[j] += h(x - i - j) * table.den ** (2 * j)
-        matrix.append(row)
-    return Fraction(_det(matrix), table.den ** sum(parts))
+    h = table.upto(parts[0] + len(parts) - 1 if parts else 0)
+    return Fraction(_jacobi_trudi_det(h, table.den**2, parts, sp), table.den ** sum(parts))
 
 
 def _schur_value(lam: Coweight, table: _HTable) -> Fraction:
@@ -289,12 +329,9 @@ def _schur_value(lam: Coweight, table: _HTable) -> Fraction:
     return val
 
 
-@functools.lru_cache(maxsize=1)
-def _sp_table(beta: tuple) -> _HTable:
-    """The table of the 2n values beta_j^{+-1} of the last Satake point
-    asked for: the weights of one point are evaluated together, so one
-    entry suffices."""
-    beta = [Fraction(b) for b in beta]
+def _sp_table(beta: tuple[Fraction, ...]) -> _HTable:
+    """The table of the 2n values beta_j^{+-1} of a Satake point with no
+    zero entry; ValueError at a zero entry."""
     if any(b == 0 for b in beta):
         raise ValueError("degenerate Satake point: zero coordinate")
     return _HTable([z for b in beta for z in (b, 1 / b)])
@@ -304,11 +341,10 @@ def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
     """Numeric symplectic character at an exact rational point with no
     zero entry: the Koike-Terada Jacobi-Trudi determinant of
     ``_jacobi_trudi``, over the complete homogeneous sums of the 2n values
-    beta_j^{+-1}, tabulated once per point.  It needs no Weyl denominator,
-    so every nonzero point is valid, beta_i = +-1 and beta_i = beta_j^{+-1}
-    included, and a determinant has as many rows as lam has nonzero
-    parts."""
-    beta = tuple(beta)
+    beta_j^{+-1}.  It needs no Weyl denominator, so every nonzero point is
+    valid, beta_i = +-1 and beta_i = beta_j^{+-1} included, and a
+    determinant has as many rows as lam has nonzero parts."""
+    beta = tuple(Fraction(b) for b in beta)
     lam = _sp_weight(lam, len(beta))
     return _jacobi_trudi(_sp_table(beta), lam, True)
 

@@ -394,12 +394,6 @@ class VLaurent(_Laurent):
         # q = v**2, so half-integral q-powers never appear.
         return VLaurent({2 * k: 1})
 
-    @staticmethod
-    def _term(e: int, x: Fraction) -> "VLaurent":
-        """x v^e for a nonzero Fraction x: the constructor's value and
-        check, without its loop."""
-        return VLaurent._wrap(0, {e + _OFFSET: x.numerator}, x.denominator, _checked(abs(e)))
-
     def shifted(self, k: int) -> "VLaurent":
         """The product with v**k, as a shift of the keys."""
         bound = _checked(self._bound + abs(k), self)
@@ -538,6 +532,27 @@ class SymLaurent(_Laurent):
     @staticmethod
     def monomial(r: int, exps: Iterable[int], coeff: Any = 1) -> "SymLaurent":
         return SymLaurent(r, {tuple(exps): coeff})
+
+    @staticmethod
+    def _of_terms(r: int, terms: Iterable[tuple[Key, int, int]], den: int) -> "SymLaurent":
+        """The sum of x / den X^exps v^e over the terms (exps, e, x), each
+        exps of length r and each pair (exps, e) once, with nonzero int x
+        over a positive int den: packed, checked against the field limit
+        and normalized once, with no VLaurent, Fraction or lcm per term."""
+        # the X-fields of the zero tuple, over a zero v-field
+        xbias = _bias(r) - _OFFSET
+        num = {}
+        bound = 0
+        for exps, e, x in terms:
+            key = 0
+            for a in exps:
+                key = (key << _W) + a
+                if a > bound or -a > bound:
+                    bound = abs(a)
+            if e > bound or -e > bound:
+                bound = abs(e)
+            num[(key << _W) + xbias + e + _OFFSET] = x
+        return SymLaurent._normal(r, num, den, _checked(bound))
 
     # -- the nested view ----------------------------------------------------
 

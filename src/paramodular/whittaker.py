@@ -31,13 +31,13 @@ import operator
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from .characters import schur, sp_character_value
+from .characters import _jacobi_trudi_det, _sp_table, schur, sp_character_value
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant
 from .rings import SymLaurent, VLaurent
 
 # the weights of one trace: each with its (v-exponent, numerator) terms
 # over the generating function's denominator
-_Weights = list[tuple[Coweight, list[tuple[int, int]]]]
+_TraceWeights = list[tuple[Coweight, list[tuple[int, int]]]]
 
 
 def gl_modulus_exponent(lam: Coweight, r: int) -> int:
@@ -110,12 +110,12 @@ class WhittakerData:
     def items(self) -> Iterable[tuple[Coweight, VLaurent]]:
         return sorted(self.gen.c.items())
 
-    def _trace_index(self) -> dict[int, _Weights]:
+    def _trace_index(self) -> dict[int, _TraceWeights]:
         """Map each trace to its weights in ``items()`` order, each weight
         lam with the terms (e, x) of d(lam) = sum x / gen.den v^e,
         e ascending."""
         if self._index is None:
-            index: dict[int, _Weights] = {}
+            index: dict[int, _TraceWeights] = {}
             for lam, terms in self.gen._grouped():
                 index.setdefault(sum(lam), []).append((lam, terms))
             self._index = index
@@ -152,13 +152,17 @@ class WhittakerData:
     @staticmethod
     def from_json(data: Any) -> "WhittakerData":
         """The inverse of ``to_json``.  Raises ValueError naming the field
-        of data that is missing, malformed or past the packed field limit."""
+        of data that is missing, malformed, past the packed field limit or,
+        for an entry with a nonzero value, outside the dominant cone: each
+        entry is checked as data of its own."""
         field, values = "the top level", {}
         try:
             if not isinstance(data, Mapping):
                 raise TypeError(f"expected a JSON object, got {type(data).__name__}")
             field = "n"
             n = _json_int(data["n"])
+            if n < 1:
+                raise ValueError("rank must be positive")
             field = "entries"
             for i, entry in enumerate(data["entries"]):
                 field = f"entries[{i}]"
@@ -166,6 +170,7 @@ class WhittakerData:
                 if lam in values:
                     raise ValueError(f"repeated lambda {list(lam)}")
                 values[lam] = VLaurent.from_json(entry["value"])
+                WhittakerData(n, {lam: values[lam]})
         except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
             raise ValueError(f"bad Whittaker data at {field}: {exc!r}") from None
         return WhittakerData(n, values)
@@ -177,7 +182,7 @@ class WhittakerData:
 def so_modulus_exponent(lam: Coweight, n: int) -> int:
     """Exponent w with delta_B^{1/2}(pi^lam) = v^{-w} for the rank-n odd
     orthogonal group (2*rho = sum_i (2n - 2i + 1) e_i)."""
-    return sum(lam[i] * (2 * n - 2 * i - 1) for i in range(n))
+    return sum(map(operator.mul, lam, range(2 * n - 1, 0, -2)))
 
 
 def _satake(beta, n: int) -> tuple[Fraction, ...]:
@@ -196,17 +201,33 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     parameter beta (Casselman-Shalika: modulus square root times the
     symplectic character of the dual group), populated through trace
     <= cutoff: all that a series truncated at Y-degree cutoff reads, also
-    after raising moves, which read at equal or lower trace."""
+    after raising moves, which read at equal or lower trace.
+
+    The characters are those of :func:`sp_character_value`, taken from one
+    table of the 2n values beta_j^{+-1}: each weight's Koike-Terada
+    determinant is the integer B^|lam| chi_lam(beta), so the data are these
+    integers over B^cutoff, normalized once.  Weights come from the
+    enumerated cone, so they need no second check, and a weight whose
+    character vanishes leaves no term."""
     beta = _satake(beta, n)
-    # the generating function's terms, one per weight whose character does
-    # not vanish.  Weights come from the enumerated cone, so they need no
-    # second check.
-    values = {}
+    table = _sp_table(beta)
+    den = table.den
+    top = max(cutoff, 0)
+    h, squared = table.upto(top + n - 1), den**2
+    terms = []
     for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
-        x = sp_character_value(lam, beta)
+        parts = [a for a in lam if a]
+        x = _jacobi_trudi_det(h, squared, parts, True)
         if x:
-            values[lam] = VLaurent._term(-so_modulus_exponent(lam, n), x)
-    return WhittakerData._of(SymLaurent(n, values))
+            terms.append((lam, -so_modulus_exponent(lam, n), x * den ** (top - sum(parts))))
+    if top:
+        # the rescaling to B^cutoff, read back at lam = e_1 through the
+        # public rule
+        e1 = (1,) + (0,) * (n - 1)
+        x = next((x for lam, _, x in terms if lam == e1), 0)
+        if Fraction(x, den**top) != sp_character_value(e1, beta):  # pragma: no cover
+            raise ArithmeticError(f"spherical data disagree with the character at {e1}")
+    return WhittakerData._of(SymLaurent._of_terms(n, terms, den**top))
 
 
 def _in_cone(lam: Coweight) -> bool:

@@ -1,16 +1,18 @@
-"""Determinant oracles for the symbolic characters, used by the tests only.
+"""Determinant oracles for the characters, used by the tests only.
 
 ``paramodular.characters`` divides written-out alternants by the two-term
-factors of the Weyl denominators.  The oracles here take the older routes,
-through symbolic Leibniz determinants: Jacobi-Trudi for Schur polynomials,
-and the full Weyl alternant ratio by generic exact division for symplectic
-characters.
+factors of the Weyl denominators, and takes numeric determinants by
+Bareiss elimination.  The oracles here take the older routes, through
+Leibniz determinants: symbolic Jacobi-Trudi for Schur polynomials, the
+full Weyl alternant ratio by generic exact division for symplectic
+characters, and an integer Leibniz expansion for numeric determinants.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from paramodular.rings import SymLaurent, poly_div_exact
 
@@ -29,6 +31,22 @@ def complete_homogeneous(r: int, m: int) -> SymLaurent:
     return SymLaurent(r, coeffs)
 
 
+def odd_permutation(perm: tuple[int, ...]) -> bool:
+    """Whether perm has an odd number of inversions."""
+    k = len(perm)
+    return sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1
+
+
+def leibniz_int_det(entries: list[list[int]]) -> int:
+    """Leibniz determinant of a square integer matrix, each sign read from
+    the permutation's inversion count."""
+    total = 0
+    for perm in itertools.permutations(range(len(entries))):
+        prod = math.prod(row[j] for row, j in zip(entries, perm))
+        total += -prod if odd_permutation(perm) else prod
+    return total
+
+
 def leibniz_det(entries: list[list[SymLaurent]], r: int) -> SymLaurent:
     """Leibniz determinant of a square matrix of SymLaurents in r
     variables, skipping terms with a zero factor."""
@@ -41,8 +59,7 @@ def leibniz_det(entries: list[list[SymLaurent]], r: int) -> SymLaurent:
         prod = SymLaurent.one(r)
         for x in factors:
             prod = prod * x
-        odd = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2
-        total = total - prod if odd else total + prod
+        total = total - prod if odd_permutation(perm) else total + prod
     return total
 
 

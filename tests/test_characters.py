@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from paramodular.characters import (
+    _det,
     _gl_weyl_factors,
+    _leibniz,
     _sp_weyl_factors,
     orbit_sum,
     schur,
@@ -26,6 +28,8 @@ from character_oracles import (
     complete_homogeneous,
     gl_alternant,
     jacobi_trudi_schur,
+    leibniz_int_det,
+    odd_permutation,
     sp_alternant,
     sp_character_by_division,
 )
@@ -92,6 +96,67 @@ def test_sp_weyl_factors_multiply_to_the_weyl_denominator(n):
     factors = _sp_weyl_factors(n)
     assert len(factors) == n * n
     assert _product(n, factors) == sp_alternant([n - i for i in range(n)], n)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_leibniz_table_matches_the_inversion_count(k):
+    table = _leibniz(k)
+    assert [perm for _, perm in table] == list(itertools.permutations(range(k)))
+    assert [odd for odd, _ in table] == [odd_permutation(perm) for _, perm in table]
+
+
+# matrices whose elimination meets a zero pivot, at the first step or
+# after one, or has none to swap in
+BAREISS_CASES = [
+    [],
+    [[0]],
+    [[-7]],
+    [[0, 1], [1, 0]],
+    [[0, 2, 3], [0, 5, 1], [4, 1, 1]],
+    [[1, 2, 3], [2, 4, 7], [5, 1, 1]],
+    [[1, 2, 3], [2, 4, 6], [5, 1, 1]],
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    [[1, 2], [0, 0]],
+    [[2, 1, 0, 0], [4, 2, 1, 0], [0, 0, 0, 1], [1, 0, 3, 0]],
+]
+
+
+@pytest.mark.parametrize("matrix", BAREISS_CASES)
+def test_bareiss_det_matches_the_leibniz_oracle_on_pivot_cases(matrix):
+    rows = [list(row) for row in matrix]
+    assert _det(matrix) == leibniz_int_det(matrix)
+    assert matrix == rows  # the argument is left as it was
+
+
+def test_bareiss_det_matches_the_leibniz_oracle():
+    """Random integer matrices of size k <= 6, mostly zeros (as Jacobi-Trudi
+    matrices are below their band), some made singular by a repeated or
+    zero row, some with a zero leading pivot."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2]) | st.integers(min_value=-10**6, max_value=10**6)
+
+    @st.composite
+    def matrices(draw):
+        k = draw(st.integers(min_value=0, max_value=6))
+        rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
+        if k > 1:
+            i, j = draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=2, max_size=2))
+            shape = draw(st.sampled_from(["plain", "repeated", "zero-row", "zero-pivot"]))
+            if shape == "repeated" and i != j:
+                rows[i] = list(rows[j])
+            elif shape == "zero-row":
+                rows[i] = [0] * k
+            elif shape == "zero-pivot":
+                rows[0][0] = 0
+        return rows
+
+    @hyp.settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @hyp.given(matrices())
+    def check(rows):
+        assert _det(rows) == leibniz_int_det(rows)
+
+    check()
 
 
 def test_schur_rejects_non_dominant():

@@ -430,6 +430,28 @@ def test_an_exponent_past_the_packed_limit_is_bad_input(tmp_path, argv, field, c
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "n, lam, reason",
+    [
+        (1, [40000], "exceeds the packed field limit"),
+        (2, [0, 1], "support coweight (0, 1) outside the dominant cone"),
+    ],
+    ids=["past-the-limit", "out-of-cone"],
+)
+def test_a_bad_weight_names_its_entry(tmp_path, n, lam, reason, capsys):
+    # both errors used to come from building the data after the entries
+    # were read, so neither named one
+    data = tmp_path / "data.json"
+    entries = [{"lambda": [0] * n, "value": {"0": "1"}}, {"lambda": lam, "value": {"0": "1"}}]
+    data.write_text(json.dumps({"n": n, "entries": entries}))
+    with pytest.raises(SystemExit) as info:
+        main(["xi", "--data", str(data), "--r", "1"])
+    message = str(info.value.code)
+    assert message.startswith("paramodular: bad Whittaker data at entries[1]: ")
+    assert reason in message and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_a_case_that_overflows_fails_with_a_witness(monkeypatch):
     def past_the_limit(d):
         return d.scale(VLaurent.v_power(rings._LIMIT)).scale(VLaurent.v_power(1))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from paramodular.characters import sp_character
+from paramodular.characters import sp_character, sp_character_value
 from paramodular.coweights import Cone, enumerate_cone, is_dominant, trace
 from paramodular.rings import SymLaurent, VLaurent, poly_div_exact
 from paramodular.sampling import random_whittaker_data
@@ -217,6 +217,34 @@ def test_spherical_data_matches_the_symbolic_characters():
                 assert d == WhittakerData(n, want), (n, beta, cutoff)
                 assert d.support == sorted(want)
                 vanished += len(weights) - len(want)
+    assert vanished
+
+
+def test_spherical_data_equal_the_per_weight_assembly():
+    """The one-pass integer build gives the store, denominator and bound of
+    the data assembled weight by weight from sp_character_value, also at
+    points with beta_i = +-1 or beta_i = beta_j^(+-1), where characters
+    vanish and must leave no term."""
+    points = {
+        1: [(1,), (-1,), (Fraction(-5, 7),)],
+        2: [(1, -1), (2, Fraction(1, 2)), (Fraction(3, 4), Fraction(3, 4)), (-1, -1), (2, -2)],
+        3: [(1, 1, 1), (Fraction(2, 3), Fraction(3, 2), -1), (3, Fraction(-1, 3), Fraction(5, 2))],
+        4: [(1, -1, Fraction(2, 5), Fraction(5, 2)), (2, 3, Fraction(1, 2), Fraction(-4, 3))],
+    }
+    vanished = 0
+    for n, betas in points.items():
+        for beta in betas:
+            beta = tuple(map(Fraction, beta))
+            for cutoff in range(9):
+                want = {}
+                for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
+                    x = sp_character_value(lam, beta)
+                    if x:
+                        want[lam] = VLaurent({-so_modulus_exponent(lam, n): x})
+                    vanished += not x
+                gen = SymLaurent(n, want)
+                got = spherical_so_data(beta, n, cutoff).gen
+                assert (got.num, got.den, got._bound) == (gen.num, gen.den, gen._bound)
     assert vanished
 
 
