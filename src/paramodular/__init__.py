@@ -32,6 +32,7 @@ from .rankin import (
     XiResult,
     fe_check,
     kernel_check,
+    psi_alternant,
     psi_component,
     psi_series,
     specialize_last,
@@ -74,6 +75,7 @@ __all__ = [
     "XiResult",
     "fe_check",
     "kernel_check",
+    "psi_alternant",
     "psi_component",
     "psi_series",
     "specialize_last",

@@ -55,6 +55,7 @@ from .rankin import (
     TruncSeries,
     fe_check,
     kernel_check,
+    psi_alternant,
     psi_series,
     specialize_last,
     unit_series,
@@ -208,13 +209,6 @@ def _series_factor(factor: SymLaurent, mode) -> TruncSeries:
     return TruncSeries(coeffs, None, mode.zero())
 
 
-@functools.cache
-def _gsp4_factor(op: str) -> TruncSeries:
-    """The named move's factor as a multiplier of the rank-two symbolic
-    series; a constant, so it is built once per process."""
-    return _series_factor(_MOVES[op][1], SymbolicMode(2))
-
-
 def _zeta_factor(factor: SymLaurent) -> TruncSeries:
     """A rank-two move factor as a multiplier of the zeta series: X_2 = 0
     drops every monomial in X_2, and X_1^k goes to Y^k at X_1 = 1."""
@@ -227,6 +221,7 @@ def _zeta_factor(factor: SymLaurent) -> TruncSeries:
 # echoed parameters and a witness (None when the case passes).
 
 _UNSTABLE = {"reason": "series did not stabilize"}
+_DISAGREE = {"reason": "Schur coordinates and series disagree"}
 
 # What the cases of the current trial share: the trial's key and its values
 # by name.  run_suite turns this on (an empty dict) and off again (None);
@@ -309,18 +304,36 @@ def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
     ]
 
 
+def _move_witness(
+    d: WhittakerData, psi: SymLaurent, moved: WhittakerData, factor: SymLaurent, trunc: int
+) -> dict | None:
+    """None when the r = n torus sum of the moved data is factor times that
+    of d through degree trunc, compared in Schur coordinates: psi is d's
+    ``psi_alternant``.  a_delta is not a zero divisor and both sides are
+    symmetric, so equal coordinates prove the series identity.  A failing
+    case builds its witness from the two series, the first mismatching
+    coefficient, or says that the two paths disagree."""
+    n = d.n
+    if psi_alternant(moved, n, n, trunc) == psi._alternant_mul(factor, trunc):
+        return None
+    mode = SymbolicMode(n)
+    lhs = psi_series(moved, n, n, trunc, mode)
+    rhs = psi_series(d, n, n, trunc, mode) * _series_factor(factor, mode)
+    return _first_mismatch(lhs, rhs, trunc) or _DISAGREE
+
+
 def _gsp4_run(cfg: VerifyConfig, params: dict):
     t, op = params["trial"], params["operator"]
 
     def draw():
-        # the trial's data and their series, which all three operators read
+        # the trial's data and their Schur coordinates, which all three
+        # operators read
         d = _random_data(case_rng(cfg.seed, f"gsp4-raising:{t}"), 2)
-        mode = SymbolicMode(2)
-        return d, mode, psi_series(d, 2, 2, cfg.trunc, mode)
+        return d, psi_alternant(d, 2, 2, cfg.trunc)
 
-    d, mode, psi = _shared(("gsp4-raising", cfg.seed, cfg.trunc, t), "data", draw)
-    lhs = psi_series(_apply_move(op, d), 2, 2, cfg.trunc, mode)
-    return dict(params), _first_mismatch(lhs, psi * _gsp4_factor(op), cfg.trunc)
+    d, psi = _shared(("gsp4-raising", cfg.seed, cfg.trunc, t), "data", draw)
+    moved = _apply_move(op, d)
+    return dict(params), _move_witness(d, psi, moved, _MOVES[op][1], cfg.trunc)
 
 
 def _eta_lemma_cases(cfg: VerifyConfig) -> list[dict]:
@@ -332,10 +345,13 @@ def _eta_lemma_run(cfg: VerifyConfig, params: dict):
     n, t = params["n"], params["trial"]
     rng = case_rng(cfg.seed, f"eta-lemma:{n}:{t}")
     d = _random_data(rng, n)
+    factor = depth_shift_factor(n)
+    if cfg.mode == "symbolic":
+        psi = psi_alternant(d, n, n, cfg.trunc)
+        return dict(params), _move_witness(d, psi, eta_data(d), factor, cfg.trunc)
     mode = _mode(cfg, rng, n)
     lhs = psi_series(eta_data(d), n, n, cfg.trunc, mode)
-    shift = _series_factor(depth_shift_factor(n), mode)
-    rhs = psi_series(d, n, n, cfg.trunc, mode) * shift
+    rhs = psi_series(d, n, n, cfg.trunc, mode) * _series_factor(factor, mode)
     return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
 
 

@@ -47,6 +47,20 @@ weight's v-power) and normalizes once; evaluation mode sums
 x v^(e + w) s_lam(point) as ints over one denominator.  Every coefficient
 of the series products and of the inverse of P_wedge2 is likewise one sum
 of products, formed in one accumulator and normalized once.
+
+Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
+a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
+X^(nu + delta), nu + delta strictly decreasing, is the coefficient of s_nu
+in f (the bialternant identity; Macdonald, Symmetric Functions and Hall
+Polynomials, I.3).  psi_l is a sum of Schur polynomials, so in these
+coordinates it is the data relabelled: ``psi_alternant`` moves each weight's
+terms to the key head + delta, with the v-shift of ``psi_component``, and
+builds no Schur polynomial.  The raising identities psi(move d) = F psi(d),
+for the symmetric move factors F of ``oldforms``, are checked there, F
+multiplied in monomials by ``SymLaurent._alternant_mul``; a_delta is not a
+zero divisor, so equal coordinates prove the series identity.  The series
+in monomials (``psi_component``, ``psi_series``) remain for xi, the zeta
+series and the witnesses of failing cases.
 """
 
 from __future__ import annotations
@@ -191,17 +205,26 @@ def _check_ranks(d: WhittakerData, n: int, r: int, mode: Mode) -> None:
         raise ValueError("rank mismatch between data, n and mode")
 
 
+def _torus_weight(lam: Coweight, n: int, r: int) -> tuple[Coweight, int] | None:
+    """How a weight of the data enters the rank-r torus sum: None for a
+    nonzero tail lam_(r+1).., else its head lam_1..lam_r and the v-power w
+    of its term, the GL_r modulus exponent plus the twist trace * (2n-r-1)."""
+    if any(lam[r:]):
+        return None
+    head = lam[:r]
+    return head, gl_modulus_exponent(head, r) + sum(lam) * (2 * n - r - 1)
+
+
 def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any:
     """The degree-ell coefficient of the torus-sum series (see module
     docstring).  Homogeneous of total degree ell in the X variables."""
     _check_ranks(d, n, r, mode)
-    twist = ell * (2 * n - r - 1)
     weights = []
     for lam, terms in d._trace_index().get(ell, ()):
-        if any(lam[r:]):
-            continue
-        head = lam[:r]
-        weights.append((mode.schur(head), gl_modulus_exponent(head, r) + twist, terms))
+        weight = _torus_weight(lam, n, r)
+        if weight is not None:
+            head, w = weight
+            weights.append((mode.schur(head), w, terms))
     if not weights:
         return mode.zero()
     return mode._torus_sum(weights, d.gen.den)
@@ -218,6 +241,30 @@ def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> Trun
         if ell in index
     }
     return TruncSeries(coeffs, trunc, mode.zero())
+
+
+def psi_alternant(d: WhittakerData, n: int, r: int, trunc: int) -> SymLaurent:
+    """a_delta times the sum of psi_l over l <= trunc, in r variables: the
+    Schur coordinates of the torus sum (see module docstring).  Each weight
+    lam of trace <= trunc with a zero tail gives the terms d(lam) v^w of
+    the key head + delta, delta = (r-1, .., 1, 0), with head and w from the
+    rule of ``psi_component``; no Schur polynomial is built.  The data's
+    flat terms are read once, each X-prefix unpacked once.  OverflowError
+    if an exponent passes the packed field limit."""
+    if not 1 <= r <= n:
+        raise ValueError("need 1 <= r <= n")
+    if d.n != n:
+        raise ValueError("rank mismatch between data and n")
+    delta = range(r - 1, -1, -1)
+
+    def key(lam: Coweight) -> tuple[Coweight, int] | None:
+        weight = _torus_weight(lam, n, r) if sum(lam) <= trunc else None
+        if weight is None:
+            return None
+        head, w = weight
+        return tuple(map(operator.add, head, delta)), w
+
+    return d.gen._relabel(r, key)
 
 
 def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:

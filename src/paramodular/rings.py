@@ -48,8 +48,10 @@ two terms is one int addition.  A VLaurent key is one field, exactly the
 low field of a SymLaurent key.  Tuples are read and written only at the
 edges: the constructors, the views and ``_grouped`` (and so serialization,
 printing and the trace index of Whittaker data), the predicate of
-``restrict`` and the two oracle divisions; evaluation, the variable
-substitutions and the binomial division work on fields.
+``restrict``, the rule of ``_relabel`` (once per X-prefix), the sorts of
+``_alternant_mul`` (cached per X-prefix) and the two oracle divisions;
+evaluation, the variable substitutions, the symmetry check and the binomial
+division work on fields.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
@@ -134,6 +136,24 @@ def _checked(bound: int, *values: "_Laurent") -> int:
     if bound > _LIMIT:
         raise OverflowError(f"an exponent bound of {bound} exceeds the packed field limit {_LIMIT}")
     return bound
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _sort_sign(prefix: int, r: int) -> tuple[int, int, int] | None:
+    """For the alternant a_kappa of the exponent tuple kappa that the
+    X-prefix packs (r fields): None if kappa repeats an entry, else (|kappa|,
+    base, sign), sign that of the permutation sorting kappa decreasingly and
+    base the key of the sorted tuple with its v-field left 0.  Cached: the
+    same sorts recur from product to product."""
+    exps = _unpack(prefix, r)
+    sign = 1
+    for i, a in enumerate(exps):
+        for b in exps[i + 1 :]:
+            if a == b:
+                return None
+            if a < b:
+                sign = -sign
+    return sum(exps), _pack(sorted(exps, reverse=True)) << _W, sign
 
 
 def _over_lcm(terms: Mapping[int, tuple[int, int]]) -> tuple[dict[int, int], int]:
@@ -625,6 +645,99 @@ class SymLaurent(_Laurent):
         kept = {p for p in {k >> _W for k in self.num} if keep(_unpack(p, r))}
         num = {k: x for k, x in self.num.items() if k >> _W in kept}
         return SymLaurent._normal(r, num, self.den, self._bound)
+
+    def _relabel(self, r: int, rule) -> "SymLaurent":
+        """The value in r variables with a term c X^b v^(e + w) for each
+        term c X^a v^e of this one whose X-exponent tuple a has an image
+        rule(a) = (b, w), and none for a term with rule(a) None.  rule is
+        called once per X-exponent tuple (a per-prefix memo) and must send
+        no two tuples to one b, so that no two terms meet; each output key
+        is then the image's base plus the term's v-field.  The bound is the
+        largest |b_i|, or this value's bound plus the largest |w|; past the
+        field limit the v-exponents are re-read term by term before
+        OverflowError is raised."""
+        bases: dict[int, int | None] = {}
+        shifts: dict[int, int] = {}
+        num: dict[int, int] = {}
+        xbound = wbound = 0
+        for k, x in self.num.items():
+            p = k >> _W
+            try:
+                base = bases[p]
+            except KeyError:
+                image = rule(_unpack(p, self.r))
+                base = None
+                if image is not None:
+                    exps, w = image
+                    xbound = max(xbound, *map(abs, exps))
+                    if w > wbound or -w > wbound:
+                        wbound = abs(w)
+                    base = (_pack(exps) << _W) + w
+                    shifts[p] = w
+                bases[p] = base
+            if base is not None:
+                num[base + (k & _MASK)] = x
+        bound = max(xbound, self._bound + wbound)
+        if bound > _LIMIT:
+            bound = xbound
+            for k in self.num:
+                w = shifts.get(k >> _W)
+                if w is not None:
+                    bound = max(bound, abs((k & _MASK) - _OFFSET + w))
+        return SymLaurent._normal(r, num, self.den, _checked(bound))
+
+    def _symmetric(self) -> bool:
+        """True iff the value is invariant under every permutation of
+        X_1..X_r: checked on the adjacent transpositions, which generate,
+        by exchanging two fields of each packed key."""
+        num = self.num
+        for s in range(_W, _W * self.r, _W):
+            # X_(i+1)'s field at s and X_i's at s + W
+            for k, x in num.items():
+                d = (k >> s & _MASK) - (k >> (s + _W) & _MASK)
+                if d and num.get(k + (d << (s + _W)) - (d << s)) != x:
+                    return False
+        return True
+
+    def _alternant_mul(self, factor: "SymLaurent", top: int) -> "SymLaurent":
+        """The Schur coordinates of F * f through degree top, where this
+        value holds those of a symmetric f and F = factor is symmetric and
+        written in monomials.  A symmetric f's coordinates are the alternant
+        a_delta f, delta = (r-1, .., 1, 0), keyed by the strictly decreasing
+        nu + delta: its coefficient there is that of s_nu in f (Macdonald,
+        Symmetric Functions and Hall Polynomials, I.3).  As F is symmetric,
+        F a_kappa is the sum of F_alpha a_(alpha + kappa) over F's terms,
+        and a_kappa is sgn(sigma) a_(sigma kappa) for the sigma that sorts
+        kappa decreasingly, or 0 if kappa repeats an entry (the alternant
+        proof of Pieri's rule, I.5).  So each pair of terms is one sort and
+        sign (``_sort_sign``), and keys with |nu| > top are dropped.  f's
+        coordinates past top reach no kept key when F has no term of
+        negative degree.  ValueError unless F is symmetric, which the sort
+        would otherwise silently make it."""
+        r = self.r
+        if factor.r != r:
+            raise ValueError("variable counts differ")
+        if not factor._symmetric():
+            raise ValueError("the factor is not symmetric in X_1..X_r")
+        bound = _checked(self._bound + factor._bound, self, factor)
+        # X-prefix of the zero tuple, and the largest kept sum of nu + delta
+        xbias = _bias(r) >> _W
+        most = r * (r - 1) // 2 + top
+        fterms = [(k >> _W, k & _MASK, x) for k, x in factor.num.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k2, y in self.num.items():
+            # alpha + kappa is the sum of the two X-prefixes less the bias,
+            # and f1 + f2 the v-field of e1 + e2
+            p2, f2 = (k2 >> _W) - xbias, (k2 & _MASK) - _OFFSET
+            for p1, f1, x in fterms:
+                hit = _sort_sign(p1 + p2, r)
+                if hit is not None and hit[0] <= most:
+                    _, base, sign = hit
+                    k = base + f1 + f2
+                    acc[k] = get(k, 0) + sign * x * y
+        num = {k: x for k, x in acc.items() if x}
+        return SymLaurent._normal(r, num, self.den * factor.den, bound)
 
     def substitute_last_zero(self) -> "SymLaurent":
         """Set X_r = 0 and drop that variable, whose field sits just above

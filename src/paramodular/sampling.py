@@ -14,11 +14,12 @@ size, and small witnesses falsify wrong identities just as well.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 from .coweights import Cone, enumerate_cone
-from .rings import VLaurent
+from .rings import SymLaurent, VLaurent
 from .whittaker import WhittakerData
 
 
@@ -77,8 +78,21 @@ def _cone(n: int, max_norm: int) -> tuple:
 def random_whittaker_data(
     rng: random.Random, n: int, max_norm: int = 2, max_entries: int = 4
 ) -> WhittakerData:
-    """Nonzero data supported on dominant coweights of sup norm <= max_norm."""
+    """Nonzero data supported on dominant coweights of sup norm <= max_norm.
+    Each d(lam) is a ``random_vlaurent`` draw, made with the same calls in
+    the same order but written straight into the flat store: each
+    coefficient's numerator and denominator in lowest terms, all of them
+    over one lcm.  The support is drawn from the enumerated cone, so it
+    needs no second check."""
     cone = _cone(n, max_norm)
     count = rng.randint(1, min(max_entries, len(cone)))
-    support = rng.sample(cone, count)
-    return WhittakerData(n, {lam: random_vlaurent(rng) for lam in support})
+    drawn = []
+    for lam in rng.sample(cone, count):
+        for e in rng.sample(_V_EXPONENTS, rng.randint(1, 2)):
+            sign = rng.choice((1, -1))
+            a, b = rng.randint(1, 7), rng.randint(1, 7)
+            g = math.gcd(a, b)
+            drawn.append((lam, e, sign * a // g, b // g))
+    den = math.lcm(*[b for _, _, _, b in drawn])
+    terms = [(lam, e, a * (den // b)) for lam, e, a, b in drawn]
+    return WhittakerData._of(SymLaurent._of_terms(n, terms, den))

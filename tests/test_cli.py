@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import paramodular
-from paramodular import cli, coweights, oldforms, rings
+from paramodular import cli, coweights, oldforms, rings, whittaker
 from paramodular.characters import orbit_sum, schur, sp_character
 from paramodular.cli import (
     CaseRecord,
@@ -26,8 +26,10 @@ from paramodular.cli import (
     main,
     run_suite,
 )
+from paramodular.rankin import SymbolicMode, psi_series
 from paramodular.rings import SymLaurent, VLaurent
-from paramodular.whittaker import spherical_so_data
+from paramodular.sampling import case_rng
+from paramodular.whittaker import eta_data, spherical_so_data, theta_data
 
 BETA2 = (Fraction(2), Fraction(3, 2))
 
@@ -206,15 +208,74 @@ def spy_on(monkeypatch, *names):
 def test_cases_of_one_trial_share_their_draws(monkeypatch):
     # one fe trial has three distinct images (spherical, raised +1 and -1)
     # of one spherical vector; one gsp4-raising trial draws one datum and
-    # needs its series plus one moved series per operator
+    # needs its Schur coordinates plus those of one moved datum per operator
     calls = spy_on(monkeypatch, "xi", "spherical_so_data")
     report = run_suite(VerifyConfig(suite="fe", trials=1))
     assert report.all_passed and len(report.cases) == 6
     assert calls == {"xi": 3, "spherical_so_data": 1}
-    calls = spy_on(monkeypatch, "random_whittaker_data", "psi_series")
+    calls = spy_on(monkeypatch, "random_whittaker_data", "psi_alternant")
     report = run_suite(VerifyConfig(suite="gsp4-raising", trials=1))
     assert report.all_passed and len(report.cases) == 3
-    assert calls == {"random_whittaker_data": 1, "psi_series": 4}
+    assert calls == {"random_whittaker_data": 1, "psi_alternant": 4}
+
+
+def _series_path_witness(d, moved, factor, trunc):
+    """The witness that comparing the two series gives: the first
+    mismatching coefficient of psi(moved) and psi(d) times factor."""
+    n = d.n
+    mode = SymbolicMode(n)
+    lhs = psi_series(moved, n, n, trunc, mode)
+    rhs = psi_series(d, n, n, trunc, mode) * cli._series_factor(factor, mode)
+    k = lhs.first_mismatch(rhs, trunc)
+    if k is None:
+        return None
+    return {"coefficient": k, "expected": str(rhs.get(k)), "got": str(lhs.get(k))}
+
+
+def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
+    # theta's symbol without its q: the Schur coordinates see it, and the
+    # witness is the one the series comparison reports, byte for byte
+    monkeypatch.setattr(whittaker, "_THETA", SymLaurent(2, {(1, 0): 1, (0, 1): 1}))
+    cfg = VerifyConfig(suite="gsp4-raising", trials=8)
+    report = run_suite(cfg)
+    failed = 0
+    for case in report.cases:
+        op, t = case.parameters["operator"], case.parameters["trial"]
+        if op != "theta":
+            assert case.verdict, case.witness
+            continue
+        d = cli._random_data(case_rng(cfg.seed, f"gsp4-raising:{t}"), 2)
+        want = _series_path_witness(d, theta_data(d), oldforms.theta_factor(), cfg.trunc)
+        assert json.dumps(case.witness) == json.dumps(want)
+        failed += not case.verdict
+    assert failed >= 4
+    # the eta lemma in symbolic mode, against a factor without its q-power
+    cfg = VerifyConfig(suite="eta-lemma", mode="symbolic", trials=3)
+    wrong = SymLaurent.monomial(3, (1, 1, 1))
+    monkeypatch.setattr(cli, "depth_shift_factor", lambda n: wrong)
+    for case in run_suite(cfg).cases:
+        d = cli._random_data(case_rng(cfg.seed, f"eta-lemma:3:{case.parameters['trial']}"), 3)
+        want = _series_path_witness(d, eta_data(d), wrong, cfg.trunc)
+        assert not case.verdict and json.dumps(case.witness) == json.dumps(want)
+
+
+def test_coordinates_that_disagree_with_the_series_fail_the_case(monkeypatch):
+    # a kernel fault that the series path does not share: no mismatching
+    # coefficient to report, so the case says which paths disagree
+    mul = SymLaurent._alternant_mul
+
+    def off(self, factor, top):
+        return mul(self, factor, top) + SymLaurent(self.r, {tuple(range(self.r, 0, -1)): 1})
+
+    monkeypatch.setattr(SymLaurent, "_alternant_mul", off)
+    reason = {"reason": "Schur coordinates and series disagree"}
+    cases = [
+        (VerifyConfig(suite="gsp4-raising"), {"trial": 0, "operator": "theta-prime"}),
+        (VerifyConfig(suite="eta-lemma", mode="symbolic"), {"n": 3, "trial": 0}),
+    ]
+    for cfg, params in cases:
+        record = cli._run_case(cfg, params)
+        assert not record.verdict and record.witness == reason
 
 
 def test_shared_values_do_not_outlive_run_suite(monkeypatch):

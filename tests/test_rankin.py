@@ -3,6 +3,7 @@ equation mechanics, and the rank-one zeta endpoints."""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from paramodular.rankin import (
     kernel_check,
     p_phi_pi,
     p_wedge2,
+    psi_alternant,
     psi_component,
     psi_series,
     specialize_last,
@@ -28,7 +30,8 @@ from paramodular.rankin import (
     xi,
     zeta_series,
 )
-from paramodular import rings
+from paramodular import characters, rankin, rings
+from paramodular.oldforms import depth_shift_factor, theta_factor, theta_prime_factor
 from paramodular.rings import SymLaurent, TruncSeries, VLaurent
 from paramodular.sampling import (
     random_beta,
@@ -686,3 +689,98 @@ def test_psi_matches_the_scan_every_weight_oracle():
             assert ev.get(ell) == c.evaluate(point, v)
 
     check()
+
+
+# -- Schur coordinates of the torus sum -----------------------------------
+
+
+def _expanded(coords: SymLaurent) -> dict[int, SymLaurent]:
+    """sum c_nu s_nu for the Schur coordinates coords (keys nu + delta),
+    by degree |nu|, through the Schur polynomials of ``characters``."""
+    r = coords.r
+    out: dict[int, SymLaurent] = {}
+    for key, c in coords.c.items():
+        nu = tuple(k - (r - 1 - i) for i, k in enumerate(key))
+        out[sum(nu)] = out.get(sum(nu), SymLaurent.zero(r)) + schur(nu, r) * c
+    return {ell: x for ell, x in out.items() if x}
+
+
+def test_psi_alternant_expands_to_the_symbolic_series():
+    rng = random.Random("psi-alternant")
+    for n in range(1, 4):
+        for r in range(1, n + 1):
+            for _ in range(6):
+                # sup norm 2 at every n: weights with a nonzero tail at r < n
+                d = random_whittaker_data(rng, n, max_norm=2, max_entries=6)
+                for trunc in sorted({0, 1, d.max_trace() - 1, d.max_trace() + 3} - {-1}):
+                    coords = psi_alternant(d, n, r, trunc)
+                    series = psi_series(d, n, r, trunc, SymbolicMode(r))
+                    assert _expanded(coords) == series.coeffs, (d, r, trunc)
+                    # every key is strictly decreasing
+                    assert all(all(map(operator.gt, k, k[1:])) for k in coords.c)
+    tail = WhittakerData(3, {(1, 1, 0): ONE, (2, 1, 1): Q})
+    # (1, 1, 0) at r = 2: modulus exponent 0, twist 2 * 3; (2, 1, 1) has a tail
+    assert psi_alternant(tail, 3, 2, 8) == SymLaurent(2, {(2, 1): VLaurent.v_power(6)})
+    # at r = 3: (1, 1, 0) shifts by 2 + 2 * 2, (2, 1, 1) by 2 + 4 * 2, past trunc 3
+    assert psi_alternant(tail, 3, 3, 3) == SymLaurent(3, {(3, 2, 0): VLaurent.v_power(6)})
+    both = {(3, 2, 0): VLaurent.v_power(6), (4, 2, 1): VLaurent.v_power(12)}
+    assert psi_alternant(tail, 3, 3, 4) == SymLaurent(3, both)
+    assert not psi_alternant(tail, 3, 1, 8)
+    with pytest.raises(ValueError):
+        psi_alternant(tail, 3, 4, 8)
+    with pytest.raises(ValueError):
+        psi_alternant(tail, 2, 2, 8)
+
+
+def test_moves_multiply_the_schur_coordinates_by_their_factors():
+    # the identities the gsp4-raising and eta-lemma suites check, also at
+    # n = 1 and 4 and at trunc 0, where the moved data pass trunc
+    rng = random.Random("alternant-moves")
+    moves = [(2, theta_data, theta_factor()), (2, theta_prime_data, theta_prime_factor())]
+    moves += [(n, eta_data, depth_shift_factor(n)) for n in (1, 2, 3, 4)]
+    for n, move, factor in moves:
+        for _ in range(4):
+            d = random_whittaker_data(rng, n, max_norm=2 if n < 3 else 1)
+            for trunc in (0, 2, 3, 8):
+                lhs = psi_alternant(move(d), n, n, trunc)
+                assert lhs == psi_alternant(d, n, n, trunc)._alternant_mul(factor, trunc)
+
+
+def test_psi_alternant_builds_no_schur_polynomial_trace_index_or_view(monkeypatch):
+    rng = random.Random("alternant-flat")
+    data = [random_whittaker_data(rng, n) for n in (2, 3) for _ in range(3)]
+    with monkeypatch.context() as patch:
+        for cls in (SymLaurent, VLaurent):
+            patch.setattr(cls, "c", property(_unreadable))
+        patch.setattr(WhittakerData, "_trace_index", _unreadable)
+        patch.setattr(characters, "schur", _unreadable)
+        patch.setattr(rankin, "schur", _unreadable)
+        got = []
+        for d in data:
+            n = d.n
+            psi = psi_alternant(d, n, n, 6)
+            got.append((psi, psi._alternant_mul(depth_shift_factor(n), 6)))
+    for d, (psi, moved) in zip(data, got):
+        n = d.n
+        assert _expanded(psi) == psi_series(d, n, n, 6, SymbolicMode(n)).coeffs
+        assert moved == psi_alternant(eta_data(d), n, n, 6)
+
+
+def test_psi_alternant_refuses_an_exponent_past_the_field_limit():
+    # at n = r = 2 the weight (1, 0) adds 2 to its v-exponents and has the
+    # key (2, 0); the exact exponents decide, not a bound that ran ahead
+    limit = rings._LIMIT
+    top = VLaurent.v_power(limit)
+    fits = WhittakerData(2, {(1, 0): VLaurent({limit - 2: 1, 0: 1})})
+    assert psi_alternant(fits, 2, 2, 1) == SymLaurent(2, {(2, 0): top + VLaurent.v_power(2)})
+    # d's bound is the limit, but every shifted exponent fits
+    low = WhittakerData(2, {(1, 0): VLaurent.v_power(-limit)})
+    assert psi_alternant(low, 2, 2, 1) == SymLaurent(2, {(2, 0): VLaurent.v_power(2 - limit)})
+    past = {
+        "v-exponent": WhittakerData(2, {(1, 0): VLaurent({limit - 1: 1, 0: 1})}),
+        "X-exponent": WhittakerData(2, {(limit, 0): ONE}),
+    }
+    for name, d in past.items():
+        with pytest.raises(OverflowError):
+            psi_alternant(d, 2, 2, limit)
+            pytest.fail(f"a {name} past the field limit was returned")

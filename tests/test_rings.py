@@ -4,14 +4,18 @@ polynomials, truncated series."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 
 from paramodular import rings
+from paramodular.characters import orbit_sum, schur
+from paramodular.oldforms import depth_shift_factor, theta_factor, theta_prime_factor
 from paramodular.rings import (
     SymLaurent,
     TruncSeries,
@@ -1008,3 +1012,117 @@ def test_products_whose_fields_borrow_match_the_oracle():
         assert flat_view(a * b.invert_all_vars()) == laurent_product(a, b.invert_all_vars())
 
     check()
+
+
+# -- products in Schur coordinates --------------------------------------
+
+
+def _vandermonde(r: int) -> SymLaurent:
+    """a_delta = prod_(i<j) (X_i - X_j), formed in monomials."""
+    out = SymLaurent.one(r)
+    for i in range(r):
+        for j in range(i + 1, r):
+            ei = [int(k == i) for k in range(r)]
+            ej = [int(k == j) for k in range(r)]
+            out = out * (SymLaurent.monomial(r, ei) - SymLaurent.monomial(r, ej))
+    return out
+
+
+def _from_coordinates(g: SymLaurent) -> SymLaurent:
+    """sum c_nu s_nu in monomials for the Schur coordinates g (keys nu +
+    delta), through the Schur polynomials of ``characters``."""
+    r = g.r
+    out = SymLaurent.zero(r)
+    for key, c in g.c.items():
+        out = out + schur(tuple(k - (r - 1 - i) for i, k in enumerate(key)), r) * c
+    return out
+
+
+def _coordinates(a: SymLaurent, top: int) -> SymLaurent:
+    """The terms of the alternant a at strictly decreasing exponents with
+    |nu| <= top: the Schur coordinates of a / a_delta through top."""
+    r = a.r
+    most = r * (r - 1) // 2 + top
+    return a.restrict(lambda e: all(map(operator.gt, e, e[1:])) and sum(e) <= most)
+
+
+def _random_coordinates(rng, r: int) -> SymLaurent:
+    """Schur coordinates of a random symmetric value: a few strictly
+    decreasing keys, some with negative entries, with random v-terms."""
+    keys = set()
+    for _ in range(rng.randint(1, 5)):
+        keys.add(tuple(sorted(rng.sample(range(-2, r + 5), r), reverse=True)))
+    return SymLaurent(r, {k: _random_v_value(rng) for k in keys})
+
+
+def _random_v_value(rng) -> VLaurent:
+    exps = rng.sample(range(-3, 4), 2)
+    return VLaurent({e: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for e in exps})
+
+
+def _symmetrized(rng, r: int) -> SymLaurent:
+    """The sum over S_r of the permuted images of a random value."""
+    base = {tuple(rng.randint(-1, 2) for _ in range(r)): _random_v_value(rng) for _ in range(3)}
+    out = SymLaurent.zero(r)
+    for perm in itertools.permutations(range(r)):
+        out = out + SymLaurent(r, {tuple(e[p] for p in perm): c for e, c in base.items()})
+    return out
+
+
+def _symmetric_factors():
+    rng = random.Random("alternant factors")
+    factors = [theta_factor(), theta_prime_factor()]
+    factors += [depth_shift_factor(n) for n in range(1, 5)]
+    factors += [orbit_sum(lam, len(lam)) for lam in ((1, 0), (1, 1), (2, 1, 0), (1, 1, 1, 0))]
+    factors += [_symmetrized(rng, r) for r in (1, 2, 3, 3, 4)]
+    factors += [SymLaurent.constant(r, VLaurent({-1: 2, 3: Fraction(1, 3)})) for r in (1, 3)]
+    return factors
+
+
+def test_alternant_product_matches_the_monomial_product():
+    rng = random.Random("alternant product")
+    for factor in _symmetric_factors():
+        r = factor.r
+        assert is_symmetric(factor)
+        vandermonde = _vandermonde(r)
+        for _ in range(4):
+            g = _random_coordinates(rng, r)
+            # a_delta F g, formed in monomials, read at its Schur coordinates
+            full = vandermonde * factor * _from_coordinates(g)
+            for top in (-1, 0, 1, 2, 4, 7, 30):
+                got = g._alternant_mul(factor, top)
+                assert got == _coordinates(full, top), (factor, g, top)
+                assert _is_normal(got)
+        assert SymLaurent.zero(r)._alternant_mul(factor, 5) == SymLaurent.zero(r)
+
+
+def test_alternant_product_refuses_a_factor_that_is_not_symmetric():
+    q = VLaurent.q_power(1)
+    not_symmetric = {
+        # theta's data symbol: X_1 + q X_2
+        2: [SymLaurent(2, {(1, 0): 1, (0, 1): q}), SymLaurent.monomial(2, (1, 0))],
+        # symmetric in X_1, X_2 but not in X_2, X_3, and the other way round
+        3: [
+            SymLaurent(3, {(1, 0, 0): 1, (0, 1, 0): 1}),
+            SymLaurent(3, {(0, 1, 0): 1, (0, 0, 1): 1}),
+        ],
+    }
+    for r, factors in not_symmetric.items():
+        g = SymLaurent(r, {tuple(range(r - 1, -1, -1)): 1})
+        for factor in factors:
+            assert not is_symmetric(factor)
+            with pytest.raises(ValueError):
+                g._alternant_mul(factor, 5)
+                pytest.fail("a factor that is not symmetric was accepted")
+    with pytest.raises(ValueError):
+        SymLaurent(3, {(2, 1, 0): 1})._alternant_mul(SymLaurent.one(2), 5)
+
+
+def test_alternant_product_refuses_a_v_exponent_past_the_field_limit():
+    g = SymLaurent(2, {(1, 0): VLaurent.v_power(LIMIT - 2)})
+    q = VLaurent.q_power(1)
+    fits = SymLaurent(2, {(1, 0): q, (0, 1): q})
+    assert g._alternant_mul(fits, 5) == SymLaurent(2, {(2, 0): VLaurent.v_power(LIMIT)})
+    with pytest.raises(OverflowError):
+        g._alternant_mul(fits * VLaurent.v_power(1), 5)
+        pytest.fail("a value past the field limit was returned")

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from paramodular.coweights import Cone, is_dominant
+import pytest
+
+from paramodular.coweights import Cone, enumerate_cone, is_dominant
 from paramodular.sampling import (
     case_rng,
     random_beta,
     random_fraction,
     random_point,
     random_v,
+    random_vlaurent,
     random_whittaker_data,
 )
+from paramodular.whittaker import WhittakerData
 
 
 def test_case_rng_is_deterministic_and_case_separated():
@@ -64,3 +68,26 @@ def test_random_whittaker_data_supports_dominant_cone():
             assert d.n == n
             for lam in d.support:
                 assert is_dominant(lam, Cone.G)
+
+
+def _assembled(rng, n, max_norm, max_entries):
+    """The draw assembled from its public parts, one VLaurent per weight
+    and the WhittakerData constructor with its cone check."""
+    cone = list(enumerate_cone(Cone.G, n, max_norm))
+    support = rng.sample(cone, rng.randint(1, min(max_entries, len(cone))))
+    return WhittakerData(n, {lam: random_vlaurent(rng) for lam in support})
+
+
+# every (max_norm, max_entries) that the suites and the tests draw with
+DRAW_SIZES = [(2, 4), (1, 4), (2, 3), (2, 6), (3, 6), (3, 8)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_whittaker_data_matches_the_assembled_draw(n):
+    for max_norm, max_entries in DRAW_SIZES:
+        for seed in range(200):
+            key = f"{n}:{max_norm}:{max_entries}"
+            want = _assembled(case_rng(seed, key), n, max_norm, max_entries)
+            got = random_whittaker_data(case_rng(seed, key), n, max_norm, max_entries)
+            assert (got.gen.num, got.gen.den) == (want.gen.num, want.gen.den)
+            assert got.gen._bound == want.gen._bound
