@@ -68,28 +68,29 @@ def enumerate_cone(
 
     Every cone lies inside the weakly decreasing tuples with entries in
     [lo, bound], where lo is 0 on the G cone and -bound otherwise, so those
-    are generated directly, smallest first entry first.  A branch stops as
-    soon as its remaining entries, each at least lo, cannot keep the trace
-    within max_trace.  Only the H cone needs a filter afterwards."""
+    are generated directly, one entry at a time: each prefix in
+    lexicographic order grows by every entry it admits, smallest first,
+    which keeps the order.  A prefix admits no entry that would leave its
+    remaining entries, each at least lo, unable to keep the trace within
+    max_trace.  Only the H cone needs a filter afterwards."""
     if n < 1:
         raise ValueError("rank must be positive")
     if bound < 0:
         return []
     lo = 0 if cone is Cone.G else -bound
-
-    def tails(k: int, cap: int, budget: int):
-        # weakly decreasing k-tuples with entries in [lo, cap] and sum <= budget
-        if k == 0:
-            yield ()
-            return
-        for first in range(lo, min(cap, budget - (k - 1) * lo) + 1):
-            for rest in tails(k - 1, first, budget - first):
-                yield (first, *rest)
-
-    out = tails(n, bound, n * bound if max_trace is None else max_trace)
+    # each prefix with the cap on its next entry and the trace it has left
+    level = [((), bound, n * bound if max_trace is None else max_trace)]
+    for k in range(n - 1, -1, -1):
+        # k entries follow the one added now
+        level = [
+            (lam + (a,), a, left - a)
+            for lam, cap, left in level
+            for a in range(lo, min(cap, left - k * lo) + 1)
+        ]
+    out = [lam for lam, _, _ in level]
     if cone is Cone.H:
         return [lam for lam in out if is_dominant(lam, cone)]
-    return list(out)
+    return out
 
 
 def dim_formula(n: int, m: int, a: int) -> int:

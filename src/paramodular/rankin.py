@@ -104,18 +104,18 @@ class SymbolicMode:
         once (``SymLaurent._shifted_dot``)."""
         return self._zero._shifted_dot(weights, den)
 
-    def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
+    def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
         """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k: the product
         of r series whose coefficients are the monomials
-        (e_k / den) v^-k X_j^k."""
+        (e_k / den) v^-k X_j^k; exact, or known through Y-degree trunc."""
         r = self.r
         factors = []
         for j in range(r):
             coeffs = {}
-            for k, x in enumerate(e):
+            for k, x in enumerate(e[: None if trunc is None else trunc + 1]):
                 exps = (0,) * j + (k,) + (0,) * (r - 1 - j)
                 coeffs[k] = SymLaurent.monomial(r, exps, VLaurent({-k: Fraction(x, den)}))
-            factors.append(TruncSeries(coeffs, None, self.zero()))
+            factors.append(TruncSeries(coeffs, trunc, self.zero()))
         return functools.reduce(operator.mul, factors) if factors else unit_series(self)
 
 
@@ -168,18 +168,21 @@ class EvaluationMode:
             total += part * s.numerator * (lcm // s.denominator)
         return Fraction(total, den * lcm * p**-lo * q**hi)
 
-    def numerator_factor(self, e: list[int], den: int) -> TruncSeries:
-        """prod_j E(x_j Y / v) at the point for E(t) = sum_k (e_k / den) t^k.
-        With x_j / v = c_j / M, c_j = y_j v_den and M = B v_num, the
-        degree-k coefficient is entry k of the integer convolution of the r
-        lists [e_0 c_j^0, e_1 c_j^1, ...], over den^r M^k."""
+    def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
+        """prod_j E(x_j Y / v) at the point for E(t) = sum_k (e_k / den) t^k,
+        exact or known through Y-degree trunc.  With x_j / v = c_j / M,
+        c_j = y_j v_den and M = B v_num, the degree-k coefficient is entry k
+        of the integer convolution of the r lists [e_0 c_j^0, e_1 c_j^1,
+        ...], over den^r M^k; entries past trunc are never formed."""
+        top = None if trunc is None else trunc + 1
         total = [1]
         for y in self._table.y:
             c = y * self.v_value.denominator
-            row = [x * c**k for k, x in enumerate(e)]
-            conv = [0] * (len(total) + len(row) - 1)
+            row = [x * c**k for k, x in enumerate(e[:top])]
+            size = len(total) + len(row) - 1
+            conv = [0] * (size if top is None else min(size, top))
             for a, x in enumerate(total):
-                for b, z in enumerate(row):
+                for b, z in enumerate(row[: len(conv) - a]):
                     conv[a + b] += x * z
             total = conv
         m = self._table.den * self.v_value.numerator
@@ -188,7 +191,7 @@ class EvaluationMode:
             if x:
                 coeffs[k] = Fraction(x, scale)
             scale *= m
-        return TruncSeries(coeffs, None, self.zero())
+        return TruncSeries(coeffs, trunc, self.zero())
 
 
 Mode = SymbolicMode | EvaluationMode
@@ -243,28 +246,39 @@ def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> Trun
     return TruncSeries(coeffs, trunc, mode.zero())
 
 
-def psi_alternant(d: WhittakerData, n: int, r: int, trunc: int) -> SymLaurent:
-    """a_delta times the sum of psi_l over l <= trunc, in r variables: the
-    Schur coordinates of the torus sum (see module docstring).  Each weight
-    lam of trace <= trunc with a zero tail gives the terms d(lam) v^w of
-    the key head + delta, delta = (r-1, .., 1, 0), with head and w from the
-    rule of ``psi_component``; no Schur polynomial is built.  The data's
-    flat terms are read once, each X-prefix unpacked once.  OverflowError
-    if an exponent passes the packed field limit."""
-    if not 1 <= r <= n:
-        raise ValueError("need 1 <= r <= n")
-    if d.n != n:
-        raise ValueError("rank mismatch between data and n")
+@functools.cache
+def _alternant_rule(n: int, r: int, trunc: int):
+    """``psi_alternant``'s rule at (n, r, trunc): each weight lam of trace
+    <= trunc with a zero tail goes to head + delta, delta = (r-1, .., 1, 0),
+    with the v-shift w of ``_torus_weight``; any other weight to None.  One
+    object per triple, and a pure function of lam, so that
+    ``SymLaurent._relabel`` caches its images across values."""
     delta = range(r - 1, -1, -1)
 
-    def key(lam: Coweight) -> tuple[Coweight, int] | None:
+    def rule(lam: Coweight) -> tuple[Coweight, int] | None:
         weight = _torus_weight(lam, n, r) if sum(lam) <= trunc else None
         if weight is None:
             return None
         head, w = weight
         return tuple(map(operator.add, head, delta)), w
 
-    return d.gen._relabel(r, key)
+    return rule
+
+
+def psi_alternant(d: WhittakerData, n: int, r: int, trunc: int) -> SymLaurent:
+    """a_delta times the sum of psi_l over l <= trunc, in r variables: the
+    Schur coordinates of the torus sum (see module docstring).  Each weight
+    lam of trace <= trunc with a zero tail gives the terms d(lam) v^w of
+    the key head + delta, delta = (r-1, .., 1, 0), with head and w from the
+    rule of ``psi_component``; no Schur polynomial is built.  The data's
+    flat terms are read once, and each X-prefix is unpacked and relabelled
+    once per process (``_alternant_rule``).  OverflowError if an exponent
+    passes the packed field limit."""
+    if not 1 <= r <= n:
+        raise ValueError("need 1 <= r <= n")
+    if d.n != n:
+        raise ValueError("rank mismatch between data and n")
+    return d.gen._relabel(r, _alternant_rule(n, r, trunc))
 
 
 def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -286,28 +300,30 @@ def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return e, den
 
 
-def p_phi_pi(beta, n: int, r: int, mode: Mode) -> TruncSeries:
+def p_phi_pi(beta, n: int, r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
     """Numerator local factor: prod over j <= r, i <= n, both signs, of
     (1 - beta_i^{+-1} v^{-1} X_j Y), that is P_phi = prod_j E_beta(v^{-1}
     X_j Y) with E_beta from ``e_beta``.  Exact polynomial of Y-degree 2nr
-    with constant coefficient 1."""
+    with constant coefficient 1, or, given trunc, that polynomial known
+    through Y-degree trunc, with no coefficient past it formed."""
     beta = _satake(beta, n)
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
-    return mode.numerator_factor(*e_beta(beta))
+    return mode.numerator_factor(*e_beta(beta), trunc)
 
 
-def p_wedge2(r: int, mode: Mode) -> TruncSeries:
+def p_wedge2(r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
     """Denominator local factor: prod over i < j of (1 - v^{-2} X_i X_j Y^2).
-    Exact polynomial of Y-degree r(r-1); equals 1 when r = 1."""
+    Exact polynomial of Y-degree r(r-1), equal to 1 when r = 1, or, given
+    trunc, that polynomial known through Y-degree trunc."""
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
-    out = unit_series(mode)
+    out = TruncSeries({0: mode.one()}, trunc, mode.zero())
     for i in range(r):
         for j in range(i + 1, r):
             e = tuple(1 if k in (i, j) else 0 for k in range(r))
             quad = mode.lift(SymLaurent.monomial(r, e, VLaurent({-2: -1})))
-            out = out * TruncSeries({0: mode.one(), 2: quad}, None, mode.zero())
+            out = out * TruncSeries({0: mode.one(), 2: quad}, trunc, mode.zero())
     return out
 
 
@@ -397,8 +413,8 @@ def xi(
     if trunc < window:
         raise ValueError("truncation order must be at least the window")
     psi = psi_series(d, n, r, trunc, mode)
-    p_phi = p_phi_pi(beta, n, r, mode) if beta is not None else unit_series(mode)
-    b = p_wedge2(r, mode).invert(trunc)
+    p_phi = p_phi_pi(beta, n, r, mode, trunc) if beta is not None else unit_series(mode)
+    b = p_wedge2(r, mode, trunc).invert(trunc)
     series = p_phi * psi * b
     stabilized = all(
         series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1)

@@ -48,10 +48,11 @@ two terms is one int addition.  A VLaurent key is one field, exactly the
 low field of a SymLaurent key.  Tuples are read and written only at the
 edges: the constructors, the views and ``_grouped`` (and so serialization,
 printing and the trace index of Whittaker data), the predicate of
-``restrict``, the rule of ``_relabel`` (once per X-prefix), the sorts of
-``_alternant_mul`` (cached per X-prefix) and the two oracle divisions;
-evaluation, the variable substitutions, the symmetry check and the binomial
-division work on fields.
+``restrict`` and the rule of ``_relabel`` (once per X-prefix per process,
+cached in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per
+X-prefix in ``_sort_sign``) and the two oracle divisions; evaluation, the
+variable substitutions, the symmetry check and the binomial division work
+on fields.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
@@ -154,6 +155,23 @@ def _sort_sign(prefix: int, r: int) -> tuple[int, int, int] | None:
             if a < b:
                 sign = -sign
     return sum(exps), _pack(sorted(exps, reverse=True)) << _W, sign
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _prefix_image(rule, prefix: int, size: int, relabel: bool):
+    """rule of the exponent tuple a that the X-prefix packs (size fields),
+    worked out once per process for each (rule, prefix, size, relabel):
+    the verdict of ``restrict``, or with relabel the image of ``_relabel``,
+    None or (base, largest |b_i|, w) for rule(a) = (b, w), base the key of
+    b with its v-field w.  The cache holds the rule object itself, never
+    its id, so a rule built later never reads another's images; but it
+    trusts a rule to be a pure function of a: one that reads state which
+    can change gives stale answers.  Bounded like ``_sort_sign``."""
+    image = rule(_unpack(prefix, size))
+    if not relabel or image is None:
+        return image
+    b, w = image
+    return (_pack(b) << _W) + w, max(map(abs, b), default=0), w
 
 
 def _over_lcm(terms: Mapping[int, tuple[int, int]]) -> tuple[dict[int, int], int]:
@@ -640,50 +658,43 @@ class SymLaurent(_Laurent):
         return SymLaurent._wrap(self.r, num, self.den, self._bound)
 
     def restrict(self, keep) -> "SymLaurent":
-        """The terms whose X-exponent tuple satisfies ``keep``."""
+        """The terms whose X-exponent tuple satisfies ``keep``, which must
+        be a pure function of the tuple: its verdicts are cached per
+        (keep, X-prefix) for the life of the process (``_prefix_image``)."""
         r = self.r
-        kept = {p for p in {k >> _W for k in self.num} if keep(_unpack(p, r))}
-        num = {k: x for k, x in self.num.items() if k >> _W in kept}
+        num = {k: x for k, x in self.num.items() if _prefix_image(keep, k >> _W, r, False)}
         return SymLaurent._normal(r, num, self.den, self._bound)
 
     def _relabel(self, r: int, rule) -> "SymLaurent":
         """The value in r variables with a term c X^b v^(e + w) for each
         term c X^a v^e of this one whose X-exponent tuple a has an image
-        rule(a) = (b, w), and none for a term with rule(a) None.  rule is
-        called once per X-exponent tuple (a per-prefix memo) and must send
-        no two tuples to one b, so that no two terms meet; each output key
-        is then the image's base plus the term's v-field.  The bound is the
-        largest |b_i|, or this value's bound plus the largest |w|; past the
-        field limit the v-exponents are re-read term by term before
+        rule(a) = (b, w), and none for a term with rule(a) None.  rule must
+        be a pure function of a, as its images are cached per (rule,
+        X-prefix) for the life of the process (``_prefix_image``), and must
+        send no two tuples to one b, so that no two terms meet; each output
+        key is then the image's base plus the term's v-field.  The bound is
+        the largest |b_i|, or this value's bound plus the largest |w|; past
+        the field limit the v-exponents are re-read term by term before
         OverflowError is raised."""
-        bases: dict[int, int | None] = {}
-        shifts: dict[int, int] = {}
+        size = self.r
         num: dict[int, int] = {}
         xbound = wbound = 0
         for k, x in self.num.items():
-            p = k >> _W
-            try:
-                base = bases[p]
-            except KeyError:
-                image = rule(_unpack(p, self.r))
-                base = None
-                if image is not None:
-                    exps, w = image
-                    xbound = max(xbound, *map(abs, exps))
-                    if w > wbound or -w > wbound:
-                        wbound = abs(w)
-                    base = (_pack(exps) << _W) + w
-                    shifts[p] = w
-                bases[p] = base
-            if base is not None:
+            image = _prefix_image(rule, k >> _W, size, True)
+            if image is not None:
+                base, b, w = image
                 num[base + (k & _MASK)] = x
+                if b > xbound:
+                    xbound = b
+                if w > wbound or -w > wbound:
+                    wbound = abs(w)
         bound = max(xbound, self._bound + wbound)
         if bound > _LIMIT:
             bound = xbound
             for k in self.num:
-                w = shifts.get(k >> _W)
-                if w is not None:
-                    bound = max(bound, abs((k & _MASK) - _OFFSET + w))
+                image = _prefix_image(rule, k >> _W, size, True)
+                if image is not None:
+                    bound = max(bound, abs((k & _MASK) - _OFFSET + image[2]))
         return SymLaurent._normal(r, num, self.den, _checked(bound))
 
     def _symmetric(self) -> bool:

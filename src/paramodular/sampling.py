@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .coweights import Cone, enumerate_cone
-from .rings import SymLaurent, VLaurent
+from .rings import SymLaurent
 from .whittaker import WhittakerData
 
 
@@ -62,13 +62,6 @@ def random_beta(rng: random.Random, n: int, max_abs: int = 7) -> tuple[Fraction,
     return tuple(out)
 
 
-def random_vlaurent(rng: random.Random) -> VLaurent:
-    """Nonzero Laurent coefficient with one or two v-monomials of exponent
-    in -2..2."""
-    exps = rng.sample(_V_EXPONENTS, rng.randint(1, 2))
-    return VLaurent({e: random_fraction(rng) for e in exps})
-
-
 @functools.cache
 def _cone(n: int, max_norm: int) -> tuple:
     """The cone the data are drawn from, enumerated once per (n, max_norm)."""
@@ -79,11 +72,11 @@ def random_whittaker_data(
     rng: random.Random, n: int, max_norm: int = 2, max_entries: int = 4
 ) -> WhittakerData:
     """Nonzero data supported on dominant coweights of sup norm <= max_norm.
-    Each d(lam) is a ``random_vlaurent`` draw, made with the same calls in
-    the same order but written straight into the flat store: each
-    coefficient's numerator and denominator in lowest terms, all of them
-    over one lcm.  The support is drawn from the enumerated cone, so it
-    needs no second check."""
+    Each d(lam) has one or two v-monomials of exponent in -2..2, each
+    coefficient drawn with the calls of ``random_fraction`` and written
+    straight into the flat store: its numerator and denominator in lowest
+    terms, all of them over one lcm.  The support is drawn from the
+    enumerated cone, so it needs no second check."""
     cone = _cone(n, max_norm)
     count = rng.randint(1, min(max_entries, len(cone)))
     drawn = []

@@ -80,6 +80,33 @@ def test_enumerate_cone_matches_the_box_oracle():
     assert enumerate_cone(Cone.G, 2, 2, max_trace=2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
 
 
+def _recursive_cone(cone, n, bound, max_trace=None):
+    """The recursive enumeration that ``enumerate_cone`` replaced, one
+    generator frame per entry, kept as the oracle of its order: the
+    sampled Whittaker data, and so every report fingerprint, depend on it."""
+    lo = 0 if cone is Cone.G else -bound
+
+    def tails(k, cap, budget):
+        if k == 0:
+            yield ()
+            return
+        for first in range(lo, min(cap, budget - (k - 1) * lo) + 1):
+            for rest in tails(k - 1, first, budget - first):
+                yield (first, *rest)
+
+    out = tails(n, bound, n * bound if max_trace is None else max_trace)
+    return [lam for lam in out if cone is not Cone.H or is_dominant(lam, cone)]
+
+
+def test_enumerate_cone_keeps_the_recursive_order():
+    for cone in Cone:
+        for n in range(1, 5):
+            for bound in range(6):
+                for max_trace in [None, *range(9)]:
+                    want = _recursive_cone(cone, n, bound, max_trace)
+                    assert enumerate_cone(cone, n, bound, max_trace) == want, (cone, n, bound, max_trace)
+
+
 def test_dim_formula_frozen_values():
     # level gap 0 and 1 are one- and two-dimensional for every rank
     for n in range(1, 5):

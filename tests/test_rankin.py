@@ -3,6 +3,7 @@ equation mechanics, and the rank-one zeta endpoints."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -37,7 +38,6 @@ from paramodular.sampling import (
     random_beta,
     random_point,
     random_v,
-    random_vlaurent,
     random_whittaker_data,
 )
 from paramodular.whittaker import (
@@ -49,6 +49,7 @@ from paramodular.whittaker import (
 )
 
 from laurent_oracles import is_homogeneous
+from sampling_oracles import random_vlaurent
 
 ONE = VLaurent.one()
 Q = VLaurent.q_power(1)
@@ -400,6 +401,35 @@ def test_p_wedge2_small_ranks():
     p3 = p_wedge2(3, SymbolicMode(3))
     assert max(p3.coeffs) == 6
     assert p3.get(6) == SymLaurent.monomial(3, (2, 2, 2), -VLaurent.v_power(-6))
+
+
+def test_factors_truncated_at_trunc_give_the_exact_xi():
+    # xi builds P_phi and P_wedge2 only through its trunc; the series, its
+    # value and its verdict are those of the exact factors
+    rng = random.Random("truncated-factors")
+    unstable = 0
+    for n in range(1, 4):
+        for r in range(1, n + 1):
+            beta = random_beta(rng, n)
+            point, v = random_point(rng, r), random_v(rng)
+            for mode in (SymbolicMode(r), EvaluationMode(r, point, v)):
+                for trunc in (0, 1, 3, 2 * n * r - 1):
+                    for exact, cut in (
+                        (p_phi_pi(beta, n, r, mode), p_phi_pi(beta, n, r, mode, trunc)),
+                        (p_wedge2(r, mode), p_wedge2(r, mode, trunc)),
+                    ):
+                        assert cut.trunc == trunc
+                        assert cut.coeffs == {k: x for k, x in exact.coeffs.items() if k <= trunc}
+                data = (spherical_so_data(beta, n, 5), random_whittaker_data(rng, n))
+                for d, trunc in itertools.product(data, (2, 5)):
+                    got = xi(d, n, r, beta=beta, mode=mode, trunc=trunc, window=2)
+                    psi = psi_series(d, n, r, trunc, mode)
+                    want = p_phi_pi(beta, n, r, mode) * psi * p_wedge2(r, mode).invert(trunc)
+                    assert (got.series.trunc, got.series.coeffs) == (trunc, want.coeffs)
+                    assert got.poly == sum(want.coeffs.values(), mode.zero())
+                    assert got.stabilized == all(not want.get(k) for k in (trunc - 1, trunc))
+                    unstable += not got.stabilized
+    assert unstable
 
 
 def test_default_trunc_formula():

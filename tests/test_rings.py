@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from paramodular import rings
+from paramodular import rankin, rings, whittaker
 from paramodular.characters import orbit_sum, schur
 from paramodular.oldforms import depth_shift_factor, theta_factor, theta_prime_factor
 from paramodular.rings import (
@@ -23,7 +23,9 @@ from paramodular.rings import (
     poly_div_exact,
     vlaurent_div_exact,
 )
-from paramodular.whittaker import WhittakerData
+from paramodular.rankin import psi_alternant
+from paramodular.sampling import random_whittaker_data
+from paramodular.whittaker import WhittakerData, _in_cone, theta_data
 
 from laurent_oracles import (
     flat_view,
@@ -1126,3 +1128,135 @@ def test_alternant_product_refuses_a_v_exponent_past_the_field_limit():
     with pytest.raises(OverflowError):
         g._alternant_mul(fits * VLaurent.v_power(1), 5)
         pytest.fail("a value past the field limit was returned")
+
+
+# The per-prefix cache of restrict and _relabel (rings._prefix_image): each
+# checked against its rule applied to the nested view, term by term.
+
+
+def _restricted(a: SymLaurent, keep) -> SymLaurent:
+    return SymLaurent(a.r, {e: c for e, c in a.c.items() if keep(e)})
+
+
+def _relabelled(a: SymLaurent, r: int, rule) -> SymLaurent:
+    out = {}
+    for e, c in a.c.items():
+        image = rule(e)
+        if image is not None:
+            b, w = image
+            out[b] = c * VLaurent.v_power(w)
+    return SymLaurent(r, out)
+
+
+def _psi_key(lam, n: int, r: int, trunc: int):
+    """psi_alternant's rule written out: a weight of trace <= trunc with a
+    zero tail goes to head + delta, shifted by the GL_r modulus exponent
+    plus the twist trace * (2n - r - 1)."""
+    if sum(lam) > trunc or any(lam[r:]):
+        return None
+    head = lam[:r]
+    w = sum(a * (r - 1 - 2 * i) for i, a in enumerate(head)) + sum(lam) * (2 * n - r - 1)
+    return tuple(a + r - 1 - i for i, a in enumerate(head)), w
+
+
+def _increasing(e) -> bool:
+    return all(map(operator.lt, e, e[1:]))
+
+
+def _tailed(st, r: int):
+    """SymLaurents in r variables with X-exponents in -2..3, half of the
+    exponent tuples with a zero tail."""
+    entry = st.integers(min_value=-2, max_value=3)
+    heads = st.integers(min_value=1, max_value=r).flatmap(
+        lambda h: st.tuples(*[entry] * h).map(lambda t: t + (0,) * (r - h))
+    )
+    exps = st.one_of(st.tuples(*[entry] * r), heads)
+    return st.dictionaries(exps, _vlaurents(st), max_size=6).map(lambda c: SymLaurent(r, c))
+
+
+def test_cached_restrict_and_relabel_match_their_rules():
+    hyp, st, settings = _hypothesis()
+    values = st.integers(min_value=1, max_value=4).flatmap(lambda r: _tailed(st, r))
+
+    @settings
+    @hyp.given(values, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
+    def check(a, r, trunc):
+        n, r = a.r, min(r, a.r)
+        # twice each: the second answer comes from the cache
+        for _ in range(2):
+            for keep in (_in_cone, _increasing):
+                assert a.restrict(keep) == _restricted(a, keep)
+            got = a._relabel(r, rankin._alternant_rule(n, r, trunc))
+            assert got == _relabelled(a, r, lambda lam: _psi_key(lam, n, r, trunc))
+
+    check()
+
+
+class _Counting:
+    """A stable rule that records every tuple it is asked about."""
+
+    def __init__(self, rule):
+        self.rule, self.seen = rule, []
+
+    def __call__(self, e, *args):
+        self.seen.append(e)
+        return self.rule(e, *args)
+
+
+def test_a_stable_rule_runs_once_per_prefix(monkeypatch):
+    rng = random.Random("prefix-cache")
+    values = []
+    for _ in range(300):
+        terms = {tuple(rng.randint(-1, 2) for _ in range(3)): rng.randint(-2, 2) for _ in range(5)}
+        values.append(SymLaurent(3, {e: VLaurent.v_power(k) for e, k in terms.items()}))
+    prefixes = sorted({e for a in values for e in a.c})
+    keep = _Counting(_in_cone)
+    rule = _Counting(lambda lam: _psi_key(lam, 3, 2, 4))
+    for _ in range(2):
+        for a in values:
+            assert a.restrict(keep) == _restricted(a, _in_cone)
+            assert a._relabel(2, rule) == _relabelled(a, 2, lambda lam: _psi_key(lam, 3, 2, 4))
+    assert sorted(keep.seen) == prefixes and sorted(rule.seen) == prefixes
+
+    # the moves' cone test and psi_alternant's rule, through their callers
+    data = [random_whittaker_data(rng, 2, max_norm=3, max_entries=6) for _ in range(200)]
+    cone = _Counting(whittaker._in_cone)
+    monkeypatch.setattr(whittaker, "_in_cone", cone)
+    moved = [theta_data(d) for d in data + data]
+    assert sorted(cone.seen) == sorted({e for d in data for e in (d.gen * whittaker._THETA).c})
+    weight = _Counting(rankin._torus_weight)
+    monkeypatch.setattr(rankin, "_torus_weight", weight)
+    rankin._alternant_rule.cache_clear()
+    for d in moved:
+        psi_alternant(d, 2, 2, 13)
+    assert sorted(weight.seen) == sorted({e for d in moved for e in d.gen.c})
+
+
+def test_a_new_rule_never_reads_another_rules_images():
+    # each rule is dropped before the next is made, so a cache keyed by
+    # id() would hand a later rule the images of an earlier one
+    a = SymLaurent(2, {(i, j): VLaurent.v_power(i) for i in range(-2, 3) for j in range(-2, 3)})
+    for t in range(12):
+        keep = lambda e, t=t: (3 * e[0] + e[1]) % 4 == t % 4  # noqa: E731
+        assert a.restrict(keep) == _restricted(a, keep)
+        rule = lambda e, t=t: None if e[0] == t % 5 - 2 else (e, t)  # noqa: E731
+        assert a._relabel(2, rule) == _relabelled(a, 2, rule)
+        del keep, rule
+
+
+def test_the_prefix_cache_stays_within_its_bound():
+    bound = rings._prefix_image.cache_info().maxsize
+    assert bound == 1 << 16
+    # more distinct (rule, prefix) pairs than the bound: 4 rules on 18,225
+    # prefixes each
+    exps = [(i, j) for i in range(-67, 68) for j in range(-67, 68)]
+    a = SymLaurent(2, dict.fromkeys(exps, 1))
+    for t in range(4):
+        keep = lambda e, t=t: sum(e) % 4 == t  # noqa: E731
+        assert len(a.restrict(keep).num) == sum(map(keep, exps))
+        assert rings._prefix_image.cache_info().currsize <= bound
+    assert rings._prefix_image.cache_info().currsize == bound
+    # past the bound the oldest verdicts go, and new ones stay right
+    kept = a.restrict(_increasing)
+    assert kept == SymLaurent(2, dict.fromkeys(filter(_increasing, exps), 1))
+    rings._prefix_image.cache_clear()

@@ -13,10 +13,11 @@ from paramodular.sampling import (
     random_fraction,
     random_point,
     random_v,
-    random_vlaurent,
     random_whittaker_data,
 )
 from paramodular.whittaker import WhittakerData
+
+from sampling_oracles import random_vlaurent
 
 
 def test_case_rng_is_deterministic_and_case_separated():
