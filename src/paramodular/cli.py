@@ -13,7 +13,12 @@ offending values) plus the parameters needed to replay it.
 
 Reports serialize to JSON (schema "paramodular-report/1"), plain text, or
 CSV.  Apart from elapsed-time fields the JSON output is byte-deterministic
-for a fixed config.
+for a fixed config.  Every JSON output (reports, xi, char, compare-bases)
+is written by one writer whose text is exactly what json.dumps(value,
+indent=2, sort_keys=True) gives.  With an indent, json runs its pure-Python
+encoder, a generator per container; the writer appends the pieces of each
+case record to one list instead, which takes a fraction of the time on
+reports of thousands of cases.
 
 Subcommands: verify, xi, char, dims, compare-bases.  Exit status 0 means
 every case passed.
@@ -178,7 +183,8 @@ class Report:
     def all_passed(self) -> bool:
         return all(c.verdict for c in self.cases)
 
-    def to_json(self) -> dict:
+    def _header(self) -> dict:
+        """Every field of the JSON report but its cases."""
         return {
             "schema": "paramodular-report/1",
             "version": __version__,
@@ -188,8 +194,10 @@ class Report:
             "passed": sum(c.verdict for c in self.cases),
             "failed": sum(not c.verdict for c in self.cases),
             "all_passed": self.all_passed,
-            "cases": [c.to_json() for c in self.cases],
         }
+
+    def to_json(self) -> dict:
+        return {**self._header(), "cases": [c.to_json() for c in self.cases]}
 
 
 def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None:
@@ -723,9 +731,120 @@ def run_suite(config: VerifyConfig) -> Report:
     return Report(config.suite, config, records)
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """A float as json writes it: NaN and the infinities as bare words."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_WORDS = {None: "null", True: "true", False: "false"}
+
+# the JSON text of a value of exactly one of these types; a subclass (a
+# str subclass, an IntEnum) takes _scalar_text's isinstance tests instead
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: _ENCODE_STR,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _WORDS.__getitem__,
+    type(None): _WORDS.__getitem__,
+}
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a string, number, bool or None, tested in json's
+    order; None for any other value."""
+    if isinstance(value, str):
+        return _ENCODE_STR(value)
+    if value is None or value is True or value is False:
+        return _WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """The JSON text of an object key: json writes a number, bool or None
+    key as a string of its JSON text."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            kind = key.__class__.__name__
+            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+        key = _scalar_text(key)
+    return _ENCODE_STR(key)
+
+
+def _write_json(value, out: list[str], indent: str) -> None:
+    """Append the pieces of value's JSON text to out, as json.dumps(value,
+    indent=2, sort_keys=True) writes it; indent is the newline and spaces
+    that start value's first line.  A CaseRecord is written as its
+    to_json() dict, straight from its fields and in key order.  There is no
+    check for circular references: the values written here are trees."""
+    to_text = _SCALAR_TEXT.get(value.__class__)
+    if to_text is not None:
+        out.append(to_text(value))
+        return
+    inner = indent + "  "
+    if isinstance(value, CaseRecord):
+        out.append("{" + inner + '"case": ')
+        _write_json(value.case, out, inner)
+        out.append("," + inner + '"elapsed_ms": ')
+        _write_json(round(value.elapsed_ms, 3), out, inner)
+        out.append("," + inner + '"parameters": ')
+        _write_json(value.parameters, out, inner)
+        out.append("," + inner + ('"verdict": "pass"' if value.verdict else '"verdict": "fail"'))
+        if value.witness is not None:
+            out.append("," + inner + '"witness": ')
+            _write_json(value.witness, out, inner)
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for member in value:
+            out.append(sep)
+            _write_json(member, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, member in sorted(value.items()):
+            out.append(sep + _key_text(key) + ": ")
+            _write_json(member, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _json_text(value) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, byte
+    for byte, without json's pure-Python encoder and its generators."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
 def emit(report: Report, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2, sort_keys=True)
+        return _json_text({**report._header(), "cases": report.cases})
     if fmt == "text":
         lines = [
             f"suite {report.suite}: "
@@ -849,7 +968,7 @@ def _cmd_xi(args) -> int:
         window=args.window,
         level=args.level,
     )
-    _write_output(json.dumps(result.to_json(), indent=2, sort_keys=True), args.out)
+    _write_output(_json_text(result.to_json()), args.out)
     return 0
 
 
@@ -859,10 +978,7 @@ def _cmd_char(args) -> int:
     character = {"schur": schur, "sp": sp_character, "orbit": orbit_sum}[args.kind]
     poly = character(lam, len(lam))
     head = {"kind": args.kind, "lam": list(lam), size: len(lam)}
-    _write_output(
-        json.dumps({**head, "poly": poly.to_json()}, indent=2, sort_keys=True),
-        args.out,
-    )
+    _write_output(_json_text({**head, "poly": poly.to_json()}), args.out)
     return 0
 
 
@@ -875,7 +991,7 @@ def _cmd_dims(args) -> int:
 
 def _cmd_compare_bases(args) -> int:
     rep = compare_bases(args.m_minus_a)
-    _write_output(json.dumps(rep, indent=2, sort_keys=True), args.out)
+    _write_output(_json_text(rep), args.out)
     return 0
 
 

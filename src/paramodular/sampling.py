@@ -68,22 +68,62 @@ def _cone(n: int, max_norm: int) -> tuple:
     return tuple(enumerate_cone(Cone.G, n, max_norm))
 
 
+def _below(bits, n: int) -> int:
+    """A draw from range(n), n > 0, through the getrandbits calls of
+    ``random.Random._randbelow``: n.bit_length() bits until one is < n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, population, k: int) -> list:
+    """``random.Random.sample(population, k)`` through the same getrandbits
+    calls, without its checks: the pool of the whole population while that
+    is no larger than sample's set size, else a set of the drawn indices."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        result = []
+        for i in range(k):
+            j = _below(bits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected: set[int] = set()
+    result = []
+    for _ in range(k):
+        j = _below(bits, n)
+        while j in selected:
+            j = _below(bits, n)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
 def random_whittaker_data(
     rng: random.Random, n: int, max_norm: int = 2, max_entries: int = 4
 ) -> WhittakerData:
     """Nonzero data supported on dominant coweights of sup norm <= max_norm.
     Each d(lam) has one or two v-monomials of exponent in -2..2, each
-    coefficient drawn with the calls of ``random_fraction`` and written
-    straight into the flat store: its numerator and denominator in lowest
-    terms, all of them over one lcm.  The support is drawn from the
-    enumerated cone, so it needs no second check."""
+    coefficient drawn as ``random_fraction`` draws it and written straight
+    into the flat store: its numerator and denominator in lowest terms, all
+    of them over one lcm.  Every draw makes the getrandbits calls that
+    rng.randint, rng.sample and rng.choice would make, so the data are those
+    of the public calls.  The support is drawn from the enumerated cone, so
+    it needs no second check."""
+    bits = rng.getrandbits
     cone = _cone(n, max_norm)
-    count = rng.randint(1, min(max_entries, len(cone)))
+    count = 1 + _below(bits, min(max_entries, len(cone)))
     drawn = []
-    for lam in rng.sample(cone, count):
-        for e in rng.sample(_V_EXPONENTS, rng.randint(1, 2)):
-            sign = rng.choice((1, -1))
-            a, b = rng.randint(1, 7), rng.randint(1, 7)
+    for lam in _sample(bits, cone, count):
+        for e in _sample(bits, _V_EXPONENTS, 1 + _below(bits, 2)):
+            sign = -1 if _below(bits, 2) else 1
+            a, b = 1 + _below(bits, 7), 1 + _below(bits, 7)
             g = math.gcd(a, b)
             drawn.append((lam, e, sign * a // g, b // g))
     den = math.lcm(*[b for _, _, _, b in drawn])

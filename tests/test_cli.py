@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
+import enum
 import json
 import os
 import subprocess
@@ -750,3 +752,182 @@ def test_compare_bases_subcommand(tmp_path):
     assert blob["b_rank"] == 4
     assert blob["spans_equal"] is True
     assert blob["sets_equal"] is False
+
+
+# ---------------------------------------------------------------------------
+# Every JSON output of cli goes through one writer that gives what
+# json.dumps(value, indent=2, sort_keys=True) gives, byte for byte.
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def outcome(write, value):
+    """The text write gives for value, or the type of the error it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Label(str):
+    def __str__(self):
+        return "not this"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "not this"
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+def json_trees(st):
+    """Trees of JSON values: strings with quotes, backslashes, control and
+    non-ASCII characters; negative and wide ints; floats with -0.0, NaN,
+    the infinities and rounded values; bools and None; empty and nested
+    lists, tuples and dicts, with string keys and with number, bool or
+    None keys."""
+    text = st.text(max_size=8) | st.sampled_from(
+        ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "€", "\U0001d11e", " ", "\ud800"]
+    )
+    wide = st.integers(min_value=2**64, max_value=2**200)
+    ints = st.integers() | wide | wide.map(lambda i: -i)
+    floats = (
+        st.floats()
+        | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -1.5, 5e-324, sys.float_info.max])
+        | st.floats(min_value=-1e6, max_value=1e6).map(lambda x: round(x, 3))
+    )
+    scalars = st.none() | st.booleans() | text | ints | floats
+    other_keys = st.integers(min_value=-99, max_value=99) | st.floats(allow_nan=False) | st.booleans()
+    return st.recursive(
+        scalars,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(text, children, max_size=4)
+            | st.dictionaries(other_keys, children, max_size=3)
+            | st.dictionaries(st.none(), children, max_size=1)
+        ),
+        max_leaves=12,
+    )
+
+
+def test_json_writer_matches_json_dumps():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hyp.given(json_trees(st))
+    def check(value):
+        assert outcome(cli._json_text, value) == outcome(dumps, value)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [Colour.RED, {Colour.RED: Label("x")}, Label('a"b'), Ratio(0.5), Point(1, [])],
+        collections.OrderedDict([("b", ()), ("a", {})]),
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": ((), {"f": None})},
+        {1: "int", 2.5: "float", False: "bool"},
+        {None: [True, False, None]},
+        "a lone string",
+        -(2**70),
+        float("nan"),
+        [],
+    ],
+)
+def test_json_writer_matches_json_dumps_on_subclasses_and_edges(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, {"a": [Fraction(1, 2)]}, [object()], {(1, 2): 3}, {1: 2, "1": 3}],
+    ids=["fraction", "set", "nested-fraction", "object", "tuple-key", "mixed-keys"],
+)
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def assert_emits_json_dumps(report: Report):
+    assert emit(report, "json") == dumps(report.to_json())
+
+
+@pytest.mark.parametrize("config", SMOKE_CONFIGS, ids=lambda c: c.suite)
+def test_json_report_is_json_dumps_of_to_json(config):
+    assert_emits_json_dumps(run_suite(config))
+
+
+def test_json_report_of_failing_cases_is_json_dumps_of_to_json(monkeypatch):
+    cfg = VerifyConfig(suite="dims")
+    witness = {"reason": 'a "quoted" \\ witness é', "coefficient": 3, "expected": "1/2", "got": []}
+    records = [
+        CaseRecord("broken", {"n": 9, "beta": ["2", "3/2"]}, False, witness, 0.123456789),
+        CaseRecord("held", {}, True, None, 2.0),
+    ]
+    report = Report("dims", cfg, records)
+    assert_emits_json_dumps(report)
+    assert '"elapsed_ms": 0.123,' in emit(report, "json")
+    # a move that raises: the case fails with an error witness
+    def broken(d):
+        raise ValueError('bad "move" é')
+
+    monkeypatch.setattr(cli, "theta_data", broken)
+    report = run_suite(VerifyConfig(suite="gsp4-raising", trials=2))
+    errors = [c.witness["error"] for c in report.cases if not c.verdict]
+    assert errors == ['ValueError: bad "move" é'] * 2
+    assert_emits_json_dumps(report)
+    # a move that is wrong: the witness of the first mismatching coefficient
+    monkeypatch.undo()
+    monkeypatch.setattr(whittaker, "_THETA", SymLaurent(2, {(1, 0): 1, (0, 1): 1}))
+    report = run_suite(VerifyConfig(suite="gsp4-raising", trials=4))
+    assert any("coefficient" in (c.witness or {}) for c in report.cases)
+    assert_emits_json_dumps(report)
+
+
+def test_json_report_in_two_workers_is_json_dumps_of_to_json(monkeypatch):
+    monkeypatch.setenv("PARAMODULAR_JOBS", "2")
+    assert_emits_json_dumps(run_suite(VerifyConfig(suite="gsp4-raising", trials=20)))
+
+
+def test_json_report_of_3000_cases_is_json_dumps_of_to_json():
+    report = run_suite(VerifyConfig(suite="gsp4-raising", trials=1000))
+    assert len(report.cases) == 3000
+    assert_emits_json_dumps(report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare-bases", "--m-minus-a", "2"],
+        ["char", "sp", "--lam", "2,1,0"],
+        ["char", "schur", "--lam", "2,-1"],
+        ["verify", "dims", "--n", "2", "--max-gap", "2"],
+    ],
+    ids=["compare-bases", "char-sp", "char-schur", "verify"],
+)
+def test_json_outputs_are_json_dumps_of_their_values(argv, capsys):
+    main(argv)
+    text = capsys.readouterr().out
+    assert text == dumps(json.loads(text)) + "\n"
+
+
+def test_xi_output_is_json_dumps_of_its_value(tmp_path):
+    data = tmp_path / "data.json"
+    out = tmp_path / "xi.json"
+    data.write_text(json.dumps(spherical_so_data(BETA2, 2, 8).to_json()))
+    assert main(["xi", "--data", str(data), "--r", "2", "--beta", "2,3/2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == dumps(json.loads(text)) + "\n"

@@ -8,6 +8,8 @@ import pytest
 
 from paramodular.coweights import Cone, enumerate_cone, is_dominant
 from paramodular.sampling import (
+    _below,
+    _sample,
     case_rng,
     random_beta,
     random_fraction,
@@ -92,3 +94,17 @@ def test_random_whittaker_data_matches_the_assembled_draw(n):
             got = random_whittaker_data(case_rng(seed, key), n, max_norm, max_entries)
             assert (got.gen.num, got.gen.den) == (want.gen.num, want.gen.den)
             assert got.gen._bound == want.gen._bound
+
+
+def test_sample_and_below_make_the_draws_of_random():
+    # every population size around sample's pool/set boundary (21, and
+    # 21 + 4**ceil(log(3k, 4)) once k > 5), each on a fresh pair of
+    # generators, so a branch taken at the wrong size draws differently
+    for n in range(1, 100):
+        for k in range(1, min(n, 12) + 1):
+            key = f"sample:{n}:{k}"
+            ours, theirs = case_rng(0, key), case_rng(0, key)
+            population = tuple(range(100, 100 + n))
+            assert _sample(ours.getrandbits, population, k) == theirs.sample(population, k)
+            assert _below(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.getstate() == theirs.getstate()
