@@ -207,14 +207,15 @@ def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None
     return {"coefficient": k, "expected": str(b.get(k)), "got": str(a.get(k))}
 
 
-def _series_factor(factor: SymLaurent, mode) -> TruncSeries:
-    """A move factor as a multiplier of the Y-series.  psi_l is homogeneous
-    of degree l in X, so a monomial of total X-degree k goes to Y^k."""
+def _series_factor(factor: SymLaurent) -> TruncSeries:
+    """A move factor as a multiplier of the symbolic Y-series.  psi_l is
+    homogeneous of degree l in X, so a monomial of total X-degree k goes to
+    Y^k."""
     graded: dict[int, dict] = {}
     for e, c in factor.c.items():
         graded.setdefault(sum(e), {})[e] = c
-    coeffs = {k: mode.lift(SymLaurent(factor.r, terms)) for k, terms in graded.items()}
-    return TruncSeries(coeffs, None, mode.zero())
+    coeffs = {k: SymLaurent(factor.r, terms) for k, terms in graded.items()}
+    return TruncSeries(coeffs, None, SymLaurent.zero(factor.r))
 
 
 def _zeta_factor(factor: SymLaurent) -> TruncSeries:
@@ -269,14 +270,6 @@ def _ranks(cfg: VerifyConfig, default_ns: list[int], r_min: int = 1) -> list[tup
     return pairs
 
 
-def _mode(cfg: VerifyConfig, rng, r: int):
-    """The requested mode in r variables; evaluation mode draws its point
-    and v from rng."""
-    if cfg.mode == "evaluation":
-        return EvaluationMode(r, random_point(rng, r), random_v(rng))
-    return SymbolicMode(r)
-
-
 def _random_data(rng, n: int) -> WhittakerData:
     """Random Whittaker data of rank n on weights of sup norm <= 2, or
     <= 1 from rank 3 on, where the series grow faster."""
@@ -295,7 +288,10 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     n, r, t = params["n"], params["r"], params["trial"]
     rng = case_rng(cfg.seed, f"unramified:{n}:{r}:{t}")
     beta = random_beta(rng, n)
-    mode = _mode(cfg, rng, r)
+    if cfg.mode == "evaluation":
+        mode = EvaluationMode(r, random_point(rng, r), random_v(rng))
+    else:
+        mode = SymbolicMode(r)
     d = spherical_so_data(beta, n, cfg.trunc)
     res = xi(d, n, r, beta=beta, mode=mode, trunc=cfg.trunc, window=cfg.window)
     echo = {**params, "beta": [str(b) for b in beta]}
@@ -326,7 +322,7 @@ def _move_witness(
         return None
     mode = SymbolicMode(n)
     lhs = psi_series(moved, n, n, trunc, mode)
-    rhs = psi_series(d, n, n, trunc, mode) * _series_factor(factor, mode)
+    rhs = psi_series(d, n, n, trunc, mode) * _series_factor(factor)
     return _first_mismatch(lhs, rhs, trunc) or _DISAGREE
 
 
@@ -351,16 +347,9 @@ def _eta_lemma_cases(cfg: VerifyConfig) -> list[dict]:
 
 def _eta_lemma_run(cfg: VerifyConfig, params: dict):
     n, t = params["n"], params["trial"]
-    rng = case_rng(cfg.seed, f"eta-lemma:{n}:{t}")
-    d = _random_data(rng, n)
-    factor = depth_shift_factor(n)
-    if cfg.mode == "symbolic":
-        psi = psi_alternant(d, n, n, cfg.trunc)
-        return dict(params), _move_witness(d, psi, eta_data(d), factor, cfg.trunc)
-    mode = _mode(cfg, rng, n)
-    lhs = psi_series(eta_data(d), n, n, cfg.trunc, mode)
-    rhs = psi_series(d, n, n, cfg.trunc, mode) * _series_factor(factor, mode)
-    return dict(params), _first_mismatch(lhs, rhs, cfg.trunc)
+    d = _random_data(case_rng(cfg.seed, f"eta-lemma:{n}:{t}"), n)
+    psi = psi_alternant(d, n, n, cfg.trunc)
+    return dict(params), _move_witness(d, psi, eta_data(d), depth_shift_factor(n), cfg.trunc)
 
 
 def _dims_cases(cfg: VerifyConfig) -> list[dict]:
@@ -657,13 +646,13 @@ class _Suite:
 
 
 # eta-lemma runs at r = n, kernel reads its data through their largest
-# trace, and only unramified and eta-lemma take a mode
+# trace, and only unramified takes a mode
 _SUITES = {
     "unramified": _Suite(
         _unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "window", "mode")
     ),
     "gsp4-raising": _Suite(_gsp4_cases, _gsp4_run, 100, ("trunc",)),
-    "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc", "mode")),
+    "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc")),
     "dims": _Suite(_dims_cases, _dims_run, 1, ("n", "max_gap")),
     "prop4": _Suite(_prop4_cases, _prop4_run, 20, ("n", "r", "trunc", "window")),
     "level-a1": _Suite(_level_a1_cases, _level_a1_run, 1, ("trunc", "window")),
@@ -676,7 +665,7 @@ _SUITES = {
 
 def _run_case(config: VerifyConfig, params: dict) -> CaseRecord:
     runner = _SUITES[config.suite].run
-    case_id = ",".join(f"{k}={params[k]}" for k in sorted(params))
+    case_id = ",".join([f"{k}={params[k]}" for k in sorted(params)])
     start = time.perf_counter()
     try:
         echo, witness = runner(config, params)

@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant, sup_norm, tilde
 from .characters import orbit_sum
-from .rings import _MASK, _W, SymLaurent, VLaurent
+from .rings import SymLaurent, VLaurent
 # A re-export only: bench/tests/test_tracer.py checks that the tracer
 # rebinds a function imported into a second module through this name.
 from .rings import vlaurent_div_exact  # noqa: F401
@@ -288,9 +288,10 @@ def rank_check(images: list[SymLaurent]) -> tuple[int, bool]:
     Each image is a row of its coefficient matrix, one column per
     X-monomial.  Scaling row i by v^(-lo_i), lo_i its lowest v-exponent,
     makes its entries polynomials of degree at most its span (highest minus
-    lowest v-exponent).  The rank is certified by specializing v to
-    2, 3, 4, ... and eliminating over Q, with no probability and no
-    tolerance:
+    lowest v-exponent); ``SymLaurent._scaled_row`` leaves out the shared
+    denominator too, which scales the row and changes no rank.  The rank is
+    certified by specializing v to 2, 3, 4, ... and eliminating over Q,
+    with no probability and no tolerance:
 
     * v -> v0 is a ring homomorphism, so a nonzero minor at v0 is nonzero
       over Q(v).  The rank at any point is a lower bound, and one point of
@@ -302,7 +303,7 @@ def rank_check(images: list[SymLaurent]) -> tuple[int, bool]:
     """
     if len({p.r for p in images}) > 1:
         raise ValueError("variable counts differ")
-    scaled = [_scaled_row(p) for p in images]
+    scaled = [p._scaled_row() for p in images]
     spans = sorted((span for span, _ in scaled), reverse=True)
     rows = [row for _, row in scaled]
     best = tried = 0
@@ -310,21 +311,6 @@ def rank_check(images: list[SymLaurent]) -> tuple[int, bool]:
         best = max(best, _rank_at(rows, 2 + tried))
         tried += 1
     return best, best == len(images)
-
-
-def _scaled_row(poly: SymLaurent) -> tuple[int, dict]:
-    """The span of poly's v-exponents, and its numerators scaled by v^(-lo)
-    as lists of (v-exponent, int) pairs, keyed by the packed X-fields of
-    the store's keys, whose order is that of the X-exponent tuples.  A
-    key's low field is its v-exponent plus a fixed offset, so field
-    differences are exponent differences.  Leaving out the shared
-    denominator scales the row, which changes no rank."""
-    fields = [k & _MASK for k in poly.num]
-    lo = min(fields, default=0)
-    row: dict[int, list] = {}
-    for k, x in poly.num.items():
-        row.setdefault(k >> _W, []).append(((k & _MASK) - lo, x))
-    return max(fields, default=0) - lo, row
 
 
 def _rank_at(rows: list[dict], v0: int) -> int:

@@ -51,8 +51,8 @@ printing and the trace index of Whittaker data), the predicate of
 ``restrict`` and the rule of ``_relabel`` (once per X-prefix per process,
 cached in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per
 X-prefix in ``_sort_sign``) and the two oracle divisions; evaluation, the
-variable substitutions, the symmetry check and the binomial division work
-on fields.
+variable substitutions, the symmetry check, the rank rows of
+``_scaled_row`` and the binomial division work on fields.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
@@ -620,6 +620,20 @@ class SymLaurent(_Laurent):
                 last = p
             terms.append(((k & _MASK) - _OFFSET, x))
         return out
+
+    def _scaled_row(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """The span of the v-exponents (highest minus lowest), and the
+        numerators scaled by v^(-lowest) as lists of (v-exponent, numerator)
+        pairs, keyed by packed X-prefixes, whose order is that of the
+        X-exponent tuples.  A low field is its v-exponent plus the offset,
+        so field differences are exponent differences.  The shared
+        denominator is left out."""
+        fields = [k & _MASK for k in self.num]
+        lo = min(fields, default=0)
+        row: dict[int, list[tuple[int, int]]] = {}
+        for k, x in self.num.items():
+            row.setdefault(k >> _W, []).append(((k & _MASK) - lo, x))
+        return max(fields, default=0) - lo, row
 
     # -- ring operations ---------------------------------------------------
 

@@ -231,9 +231,8 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
 
 
 def _in_cone(lam: Coweight) -> bool:
-    """``is_dominant(lam, Cone.G)`` for a non-empty lam, read from the
-    tuple with no dispatch on the cone."""
-    return lam[-1] >= 0 and all(map(operator.ge, lam, lam[1:]))
+    """Whether lam lies in the non-negative weakly decreasing cone."""
+    return is_dominant(lam, Cone.G)
 
 
 def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:

@@ -221,13 +221,22 @@ def test_cases_of_one_trial_share_their_draws(monkeypatch):
     assert calls == {"random_whittaker_data": 1, "psi_alternant": 4}
 
 
+def test_the_eta_lemma_draws_no_point(monkeypatch):
+    # each case takes the Schur coordinates of its drawn datum and of that
+    # datum's depth shift, and evaluates nothing
+    calls = spy_on(monkeypatch, "psi_alternant", "eta_data", "EvaluationMode")
+    report = run_suite(VerifyConfig(suite="eta-lemma", trials=3))
+    assert report.all_passed and len(report.cases) == 3
+    assert calls == {"psi_alternant": 6, "eta_data": 3, "EvaluationMode": 0}
+
+
 def _series_path_witness(d, moved, factor, trunc):
     """The witness that comparing the two series gives: the first
     mismatching coefficient of psi(moved) and psi(d) times factor."""
     n = d.n
     mode = SymbolicMode(n)
     lhs = psi_series(moved, n, n, trunc, mode)
-    rhs = psi_series(d, n, n, trunc, mode) * cli._series_factor(factor, mode)
+    rhs = psi_series(d, n, n, trunc, mode) * cli._series_factor(factor)
     k = lhs.first_mismatch(rhs, trunc)
     if k is None:
         return None
@@ -251,8 +260,8 @@ def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
         assert json.dumps(case.witness) == json.dumps(want)
         failed += not case.verdict
     assert failed >= 4
-    # the eta lemma in symbolic mode, against a factor without its q-power
-    cfg = VerifyConfig(suite="eta-lemma", mode="symbolic", trials=3)
+    # the eta lemma, against a factor without its q-power
+    cfg = VerifyConfig(suite="eta-lemma", trials=3)
     wrong = SymLaurent.monomial(3, (1, 1, 1))
     monkeypatch.setattr(cli, "depth_shift_factor", lambda n: wrong)
     for case in run_suite(cfg).cases:
@@ -273,7 +282,7 @@ def test_coordinates_that_disagree_with_the_series_fail_the_case(monkeypatch):
     reason = {"reason": "Schur coordinates and series disagree"}
     cases = [
         (VerifyConfig(suite="gsp4-raising"), {"trial": 0, "operator": "theta-prime"}),
-        (VerifyConfig(suite="eta-lemma", mode="symbolic"), {"n": 3, "trial": 0}),
+        (VerifyConfig(suite="eta-lemma"), {"n": 3, "trial": 0}),
     ]
     for cfg, params in cases:
         record = cli._run_case(cfg, params)
@@ -334,6 +343,7 @@ BAD_INPUTS = {
     "gsp4-raising-mode": ["verify", "gsp4-raising", "--mode", "symbolic", "--trials", "1"],
     "fe-mode": ["verify", "fe", "--mode", "evaluation", "--trials", "1"],
     "eta-lemma-window": ["verify", "eta-lemma", "--window", "3", "--trials", "1"],
+    "eta-lemma-mode": ["verify", "eta-lemma", "--mode", "symbolic", "--trials", "1"],
     "oldform-bases-trunc-window": [
         "verify", "oldform-bases", "--trunc", "3", "--window", "2", "--max-gap", "0"
     ],
