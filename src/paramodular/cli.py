@@ -60,12 +60,12 @@ from .rankin import (
     TruncSeries,
     fe_check,
     kernel_check,
+    p_phi_pi,
+    p_wedge2,
     psi_alternant,
     psi_series,
     specialize_last,
-    unit_series,
     xi,
-    zeta_series,
 )
 from .rings import SymLaurent, VLaurent
 from .sampling import (
@@ -218,13 +218,6 @@ def _series_factor(factor: SymLaurent) -> TruncSeries:
     return TruncSeries(coeffs, None, SymLaurent.zero(factor.r))
 
 
-def _zeta_factor(factor: SymLaurent) -> TruncSeries:
-    """A rank-two move factor as a multiplier of the zeta series: X_2 = 0
-    drops every monomial in X_2, and X_1^k goes to Y^k at X_1 = 1."""
-    low = factor.substitute_last_zero()
-    return TruncSeries({e[0]: c for e, c in low.c.items()}, None, VLaurent.zero())
-
-
 # ---------------------------------------------------------------------------
 # suites: a case generator and a case runner each.  A runner returns the
 # echoed parameters and a witness (None when the case passes).
@@ -293,11 +286,12 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     else:
         mode = SymbolicMode(r)
     d = spherical_so_data(beta, n, cfg.trunc)
-    res = xi(d, n, r, beta=beta, mode=mode, trunc=cfg.trunc, window=cfg.window)
+    # xi = P_phi psi / P_wedge2 is 1 through trunc exactly when P_phi psi
+    # and the unit series P_wedge2 agree through trunc, and both first
+    # differ at the same degree: no inversion and no window
+    lhs = p_phi_pi(beta, n, r, mode, cfg.trunc) * psi_series(d, n, r, cfg.trunc, mode)
     echo = {**params, "beta": [str(b) for b in beta]}
-    if not res.stabilized:
-        return echo, _UNSTABLE
-    return echo, _first_mismatch(res.series, unit_series(mode), cfg.trunc)
+    return echo, _first_mismatch(lhs, p_wedge2(r, mode, cfg.trunc), cfg.trunc)
 
 
 def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
@@ -311,18 +305,18 @@ def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
 def _move_witness(
     d: WhittakerData, psi: SymLaurent, moved: WhittakerData, factor: SymLaurent, trunc: int
 ) -> dict | None:
-    """None when the r = n torus sum of the moved data is factor times that
-    of d through degree trunc, compared in Schur coordinates: psi is d's
-    ``psi_alternant``.  a_delta is not a zero divisor and both sides are
-    symmetric, so equal coordinates prove the series identity.  A failing
-    case builds its witness from the two series, the first mismatching
-    coefficient, or says that the two paths disagree."""
-    n = d.n
-    if psi_alternant(moved, n, n, trunc) == psi._alternant_mul(factor, trunc):
+    """None when the rank-r torus sum of the moved data is factor times that
+    of d through degree trunc, r = factor.r, compared in Schur coordinates:
+    psi is d's ``psi_alternant`` at rank r.  a_delta is not a zero divisor
+    and both sides are symmetric, so equal coordinates prove the series
+    identity.  A failing case builds its witness from the two series, the
+    first mismatching coefficient, or says that the two paths disagree."""
+    n, r = d.n, factor.r
+    if psi_alternant(moved, n, r, trunc) == psi._alternant_mul(factor, trunc):
         return None
-    mode = SymbolicMode(n)
-    lhs = psi_series(moved, n, n, trunc, mode)
-    rhs = psi_series(d, n, n, trunc, mode) * _series_factor(factor)
+    mode = SymbolicMode(r)
+    lhs = psi_series(moved, n, r, trunc, mode)
+    rhs = psi_series(d, n, r, trunc, mode) * _series_factor(factor)
     return _first_mismatch(lhs, rhs, trunc) or _DISAGREE
 
 
@@ -408,13 +402,13 @@ def _prop4_run(cfg: VerifyConfig, params: dict):
         lhs, rhs = _specialize_sides(cfg, n, params["r"], params["trial"])
         return echo, _first_mismatch(lhs, rhs, cfg.trunc)
     if check.startswith("zeta"):
+        # the r = 1 raising identities: X_2 = 0 in the move's factor
         t = params["trial"]
-        rng = case_rng(cfg.seed, f"prop4:zeta:{t}")
-        d = _random_data(rng, 2)
+        d = _random_data(case_rng(cfg.seed, f"prop4:zeta:{t}"), 2)
         op = check.removeprefix("zeta-")
-        lhs = zeta_series(_apply_move(op, d), 2, cfg.trunc)
-        rhs = zeta_series(d, 2, cfg.trunc) * _zeta_factor(_MOVES[op][1])
-        return echo, _first_mismatch(lhs, rhs, cfg.trunc)
+        psi = psi_alternant(d, 2, 1, cfg.trunc)
+        factor = _MOVES[op][1].substitute_last_zero()
+        return echo, _move_witness(d, psi, _apply_move(op, d), factor, cfg.trunc)
     # symbolic tower compatibility of the full normalized series
     rng = case_rng(cfg.seed, f"prop4:symbolic:{check}")
     beta = random_beta(rng, 2)
@@ -648,9 +642,7 @@ class _Suite:
 # eta-lemma runs at r = n, kernel reads its data through their largest
 # trace, and only unramified takes a mode
 _SUITES = {
-    "unramified": _Suite(
-        _unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "window", "mode")
-    ),
+    "unramified": _Suite(_unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "mode")),
     "gsp4-raising": _Suite(_gsp4_cases, _gsp4_run, 100, ("trunc",)),
     "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc")),
     "dims": _Suite(_dims_cases, _dims_run, 1, ("n", "max_gap")),

@@ -58,9 +58,11 @@ terms to the key head + delta, with the v-shift of ``psi_component``, and
 builds no Schur polynomial.  The raising identities psi(move d) = F psi(d),
 for the symmetric move factors F of ``oldforms``, are checked there, F
 multiplied in monomials by ``SymLaurent._alternant_mul``; a_delta is not a
-zero divisor, so equal coordinates prove the series identity.  The series
-in monomials (``psi_component``, ``psi_series``) remain for xi, the zeta
-series and the witnesses of failing cases.
+zero divisor, so equal coordinates prove the series identity.  At r = 1,
+delta = (0) and the coordinates are psi itself, which the zeta series
+reads.  The series in monomials (``psi_component``, ``psi_series``) remain
+for xi, the unramified identity P_phi psi = P_wedge2 and the witnesses of
+failing cases.
 """
 
 from __future__ import annotations
@@ -464,14 +466,14 @@ def fe_check(xi_v: XiResult, xi_uv: XiResult, eps: EpsilonData) -> bool:
 
 def zeta_series(d: WhittakerData, n: int, trunc: int) -> TruncSeries:
     """The r = 1 series with X_1 evaluated at 1: coefficient of Y^l is
-    d((l, 0, ..)) * v^{l(2n-2)}.  Coefficients are VLaurent: the symbolic
-    torus sum at r = 1 (s_(l) = X_1^l, the GL_1 modulus is trivial) read
-    at its one X-exponent."""
-    psi = psi_series(d, n, 1, trunc, SymbolicMode(1))
-    coeffs = {}
-    for ell, s in psi.coeffs.items():
-        ((_, terms),) = s._grouped()
-        coeffs[ell] = VLaurent({e: Fraction(x, s.den) for e, x in terms})
+    d((l, 0, ..)) * v^{l(2n-2)}.  Coefficients are VLaurent: the Schur
+    coordinates at r = 1 (delta = (0), s_(l) = X_1^l, the GL_1 modulus is
+    trivial) read at each X-exponent l."""
+    psi = psi_alternant(d, n, 1, trunc)
+    coeffs = {
+        ell: VLaurent({e: Fraction(x, psi.den) for e, x in terms})
+        for (ell,), terms in psi._grouped()
+    }
     return TruncSeries(coeffs, trunc, VLaurent.zero())
 
 

@@ -28,10 +28,10 @@ from paramodular.cli import (
     main,
     run_suite,
 )
-from paramodular.rankin import SymbolicMode, psi_series
+from paramodular.rankin import EvaluationMode, SymbolicMode, psi_series, unit_series, xi
 from paramodular.rings import SymLaurent, VLaurent
-from paramodular.sampling import case_rng
-from paramodular.whittaker import eta_data, spherical_so_data, theta_data
+from paramodular.sampling import case_rng, random_beta, random_point, random_v
+from paramodular.whittaker import WhittakerData, eta_data, spherical_so_data, theta_data
 
 BETA2 = (Fraction(2), Fraction(3, 2))
 
@@ -48,10 +48,13 @@ def report_fingerprint(report: Report) -> list[dict]:
 def test_verify_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(suite="nonsense")
-    with pytest.raises(ValueError):
-        VerifyConfig(suite="unramified", trunc=2, window=4)
-    with pytest.raises(ValueError):
-        VerifyConfig(suite="unramified", window=1, trunc=8)
+    with pytest.raises(ValueError, match="need trunc >= window >= 2"):
+        VerifyConfig(suite="prop4", trunc=2, window=4)
+    with pytest.raises(ValueError, match="need trunc >= window >= 2"):
+        VerifyConfig(suite="prop4", window=1, trunc=8)
+    # unramified compares P_phi psi with P_wedge2, which needs no window
+    with pytest.raises(ValueError, match="suite unramified does not read --window"):
+        VerifyConfig(suite="unramified", window=4)
     with pytest.raises(ValueError):
         VerifyConfig(suite="dims", trials=0)
     with pytest.raises(ValueError):
@@ -230,13 +233,71 @@ def test_the_eta_lemma_draws_no_point(monkeypatch):
     assert calls == {"psi_alternant": 6, "eta_data": 3, "EvaluationMode": 0}
 
 
+def _doubled_at_2e1(beta, n, trunc):
+    """The spherical data with the value at 2e_1 doubled."""
+    d = spherical_so_data(beta, n, trunc)
+    lam = (2,) + (0,) * (n - 1)
+    return WhittakerData(n, {**dict(d.items()), lam: d.get(lam) * 2})
+
+
+@pytest.mark.parametrize("mode, trials", [("evaluation", 20), ("symbolic", 3)])
+def test_a_wrong_spherical_value_fails_at_the_first_degree_of_xi(monkeypatch, mode, trials):
+    # P_wedge2 is a unit series, so xi - 1 = (P_phi psi - P_wedge2) / P_wedge2
+    # first differs from 0 where P_phi psi first differs from P_wedge2: each
+    # case names xi's first mismatching degree, and none fails for want of
+    # a stabilized window
+    monkeypatch.setattr(cli, "spherical_so_data", _doubled_at_2e1)
+    cfg = VerifyConfig(suite="unramified", mode=mode, trials=trials)
+    report = run_suite(cfg)
+    assert len(report.cases) == 6 * trials
+    for case in report.cases:
+        n, r, t = (case.parameters[k] for k in ("n", "r", "trial"))
+        rng = case_rng(cfg.seed, f"unramified:{n}:{r}:{t}")
+        beta = random_beta(rng, n)
+        if mode == "evaluation":
+            m = EvaluationMode(r, random_point(rng, r), random_v(rng))
+        else:
+            m = SymbolicMode(r)
+        d = _doubled_at_2e1(beta, n, cfg.trunc)
+        k = xi(d, n, r, beta=beta, mode=m, trunc=cfg.trunc).series.first_mismatch(
+            unit_series(m), cfg.trunc
+        )
+        assert not case.verdict and k is not None
+        assert set(case.witness) == {"coefficient", "expected", "got"}
+        assert case.witness["coefficient"] == k, case.case
+
+
+def test_the_unramified_check_inverts_no_series(monkeypatch):
+    calls = spy_on(monkeypatch, "xi")
+    inverted = []
+    invert = rings.TruncSeries.invert
+
+    def spy(self, trunc):
+        inverted.append(trunc)
+        return invert(self, trunc)
+
+    monkeypatch.setattr(rings.TruncSeries, "invert", spy)
+    report = run_suite(VerifyConfig(suite="unramified", trials=2))
+    assert report.all_passed and len(report.cases) == 12
+    assert calls == {"xi": 0} and inverted == []
+
+
+@pytest.mark.parametrize("mode", ["evaluation", "symbolic"])
+@pytest.mark.parametrize("trunc", [0, 1, 2, 3])
+def test_unramified_passes_below_the_default_window(mode, trunc):
+    # truncations that the window rule refused while unramified formed xi
+    report = run_suite(VerifyConfig(suite="unramified", mode=mode, trunc=trunc, trials=2))
+    assert report.all_passed and len(report.cases) == 12
+
+
 def _series_path_witness(d, moved, factor, trunc):
     """The witness that comparing the two series gives: the first
-    mismatching coefficient of psi(moved) and psi(d) times factor."""
-    n = d.n
-    mode = SymbolicMode(n)
-    lhs = psi_series(moved, n, n, trunc, mode)
-    rhs = psi_series(d, n, n, trunc, mode) * cli._series_factor(factor)
+    mismatching coefficient of psi(moved) and psi(d) times factor, at the
+    rank r of the factor."""
+    n, r = d.n, factor.r
+    mode = SymbolicMode(r)
+    lhs = psi_series(moved, n, r, trunc, mode)
+    rhs = psi_series(d, n, r, trunc, mode) * cli._series_factor(factor)
     k = lhs.first_mismatch(rhs, trunc)
     if k is None:
         return None
@@ -260,6 +321,17 @@ def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
         assert json.dumps(case.witness) == json.dumps(want)
         failed += not case.verdict
     assert failed >= 4
+    # prop4's zeta endpoints, the r = 1 identities, where X_2 = 0 in the
+    # factor: theta's X_1 term doubled
+    monkeypatch.setattr(whittaker, "_THETA", SymLaurent(2, {(1, 0): 2, (0, 1): cli._Q}))
+    cfg = VerifyConfig(suite="prop4", trials=3)
+    zeta = [c for c in run_suite(cfg).cases if c.parameters["check"] == "zeta-theta"]
+    low = oldforms.theta_factor().substitute_last_zero()
+    for case in zeta:
+        d = cli._random_data(case_rng(cfg.seed, f"prop4:zeta:{case.parameters['trial']}"), 2)
+        want = _series_path_witness(d, theta_data(d), low, cfg.trunc)
+        assert not case.verdict and json.dumps(case.witness) == json.dumps(want)
+    assert len(zeta) == 3
     # the eta lemma, against a factor without its q-power
     cfg = VerifyConfig(suite="eta-lemma", trials=3)
     wrong = SymLaurent.monomial(3, (1, 1, 1))
@@ -283,6 +355,7 @@ def test_coordinates_that_disagree_with_the_series_fail_the_case(monkeypatch):
     cases = [
         (VerifyConfig(suite="gsp4-raising"), {"trial": 0, "operator": "theta-prime"}),
         (VerifyConfig(suite="eta-lemma"), {"n": 3, "trial": 0}),
+        (VerifyConfig(suite="prop4"), {"check": "zeta-theta", "n": 2, "trial": 0}),
     ]
     for cfg, params in cases:
         record = cli._run_case(cfg, params)
@@ -326,7 +399,8 @@ BAD_INPUTS = {
     "xi-beta-zero-denominator": ["xi", "--data", "{dir}/n2.json", "--r", "2", "--beta", "1/0,2"],
     "xi-negative-level": ["xi", "--data", "{dir}/n2.json", "--r", "2", "--level", "-3"],
     "gap-out-of-range": ["compare-bases", "--m-minus-a", "7"],
-    "window-below-two": ["verify", "unramified", "--window", "1"],
+    "window-below-two": ["verify", "prop4", "--window", "1"],
+    "unramified-window": ["verify", "unramified", "--window", "4", "--trials", "1"],
     "no-cases": ["verify", "unramified", "--n", "2", "--r", "3"],
     "no-gaps": ["verify", "oldform-bases", "--max-gap", "-1"],
     "oldform-bases-gap-above-four": ["verify", "oldform-bases", "--max-gap", "5"],
