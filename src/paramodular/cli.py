@@ -5,7 +5,7 @@ case draws its own deterministic random generator from (seed, case key),
 so results do not depend on execution order and cases can run in separate
 processes (PARAMODULAR_JOBS of them, at most one per usable CPU).  Within
 one run_suite call the cases of one trial share what they draw and derive
-(the fe and gsp4-raising suites draw once per trial).  That too is
+(fe and gsp4-raising draw once a trial, level-a1 once a run).  That too is
 independent of order, because every shared value is keyed by (seed, trial)
 and is computed by whichever case reads it first.  A failing case always
 carries a witness: the first mismatching series coefficient (or the
@@ -103,8 +103,8 @@ def _apply_move(op: str, d: WhittakerData) -> WhittakerData:
     return globals()[_MOVES[op][0]](d)
 
 
-# values of the options that not every suite reads, when none is given
-_OPTION_DEFAULTS = {"trunc": 8, "window": 4, "mode": "evaluation"}
+# the values of options left unset; no suite reads window, reports only echo it
+_OPTION_DEFAULTS = {"trunc": 8, "window": 4, "seed": 42, "mode": "evaluation"}
 
 
 @dataclasses.dataclass
@@ -119,30 +119,27 @@ class VerifyConfig:
     trunc: int | None = None
     window: int | None = None
     trials: int | None = None
-    seed: int = 42
+    seed: int | None = None
     mode: str | None = None
     max_gap: int | None = None
 
     def __post_init__(self) -> None:
         if self.suite not in _SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        reads = _SUITES[self.suite].reads
+        suite = _SUITES[self.suite]
         ignored = [
-            "--" + name.replace("_", "-")
-            for name in ("n", "r", "trunc", "window", "mode", "max_gap")
-            if getattr(self, name) is not None and name not in reads
+            "--" + f.name.replace("_", "-")
+            for f in dataclasses.fields(self)[1:]
+            if getattr(self, f.name) is not None and f.name not in suite.reads
         ]
         if ignored:
             raise ValueError(f"suite {self.suite} does not read {', '.join(ignored)}")
-        if self.trials is None:
-            self.trials = _SUITES[self.suite].trials
-        for name, default in _OPTION_DEFAULTS.items():
+        for name, default in {**_OPTION_DEFAULTS, "trials": suite.trials}.items():
             if getattr(self, name) is None:
                 setattr(self, name, default)
-        if "window" in reads and (self.window < 2 or self.trunc < self.window):
-            raise ValueError("need trunc >= window >= 2")
-        if self.trunc < 0:
-            raise ValueError(f"need trunc >= 0, got {self.trunc}")
+        floor = suite.min_trunc
+        if self.trunc < floor:
+            raise ValueError(f"suite {self.suite} needs trunc >= {floor}, got {self.trunc}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         for name in ("n", "r"):
@@ -205,6 +202,17 @@ def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None
     if k is None:
         return None
     return {"coefficient": k, "expected": str(b.get(k)), "got": str(a.get(k))}
+
+
+# every xi image the fe, level-a1 and prop4 suites form (a move or an
+# eigenvector theta +- theta' of the spherical vector) has Y-degree <= 2
+_IMAGE_DEGREE = 2
+
+
+def _image_xi(d: WhittakerData, r: int, beta, trunc: int, **kwargs):
+    """xi of an n = 2 image, stabilized when degrees 3..trunc vanish; xi
+    needs that window to be 2 wide, so trunc >= _IMAGE_DEGREE + 2."""
+    return xi(d, 2, r, beta=beta, trunc=trunc, window=trunc - _IMAGE_DEGREE, **kwargs)
 
 
 def _series_factor(factor: SymLaurent) -> TruncSeries:
@@ -414,10 +422,8 @@ def _prop4_run(cfg: VerifyConfig, params: dict):
     beta = random_beta(rng, 2)
     sph = spherical_so_data(beta, 2, cfg.trunc)
     d = _apply_move(check.removeprefix("xi-specialize-"), sph)
-    full = xi(d, 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window)
-    low = xi(
-        d, 2, 1, beta=beta, mode=SymbolicMode(1), trunc=cfg.trunc, window=cfg.window
-    )
+    full = _image_xi(d, 2, beta, cfg.trunc)
+    low = _image_xi(d, 1, beta, cfg.trunc, mode=SymbolicMode(1))
     spec = specialize_last(full)
     if not (spec.poly == low.poly):
         return echo, {"expected": str(low.poly), "got": str(spec.poly)}
@@ -429,16 +435,15 @@ def _level_a1_cases(cfg: VerifyConfig) -> list[dict]:
 
 
 def _level_a1_run(cfg: VerifyConfig, params: dict):
+    def draw():
+        # the run's two images, which all three cases read
+        beta = random_beta(case_rng(cfg.seed, "level-a1"), 2)
+        sph = spherical_so_data(beta, 2, cfg.trunc)
+        moved = {op: _apply_move(op, sph) for op in ("theta", "theta-prime")}
+        return beta, {op: _image_xi(d, 2, beta, cfg.trunc, level=1) for op, d in moved.items()}
+
+    beta, images = _shared(("level-a1", cfg.seed, cfg.trunc), "images", draw)
     check = params["check"]
-    rng = case_rng(cfg.seed, "level-a1")
-    beta = random_beta(rng, 2)
-    sph = spherical_so_data(beta, 2, cfg.trunc)
-    images = {
-        op: xi(
-            _apply_move(op, sph), 2, 2, beta=beta, trunc=cfg.trunc, window=cfg.window, level=1
-        )
-        for op in ("theta", "theta-prime")
-    }
     echo = {**params, "beta": [str(b) for b in beta]}
     read = [images[check]] if check in images else images.values()
     if not all(res.stabilized for res in read):
@@ -582,7 +587,7 @@ def _fe_cases(cfg: VerifyConfig) -> list[dict]:
 def _fe_run(cfg: VerifyConfig, params: dict):
     check, t = params["check"], params["trial"]
     # the trial's six cases read three images of one spherical vector
-    trial = ("fe", cfg.seed, cfg.trunc, cfg.window, t)
+    trial = ("fe", cfg.seed, cfg.trunc, t)
 
     def draw():
         beta = random_beta(case_rng(cfg.seed, f"fe:{t}"), 2)
@@ -591,7 +596,7 @@ def _fe_run(cfg: VerifyConfig, params: dict):
     beta, sph = _shared(trial, "data", draw)
     eps = EpsilonData(conductor=0, sign=1)
     echo = {**params, "beta": [str(b) for b in beta]}
-    series = functools.partial(xi, n=2, r=2, beta=beta, trunc=cfg.trunc, window=cfg.window)
+    series = functools.partial(_image_xi, r=2, beta=beta, trunc=cfg.trunc)
 
     def image(ratio: int):
         # ratio 0: image of the spherical vector; ratio +-1: image of the
@@ -630,28 +635,32 @@ def _fe_run(cfg: VerifyConfig, params: dict):
 @dataclasses.dataclass(frozen=True)
 class _Suite:
     """A verify suite: its case generator and case runner, its default
-    number of trials, and the optional options it reads (giving another one
-    is an error, not silently ignored)."""
+    number of trials, the optional options it reads (giving another one
+    is an error, not silently ignored) and its least trunc."""
 
     cases: Callable[[VerifyConfig], list[dict]]
     run: Callable[[VerifyConfig, dict], tuple]
     trials: int
     reads: tuple[str, ...] = ()
+    min_trunc: int = 0
 
 
 # eta-lemma runs at r = n, kernel reads its data through their largest
 # trace, and only unramified takes a mode
+_DRAWS = ("trials", "seed")
 _SUITES = {
-    "unramified": _Suite(_unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "mode")),
-    "gsp4-raising": _Suite(_gsp4_cases, _gsp4_run, 100, ("trunc",)),
-    "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc")),
+    "unramified": _Suite(
+        _unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "mode", *_DRAWS)
+    ),
+    "gsp4-raising": _Suite(_gsp4_cases, _gsp4_run, 100, ("trunc", *_DRAWS)),
+    "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc", *_DRAWS)),
     "dims": _Suite(_dims_cases, _dims_run, 1, ("n", "max_gap")),
-    "prop4": _Suite(_prop4_cases, _prop4_run, 20, ("n", "r", "trunc", "window")),
-    "level-a1": _Suite(_level_a1_cases, _level_a1_run, 1, ("trunc", "window")),
+    "prop4": _Suite(_prop4_cases, _prop4_run, 20, ("n", "r", "trunc", *_DRAWS), _IMAGE_DEGREE + 2),
+    "level-a1": _Suite(_level_a1_cases, _level_a1_run, 1, ("trunc", "seed"), _IMAGE_DEGREE + 2),
     "oldform-bases": _Suite(_oldform_cases, _oldform_run, 1, ("max_gap",)),
     "dependence": _Suite(_dependence_cases, _dependence_run, 1),
-    "kernel": _Suite(_kernel_cases, _kernel_run, 50, ("n", "r")),
-    "fe": _Suite(_fe_cases, _fe_run, 10, ("trunc", "window")),
+    "kernel": _Suite(_kernel_cases, _kernel_run, 50, ("n", "r", *_DRAWS)),
+    "fe": _Suite(_fe_cases, _fe_run, 10, ("trunc", *_DRAWS), _IMAGE_DEGREE + 2),
 }
 
 
@@ -673,10 +682,7 @@ def _jobs() -> int:
     CPUs this process may use; a value that is not a positive integer ends
     the run with a one-line error."""
     raw = os.environ.get("PARAMODULAR_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
+    jobs = int(raw) if _INTEGER.fullmatch(raw) else 0
     if jobs < 1:
         raise SystemExit(f"paramodular: PARAMODULAR_JOBS must be a positive integer, got {raw!r}")
     if hasattr(os, "sched_getaffinity"):
@@ -869,6 +875,10 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+# the name argparse gives the type of an integer flag in its error message
+_integer.__name__ = "integer"
+
+
 def _rational(text: str) -> Fraction:
     """text as a Fraction when it is written as _RATIONAL; ValueError
     otherwise, ZeroDivisionError for a zero denominator."""
@@ -917,7 +927,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     fields = dataclasses.fields(VerifyConfig)
-    config = VerifyConfig(**{f.name: getattr(args, f.name) for f in fields})
+    config = VerifyConfig(**{f.name: getattr(args, f.name, None) for f in fields})
     report = run_suite(config)
     _write_output(emit(report, args.format), args.out)
     return 0 if report.all_passed else 1
@@ -940,15 +950,7 @@ def _cmd_xi(args) -> int:
         payload = json.load(handle, object_pairs_hook=_whittaker_object)
     d = WhittakerData.from_json(payload)
     beta = _parse_entries(args.beta, "--beta", _rational, "a rational number") if args.beta else None
-    result = xi(
-        d,
-        d.n,
-        args.r,
-        beta=beta,
-        trunc=args.trunc,
-        window=args.window,
-        level=args.level,
-    )
+    result = xi(d, d.n, args.r, beta=beta, trunc=args.trunc, window=args.window, level=args.level)
     _write_output(_json_text(result.to_json()), args.out)
     return 0
 
@@ -984,27 +986,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    about = "run a verification suite; each takes only the options that shape its verdicts"
+    pv = sub.add_parser("verify", help=about, description=about)
     pv.add_argument("suite", choices=sorted(_SUITES))
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--r", type=int, default=None)
-    pv.add_argument("--trunc", type=int, default=None, help="default 8")
-    pv.add_argument("--window", type=int, default=None, help="default 4")
-    pv.add_argument("--trials", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=42)
+    pv.add_argument("--n", type=_integer, default=None)
+    pv.add_argument("--r", type=_integer, default=None)
+    pv.add_argument("--trunc", type=_integer, help="default 8; fe, level-a1, prop4 need >= 4")
+    pv.add_argument("--trials", type=_integer, default=None, help="default set by the suite")
+    pv.add_argument("--seed", type=_integer, default=None, help="default 42")
     pv.add_argument("--mode", choices=_MODES, default=None, help="default evaluation")
-    pv.add_argument("--max-gap", type=int, default=None, dest="max_gap")
+    pv.add_argument("--max-gap", type=_integer, default=None, dest="max_gap")
     pv.add_argument("--format", choices=("json", "text", "csv"), default="json")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify)
 
     px = sub.add_parser("xi", help="normalized series of data from a JSON file")
     px.add_argument("--data", required=True)
-    px.add_argument("--r", type=int, required=True)
+    px.add_argument("--r", type=_integer, required=True)
     px.add_argument("--beta", default=None, help="comma-separated rationals")
-    px.add_argument("--trunc", type=int, default=None)
-    px.add_argument("--window", type=int, default=4)
-    px.add_argument("--level", type=int, default=0)
+    px.add_argument("--trunc", type=_integer, default=None)
+    px.add_argument("--window", type=_integer, default=4)
+    px.add_argument("--level", type=_integer, default=0)
     px.add_argument("--out", default=None)
     px.set_defaults(func=_cmd_xi)
 
@@ -1015,14 +1017,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_char)
 
     pd = sub.add_parser("dims", help="dimension formula against enumeration")
-    pd.add_argument("--max-n", type=int, default=4, dest="max_n")
-    pd.add_argument("--max-gap", type=int, default=8, dest="max_gap")
+    pd.add_argument("--max-n", type=_integer, default=4, dest="max_n")
+    pd.add_argument("--max-gap", type=_integer, default=8, dest="max_gap")
     pd.add_argument("--format", choices=("json", "text", "csv"), default="csv")
     pd.add_argument("--out", default=None)
     pd.set_defaults(func=_cmd_dims)
 
     pb = sub.add_parser("compare-bases", help="compare oldform families at n=2")
-    pb.add_argument("--m-minus-a", type=int, required=True, dest="m_minus_a")
+    pb.add_argument("--m-minus-a", type=_integer, required=True, dest="m_minus_a")
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=_cmd_compare_bases)
 

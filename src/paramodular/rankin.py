@@ -404,23 +404,21 @@ def xi(
     If the coefficients do not vanish on the final ``window`` degrees the
     result is flagged as not stabilized rather than raising.
     """
-    if mode is None:
-        mode = SymbolicMode(r)
+    if not 1 <= r <= n:
+        raise ValueError("need 1 <= r <= n")
+    mode = SymbolicMode(r) if mode is None else mode
     if window < 2:
         raise ValueError("window must be at least 2")
     if level < 0:
         raise ValueError("level must be non-negative")
-    if trunc is None:
-        trunc = default_trunc(d, n, r, window)
+    trunc = default_trunc(d, n, r, window) if trunc is None else trunc
     if trunc < window:
         raise ValueError("truncation order must be at least the window")
     psi = psi_series(d, n, r, trunc, mode)
     p_phi = p_phi_pi(beta, n, r, mode, trunc) if beta is not None else unit_series(mode)
     b = p_wedge2(r, mode, trunc).invert(trunc)
     series = p_phi * psi * b
-    stabilized = all(
-        series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1)
-    )
+    stabilized = all(series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1))
     poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)
 

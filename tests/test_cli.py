@@ -48,13 +48,16 @@ def report_fingerprint(report: Report) -> list[dict]:
 def test_verify_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(suite="nonsense")
-    with pytest.raises(ValueError, match="need trunc >= window >= 2"):
-        VerifyConfig(suite="prop4", trunc=2, window=4)
-    with pytest.raises(ValueError, match="need trunc >= window >= 2"):
-        VerifyConfig(suite="prop4", window=1, trunc=8)
-    # unramified compares P_phi psi with P_wedge2, which needs no window
-    with pytest.raises(ValueError, match="suite unramified does not read --window"):
-        VerifyConfig(suite="unramified", window=4)
+    # the suites that form xi images check degrees 3..trunc, a window that
+    # xi needs to be at least 2 wide
+    for suite in ("prop4", "level-a1", "fe"):
+        with pytest.raises(ValueError, match=f"suite {suite} needs trunc >= 4, got 3"):
+            VerifyConfig(suite=suite, trunc=3)
+        assert VerifyConfig(suite=suite, trunc=4).trunc == 4
+    # no suite reads a window: the image suites derive theirs from trunc
+    for suite in cli._SUITES:
+        with pytest.raises(ValueError, match=f"suite {suite} does not read --window"):
+            VerifyConfig(suite=suite, window=4)
     with pytest.raises(ValueError):
         VerifyConfig(suite="dims", trials=0)
     with pytest.raises(ValueError):
@@ -62,13 +65,56 @@ def test_verify_config_validation():
     for rank in ({"n": 0}, {"r": 0}, {"r": -1}):  # 0 used to mean the default grid
         with pytest.raises(ValueError):
             VerifyConfig(suite="kernel", **rank)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="suite gsp4-raising needs trunc >= 0, got -1"):
         VerifyConfig(suite="gsp4-raising", trunc=-1)
     cfg = VerifyConfig(suite="kernel")
     assert cfg.trials == 50  # suite default fills in
-    assert (cfg.trunc, cfg.window, cfg.mode) == (8, 4, "evaluation")
+    assert (cfg.trunc, cfg.window, cfg.seed, cfg.mode) == (8, 4, 42, "evaluation")
     # a suite that reads no window takes a truncation below the default one
     assert VerifyConfig(suite="gsp4-raising", trunc=3).trunc == 3
+
+
+# the suites that draw nothing, or draw once whatever the trial count
+@pytest.mark.parametrize(
+    "suite, options",
+    [
+        ("dims", ["--trials", "--seed"]),
+        ("level-a1", ["--trials"]),
+        ("oldform-bases", ["--trials", "--seed"]),
+        ("dependence", ["--trials", "--seed"]),
+    ],
+)
+def test_trials_and_seed_are_refused_where_no_case_reads_them(suite, options):
+    for option in options:
+        name = option.removeprefix("--")
+        with pytest.raises(ValueError, match=f"suite {suite} does not read {option}$"):
+            VerifyConfig(suite=suite, **{name: 3})
+        with pytest.raises(SystemExit) as info:
+            main(["verify", suite, option, "3"])
+        assert info.value.code == f"paramodular: suite {suite} does not read {option}"
+    # the default report still echoes both, as the suite's own values
+    cfg = VerifyConfig(suite=suite)
+    assert (cfg.trials, cfg.seed) == (1, 42)
+
+
+def test_each_suite_reads_the_options_that_shape_its_verdicts():
+    # 30 (suite, option) pairs, where every suite used to accept --trials,
+    # --seed and, in three suites, --window as well: 40
+    reads = {name: set(suite.reads) for name, suite in cli._SUITES.items()}
+    assert sum(map(len, reads.values())) == 30
+    draws = {name for name, names in reads.items() if {"trials", "seed"} <= names}
+    assert draws == {"unramified", "gsp4-raising", "eta-lemma", "prop4", "kernel", "fe"}
+    assert {name for name, names in reads.items() if "seed" in names} == draws | {"level-a1"}
+    assert not any("window" in names for names in reads.values())
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_window_is_not_an_option_of_verify(suite, capsys):
+    # each suite's window was set by hand; the image suites derive theirs
+    with pytest.raises(SystemExit) as info:
+        main(["verify", suite, "--window", "4"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --window 4" in capsys.readouterr().err
 
 
 SMOKE_CONFIGS = [
@@ -148,7 +194,7 @@ def test_jobs_are_capped_at_usable_cpus(monkeypatch, value, workers):
     assert started == workers
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2"])
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2", " 1_0", "1_0", " 2", "+2"])
 def test_bad_jobs_value_exits_with_one_line(monkeypatch, value):
     started, _ = stub_pool(monkeypatch, cpus=3)
     monkeypatch.setenv("PARAMODULAR_JOBS", value)
@@ -398,9 +444,12 @@ BAD_INPUTS = {
     "xi-top-level-list": ["xi", "--data", "{dir}/list.json", "--r", "2"],
     "xi-beta-zero-denominator": ["xi", "--data", "{dir}/n2.json", "--r", "2", "--beta", "1/0,2"],
     "xi-negative-level": ["xi", "--data", "{dir}/n2.json", "--r", "2", "--level", "-3"],
+    # the rank is checked before a mode of r variables is built
+    "xi-r-negative": ["xi", "--data", "{dir}/n2.json", "--r", "-1"],
     "gap-out-of-range": ["compare-bases", "--m-minus-a", "7"],
-    "window-below-two": ["verify", "prop4", "--window", "1"],
-    "unramified-window": ["verify", "unramified", "--window", "4", "--trials", "1"],
+    "prop4-trunc-below-four": ["verify", "prop4", "--trunc", "3"],
+    "level-a1-trunc-below-four": ["verify", "level-a1", "--trunc", "3"],
+    "fe-trunc-below-four": ["verify", "fe", "--trunc", "3", "--trials", "1"],
     "no-cases": ["verify", "unramified", "--n", "2", "--r", "3"],
     "no-gaps": ["verify", "oldform-bases", "--max-gap", "-1"],
     "oldform-bases-gap-above-four": ["verify", "oldform-bases", "--max-gap", "5"],
@@ -416,14 +465,10 @@ BAD_INPUTS = {
     "unramified-max-gap": ["verify", "unramified", "--max-gap", "1", "--n", "1", "--trials", "1"],
     "gsp4-raising-mode": ["verify", "gsp4-raising", "--mode", "symbolic", "--trials", "1"],
     "fe-mode": ["verify", "fe", "--mode", "evaluation", "--trials", "1"],
-    "eta-lemma-window": ["verify", "eta-lemma", "--window", "3", "--trials", "1"],
     "eta-lemma-mode": ["verify", "eta-lemma", "--mode", "symbolic", "--trials", "1"],
-    "oldform-bases-trunc-window": [
-        "verify", "oldform-bases", "--trunc", "3", "--window", "2", "--max-gap", "0"
-    ],
+    "oldform-bases-trunc": ["verify", "oldform-bases", "--trunc", "3", "--max-gap", "0"],
     "dims-trunc": ["verify", "dims", "--trunc", "5", "--n", "1", "--max-gap", "0"],
     "kernel-trunc": ["verify", "kernel", "--trunc", "5", "--n", "2", "--trials", "1"],
-    "dependence-window": ["verify", "dependence", "--window", "3"],
     # the JSON numbers must be integers (or, for coefficients, strings);
     # each was once read as something else
     "xi-fractional-weight": ["xi", "--data", "{dir}/fractional-weight.json", "--r", "1"],
@@ -510,6 +555,38 @@ def test_lam_entries_are_read_strictly(lam, entry, capsys):
     assert message.startswith("paramodular: ") and "\n" not in message
     assert "--lam" in message and entry in message
     assert capsys.readouterr().out == ""
+
+
+INTEGER_FLAGS = [
+    ["verify", "dims", "--n"],
+    ["verify", "kernel", "--r"],
+    ["verify", "gsp4-raising", "--trunc"],
+    ["verify", "fe", "--trials"],
+    ["verify", "fe", "--seed"],
+    ["verify", "dims", "--max-gap"],
+    ["xi", "--data", "data.json", "--r"],
+    ["xi", "--data", "data.json", "--r", "2", "--trunc"],
+    ["xi", "--data", "data.json", "--r", "2", "--window"],
+    ["xi", "--data", "data.json", "--r", "2", "--level"],
+    ["dims", "--max-n"],
+    ["dims", "--max-gap"],
+    ["compare-bases", "--m-minus-a"],
+]
+
+
+@pytest.mark.parametrize(
+    "value", ["1_0", " 1", "+1"], ids=["digit-separator", "padded", "plus-sign"]
+)
+@pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=" ".join)
+def test_integer_flags_are_read_strictly(argv, value, capsys):
+    # int() would read each of these as a number, as it read
+    # "verify dims --n 1_0" as n = 10; the flags take what --lam takes
+    with pytest.raises(SystemExit) as info:
+        main([*argv, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {argv[-1]}: invalid integer value: {value!r}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -662,17 +739,52 @@ def test_failing_case_shows_witness():
 UNSTABLE = {"reason": "series did not stabilize"}
 
 
-def test_fe_verdicts_need_stabilized_series():
-    # at trunc 3 the raised images have not stabilized on a window of 2
-    report = run_suite(VerifyConfig(suite="fe", trials=1, trunc=3, window=2))
-    witnesses = {c.parameters["check"]: c.witness for c in report.cases}
-    assert witnesses.pop("spherical") is None
-    assert witnesses == dict.fromkeys(witnesses, UNSTABLE) and len(witnesses) == 5
+def double_the_spherical_value_at_21(monkeypatch):
+    """Plant a fault: the spherical vector's value at (2, 1) doubled, so
+    that no image of it is a polynomial of Y-degree <= 2."""
+    make = cli.spherical_so_data
+
+    def faulty(beta, n, trunc):
+        d = make(beta, n, trunc)
+        return WhittakerData(n, {lam: x + x if lam == (2, 1) else x for lam, x in d.items()})
+
+    monkeypatch.setattr(cli, "spherical_so_data", faulty)
 
 
-def test_level_a1_constants_need_stabilized_series():
-    report = run_suite(VerifyConfig(suite="level-a1", trunc=2, window=2))
-    assert [c.witness for c in report.cases] == [UNSTABLE] * 3
+def test_fe_verdicts_need_stabilized_series(monkeypatch):
+    double_the_spherical_value_at_21(monkeypatch)
+    for trunc in (4, 8):
+        report = run_suite(VerifyConfig(suite="fe", trials=2, trunc=trunc))
+        assert [c.witness for c in report.cases] == [UNSTABLE] * 12
+
+
+def test_level_a1_constants_need_stabilized_series(monkeypatch):
+    double_the_spherical_value_at_21(monkeypatch)
+    for trunc in (4, 8):
+        report = run_suite(VerifyConfig(suite="level-a1", trunc=trunc))
+        assert [c.witness for c in report.cases] == [UNSTABLE] * 3
+
+
+@pytest.mark.parametrize("suite, trials", [("fe", {"trials": 2}), ("level-a1", {})])
+@pytest.mark.parametrize("trunc", [4, 5])
+def test_image_suites_pass_at_the_least_truncations(suite, trials, trunc):
+    # the images have Y-degree <= 2, and the window is the degrees above
+    # that: a window set by hand at 4 reached into them at trunc 4 and 5
+    report = run_suite(VerifyConfig(suite=suite, trunc=trunc, **trials))
+    assert report.all_passed, [(c.case, c.witness) for c in report.cases if not c.verdict]
+
+
+def test_level_a1_forms_its_two_images_once(monkeypatch):
+    calls = []
+    real = cli.xi
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["window"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "xi", counting)
+    assert run_suite(VerifyConfig(suite="level-a1", trunc=6)).all_passed
+    assert calls == [4, 4]
 
 
 def test_palindromic_failure_shows_expected_and_got(monkeypatch):

@@ -514,6 +514,11 @@ def test_xi_argument_validation():
         xi(delta((0, 0)), 2, 2, trunc=8, window=1)
     with pytest.raises(ValueError):
         xi(delta((0, 0)), 2, 2, trunc=2, window=4)
+    # the rank is checked before the default symbolic mode is built, which
+    # would refuse a negative r for a reason of its own
+    for r in (-1, 0, 3):
+        with pytest.raises(ValueError, match=r"need 1 <= r <= n"):
+            xi(delta((0, 0)), 2, r, trunc=8)
 
 
 def mk_result(poly, r, n=2, m=0):
