@@ -20,7 +20,7 @@ encoder, a generator per container; the writer appends the pieces of each
 case record to one list instead, which takes a fraction of the time on
 reports of thousands of cases.
 
-Subcommands: verify, xi, char, dims, compare-bases.  Exit status 0 means
+Subcommands: verify, xi, char, compare-bases.  Exit status 0 means
 every case passed.
 """
 
@@ -33,6 +33,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -719,64 +720,35 @@ def run_suite(config: VerifyConfig) -> Report:
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
 
 
 def _float_text(value: float) -> str:
-    """A float as json writes it: NaN and the infinities as bare words."""
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
+    """A finite float as json writes it.  The only floats written are
+    elapsed times, so NaN and the infinities are refused."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     return float.__repr__(value)
 
 
-_WORDS = {None: "null", True: "true", False: "false"}
-
-# the JSON text of a value of exactly one of these types; a subclass (a
-# str subclass, an IntEnum) takes _scalar_text's isinstance tests instead
+# the JSON text of a scalar, by its exact type: a subclass (a str subclass,
+# an IntEnum) could write other text than json does, and none is written
 _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     str: _ENCODE_STR,
     int: int.__repr__,
     float: _float_text,
-    bool: _WORDS.__getitem__,
-    type(None): _WORDS.__getitem__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
 }
-
-
-def _scalar_text(value) -> str | None:
-    """The JSON text of a string, number, bool or None, tested in json's
-    order; None for any other value."""
-    if isinstance(value, str):
-        return _ENCODE_STR(value)
-    if value is None or value is True or value is False:
-        return _WORDS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key) -> str:
-    """The JSON text of an object key: json writes a number, bool or None
-    key as a string of its JSON text."""
-    if not isinstance(key, str):
-        if not (isinstance(key, (int, float)) or key is None):
-            kind = key.__class__.__name__
-            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
-        key = _scalar_text(key)
-    return _ENCODE_STR(key)
 
 
 def _write_json(value, out: list[str], indent: str) -> None:
     """Append the pieces of value's JSON text to out, as json.dumps(value,
     indent=2, sort_keys=True) writes it; indent is the newline and spaces
-    that start value's first line.  A CaseRecord is written as its
-    to_json() dict, straight from its fields and in key order.  There is no
-    check for circular references: the values written here are trees."""
+    that start value's first line.  value is a tree of lists, dicts with
+    str keys, CaseRecords and scalars of _SCALAR_TEXT's types, which is all
+    the program writes; anything else raises TypeError.  A CaseRecord is
+    written as its to_json() dict, straight from its fields and in key
+    order."""
     to_text = _SCALAR_TEXT.get(value.__class__)
     if to_text is not None:
         out.append(to_text(value))
@@ -794,7 +766,7 @@ def _write_json(value, out: list[str], indent: str) -> None:
             out.append("," + inner + '"witness": ')
             _write_json(value.witness, out, inner)
         out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         if not value:
             out.append("[]")
             return
@@ -810,15 +782,14 @@ def _write_json(value, out: list[str], indent: str) -> None:
             return
         sep = "{" + inner
         for key, member in sorted(value.items()):
-            out.append(sep + _key_text(key) + ": ")
+            if key.__class__ is not str:
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + _ENCODE_STR(key) + ": ")
             _write_json(member, out, inner)
             sep = "," + inner
         out.append(indent + "}")
     else:
-        text = _scalar_text(value)
-        if text is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-        out.append(text)
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _json_text(value) -> str:
@@ -918,11 +889,13 @@ def _parse_entries(text: str, flag: str, read: Callable, kind: str) -> tuple:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """text, ended by one newline, to the file out or else to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _cmd_verify(args) -> int:
@@ -963,13 +936,6 @@ def _cmd_char(args) -> int:
     head = {"kind": args.kind, "lam": list(lam), size: len(lam)}
     _write_output(_json_text({**head, "poly": poly.to_json()}), args.out)
     return 0
-
-
-def _cmd_dims(args) -> int:
-    config = VerifyConfig(suite="dims", n=args.max_n, max_gap=args.max_gap)
-    report = run_suite(config)
-    _write_output(emit(report, args.format), args.out)
-    return 0 if report.all_passed else 1
 
 
 def _cmd_compare_bases(args) -> int:
@@ -1015,13 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--lam", required=True, help="comma-separated coweight")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=_cmd_char)
-
-    pd = sub.add_parser("dims", help="dimension formula against enumeration")
-    pd.add_argument("--max-n", type=_integer, default=4, dest="max_n")
-    pd.add_argument("--max-gap", type=_integer, default=8, dest="max_gap")
-    pd.add_argument("--format", choices=("json", "text", "csv"), default="csv")
-    pd.add_argument("--out", default=None)
-    pd.set_defaults(func=_cmd_dims)
 
     pb = sub.add_parser("compare-bases", help="compare oldform families at n=2")
     pb.add_argument("--m-minus-a", type=_integer, required=True, dest="m_minus_a")

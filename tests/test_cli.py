@@ -6,6 +6,7 @@ import collections
 import concurrent.futures
 import dataclasses
 import enum
+import hashlib
 import json
 import os
 import subprocess
@@ -568,8 +569,6 @@ INTEGER_FLAGS = [
     ["xi", "--data", "data.json", "--r", "2", "--trunc"],
     ["xi", "--data", "data.json", "--r", "2", "--window"],
     ["xi", "--data", "data.json", "--r", "2", "--level"],
-    ["dims", "--max-n"],
-    ["dims", "--max-gap"],
     ["compare-bases", "--m-minus-a"],
 ]
 
@@ -839,15 +838,39 @@ def test_conditional_pass_on_differing_spans_is_noted_in_text():
     assert "note" not in emit(report, "json")
 
 
-def test_main_verify_and_dims_exit_zero(tmp_path):
+# the dimension table at its defaults (n = 1..4, gaps 0..8), byte for byte
+DIMS_CSV_SHA256 = "24461ff67aafcd82cecef04c2c4d0b0fcdd1f0609ffa962aa11cf4c6b4d443b5"
+
+
+def test_main_verify_and_dims_exit_zero(tmp_path, capsys):
     out = tmp_path / "dims.csv"
-    rc = main(
-        ["verify", "dims", "--max-gap", "3", "--format", "csv", "--out", str(out)]
-    )
-    assert rc == 0
-    assert out.read_text().startswith("case,verdict")
-    rc = main(["dims", "--max-n", "2", "--max-gap", "2", "--out", str(out)])
-    assert rc == 0
+    assert main(["verify", "dims", "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIMS_CSV_SHA256
+    # verify dims is the one route to the table
+    with pytest.raises(SystemExit) as info:
+        main(["dims"])
+    assert info.value.code == 2
+    assert "invalid choice: 'dims'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "dims", "--format", "text"],
+        ["verify", "dims", "--format", "csv"],
+        ["compare-bases", "--m-minus-a", "2"],
+    ],
+    ids=["text", "csv", "json"],
+)
+def test_stdout_gets_the_bytes_of_out(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    src = str(Path(paramodular.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PARAMODULAR_JOBS": "1"}
+    command = [sys.executable, "-m", "paramodular", *argv]
+    proc = subprocess.run(command, capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
 
 
 def test_unramified_rank_four_is_a_routine_run(tmp_path):
@@ -952,7 +975,10 @@ def test_compare_bases_subcommand(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Every JSON output of cli goes through one writer that gives what
-# json.dumps(value, indent=2, sort_keys=True) gives, byte for byte.
+# json.dumps(value, indent=2, sort_keys=True) gives, byte for byte, on what
+# the program writes: lists, dicts with str keys, case records, and str, int,
+# bool, None and finite float scalars of exactly those types.  It refuses
+# anything else.
 
 
 def dumps(value) -> str:
@@ -981,36 +1007,32 @@ class Ratio(float):
         return "not this"
 
 
+class Rows(list):
+    pass
+
+
 Point = collections.namedtuple("Point", "x y")
 
 
 def json_trees(st):
-    """Trees of JSON values: strings with quotes, backslashes, control and
-    non-ASCII characters; negative and wide ints; floats with -0.0, NaN,
-    the infinities and rounded values; bools and None; empty and nested
-    lists, tuples and dicts, with string keys and with number, bool or
-    None keys."""
+    """Trees of the JSON values the program writes: strings with quotes,
+    backslashes, control and non-ASCII characters; negative and wide ints;
+    finite floats with -0.0 and rounded values; bools and None; empty and
+    nested lists and dicts with string keys."""
     text = st.text(max_size=8) | st.sampled_from(
-        ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "€", "\U0001d11e", " ", "\ud800"]
+        ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "€", "\U0001d11e", " ", "\ud800"]
     )
     wide = st.integers(min_value=2**64, max_value=2**200)
     ints = st.integers() | wide | wide.map(lambda i: -i)
     floats = (
-        st.floats()
+        st.floats(allow_nan=False, allow_infinity=False)
         | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -1.5, 5e-324, sys.float_info.max])
         | st.floats(min_value=-1e6, max_value=1e6).map(lambda x: round(x, 3))
     )
     scalars = st.none() | st.booleans() | text | ints | floats
-    other_keys = st.integers(min_value=-99, max_value=99) | st.floats(allow_nan=False) | st.booleans()
     return st.recursive(
         scalars,
-        lambda children: (
-            st.lists(children, max_size=4)
-            | st.lists(children, max_size=4).map(tuple)
-            | st.dictionaries(text, children, max_size=4)
-            | st.dictionaries(other_keys, children, max_size=3)
-            | st.dictionaries(st.none(), children, max_size=1)
-        ),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4),
         max_leaves=12,
     )
 
@@ -1030,18 +1052,19 @@ def test_json_writer_matches_json_dumps():
 @pytest.mark.parametrize(
     "value",
     [
-        [Colour.RED, {Colour.RED: Label("x")}, Label('a"b'), Ratio(0.5), Point(1, [])],
-        collections.OrderedDict([("b", ()), ("a", {})]),
-        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": ((), {"f": None})},
-        {1: "int", 2.5: "float", False: "bool"},
-        {None: [True, False, None]},
+        Rows(["a", Rows(), {"b": Rows([1])}]),
+        collections.OrderedDict([("b", []), ("a", {})]),
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": [[], {"f": None}]},
+        {"": 1, '"': 2, "\x00": 3, "é": 4, "\ud800": [True, False, None]},
+        [-0.0, 5e-324, 1e16, 1e22, sys.float_info.max, round(2 / 3, 3), -(2**64)],
         "a lone string",
         -(2**70),
-        float("nan"),
+        -0.0,
         [],
     ],
 )
 def test_json_writer_matches_json_dumps_on_subclasses_and_edges(value):
+    # list and dict subclasses are written as json writes lists and dicts
     assert cli._json_text(value) == dumps(value)
 
 
@@ -1054,6 +1077,48 @@ def test_json_writer_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
         dumps(value)
     with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (Colour.RED, TypeError),
+        (Label("x"), TypeError),
+        (Ratio(0.5), TypeError),
+        (Point(1, []), TypeError),
+        ((), TypeError),
+        ({"a": [(1, 2)]}, TypeError),
+        ({1: "int"}, TypeError),
+        ({2.5: "float"}, TypeError),
+        ({False: "bool"}, TypeError),
+        ({None: [True, False, None]}, TypeError),
+        ({Label("x"): 1}, TypeError),
+        (float("nan"), ValueError),
+        (float("inf"), ValueError),
+        ({"a": [float("-inf")]}, ValueError),
+    ],
+    ids=[
+        "intenum",
+        "str-subclass",
+        "float-subclass",
+        "namedtuple",
+        "tuple",
+        "nested-tuple",
+        "int-key",
+        "float-key",
+        "bool-key",
+        "none-key",
+        "str-subclass-key",
+        "nan",
+        "inf",
+        "nested-minus-inf",
+    ],
+)
+def test_json_writer_refuses_what_no_output_holds(value, error):
+    # json.dumps writes each of these; no output of the program holds one
+    dumps(value)
+    with pytest.raises(error):
         cli._json_text(value)
 
 
