@@ -745,8 +745,9 @@ def _write_json(value, out: list[str], indent: str) -> None:
     """Append the pieces of value's JSON text to out, as json.dumps(value,
     indent=2, sort_keys=True) writes it; indent is the newline and spaces
     that start value's first line.  value is a tree of lists, dicts with
-    str keys, CaseRecords and scalars of _SCALAR_TEXT's types, which is all
-    the program writes; anything else raises TypeError.  A CaseRecord is
+    str keys, CaseRecords and scalars of _SCALAR_TEXT's types, each of
+    exactly that type, which is all the program writes; anything else,
+    subclasses included, raises TypeError.  A CaseRecord is
     written as its to_json() dict, straight from its fields and in key
     order."""
     to_text = _SCALAR_TEXT.get(value.__class__)
@@ -766,7 +767,7 @@ def _write_json(value, out: list[str], indent: str) -> None:
             out.append("," + inner + '"witness": ')
             _write_json(value.witness, out, inner)
         out.append(indent + "}")
-    elif isinstance(value, list):
+    elif value.__class__ is list:
         if not value:
             out.append("[]")
             return
@@ -776,7 +777,7 @@ def _write_json(value, out: list[str], indent: str) -> None:
             _write_json(member, out, inner)
             sep = "," + inner
         out.append(indent + "]")
-    elif isinstance(value, dict):
+    elif value.__class__ is dict:
         if not value:
             out.append("{}")
             return
@@ -955,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     about = "run a verification suite; each takes only the options that shape its verdicts"
     pv = sub.add_parser("verify", help=about, description=about)
     pv.add_argument("suite", choices=sorted(_SUITES))
-    pv.add_argument("--n", type=_integer, default=None)
+    pv.add_argument("--n", type=_integer, default=None, help="the rank; for dims, the largest rank")
     pv.add_argument("--r", type=_integer, default=None)
     pv.add_argument("--trunc", type=_integer, help="default 8; fe, level-a1, prop4 need >= 4")
     pv.add_argument("--trials", type=_integer, default=None, help="default set by the suite")

@@ -1020,7 +1020,7 @@ def json_trees(st):
     finite floats with -0.0 and rounded values; bools and None; empty and
     nested lists and dicts with string keys."""
     text = st.text(max_size=8) | st.sampled_from(
-        ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "€", "\U0001d11e", " ", "\ud800"]
+        ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "€", "\U0001d11e", "\u2028", "\ud800"]
     )
     wide = st.integers(min_value=2**64, max_value=2**200)
     ints = st.integers() | wide | wide.map(lambda i: -i)
@@ -1052,10 +1052,10 @@ def test_json_writer_matches_json_dumps():
 @pytest.mark.parametrize(
     "value",
     [
-        Rows(["a", Rows(), {"b": Rows([1])}]),
-        collections.OrderedDict([("b", []), ("a", {})]),
+        ['"', "\\", "\x00\x1f\x7f", "\u2028", "\U0001d11e", "\ud800"],
+        {"a": [{"b": [[{"c": [[]]}]]}], "d": [1, [2, [3.5, [None]]]]},
         {"a": [], "b": {}, "c": [[]], "d": [{}], "e": [[], {"f": None}]},
-        {"": 1, '"': 2, "\x00": 3, "é": 4, "\ud800": [True, False, None]},
+        {"": 1, '"': 2, "\x00": 3, "é": 4, "\u2028": 5, "\ud800": [True, False, None]},
         [-0.0, 5e-324, 1e16, 1e22, sys.float_info.max, round(2 / 3, 3), -(2**64)],
         "a lone string",
         -(2**70),
@@ -1064,7 +1064,7 @@ def test_json_writer_matches_json_dumps():
     ],
 )
 def test_json_writer_matches_json_dumps_on_subclasses_and_edges(value):
-    # list and dict subclasses are written as json writes lists and dicts
+    # edges of the written domain; list and dict subclasses are refused below
     assert cli._json_text(value) == dumps(value)
 
 
@@ -1087,6 +1087,9 @@ def test_json_writer_refuses_what_json_refuses(value):
         (Label("x"), TypeError),
         (Ratio(0.5), TypeError),
         (Point(1, []), TypeError),
+        (Rows(["a", Rows([1])]), TypeError),
+        ({"a": Rows()}, TypeError),
+        (collections.OrderedDict([("b", []), ("a", {})]), TypeError),
         ((), TypeError),
         ({"a": [(1, 2)]}, TypeError),
         ({1: "int"}, TypeError),
@@ -1103,6 +1106,9 @@ def test_json_writer_refuses_what_json_refuses(value):
         "str-subclass",
         "float-subclass",
         "namedtuple",
+        "list-subclass",
+        "nested-list-subclass",
+        "ordereddict",
         "tuple",
         "nested-tuple",
         "int-key",
