@@ -28,12 +28,15 @@ rule, ``_jacobi_trudi``: a Jacobi-Trudi determinant, Koike-Terada's in
 type C, of the integers h_m(y) = B^m h_m(z) of an ``_HTable``, where B is
 the lcm of the point's denominators and y = B z, over one power of B.  The
 integer determinant (``_jacobi_trudi_det``) is taken by fraction-free
-Bareiss elimination (``_det``), O(k^3) for k rows.  Schur values read the
-table of the point (:func:`_schur_value`, for
-:class:`paramodular.rankin.EvaluationMode`); :func:`sp_character_value`
-reads the table of the 2n values beta_j^{+-1}, and
-:func:`paramodular.whittaker.spherical_so_data` reads the integer
-determinants of one such table for all its weights.  The symbolic and numeric
+Bareiss elimination (``_det``), O(k^3) for k rows.  Its rows follow one
+row rule, ``_jacobi_trudi_row``: the row of shift a = lam_i - i holds
+h_{a+j}(y), plus B^{2j} h_{a-j}(y) in type C, so it depends on the
+shift alone.  Schur values read the table of the point
+(:func:`_schur_value`, for :class:`paramodular.rankin.EvaluationMode`);
+:func:`sp_character_value` reads the table of the 2n values
+beta_j^{+-1}, and :func:`paramodular.whittaker.spherical_so_data` builds
+each row of one such table once, by the same row rule, and takes one
+``_det`` per weight of its prefixes.  The symbolic and numeric
 symplectic characters are thus independent formulas.  Each character
 checks its weight with one rule per group, ``_gl_weight`` or
 ``_sp_weight``.
@@ -44,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .coweights import Cone, Coweight, is_dominant
@@ -167,7 +171,7 @@ def _gl_weight(lam: Coweight, r: int) -> Coweight:
     lam = tuple(lam)
     if len(lam) != r:
         raise ValueError("weight length differs from variable count")
-    if not is_dominant(lam, Cone.GL):
+    if any(map(operator.lt, lam, lam[1:])):
         raise ValueError("weight is not weakly decreasing")
     return lam
 
@@ -277,28 +281,33 @@ class _HTable:
         return rows[-1]
 
 
+def _jacobi_trudi_row(h: list[int], squared: int, a: int, k: int, sp: bool) -> list[int]:
+    """Row a_i = a of the integer matrix of :func:`_jacobi_trudi`, its
+    first k entries: h_{a+j}(y), plus B^{2j} h_{a-j}(y) for 0 < j <= a
+    with sp, and 0 at a negative degree.  Entry j does not depend on k, so
+    a row of k columns is the prefix of any wider row of the same shift.
+    h is the table's list, tabulated at least through degree a + k - 1,
+    and squared is B^2."""
+    row = h[a : a + k] if a >= 0 else [h[m] if m >= 0 else 0 for m in range(a, a + k)]
+    if sp and a > 0:
+        scale = 1
+        for j in range(1, a + 1 if a < k else k):
+            scale *= squared
+            row[j] += h[a - j] * scale
+    return row
+
+
 def _jacobi_trudi_det(h: list[int], squared: int, parts: Coweight, sp: bool) -> int:
     """B^|lam| times the Jacobi-Trudi determinant at the point z of a table,
     as one integer determinant, for the nonzero parts of a partition lam:
-    the rule of :func:`_jacobi_trudi`.  h is the table's list, tabulated
-    at least through degree parts[0] + len(parts) - 1, and squared is
-    B^2."""
+    the rule of :func:`_jacobi_trudi`, row i of shift parts[i] - i.  h is
+    the table's list, tabulated at least through degree parts[0] +
+    len(parts) - 1, and squared is B^2."""
     k = len(parts)
-    matrix = []
-    for i, x in enumerate(parts):
-        a = x - i
-        # h_{a+j} for j < k, zero at a negative degree
-        row = h[a : a + k] if a >= 0 else [h[m] if m >= 0 else 0 for m in range(a, a + k)]
-        if sp and a > 0:
-            scale = 1
-            for j in range(1, a + 1 if a < k else k):
-                scale *= squared
-                row[j] += h[a - j] * scale
-        matrix.append(row)
-    return _det(matrix)
+    return _det([_jacobi_trudi_row(h, squared, x - i, k, sp) for i, x in enumerate(parts)])
 
 
-def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> Fraction:
+def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> tuple[int, int]:
     """The Jacobi-Trudi determinant at the point z of table for a
     partition lam with l nonzero parts, a_i = lam_i - i and 0 <= i, j < l:
     s_lam(z) = det(h_{a_i+j}), and with sp the Sp_{2n} character of lam at
@@ -309,24 +318,27 @@ def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> Fraction:
     and column j by B^j makes every entry the integer h_{a_i+j}(y)
     (+ B^{2j} h_{a_i-j}(y)) and scales the determinant by
     B^{sum_i a_i + sum_j j} = B^|lam|, so the value is one integer
-    determinant (``_jacobi_trudi_det``) over B^|lam|.  l = 0 gives 1."""
+    determinant (``_jacobi_trudi_det``) over B^|lam|, returned as that
+    pair of integers.  l = 0 gives (1, 1)."""
     parts = [x for x in lam if x]
     h = table.upto(parts[0] + len(parts) - 1 if parts else 0)
-    return Fraction(_jacobi_trudi_det(h, table.den**2, parts, sp), table.den ** sum(parts))
+    return _jacobi_trudi_det(h, table.den**2, parts, sp), table.den ** sum(parts)
 
 
 def _schur_value(lam: Coweight, table: _HTable) -> Fraction:
     """s_lam at the point z of table: equals ``schur(lam, r).evaluate(z, v)``,
     including its ValueErrors and the ZeroDivisionError of a negative lam_r
     at a point with a zero entry.  s_lam = (z_1..z_r)^shift s_core, where
-    shift is lam_r when negative (else 0) and core = lam - shift."""
-    r = len(table.y)
-    lam = _gl_weight(lam, r)
+    shift is lam_r when negative (else 0) and core = lam - shift, and
+    z_1..z_r = prod(y) / B^r; the value is built as one Fraction."""
+    y = table.y
+    lam = _gl_weight(lam, len(y))
     shift = min(lam[-1], 0)
-    val = _jacobi_trudi(table, [x - shift for x in lam], False)
+    num, den = _jacobi_trudi(table, [x - shift for x in lam], False)
     if shift:
-        val *= Fraction(math.prod(table.y), table.den**r) ** shift
-    return val
+        num *= table.den ** (-shift * len(y))
+        den *= math.prod(y) ** -shift
+    return Fraction(num, den)
 
 
 def _sp_table(beta: tuple[Fraction, ...]) -> _HTable:
@@ -346,7 +358,7 @@ def sp_character_value(lam: Coweight, beta: tuple[Fraction, ...]) -> Fraction:
     determinant has as many rows as lam has nonzero parts."""
     beta = tuple(Fraction(b) for b in beta)
     lam = _sp_weight(lam, len(beta))
-    return _jacobi_trudi(_sp_table(beta), lam, True)
+    return Fraction(*_jacobi_trudi(_sp_table(beta), lam, True))
 
 
 def sp_dimension(lam: Coweight, n: int) -> int:

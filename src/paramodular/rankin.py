@@ -30,10 +30,16 @@ of its denominators, the mode holds one ``characters._HTable`` of the
 integers h_m(y) = B^m h_m(x), and each s_lam(point) is the integer
 Jacobi-Trudi determinant of those numbers over B^|core|, times the twist
 of a negative lam_r, by the rule that also gives the numeric symplectic
-characters.  The numerator factor P_phi is r copies of one polynomial E_beta, whose
-coefficients are integers over one denominator den; evaluation mode builds
-it the same way, as one integer convolution whose degree-k coefficient
-lies over den^r M^k, where x_j / v = c_j / M with c_j and M integers.
+characters.  Evaluation mode builds both local factors from the same
+integers, as one integer convolution each (``numerator_factor`` and
+``denominator_factor``; symbolic mode multiplies their factors as
+series).  The numerator factor P_phi is r copies of one polynomial
+E_beta, whose coefficients are integers over one denominator den, and its
+degree-k coefficient lies over den^r M^k, where x_j / v = c_j / M with c_j
+and M integers.  The denominator factor P_wedge2 is the product over
+i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q, so its Y^2k
+coefficient is entry k of the convolution of the two-term lists
+[1, -q^2 y_i y_j], over (pB)^2k.
 
 The torus sum reads each weight of the data once, from the data's flat
 terms: the degree-l coefficient walks only the weights of trace l, through
@@ -120,6 +126,18 @@ class SymbolicMode:
             factors.append(TruncSeries(coeffs, trunc, self.zero()))
         return functools.reduce(operator.mul, factors) if factors else unit_series(self)
 
+    def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
+        """prod_{i<j} (1 - v^-2 X_i X_j Y^2): the product of r(r-1)/2
+        two-term series; exact, or known through Y-degree trunc."""
+        r = self.r
+        out = TruncSeries({0: self._one}, trunc, self._zero)
+        for i in range(r):
+            for j in range(i + 1, r):
+                e = tuple(1 if k in (i, j) else 0 for k in range(r))
+                quad = SymLaurent.monomial(r, e, VLaurent({-2: -1}))
+                out = out * TruncSeries({0: self._one, 2: quad}, trunc, self._zero)
+        return out
+
 
 class EvaluationMode:
     """X_i and v bound to exact rationals; coefficients are Fractions."""
@@ -192,6 +210,30 @@ class EvaluationMode:
         for k, x in enumerate(total):
             if x:
                 coeffs[k] = Fraction(x, scale)
+            scale *= m
+        return TruncSeries(coeffs, trunc, self.zero())
+
+    def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
+        """prod_{i<j} (1 - v^-2 x_i x_j Y^2) at the point, exact or known
+        through Y-degree trunc.  With x = y / B and v = p / q, factor (i, j)
+        is 1 - q^2 y_i y_j (Y / pB)^2, so the Y^2k coefficient is entry k of
+        the integer convolution of the two-term lists [1, -q^2 y_i y_j],
+        over (pB)^2k; entries past trunc are never formed."""
+        top = None if trunc is None else trunc // 2
+        y, q = self._table.y, self.v_value.denominator
+        total = [1]
+        for i in range(self.r):
+            for j in range(i + 1, self.r):
+                c = -q * q * y[i] * y[j]
+                if top is None or len(total) <= top:
+                    total.append(0)
+                for k in range(len(total) - 1, 0, -1):
+                    total[k] += c * total[k - 1]
+        m = (self.v_value.numerator * self._table.den) ** 2
+        coeffs, scale = {}, 1
+        for k, x in enumerate(total):
+            if x:
+                coeffs[2 * k] = Fraction(x, scale)
             scale *= m
         return TruncSeries(coeffs, trunc, self.zero())
 
@@ -320,13 +362,7 @@ def p_wedge2(r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
     trunc, that polynomial known through Y-degree trunc."""
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
-    out = TruncSeries({0: mode.one()}, trunc, mode.zero())
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = tuple(1 if k in (i, j) else 0 for k in range(r))
-            quad = mode.lift(SymLaurent.monomial(r, e, VLaurent({-2: -1})))
-            out = out * TruncSeries({0: mode.one(), 2: quad}, trunc, mode.zero())
-    return out
+    return mode.denominator_factor(trunc)
 
 
 @dataclasses.dataclass

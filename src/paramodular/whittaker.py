@@ -31,7 +31,7 @@ import operator
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from .characters import _jacobi_trudi_det, _sp_table, schur, sp_character_value
+from .characters import _det, _jacobi_trudi_row, _sp_table, schur, sp_character_value
 from .coweights import Cone, Coweight, enumerate_cone, is_dominant
 from .rings import SymLaurent, VLaurent
 
@@ -196,6 +196,24 @@ def _satake(beta, n: int) -> tuple[Fraction, ...]:
     return beta
 
 
+@functools.cache
+def _so_weights(n: int, cutoff: int) -> tuple[tuple[Coweight, tuple[int, ...], int, int], ...]:
+    """What the spherical data of rank n through trace <= cutoff read of
+    each weight lam of the cone, independent of beta: the shifts
+    lam_i - i of the Koike-Terada rows of its nonzero parts, its
+    v-exponent -``so_modulus_exponent`` and the power cutoff - |lam| of B
+    that lifts its character to the data's denominator B^cutoff."""
+    return tuple(
+        (
+            lam,
+            tuple(a - i for i, a in enumerate(lam) if a),
+            -so_modulus_exponent(lam, n),
+            cutoff - sum(lam),
+        )
+        for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff)
+    )
+
+
 def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> WhittakerData:
     """Whittaker data of the normalized spherical vector with Satake
     parameter beta (Casselman-Shalika: modulus square root times the
@@ -206,28 +224,37 @@ def spherical_so_data(beta: tuple[Fraction, ...], n: int, cutoff: int) -> Whitta
     The characters are those of :func:`sp_character_value`, taken from one
     table of the 2n values beta_j^{+-1}: each weight's Koike-Terada
     determinant is the integer B^|lam| chi_lam(beta), so the data are these
-    integers over B^cutoff, normalized once.  Weights come from the
-    enumerated cone, so they need no second check, and a weight whose
-    character vanishes leaves no term."""
+    integers over B^cutoff, normalized once.  A row of that determinant
+    depends only on its shift, and a weight of l nonzero parts reads the
+    first l columns of its rows, so each row is built once per beta, n
+    columns wide, for every shift a weight can have (lam_i >= 1 at
+    i <= n - 1 gives 2 - n through cutoff).  The rest of a weight comes
+    from the table of its rank and cutoff (``_so_weights``).  Weights come
+    from the enumerated cone, so they need no second check, and a weight
+    whose character vanishes leaves no term."""
     beta = _satake(beta, n)
     table = _sp_table(beta)
     den = table.den
     top = max(cutoff, 0)
     h, squared = table.upto(top + n - 1), den**2
+    rows = {a: _jacobi_trudi_row(h, squared, a, n, True) for a in range(2 - n, top + 1)}
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * den)
     terms = []
-    for lam in enumerate_cone(Cone.G, n, cutoff, max_trace=cutoff):
-        parts = [a for a in lam if a]
-        x = _jacobi_trudi_det(h, squared, parts, True)
+    for lam, shifts, exponent, rescale in _so_weights(n, cutoff):
+        k = len(shifts)
+        x = _det([rows[a][:k] for a in shifts])
         if x:
-            terms.append((lam, -so_modulus_exponent(lam, n), x * den ** (top - sum(parts))))
+            terms.append((lam, exponent, x * powers[rescale]))
     if top:
         # the rescaling to B^cutoff, read back at lam = e_1 through the
         # public rule
         e1 = (1,) + (0,) * (n - 1)
         x = next((x for lam, _, x in terms if lam == e1), 0)
-        if Fraction(x, den**top) != sp_character_value(e1, beta):  # pragma: no cover
+        if Fraction(x, powers[top]) != sp_character_value(e1, beta):  # pragma: no cover
             raise ArithmeticError(f"spherical data disagree with the character at {e1}")
-    return WhittakerData._of(SymLaurent._of_terms(n, terms, den**top))
+    return WhittakerData._of(SymLaurent._of_terms(n, terms, powers[top]))
 
 
 def _in_cone(lam: Coweight) -> bool:

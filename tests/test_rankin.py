@@ -403,6 +403,29 @@ def test_p_wedge2_small_ranks():
     assert p3.get(6) == SymLaurent.monomial(3, (2, 2, 2), -VLaurent.v_power(-6))
 
 
+def test_evaluation_p_wedge2_is_the_symbolic_product_at_the_point():
+    """Oracle for the integer convolution: evaluation P_wedge2 equals the
+    symbolic product of the two-term factors evaluated at the same point,
+    coefficient by coefficient, exact and at every truncation, at points
+    with a zero entry, a negative v and v with |p|, |q| > 1."""
+    rng = random.Random("p-wedge2-oracle")
+    for r in range(1, 7):
+        points = [
+            (random_point(rng, r), random_v(rng)),
+            ((Fraction(0),) + random_point(rng, r - 1), Fraction(-3, 5)),
+            (tuple(Fraction(-2 - i, 7) for i in range(r)), Fraction(-9, 4)),
+        ]
+        for trunc in (None, *range(r * (r - 1) + 2)):
+            sym = p_wedge2(r, SymbolicMode(r), trunc)
+            for point, v in points:
+                got = p_wedge2(r, EvaluationMode(r, point, v), trunc)
+                assert got.trunc == trunc
+                want = {k: c.evaluate(point, v) for k, c in sym.coeffs.items()}
+                assert got.coeffs == {k: x for k, x in want.items() if x}, (r, trunc, point, v)
+                if trunc is None and 0 not in point:
+                    assert max(got.coeffs) == r * (r - 1)
+
+
 def test_factors_truncated_at_trunc_give_the_exact_xi():
     # xi builds P_phi and P_wedge2 only through its trunc; the series, its
     # value and its verdict are those of the exact factors

@@ -202,11 +202,14 @@ def test_spherical_data_matches_the_symbolic_characters():
         # at beta_2 = -beta_1 the characters of odd trace vanish
         2: [(Fraction(-2, 7), Fraction(5, 6)), (Fraction(2, 7), Fraction(-2, 7))],
         3: [(Fraction(-3, 7), Fraction(4, 5), Fraction(-7, 2))],
+        # up to four nonzero parts: rows of shift down to -2, which read h
+        # at negative degrees
+        4: [(Fraction(2, 3), Fraction(-5, 4), Fraction(3), Fraction(-1, 6))],
     }
     vanished = 0
     for n, betas in points.items():
         for beta in betas:
-            for cutoff in range(9):
+            for cutoff in range(9 if n < 4 else 6):
                 weights = [lam for lam in enumerate_cone(Cone.G, n, cutoff) if trace(lam) <= cutoff]
                 want = {}
                 for lam in weights:
@@ -246,6 +249,26 @@ def test_spherical_data_equal_the_per_weight_assembly():
                 got = spherical_so_data(beta, n, cutoff).gen
                 assert (got.num, got.den, got._bound) == (gen.num, gen.den, gen._bound)
     assert vanished
+
+
+def test_spherical_data_do_not_depend_on_earlier_builds():
+    """The weight table is shared by every build of one rank and cutoff:
+    a build gives the same store, denominator and bound before and after
+    builds at other ranks, cutoffs and points.  A negative cutoff gives
+    empty data."""
+    beta = (Fraction(3, 4), Fraction(-5, 2), Fraction(7, 3))
+
+    def build(beta, n, cutoff):
+        gen = spherical_so_data(beta, n, cutoff).gen
+        return gen.num, gen.den, gen._bound
+
+    first = build(beta, 3, 5)
+    for n, cutoff in ((1, 7), (2, 5), (3, 4), (3, 6), (4, 5), (3, 5)):
+        build((Fraction(-2, 9), Fraction(5), Fraction(1, 4), Fraction(6, 7))[:n], n, cutoff)
+        assert build(beta, 3, 5) == first
+    for n in (1, 3):
+        assert spherical_so_data(beta[:n], n, -1) == WhittakerData(n)
+        assert spherical_so_data(beta[:n], n, -1).support == []
 
 
 def delta(lam: tuple[int, int]) -> WhittakerData:
