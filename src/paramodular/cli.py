@@ -59,9 +59,9 @@ from .rankin import (
     EvaluationMode,
     SymbolicMode,
     TruncSeries,
+    _times_p_phi,
     fe_check,
     kernel_check,
-    p_phi_pi,
     p_wedge2,
     psi_alternant,
     psi_series,
@@ -298,7 +298,7 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     # xi = P_phi psi / P_wedge2 is 1 through trunc exactly when P_phi psi
     # and the unit series P_wedge2 agree through trunc, and both first
     # differ at the same degree: no inversion and no window
-    lhs = p_phi_pi(beta, n, r, mode, cfg.trunc) * psi_series(d, n, r, cfg.trunc, mode)
+    lhs = _times_p_phi(psi_series(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
     echo = {**params, "beta": [str(b) for b in beta]}
     return echo, _first_mismatch(lhs, p_wedge2(r, mode, cfg.trunc), cfg.trunc)
 

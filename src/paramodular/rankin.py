@@ -32,14 +32,13 @@ Jacobi-Trudi determinant of those numbers over B^|core|, times the twist
 of a negative lam_r, by the rule that also gives the numeric symplectic
 characters.  Evaluation mode builds both local factors from the same
 integers, as one integer convolution each (``numerator_factor`` and
-``denominator_factor``; symbolic mode multiplies their factors as
-series).  The numerator factor P_phi is r copies of one polynomial
-E_beta, whose coefficients are integers over one denominator den, and its
-degree-k coefficient lies over den^r M^k, where x_j / v = c_j / M with c_j
-and M integers.  The denominator factor P_wedge2 is the product over
-i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q, so its Y^2k
-coefficient is entry k of the convolution of the two-term lists
-[1, -q^2 y_i y_j], over (pB)^2k.
+``denominator_factor``).  The numerator factor P_phi is r copies of one
+polynomial E_beta, whose coefficients are integers over one denominator
+den, and its degree-k coefficient lies over den^r M^k, where
+x_j / v = c_j / M with c_j and M integers.  The denominator factor P_wedge2
+is the product over i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q,
+so its Y^2k coefficient is entry k of the convolution of the two-term
+lists [1, -q^2 y_i y_j], over (pB)^2k.
 
 The torus sum reads each weight of the data once, from the data's flat
 terms: the degree-l coefficient walks only the weights of trace l, through
@@ -50,9 +49,17 @@ once per weight (``mode.schur``), and the mode's ``_torus_sum`` is the one
 place where it enters: symbolic mode adds each numerator product x * y
 into one packed-key accumulator at s_lam's key k plus e + w (v^w being the
 weight's v-power) and normalizes once; evaluation mode sums
-x v^(e + w) s_lam(point) as ints over one denominator.  Every coefficient
-of the series products and of the inverse of P_wedge2 is likewise one sum
-of products, formed in one accumulator and normalized once.
+x v^(e + w) s_lam(point) as ints over one denominator.
+
+Symbolic mode forms xi = P_phi psi / P_wedge2 by passes over psi.  P_phi
+is the product of the r series E_beta(v^-1 X_j Y), 1 / P_wedge2 that of
+the r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, and every
+Y-coefficient of these is one term, so a product with one of them shifts
+the keys of psi's coefficients (``TruncSeries._term_mul``): no series is
+inverted and no P_phi formed.  The symbolic unramified check takes the
+same r passes for P_phi psi, and ``numerator_factor`` and
+``denominator_factor`` are passes over the unit series.  Evaluation mode
+multiplies by its integer convolutions and the series inverse of P_wedge2.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -112,31 +119,55 @@ class SymbolicMode:
         once (``SymLaurent._shifted_dot``)."""
         return self._zero._shifted_dot(weights, den)
 
-    def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
-        """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k: the product
-        of r series whose coefficients are the monomials
-        (e_k / den) v^-k X_j^k; exact, or known through Y-degree trunc."""
-        r = self.r
-        factors = []
+    def _phi_times(
+        self, series: TruncSeries, e: list[int], den: int, trunc: int | None
+    ) -> TruncSeries:
+        """series times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
+        through Y-degree trunc or exactly: one pass of shifts per j, by the
+        series whose Y^k coefficient is the one term (e_k / den) v^-k X_j^k."""
+        r, top = self.r, None if trunc is None else trunc + 1
         for j in range(r):
-            coeffs = {}
-            for k, x in enumerate(e[: None if trunc is None else trunc + 1]):
-                exps = (0,) * j + (k,) + (0,) * (r - 1 - j)
-                coeffs[k] = SymLaurent.monomial(r, exps, VLaurent({-k: Fraction(x, den)}))
-            factors.append(TruncSeries(coeffs, trunc, self.zero()))
-        return functools.reduce(operator.mul, factors) if factors else unit_series(self)
+            terms = {
+                k: (tuple(k if i == j else 0 for i in range(r)), -k, x)
+                for k, x in enumerate(e[:top])
+            }
+            series = series._term_mul(self._term_series(terms, den, trunc))
+        return series
 
-    def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
-        """prod_{i<j} (1 - v^-2 X_i X_j Y^2): the product of r(r-1)/2
-        two-term series; exact, or known through Y-degree trunc."""
+    def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
+        """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k, exact or
+        known through Y-degree trunc: ``_phi_times`` of the unit series."""
+        return self._phi_times(TruncSeries({0: self._one}, trunc, self._zero), e, den, trunc)
+
+    def _wedge2_passes(self, series: TruncSeries, trunc: int | None, inverse: bool) -> TruncSeries:
+        """series times prod_{i<j} (1 - u_ij Y^2), u_ij = v^-2 X_i X_j, or
+        with inverse over it, through Y-degree trunc: one pass of shifts per
+        pair, by 1 - u_ij Y^2 or by its inverse sum_k u_ij^k Y^2k."""
         r = self.r
-        out = TruncSeries({0: self._one}, trunc, self._zero)
         for i in range(r):
             for j in range(i + 1, r):
-                e = tuple(1 if k in (i, j) else 0 for k in range(r))
-                quad = SymLaurent.monomial(r, e, VLaurent({-2: -1}))
-                out = out * TruncSeries({0: self._one, 2: quad}, trunc, self._zero)
-        return out
+                pair = tuple(1 if a in (i, j) else 0 for a in range(r))
+                if inverse:
+                    terms = {
+                        2 * k: (tuple(k * a for a in pair), -2 * k, 1)
+                        for k in range(trunc // 2 + 1)
+                    }
+                else:
+                    terms = {0: ((0,) * r, 0, 1), 2: (pair, -2, -1)}
+                series = series._term_mul(self._term_series(terms, 1, trunc))
+        return series
+
+    def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
+        """prod_{i<j} (1 - v^-2 X_i X_j Y^2), exact or known through
+        Y-degree trunc: ``_wedge2_passes`` of the unit series."""
+        return self._wedge2_passes(TruncSeries({0: self._one}, trunc, self._zero), trunc, False)
+
+    def _term_series(self, terms: dict, den: int, trunc: int | None) -> TruncSeries:
+        """The series whose Y^k coefficient is the one term x / den X^exps
+        v^e, for terms {k: (exps, e, x)}; a zero x gives none."""
+        r = self.r
+        coeffs = {k: SymLaurent._of_terms(r, [term], den) for k, term in terms.items() if term[2]}
+        return TruncSeries(coeffs, trunc, self._zero)
 
 
 class EvaluationMode:
@@ -356,6 +387,15 @@ def p_phi_pi(beta, n: int, r: int, mode: Mode, trunc: int | None = None) -> Trun
     return mode.numerator_factor(*e_beta(beta), trunc)
 
 
+def _times_p_phi(series: TruncSeries, beta, n: int, mode: Mode, trunc: int) -> TruncSeries:
+    """P_phi times series through Y-degree trunc, with beta checked as in
+    ``p_phi_pi``: in symbolic mode r passes of shifts, with no P_phi
+    formed; in evaluation mode a product with ``p_phi_pi``."""
+    if isinstance(mode, SymbolicMode):
+        return mode._phi_times(series, *e_beta(_satake(beta, n)), trunc)
+    return p_phi_pi(beta, n, mode.r, mode, trunc) * series
+
+
 def p_wedge2(r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
     """Denominator local factor: prod over i < j of (1 - v^{-2} X_i X_j Y^2).
     Exact polynomial of Y-degree r(r-1), equal to 1 when r = 1, or, given
@@ -385,8 +425,9 @@ class XiResult:
     """Outcome of the normalized series computation.
 
     ``poly`` is the value at Y = 1 (meaningful when ``stabilized``);
-    ``stabilized`` records that the final ``window`` coefficients below the
-    truncation order all vanish.
+    ``stabilized`` records that the ``window`` coefficients of degrees
+    trunc - window + 1 through trunc, the truncation order included, all
+    vanish.
     """
 
     n: int
@@ -436,9 +477,13 @@ def xi(
     factor), truncated at ``trunc``.
 
     The numerator factor comes from ``beta`` (unramified parameters); without
-    it the factor is 1.
-    If the coefficients do not vanish on the final ``window`` degrees the
-    result is flagged as not stabilized rather than raising.
+    it the factor is 1.  In symbolic mode ``psi_series`` takes one pass of
+    shifts per factor E_beta(v^-1 X_j Y) (``_times_p_phi``) and per factor
+    of 1 / P_wedge2, with nothing inverted and no P_phi formed (see the
+    module docstring); evaluation mode multiplies by P_phi and the inverse
+    of P_wedge2.
+    If the coefficients of degrees trunc - window + 1 through trunc do not
+    all vanish the result is flagged as not stabilized rather than raising.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
@@ -450,10 +495,13 @@ def xi(
     trunc = default_trunc(d, n, r, window) if trunc is None else trunc
     if trunc < window:
         raise ValueError("truncation order must be at least the window")
-    psi = psi_series(d, n, r, trunc, mode)
-    p_phi = p_phi_pi(beta, n, r, mode, trunc) if beta is not None else unit_series(mode)
-    b = p_wedge2(r, mode, trunc).invert(trunc)
-    series = p_phi * psi * b
+    series = psi_series(d, n, r, trunc, mode)
+    if beta is not None:
+        series = _times_p_phi(series, beta, n, mode, trunc)
+    if isinstance(mode, SymbolicMode):
+        series = mode._wedge2_passes(series, trunc, True)
+    else:
+        series = series * p_wedge2(r, mode, trunc).invert(trunc)
     stabilized = all(series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1))
     poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)
