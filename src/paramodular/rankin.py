@@ -51,15 +51,17 @@ into one packed-key accumulator at s_lam's key k plus e + w (v^w being the
 weight's v-power) and normalizes once; evaluation mode sums
 x v^(e + w) s_lam(point) as ints over one denominator.
 
-Symbolic mode forms xi = P_phi psi / P_wedge2 by passes over psi.  P_phi
-is the product of the r series E_beta(v^-1 X_j Y), 1 / P_wedge2 that of
-the r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, and every
-Y-coefficient of these is one term, so a product with one of them shifts
-the keys of psi's coefficients (``TruncSeries._term_mul``): no series is
-inverted and no P_phi formed.  The symbolic unramified check takes the
-same r passes for P_phi psi, and ``numerator_factor`` and
-``denominator_factor`` are passes over the unit series.  Evaluation mode
-multiplies by its integer convolutions and the series inverse of P_wedge2.
+xi = P_phi psi / P_wedge2 is formed by products with psi.  P_phi is the
+product of the r series E_beta(v^-1 X_j Y), and 1 / P_wedge2 that of the
+r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, each cut at
+trunc.  Symbolic mode multiplies psi by the r factors of P_phi one at a
+time, so no P_phi is formed (``_phi_times``); evaluation mode by its one
+convolution.  Both modes then multiply by the geometric series
+(``_over_p_wedge2``), so no series is inverted.  In symbolic mode every
+Y-coefficient of these factors is one term, whose product with a Laurent
+value shifts its keys, and every coefficient of a series product is one
+sum of products, formed in one accumulator and normalized once.  The symbolic unramified
+check takes the same r products for P_phi psi.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -123,51 +125,38 @@ class SymbolicMode:
         self, series: TruncSeries, e: list[int], den: int, trunc: int | None
     ) -> TruncSeries:
         """series times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
-        through Y-degree trunc or exactly: one pass of shifts per j, by the
-        series whose Y^k coefficient is the one term (e_k / den) v^-k X_j^k."""
+        exact or known through Y-degree trunc: one product per j, with the
+        series whose Y^k coefficient is the one term (e_k / den) v^-k X_j^k,
+        so that no P_phi is formed."""
         r, top = self.r, None if trunc is None else trunc + 1
+        sign = -1 if den < 0 else 1  # den is a product of signed p q
         for j in range(r):
-            terms = {
-                k: (tuple(k if i == j else 0 for i in range(r)), -k, x)
+            coeffs = {
+                k: SymLaurent._of_terms(
+                    r, [((0,) * j + (k,) + (0,) * (r - 1 - j), -k, sign * x)], sign * den
+                )
                 for k, x in enumerate(e[:top])
+                if x
             }
-            series = series._term_mul(self._term_series(terms, den, trunc))
+            series = series * TruncSeries(coeffs, trunc, self._zero)
         return series
 
     def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
         """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k, exact or
         known through Y-degree trunc: ``_phi_times`` of the unit series."""
-        return self._phi_times(TruncSeries({0: self._one}, trunc, self._zero), e, den, trunc)
-
-    def _wedge2_passes(self, series: TruncSeries, trunc: int | None, inverse: bool) -> TruncSeries:
-        """series times prod_{i<j} (1 - u_ij Y^2), u_ij = v^-2 X_i X_j, or
-        with inverse over it, through Y-degree trunc: one pass of shifts per
-        pair, by 1 - u_ij Y^2 or by its inverse sum_k u_ij^k Y^2k."""
-        r = self.r
-        for i in range(r):
-            for j in range(i + 1, r):
-                pair = tuple(1 if a in (i, j) else 0 for a in range(r))
-                if inverse:
-                    terms = {
-                        2 * k: (tuple(k * a for a in pair), -2 * k, 1)
-                        for k in range(trunc // 2 + 1)
-                    }
-                else:
-                    terms = {0: ((0,) * r, 0, 1), 2: (pair, -2, -1)}
-                series = series._term_mul(self._term_series(terms, 1, trunc))
-        return series
+        return self._phi_times(unit_series(self), e, den, trunc)
 
     def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
-        """prod_{i<j} (1 - v^-2 X_i X_j Y^2), exact or known through
-        Y-degree trunc: ``_wedge2_passes`` of the unit series."""
-        return self._wedge2_passes(TruncSeries({0: self._one}, trunc, self._zero), trunc, False)
-
-    def _term_series(self, terms: dict, den: int, trunc: int | None) -> TruncSeries:
-        """The series whose Y^k coefficient is the one term x / den X^exps
-        v^e, for terms {k: (exps, e, x)}; a zero x gives none."""
+        """prod_{i<j} (1 - v^-2 X_i X_j Y^2): the product of r(r-1)/2
+        two-term series; exact, or known through Y-degree trunc."""
         r = self.r
-        coeffs = {k: SymLaurent._of_terms(r, [term], den) for k, term in terms.items() if term[2]}
-        return TruncSeries(coeffs, trunc, self._zero)
+        out = TruncSeries({0: self._one}, trunc, self._zero)
+        for i in range(r):
+            for j in range(i + 1, r):
+                e = tuple(1 if k in (i, j) else 0 for k in range(r))
+                quad = SymLaurent.monomial(r, e, VLaurent({-2: -1}))
+                out = out * TruncSeries({0: self._one, 2: quad}, trunc, self._zero)
+        return out
 
 
 class EvaluationMode:
@@ -243,6 +232,13 @@ class EvaluationMode:
                 coeffs[k] = Fraction(x, scale)
             scale *= m
         return TruncSeries(coeffs, trunc, self.zero())
+
+    def _phi_times(
+        self, series: TruncSeries, e: list[int], den: int, trunc: int | None
+    ) -> TruncSeries:
+        """series times prod_j E(x_j Y / v) at the point, exact or known
+        through Y-degree trunc: one product with ``numerator_factor``."""
+        return self.numerator_factor(e, den, trunc) * series
 
     def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
         """prod_{i<j} (1 - v^-2 x_i x_j Y^2) at the point, exact or known
@@ -389,11 +385,8 @@ def p_phi_pi(beta, n: int, r: int, mode: Mode, trunc: int | None = None) -> Trun
 
 def _times_p_phi(series: TruncSeries, beta, n: int, mode: Mode, trunc: int) -> TruncSeries:
     """P_phi times series through Y-degree trunc, with beta checked as in
-    ``p_phi_pi``: in symbolic mode r passes of shifts, with no P_phi
-    formed; in evaluation mode a product with ``p_phi_pi``."""
-    if isinstance(mode, SymbolicMode):
-        return mode._phi_times(series, *e_beta(_satake(beta, n)), trunc)
-    return p_phi_pi(beta, n, mode.r, mode, trunc) * series
+    ``p_phi_pi``: the mode's ``_phi_times``."""
+    return mode._phi_times(series, *e_beta(_satake(beta, n)), trunc)
 
 
 def p_wedge2(r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
@@ -403,6 +396,22 @@ def p_wedge2(r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
     return mode.denominator_factor(trunc)
+
+
+def _over_p_wedge2(series: TruncSeries, mode: Mode, trunc: int) -> TruncSeries:
+    """series / P_wedge2 through Y-degree trunc: one product per pair
+    i < j, with the inverse sum_k u^k Y^2k of the factor 1 - u Y^2,
+    u = v^-2 X_i X_j; no series is inverted."""
+    r = mode.r
+    for i in range(r):
+        for j in range(i + 1, r):
+            exps = tuple(1 if k in (i, j) else 0 for k in range(r))
+            u = mode.lift(SymLaurent.monomial(r, exps, VLaurent({-2: 1})))
+            coeffs, power = {}, mode.one()
+            for k in range(0, trunc + 1, 2):
+                coeffs[k], power = power, power * u
+            series = series * TruncSeries(coeffs, trunc, mode.zero())
+    return series
 
 
 @dataclasses.dataclass
@@ -477,11 +486,11 @@ def xi(
     factor), truncated at ``trunc``.
 
     The numerator factor comes from ``beta`` (unramified parameters); without
-    it the factor is 1.  In symbolic mode ``psi_series`` takes one pass of
-    shifts per factor E_beta(v^-1 X_j Y) (``_times_p_phi``) and per factor
-    of 1 / P_wedge2, with nothing inverted and no P_phi formed (see the
-    module docstring); evaluation mode multiplies by P_phi and the inverse
-    of P_wedge2.
+    it the factor is 1.  ``psi_series`` is multiplied by the factors of
+    P_phi (``_times_p_phi``; in symbolic mode one factor E_beta(v^-1 X_j Y)
+    at a time, so no P_phi is formed) and by the geometric series of
+    1 / P_wedge2 (``_over_p_wedge2``), so nothing is inverted; see the
+    module docstring.
     If the coefficients of degrees trunc - window + 1 through trunc do not
     all vanish the result is flagged as not stabilized rather than raising.
     """
@@ -498,10 +507,7 @@ def xi(
     series = psi_series(d, n, r, trunc, mode)
     if beta is not None:
         series = _times_p_phi(series, beta, n, mode, trunc)
-    if isinstance(mode, SymbolicMode):
-        series = mode._wedge2_passes(series, trunc, True)
-    else:
-        series = series * p_wedge2(r, mode, trunc).invert(trunc)
+    series = _over_p_wedge2(series, mode, trunc)
     stabilized = all(series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1))
     poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)

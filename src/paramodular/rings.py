@@ -1026,50 +1026,6 @@ class TruncSeries:
                     pairs.setdefault(k, []).append((x1, x2))
         return TruncSeries({k: _dot(p, self.zero) for k, p in pairs.items()}, t, self.zero)
 
-    def _term_mul(self, factor: "TruncSeries") -> "TruncSeries":
-        """The product with factor, as ``__mul__`` gives it, for Laurent
-        coefficients and a factor whose every coefficient is one term
-        c X^a v^e: the terms of degree m - k go to degree m at their keys
-        plus that of factor's Y^k term, all of degree m's products into one
-        integer accumulator over the lcm of their denominators, normalized
-        once, each product's bound (its operand's plus the term's) through
-        ``_checked``.  ValueError if a factor coefficient is not one term."""
-        t = self._horizon(factor)
-        zero, a = self.zero, self.coeffs
-        bias = _bias(zero.r)
-        terms = []
-        for k, c in sorted(factor.coeffs.items()):
-            c = zero._coerced(c)
-            if len(c.num) != 1:
-                raise ValueError("a factor coefficient is not a single term")
-            ((key, x),) = c.num.items()
-            terms.append((k, key - bias, x, c))
-        top = max(a, default=-1) + (terms[-1][0] if terms else -1)
-        out = {}
-        for m in range(top + 1 if t is None else min(top, t) + 1):
-            parts = [(a[m - k], s, x, c) for k, s, x, c in terms if m - k in a]
-            if not parts:
-                continue
-            den = math.lcm(*[b.den * c.den for b, _, _, c in parts])
-            acc: dict[int, int] = {}
-            bound = 0
-            for b, s, x, c in parts:
-                size = b._bound + c._bound
-                if size > bound:
-                    bound = max(bound, _checked(size, b, c))
-                x *= den // (b.den * c.den)
-                if acc:
-                    for k, y in b.num.items():
-                        k += s
-                        acc[k] = get(k, 0) + y * x
-                else:  # the first product: no two keys meet
-                    acc = {k + s: y * x for k, y in b.num.items()}
-                    get = acc.get
-            num = {k: y for k, y in acc.items() if y}
-            if num:
-                out[m] = zero._normal(zero.r, num, den, bound)
-        return TruncSeries(out, t, zero)
-
     def invert(self, trunc: int) -> "TruncSeries":
         """Inverse series through the requested order; the constant
         coefficient must be exactly 1, and is the inverse's too."""

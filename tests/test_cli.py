@@ -281,16 +281,11 @@ def test_the_eta_lemma_draws_no_point(monkeypatch):
 
 
 def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatch):
-    # symbolic xi passes psi through the r factors of P_phi and the
-    # geometric factors of 1 / P_wedge2, and symbolic unramified through
-    # the r factors of P_phi, one pass of shifts each: no series is
-    # inverted, P_phi is never formed and no two series are multiplied
-    calls = {"invert": 0, "__mul__": 0, "numerator_factor": 0}
-    for owner, name in (
-        (rings.TruncSeries, "invert"),
-        (rings.TruncSeries, "__mul__"),
-        (SymbolicMode, "numerator_factor"),
-    ):
+    # xi multiplies psi by the r factors of P_phi and by the geometric
+    # inverses of the factors of P_wedge2, and symbolic unramified by the r
+    # factors of P_phi: no series is inverted and P_phi is never formed
+    calls = {"invert": 0, "numerator_factor": 0}
+    for owner, name in ((rings.TruncSeries, "invert"), (SymbolicMode, "numerator_factor")):
 
         def spy(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             calls[_name] += 1
@@ -302,11 +297,14 @@ def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatc
     assert report.all_passed and xi_calls == {"xi": 3}
     report = run_suite(VerifyConfig(suite="unramified", mode="symbolic", trials=1))
     assert report.all_passed and len(report.cases) == 6
-    # three pairs i < j, so three geometric passes
+    # three pairs i < j, so three geometric factors; in both modes
     beta = (Fraction(2), Fraction(-3, 5), Fraction(7, 4))
-    res = xi(spherical_so_data(beta, 3, 6), 3, 3, beta=beta, trunc=6)
-    assert res.stabilized and res.poly == 1
-    assert calls == {"invert": 0, "__mul__": 0, "numerator_factor": 0}
+    d = spherical_so_data(beta, 3, 6)
+    point = EvaluationMode(3, (Fraction(1, 2), Fraction(-3), Fraction(5, 7)), Fraction(-2, 3))
+    for mode in (None, point):
+        res = xi(d, 3, 3, beta=beta, mode=mode, trunc=6)
+        assert res.stabilized and res.poly == 1
+    assert calls == {"invert": 0, "numerator_factor": 0}
 
 
 def _doubled_at_2e1(beta, n, trunc):

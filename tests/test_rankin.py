@@ -426,6 +426,59 @@ def test_evaluation_p_wedge2_is_the_symbolic_product_at_the_point():
                     assert max(got.coeffs) == r * (r - 1)
 
 
+def _random_series(rng: random.Random, mode, trunc: int) -> TruncSeries:
+    """A series through trunc whose coefficients have one to four
+    X-monomials with exponents in -3..3, each over a v-part of one to three
+    terms; in evaluation mode, their values at the point."""
+    r = mode.r
+    coeffs = {}
+    for k in rng.sample(range(10), rng.randint(0, 5)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            v_part = {rng.randint(-4, 4): F(rng.randint(-9, 9), rng.randint(1, 6))}
+            for _ in range(rng.randint(0, 2)):
+                v_part[rng.randint(-4, 4)] = F(rng.randint(-9, 9), rng.randint(1, 6))
+            terms[tuple(rng.randint(-3, 3) for _ in range(r))] = VLaurent(v_part)
+        coeffs[k] = mode.lift(SymLaurent(r, terms))
+    return TruncSeries(coeffs, trunc, mode.zero())
+
+
+def test_factor_passes_match_the_dense_products():
+    # times P_phi by its r factors E_beta(v^-1 X_j Y), against the 2nr
+    # linear factors; over P_wedge2 by the geometric inverses of its
+    # factors, against the series inverse of P_wedge2
+    rng = random.Random("factor-passes")
+    for r in range(1, 5):
+        beta = random_beta(rng, r)
+        point = EvaluationMode(r, random_point(rng, r), random_v(rng))
+        for mode in (SymbolicMode(r), point):
+            for trunc in range(10):
+                a = _random_series(rng, mode, trunc)
+                want = a
+                for j, b in itertools.product(range(r), beta):
+                    xj = [int(i == j) for i in range(r)]
+                    for root in (b, 1 / b):
+                        lin = mode.lift(SymLaurent.monomial(r, xj, VLaurent({-1: -root})))
+                        want = want * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
+                got = rankin._times_p_phi(a, beta, r, mode, trunc)
+                assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
+                want = a * p_wedge2(r, mode, trunc).invert(trunc)
+                got = rankin._over_p_wedge2(a, mode, trunc)
+                assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
+
+
+def test_factor_passes_keep_the_field_limit():
+    limit, mode = rings._LIMIT, SymbolicMode(2)
+    # X_1 past the limit in the Y^1 term of E_beta(v^-1 X_1 Y), v past it
+    # in the Y^2 term of 1 / (1 - v^-2 X_1 X_2 Y^2)
+    top = SymLaurent.monomial(2, (limit, 0))
+    low = SymLaurent.monomial(2, (0, 0), VLaurent({1 - limit: 1}))
+    with pytest.raises(OverflowError):
+        rankin._times_p_phi(TruncSeries({0: top}, 4, mode.zero()), BETA2, 2, mode, 4)
+    with pytest.raises(OverflowError):
+        rankin._over_p_wedge2(TruncSeries({0: low}, 4, mode.zero()), mode, 4)
+
+
 def test_factors_truncated_at_trunc_give_the_exact_xi():
     # xi builds P_phi and P_wedge2 only through its trunc; the series, its
     # value and its verdict are those of the exact factors

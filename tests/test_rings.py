@@ -770,71 +770,6 @@ def test_series_product_and_inverse_match_the_pairwise_oracles():
     check()
 
 
-def _random_sym(rng: random.Random, r: int, size: int) -> SymLaurent:
-    """Up to size X-monomials with exponents in -3..3, each over a v-part of
-    one to three terms with exponents in -4..4 and small rational
-    coefficients."""
-    coeffs = {}
-    for _ in range(size):
-        exps = tuple(rng.randint(-3, 3) for _ in range(r))
-        v_part = {}
-        for _ in range(rng.randint(1, 3)):
-            v_part[rng.randint(-4, 4)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        coeffs[exps] = VLaurent(v_part)
-    return SymLaurent(r, coeffs)
-
-
-def _term_factor(rng: random.Random, r: int, trunc: int | None) -> TruncSeries:
-    """A series whose every coefficient is one term c X^a v^e, a with
-    negative entries, written out as a series."""
-    coeffs = {}
-    for k in rng.sample(range(10), rng.randint(1, 6)):
-        exps = tuple(rng.randint(-4, 4) for _ in range(r))
-        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 8))
-        coeffs[k] = SymLaurent.monomial(r, exps, VLaurent({rng.randint(-5, 5): c}))
-    return TruncSeries(coeffs, trunc, SymLaurent.zero(r))
-
-
-def test_single_term_factor_passes_match_the_series_product():
-    rng = random.Random("term-mul")
-    horizons = [None, *range(10)]
-    for r in range(1, 5):
-        zero = SymLaurent.zero(r)
-        for t1, t2 in itertools.product(horizons, repeat=2):
-            degrees = rng.sample(range(10), rng.randint(0, 5))
-            a = TruncSeries({k: _random_sym(rng, r, rng.randint(1, 4)) for k in degrees}, t1, zero)
-            f = _term_factor(rng, r, t2)
-            got, want = a._term_mul(f), a * f
-            assert _same_series(got, want), (r, t1, t2)
-            assert all(_is_normal(x) for x in got.coeffs.values())
-    # the factor is written out in single terms, or refused
-    a = TruncSeries({0: SymLaurent.one(2)}, None, SymLaurent.zero(2))
-    two = TruncSeries({1: SymLaurent(2, {(1, 0): 1, (0, 1): 1})}, None, SymLaurent.zero(2))
-    with pytest.raises(ValueError, match="single term"):
-        a._term_mul(two)
-
-
-def test_single_term_passes_keep_the_field_limit():
-    zero = SymLaurent.zero(2)
-    start = SymLaurent(2, {(1, -2): 1, (0, 1): VLaurent({2: 3, -1: Fraction(1, 2)})})
-    term = SymLaurent.monomial(2, (2, -1), VLaurent({-2: 5}))
-    step = TruncSeries({0: SymLaurent.one(2), 1: term}, None, zero)
-    # a tracked bound at the limit whose true exponents are at most 2 is
-    # re-read from the keys and accepted
-    loose = start * 1
-    loose._bound = LIMIT
-    got = TruncSeries({0: loose, 3: start}, None, zero)._term_mul(step)
-    assert _same_series(got, TruncSeries({0: start, 3: start}, None, zero) * step)
-    assert loose._bound == 2
-    # a shift that moves an exponent past the limit raises
-    top = SymLaurent.monomial(2, (LIMIT - 1, 0), VLaurent({0: 1}))
-    low = TruncSeries({2: SymLaurent.monomial(2, (0, 0), VLaurent({-LIMIT: 1}))}, None, zero)
-    for factor in (step, low):
-        with pytest.raises(OverflowError):
-            TruncSeries({0: top + start}, None, zero)._term_mul(factor)
-            pytest.fail("a value past the field limit was returned")
-
-
 def test_json_round_trips():
     hyp, st, settings = _hypothesis()
 
