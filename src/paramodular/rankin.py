@@ -31,7 +31,7 @@ integers h_m(y) = B^m h_m(x), and each s_lam(point) is the integer
 Jacobi-Trudi determinant of those numbers over B^|core|, times the twist
 of a negative lam_r, by the rule that also gives the numeric symplectic
 characters.  Evaluation mode builds both local factors from the same
-integers, as one integer convolution each (``numerator_factor`` and
+integers, as one integer convolution each (``_phi_times`` and
 ``denominator_factor``).  The numerator factor P_phi is r copies of one
 polynomial E_beta, whose coefficients are integers over one denominator
 den, and its degree-k coefficient lies over den^r M^k, where
@@ -60,8 +60,8 @@ convolution.  Both modes then multiply by the geometric series
 (``_over_p_wedge2``), so no series is inverted.  In symbolic mode every
 Y-coefficient of these factors is one term, whose product with a Laurent
 value shifts its keys, and every coefficient of a series product is one
-sum of products, formed in one accumulator and normalized once.  The symbolic unramified
-check takes the same r products for P_phi psi.
+sum of products, formed in one accumulator and normalized once.  The
+unramified check takes the same products with P_phi for P_phi psi.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -121,34 +121,27 @@ class SymbolicMode:
         once (``SymLaurent._shifted_dot``)."""
         return self._zero._shifted_dot(weights, den)
 
-    def _phi_times(
-        self, series: TruncSeries, e: list[int], den: int, trunc: int | None
-    ) -> TruncSeries:
+    def _phi_times(self, series: TruncSeries, e: list[int], den: int, trunc: int) -> TruncSeries:
         """series times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
-        exact or known through Y-degree trunc: one product per j, with the
-        series whose Y^k coefficient is the one term (e_k / den) v^-k X_j^k,
-        so that no P_phi is formed."""
-        r, top = self.r, None if trunc is None else trunc + 1
+        through Y-degree trunc: one product per j, with the series whose
+        Y^k coefficient is the one term (e_k / den) v^-k X_j^k, so that no
+        P_phi is formed."""
+        r = self.r
         sign = -1 if den < 0 else 1  # den is a product of signed p q
         for j in range(r):
             coeffs = {
                 k: SymLaurent._of_terms(
                     r, [((0,) * j + (k,) + (0,) * (r - 1 - j), -k, sign * x)], sign * den
                 )
-                for k, x in enumerate(e[:top])
+                for k, x in enumerate(e[: trunc + 1])
                 if x
             }
             series = series * TruncSeries(coeffs, trunc, self._zero)
         return series
 
-    def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
-        """prod_j E(v^-1 X_j Y) for E(t) = sum_k (e_k / den) t^k, exact or
-        known through Y-degree trunc: ``_phi_times`` of the unit series."""
-        return self._phi_times(unit_series(self), e, den, trunc)
-
-    def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
-        """prod_{i<j} (1 - v^-2 X_i X_j Y^2): the product of r(r-1)/2
-        two-term series; exact, or known through Y-degree trunc."""
+    def denominator_factor(self, trunc: int) -> TruncSeries:
+        """prod_{i<j} (1 - v^-2 X_i X_j Y^2) through Y-degree trunc: the
+        product of r(r-1)/2 two-term series."""
         r = self.r
         out = TruncSeries({0: self._one}, trunc, self._zero)
         for i in range(r):
@@ -208,19 +201,18 @@ class EvaluationMode:
             total += part * s.numerator * (lcm // s.denominator)
         return Fraction(total, den * lcm * p**-lo * q**hi)
 
-    def numerator_factor(self, e: list[int], den: int, trunc: int | None = None) -> TruncSeries:
-        """prod_j E(x_j Y / v) at the point for E(t) = sum_k (e_k / den) t^k,
-        exact or known through Y-degree trunc.  With x_j / v = c_j / M,
-        c_j = y_j v_den and M = B v_num, the degree-k coefficient is entry k
-        of the integer convolution of the r lists [e_0 c_j^0, e_1 c_j^1,
-        ...], over den^r M^k; entries past trunc are never formed."""
-        top = None if trunc is None else trunc + 1
+    def _phi_times(self, series: TruncSeries, e: list[int], den: int, trunc: int) -> TruncSeries:
+        """series times prod_j E(x_j Y / v) at the point, E(t) = sum_k
+        (e_k / den) t^k, through Y-degree trunc.  With x_j / v = c_j / M,
+        c_j = y_j v_den and M = B v_num, the factor's degree-k coefficient
+        is entry k of the integer convolution of the r lists [e_0 c_j^0,
+        e_1 c_j^1, ...], over den^r M^k; entries past trunc are never
+        formed.  Then one product with series."""
         total = [1]
         for y in self._table.y:
             c = y * self.v_value.denominator
-            row = [x * c**k for k, x in enumerate(e[:top])]
-            size = len(total) + len(row) - 1
-            conv = [0] * (size if top is None else min(size, top))
+            row = [x * c**k for k, x in enumerate(e[: trunc + 1])]
+            conv = [0] * min(len(total) + len(row) - 1, trunc + 1)
             for a, x in enumerate(total):
                 for b, z in enumerate(row[: len(conv) - a]):
                     conv[a + b] += x * z
@@ -231,28 +223,20 @@ class EvaluationMode:
             if x:
                 coeffs[k] = Fraction(x, scale)
             scale *= m
-        return TruncSeries(coeffs, trunc, self.zero())
+        return TruncSeries(coeffs, trunc, self.zero()) * series
 
-    def _phi_times(
-        self, series: TruncSeries, e: list[int], den: int, trunc: int | None
-    ) -> TruncSeries:
-        """series times prod_j E(x_j Y / v) at the point, exact or known
-        through Y-degree trunc: one product with ``numerator_factor``."""
-        return self.numerator_factor(e, den, trunc) * series
-
-    def denominator_factor(self, trunc: int | None = None) -> TruncSeries:
-        """prod_{i<j} (1 - v^-2 x_i x_j Y^2) at the point, exact or known
-        through Y-degree trunc.  With x = y / B and v = p / q, factor (i, j)
-        is 1 - q^2 y_i y_j (Y / pB)^2, so the Y^2k coefficient is entry k of
+    def denominator_factor(self, trunc: int) -> TruncSeries:
+        """prod_{i<j} (1 - v^-2 x_i x_j Y^2) at the point through Y-degree
+        trunc.  With x = y / B and v = p / q, factor (i, j) is
+        1 - q^2 y_i y_j (Y / pB)^2, so the Y^2k coefficient is entry k of
         the integer convolution of the two-term lists [1, -q^2 y_i y_j],
         over (pB)^2k; entries past trunc are never formed."""
-        top = None if trunc is None else trunc // 2
         y, q = self._table.y, self.v_value.denominator
         total = [1]
         for i in range(self.r):
             for j in range(i + 1, self.r):
                 c = -q * q * y[i] * y[j]
-                if top is None or len(total) <= top:
+                if len(total) <= trunc // 2:
                     total.append(0)
                 for k in range(len(total) - 1, 0, -1):
                     total[k] += c * total[k - 1]
@@ -266,10 +250,6 @@ class EvaluationMode:
 
 
 Mode = SymbolicMode | EvaluationMode
-
-
-def unit_series(mode: Mode) -> TruncSeries:
-    return TruncSeries({0: mode.one()}, None, mode.zero())
 
 
 def _check_ranks(d: WhittakerData, n: int, r: int, mode: Mode) -> None:
@@ -371,28 +351,20 @@ def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return e, den
 
 
-def p_phi_pi(beta, n: int, r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
-    """Numerator local factor: prod over j <= r, i <= n, both signs, of
-    (1 - beta_i^{+-1} v^{-1} X_j Y), that is P_phi = prod_j E_beta(v^{-1}
-    X_j Y) with E_beta from ``e_beta``.  Exact polynomial of Y-degree 2nr
-    with constant coefficient 1, or, given trunc, that polynomial known
-    through Y-degree trunc, with no coefficient past it formed."""
-    beta = _satake(beta, n)
-    if mode.r != r:
-        raise ValueError("mode variable count differs from r")
-    return mode.numerator_factor(*e_beta(beta), trunc)
-
-
 def _times_p_phi(series: TruncSeries, beta, n: int, mode: Mode, trunc: int) -> TruncSeries:
-    """P_phi times series through Y-degree trunc, with beta checked as in
-    ``p_phi_pi``: the mode's ``_phi_times``."""
+    """The numerator local factor P_phi times series through Y-degree
+    trunc: P_phi is the product over j <= r, i <= n, both signs, of
+    (1 - beta_i^{+-1} v^{-1} X_j Y), that is prod_j E_beta(v^{-1} X_j Y)
+    with E_beta from ``e_beta``, a polynomial of Y-degree 2nr with
+    constant coefficient 1.  ValueError unless beta has n entries, all
+    nonzero; the product is the mode's ``_phi_times``."""
     return mode._phi_times(series, *e_beta(_satake(beta, n)), trunc)
 
 
-def p_wedge2(r: int, mode: Mode, trunc: int | None = None) -> TruncSeries:
-    """Denominator local factor: prod over i < j of (1 - v^{-2} X_i X_j Y^2).
-    Exact polynomial of Y-degree r(r-1), equal to 1 when r = 1, or, given
-    trunc, that polynomial known through Y-degree trunc."""
+def p_wedge2(r: int, mode: Mode, trunc: int) -> TruncSeries:
+    """Denominator local factor: prod over i < j of (1 - v^{-2} X_i X_j Y^2),
+    a polynomial of Y-degree r(r-1), equal to 1 when r = 1, known through
+    Y-degree trunc."""
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
     return mode.denominator_factor(trunc)

@@ -6,7 +6,8 @@ and the nested view ``c``; a series' ``coeffs``, ``trunc`` and ``zero``),
 so that they check the flat store and the series kernel from outside
 rather than through their own rules.  The series oracles form every
 coefficient one product and one sum at a time.  ``unpacked`` alone reads
-the store itself, for the tests of its layout.
+the store itself, for the tests of its layout.  ``unit_series`` is the
+exact series 1 in a mode's ring.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ def laurent_product(a, b) -> dict[tuple[int, ...], Fraction]:
             e = tuple(map(operator.add, e1, e2))
             out[e] = out.get(e, 0) + f1 * f2
     return {e: f for e, f in out.items() if f}
+
+
+def unit_series(mode) -> TruncSeries:
+    return TruncSeries({0: mode.one()}, None, mode.zero())
 
 
 def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:

@@ -29,10 +29,12 @@ from paramodular.cli import (
     main,
     run_suite,
 )
-from paramodular.rankin import EvaluationMode, SymbolicMode, psi_series, unit_series, xi
+from paramodular.rankin import EvaluationMode, SymbolicMode, psi_series, xi
 from paramodular.rings import SymLaurent, VLaurent
 from paramodular.sampling import case_rng, random_beta, random_point, random_v
 from paramodular.whittaker import WhittakerData, eta_data, spherical_so_data, theta_data
+
+from laurent_oracles import unit_series
 
 BETA2 = (Fraction(2), Fraction(3, 2))
 
@@ -283,15 +285,22 @@ def test_the_eta_lemma_draws_no_point(monkeypatch):
 def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatch):
     # xi multiplies psi by the r factors of P_phi and by the geometric
     # inverses of the factors of P_wedge2, and symbolic unramified by the r
-    # factors of P_phi: no series is inverted and P_phi is never formed
-    calls = {"invert": 0, "numerator_factor": 0}
-    for owner, name in ((rings.TruncSeries, "invert"), (SymbolicMode, "numerator_factor")):
+    # factors of P_phi: no series is inverted and P_phi is never formed,
+    # which _phi_times would do if it were given the unit series
+    calls = {"invert": 0, "_phi_times": 0, "_phi_times of 1": 0}
+    invert, phi_times = rings.TruncSeries.invert, SymbolicMode._phi_times
 
-        def spy(*args, _name=name, _fn=getattr(owner, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def spy_invert(*args):
+        calls["invert"] += 1
+        return invert(*args)
 
-        monkeypatch.setattr(owner, name, spy)
+    def spy_phi_times(self, series, *args):
+        calls["_phi_times"] += 1
+        calls["_phi_times of 1"] += series.coeffs == {0: self.one()}
+        return phi_times(self, series, *args)
+
+    monkeypatch.setattr(rings.TruncSeries, "invert", spy_invert)
+    monkeypatch.setattr(SymbolicMode, "_phi_times", spy_phi_times)
     xi_calls = spy_on(monkeypatch, "xi")
     report = run_suite(VerifyConfig(suite="fe", trials=1))
     assert report.all_passed and xi_calls == {"xi": 3}
@@ -304,7 +313,8 @@ def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatc
     for mode in (None, point):
         res = xi(d, 3, 3, beta=beta, mode=mode, trunc=6)
         assert res.stabilized and res.poly == 1
-    assert calls == {"invert": 0, "numerator_factor": 0}
+    # one pass per symbolic xi (three in fe, one here) and unramified case
+    assert calls == {"invert": 0, "_phi_times": 10, "_phi_times of 1": 0}
 
 
 def _doubled_at_2e1(beta, n, trunc):

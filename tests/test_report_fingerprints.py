@@ -2,20 +2,25 @@
 
 Each suite's JSON report at its default config, with every ``elapsed_ms``
 removed, and the ``compare-bases`` report for each supported gap are pinned
-by SHA-256.  A refactor that keeps these hashes keeps every verdict,
-witness, echoed parameter and serialized polynomial byte for byte.  A change
-that is meant to alter the output must update the hashes and say why.
+by SHA-256, as are the symbolic ``unramified`` report and the ``xi`` output
+for spherical rank-three data and for one random rank-two datum.  A
+refactor that keeps these hashes keeps every verdict, witness, echoed
+parameter and serialized polynomial byte for byte.  A change that is meant
+to alter the output must update the hashes and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from paramodular.cli import VerifyConfig, emit, run_suite
+from paramodular.cli import VerifyConfig, emit, main, run_suite
 from paramodular.oldforms import compare_bases
+from paramodular.sampling import case_rng, random_whittaker_data
+from paramodular.whittaker import spherical_so_data
 
 SUITE_SHA256 = {
     "unramified": "065f2a6aa84ece3a0fbb71a22aeb72ab8835e37618162206880b051be13a1d96",
@@ -38,19 +43,56 @@ COMPARE_BASES_SHA256 = {
     4: "e6498b9febe7aa674d1e2a8fe1fcadfbddac66f0e1ce112ac9d9a306f79f0168",
 }
 
+SYMBOLIC_UNRAMIFIED_SHA256 = "c15425b4b4d2ef9c249f9828bc6fa2790ac6f7af163fc46513eb2d7819416abf"
+
+# xi output for: spherical n = 3 data of BETA3 cut at trace 8, and one
+# random n = 2 datum, with and without a beta
+BETA3 = (Fraction(2), Fraction(-3, 5), Fraction(7, 4))
+XI_SHA256 = {
+    "spherical-3": "0879bf8f761f2cead5b849a21768c95bf56399c681362dcf8239d29d1b3fe4f5",
+    "random-2": "c871b6950cf663ad9d3284971323aa4f103a0de2517e82232ef39e8dbfa3fca9",
+    "random-2-beta": "67d068583417496345b9ce37b8f4cd9670eea4a75499b668bfb3082f3e0cddb7",
+}
+XI_ARGV = {
+    "spherical-3": ["--r", "3", "--beta", "2,-3/5,7/4", "--trunc", "8"],
+    "random-2": ["--r", "2"],
+    "random-2-beta": ["--r", "2", "--beta", "2,-3/5"],
+}
+
 
 def sha256_of(blob) -> str:
     text = json.dumps(blob, indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("suite", sorted(SUITE_SHA256))
-def test_suite_report_fingerprint(suite):
-    report = json.loads(emit(run_suite(VerifyConfig(suite=suite)), "json"))
+def report_sha256(config: VerifyConfig) -> str:
+    report = json.loads(emit(run_suite(config), "json"))
     assert report["all_passed"]
     for case in report["cases"]:
         del case["elapsed_ms"]
-    assert sha256_of(report) == SUITE_SHA256[suite]
+    return sha256_of(report)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_SHA256))
+def test_suite_report_fingerprint(suite):
+    assert report_sha256(VerifyConfig(suite=suite)) == SUITE_SHA256[suite]
+
+
+def test_symbolic_unramified_report_fingerprint():
+    config = VerifyConfig(suite="unramified", mode="symbolic")
+    assert report_sha256(config) == SYMBOLIC_UNRAMIFIED_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(XI_SHA256))
+def test_xi_output_fingerprint(case, tmp_path, capsys):
+    if case == "spherical-3":
+        d = spherical_so_data(BETA3, 3, 8)
+    else:
+        d = random_whittaker_data(case_rng(0, "xi-fingerprint"), 2)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(d.to_json()))
+    assert main(["xi", "--data", str(path), *XI_ARGV[case]]) == 0
+    assert sha256_of(json.loads(capsys.readouterr().out)) == XI_SHA256[case]
 
 
 @pytest.mark.parametrize("gap", sorted(COMPARE_BASES_SHA256))
