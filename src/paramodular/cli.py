@@ -104,8 +104,8 @@ def _apply_move(op: str, d: WhittakerData) -> WhittakerData:
     return globals()[_MOVES[op][0]](d)
 
 
-# the values of options left unset; no suite reads window, reports only echo it
-_OPTION_DEFAULTS = {"trunc": 8, "window": 4, "seed": 42, "mode": "evaluation"}
+# the values of options left unset
+_OPTION_DEFAULTS = {"trunc": 8, "seed": 42, "mode": "evaluation"}
 
 
 @dataclasses.dataclass
@@ -118,7 +118,6 @@ class VerifyConfig:
     n: int | None = None
     r: int | None = None
     trunc: int | None = None
-    window: int | None = None
     trials: int | None = None
     seed: int | None = None
     mode: str | None = None
@@ -187,7 +186,8 @@ class Report:
             "schema": "paramodular-report/1",
             "version": __version__,
             "suite": self.suite,
-            "config": dataclasses.asdict(self.config),
+            # no suite reads a window; ROADMAP item 19 drops it with schema 2
+            "config": {**dataclasses.asdict(self.config), "window": 4},
             "total": len(self.cases),
             "passed": sum(c.verdict for c in self.cases),
             "failed": sum(not c.verdict for c in self.cases),
@@ -210,10 +210,10 @@ def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None
 _IMAGE_DEGREE = 2
 
 
-def _image_xi(d: WhittakerData, r: int, beta, trunc: int, **kwargs):
+def _image_xi(d: WhittakerData, r: int, beta, trunc: int, level: int = 0):
     """xi of an n = 2 image, stabilized when degrees 3..trunc vanish; xi
     needs that window to be 2 wide, so trunc >= _IMAGE_DEGREE + 2."""
-    return xi(d, 2, r, beta=beta, trunc=trunc, window=trunc - _IMAGE_DEGREE, **kwargs)
+    return xi(d, 2, r, beta=beta, trunc=trunc, window=trunc - _IMAGE_DEGREE, level=level)
 
 
 def _series_factor(factor: SymLaurent) -> TruncSeries:
@@ -424,7 +424,7 @@ def _prop4_run(cfg: VerifyConfig, params: dict):
     sph = spherical_so_data(beta, 2, cfg.trunc)
     d = _apply_move(check.removeprefix("xi-specialize-"), sph)
     full = _image_xi(d, 2, beta, cfg.trunc)
-    low = _image_xi(d, 1, beta, cfg.trunc, mode=SymbolicMode(1))
+    low = _image_xi(d, 1, beta, cfg.trunc)
     spec = specialize_last(full)
     if not (spec.poly == low.poly):
         return echo, {"expected": str(low.poly), "got": str(spec.poly)}

@@ -35,10 +35,6 @@ def sup_norm(lam: Coweight) -> int:
     return max((abs(x) for x in lam), default=0)
 
 
-def trace(lam: Coweight) -> int:
-    return sum(lam)
-
-
 def tilde(lam: Coweight) -> Coweight:
     """Negate the last entry (the outer automorphism on the type D cone)."""
     if not lam:

@@ -432,11 +432,6 @@ class VLaurent(_Laurent):
         # q = v**2, so half-integral q-powers never appear.
         return VLaurent({2 * k: 1})
 
-    def shifted(self, k: int) -> "VLaurent":
-        """The product with v**k, as a shift of the keys."""
-        bound = _checked(self._bound + abs(k), self)
-        return self._wrap(0, {e + k: x for e, x in self.num.items()}, self.den, bound)
-
     @property
     def c(self) -> Mapping[int, Fraction]:
         """Read-only map from v-exponents to nonzero Fractions, built afresh
@@ -795,21 +790,6 @@ class SymLaurent(_Laurent):
     def to_json(self) -> list[dict]:
         return [{"exponents": list(e), "coeff": x.to_json()} for e, x in sorted(self.c.items())]
 
-    @staticmethod
-    def from_json(data: Iterable[Mapping], r: int) -> "SymLaurent":
-        """The inverse of ``to_json``.  An exponent must be a JSON integer
-        (not a float, a boolean or a string), and no two terms may share
-        their exponents, so that no value is rounded or dropped."""
-        coeffs = {}
-        for term in data:
-            e = tuple(term["exponents"])
-            if any(type(a) is not int for a in e):
-                raise TypeError(f"expected integer exponents, got {list(e)!r}")
-            if e in coeffs:
-                raise ValueError(f"repeated exponents {list(e)}")
-            coeffs[e] = VLaurent.from_json(term["coeff"])
-        return SymLaurent(r, coeffs)
-
     def __str__(self) -> str:
         if not self.num:
             return "0"
@@ -1028,7 +1008,9 @@ class TruncSeries:
 
     def invert(self, trunc: int) -> "TruncSeries":
         """Inverse series through the requested order; the constant
-        coefficient must be exactly 1, and is the inverse's too."""
+        coefficient must be exactly 1, and is the inverse's too.  Nothing
+        in src calls it; the tests' oracles and ``bench/tracer.py``'s
+        METHODS name it, and ROADMAP item 15 removes it after item 1b."""
         one = self.get(0)
         if not (one == 1):
             raise ValueError("series inversion needs constant coefficient 1")

@@ -9,6 +9,8 @@ import enum
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -57,9 +59,11 @@ def test_verify_config_validation():
         with pytest.raises(ValueError, match=f"suite {suite} needs trunc >= 4, got 3"):
             VerifyConfig(suite=suite, trunc=3)
         assert VerifyConfig(suite=suite, trunc=4).trunc == 4
-    # no suite reads a window: the image suites derive theirs from trunc
+    # no suite reads a window: the image suites derive theirs from trunc,
+    # and a run has no window to set
+    assert "window" not in {f.name for f in dataclasses.fields(VerifyConfig)}
     for suite in cli._SUITES:
-        with pytest.raises(ValueError, match=f"suite {suite} does not read --window"):
+        with pytest.raises(TypeError, match="window"):
             VerifyConfig(suite=suite, window=4)
     with pytest.raises(ValueError):
         VerifyConfig(suite="dims", trials=0)
@@ -72,7 +76,9 @@ def test_verify_config_validation():
         VerifyConfig(suite="gsp4-raising", trunc=-1)
     cfg = VerifyConfig(suite="kernel")
     assert cfg.trials == 50  # suite default fills in
-    assert (cfg.trunc, cfg.window, cfg.seed, cfg.mode) == (8, 4, 42, "evaluation")
+    assert (cfg.trunc, cfg.seed, cfg.mode) == (8, 42, "evaluation")
+    # the schema-1 report still echoes the window that no suite reads
+    assert Report("kernel", cfg, [])._header()["config"]["window"] == 4
     # a suite that reads no window takes a truncation below the default one
     assert VerifyConfig(suite="gsp4-raising", trunc=3).trunc == 3
 
@@ -118,6 +124,27 @@ def test_window_is_not_an_option_of_verify(suite, capsys):
         main(["verify", suite, "--window", "4"])
     assert info.value.code == 2
     assert "unrecognized arguments: --window 4" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # README's command lines, those of its sh blocks and its one-line inline
+    # spans, parsed as main parses them; a verify line also builds its
+    # config, which refuses an option the suite does not read.  Nothing runs.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    shown = [line for block in blocks for line in block.splitlines() if line.startswith("paramodular ")]
+    inline = re.findall(r"`(paramodular [a-z][^`\n]*)`", text)
+    assert len(shown) >= 14 and inline
+    parser = cli.build_parser()
+    fields = dataclasses.fields(VerifyConfig)
+    for line in shown + inline:
+        argv = cli._join_signed_values(shlex.split(line, comments=True)[1:])
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        if args.command == "verify":
+            VerifyConfig(**{f.name: getattr(args, f.name, None) for f in fields})
 
 
 SMOKE_CONFIGS = [

@@ -159,9 +159,9 @@ def test_public_surface_is_what_the_verifier_uses():
         if not name.startswith("_") and getattr(obj, "__module__", None) == rings.__name__
     }
     assert defined == {"SymLaurent", "TruncSeries", "VLaurent", "poly_div_exact", "vlaurent_div_exact"}
-    shared = {"c", "den", "evaluate", "from_json", "num", "one", "r", "to_json", "zero"}
+    shared = {"c", "den", "evaluate", "num", "one", "r", "to_json", "zero"}
     surfaces = {
-        VLaurent: shared | {"q_power", "shifted", "v_power"},
+        VLaurent: shared | {"from_json", "q_power", "v_power"},
         SymLaurent: shared
         | {"constant", "invert_all_vars", "monomial", "restrict"}
         | {"substitute_last_zero"},
@@ -177,23 +177,15 @@ def test_symlaurent_evaluate_matches_hand_expansion():
     assert val == Fraction(4) * 6 + Fraction(1, 2)
 
 
+def _from_terms(terms: list[dict], r: int) -> SymLaurent:
+    """A SymLaurent rebuilt from its to_json terms: no command reads
+    SymLaurent JSON, so this only shows that to_json loses nothing."""
+    return SymLaurent(r, {tuple(t["exponents"]): VLaurent.from_json(t["coeff"]) for t in terms})
+
+
 def test_symlaurent_json_round_trip():
     a = SymLaurent(2, {(1, -2): VLaurent({-1: Fraction(3, 4)}), (0, 0): VLaurent.one()})
-    assert SymLaurent.from_json(a.to_json(), 2) == a
-
-
-def test_symlaurent_from_json_rejects_repeated_exponents():
-    # the second term used to replace the first: this read as 2*X1
-    terms = [{"exponents": [1], "coeff": {"0": "1"}}, {"exponents": [1], "coeff": {"0": "2"}}]
-    with pytest.raises(ValueError, match="repeated exponents"):
-        SymLaurent.from_json(terms, 1)
-
-
-def test_symlaurent_from_json_rejects_non_integer_exponents():
-    # int() used to read 1.5 as 1 and True as 1
-    for bad in ([1.5], [1.0], [True], ["1"], [0, None]):
-        with pytest.raises(TypeError, match="integer exponents"):
-            SymLaurent.from_json([{"exponents": bad, "coeff": {"0": "1"}}], len(bad))
+    assert _from_terms(a.to_json(), 2) == a
 
 
 @pytest.mark.parametrize(
@@ -584,8 +576,7 @@ def test_shift_and_flat_constants_match_the_general_forms():
     @settings
     @hyp.given(_vlaurents(st), _coeff(st), shifts, st.integers(min_value=0, max_value=3))
     def check(x, f, k, r):
-        assert x.shifted(k) == x * VLaurent.v_power(k)
-        assert _plain(x.shifted(k)) == _nested_mul(_plain(x), {(): {k: Fraction(1)}})
+        assert _plain(x * VLaurent.v_power(k)) == _nested_mul(_plain(x), {(): {k: Fraction(1)}})
         for c in (x, f, f.numerator):
             const = SymLaurent.constant(r, c)
             assert const == SymLaurent(r, {(0,) * r: c}) and _is_normal(const)
@@ -777,7 +768,7 @@ def test_json_round_trips():
     @hyp.given(_sym_triples(st), _vlaurents(st))
     def check(abc, x):
         a = abc[0]
-        assert SymLaurent.from_json(json.loads(json.dumps(a.to_json())), a.r) == a
+        assert _from_terms(json.loads(json.dumps(a.to_json())), a.r) == a
         back = VLaurent.from_json(json.loads(json.dumps(x.to_json())))
         assert back == x and _is_normal(back)
 
@@ -831,7 +822,7 @@ def test_vlaurent_values_have_the_flat_normal_form():
     @settings
     @hyp.given(_vlaurents(st), _vlaurents(st), st.integers(min_value=-3, max_value=3))
     def check(x, y, k):
-        results = [x + y, x * y, -x, x - y, x.shifted(k), (x * Fraction(1, 3)) * 3]
+        results = [x + y, x * y, -x, x - y, x * VLaurent.v_power(k), (x * Fraction(1, 3)) * 3]
         if y:
             results.append(vlaurent_div_exact(x * y, y))
         for got in results:
@@ -899,14 +890,13 @@ def test_exponents_at_the_field_limit_and_one_past_it():
     top = VLaurent.v_power(LIMIT)
     assert dict(top.c) == {LIMIT: 1} and top * 3 == VLaurent({LIMIT: 3})
     assert VLaurent.v_power(LIMIT - 1) * VLaurent.v_power(1) == top
-    assert VLaurent.v_power(LIMIT - 1).shifted(1) == top
     assert VLaurent.v_power(1) ** LIMIT == top
     assert VLaurent.from_json(top.to_json()) == top
     low = VLaurent({-LIMIT: Fraction(1, 2)})
     assert low * (VLaurent.one() + 2) == VLaurent({-LIMIT: Fraction(3, 2)})
     corner = SymLaurent(2, {(LIMIT, -LIMIT): low, (-LIMIT, LIMIT): 3, (0, 0): top})
     assert unpacked(corner) == {(LIMIT, -LIMIT, -LIMIT): 1, (-LIMIT, LIMIT, 0): 6, (0, 0, LIMIT): 2}
-    assert corner.den == 2 and SymLaurent.from_json(corner.to_json(), 2) == corner
+    assert corner.den == 2 and _from_terms(corner.to_json(), 2) == corner
     assert corner.invert_all_vars().invert_all_vars() == corner
     assert corner * Fraction(2, 3) + corner * Fraction(1, 3) == corner
     assert corner.evaluate((1, 1), 1) == Fraction(1, 2) + 3 + 1
@@ -923,7 +913,7 @@ def test_exponents_at_the_field_limit_and_one_past_it():
         "SymLaurent constructor": lambda: SymLaurent(2, {(0, past): 1}),
         "negative X-exponent": lambda: SymLaurent(2, {(-past, 0): VLaurent.one()}),
         "VLaurent.from_json": lambda: VLaurent.from_json({str(past): "1"}),
-        "SymLaurent.from_json": lambda: SymLaurent.from_json(
+        "SymLaurent from JSON": lambda: _from_terms(
             [{"exponents": [past, 0], "coeff": {"0": "1"}}], 2
         ),
         "term product": lambda: top * VLaurent.v_power(1),
@@ -931,8 +921,7 @@ def test_exponents_at_the_field_limit_and_one_past_it():
         "SymLaurent product": lambda: corner * SymLaurent.monomial(2, (1, 0)),
         "power": lambda: VLaurent.v_power(1) ** past,
         "square": lambda: (top + 1) ** 2,
-        "shift up": lambda: top.shifted(1),
-        "shift down": lambda: low.shifted(-1),
+        "term product below": lambda: low * VLaurent.v_power(-1),
     }
     for name, build in overflowing.items():
         with pytest.raises(OverflowError):
@@ -963,7 +952,7 @@ def test_a_bound_that_ran_ahead_is_reread_from_the_keys():
     y = inflated(start * 1)
     assert y * two == start * two and y._bound == 2
     v = VLaurent({1: 1, -2: 3})
-    assert inflated(v * 1).shifted(5) == v.shifted(5)
+    assert inflated(v * 1) * VLaurent.v_power(5) == v * VLaurent.v_power(5)
     series = TruncSeries({0: inflated(start * 1), 1: inflated(two * 1)}, None, SymLaurent.zero(2))
     plain = TruncSeries({0: start, 1: two}, None, SymLaurent.zero(2))
     assert (series * series).coeffs == (plain * plain).coeffs
@@ -973,7 +962,7 @@ def test_a_bound_that_ran_ahead_is_reread_from_the_keys():
     overflowing = {
         "term product": lambda: inflated(start * 1) * top,
         "sum of products": lambda: inflated(start * 1) * (top + two),
-        "shift": lambda: inflated(VLaurent.v_power(-3) * 1).shifted(-LIMIT),
+        "shift": lambda: inflated(VLaurent.v_power(-3) * 1) * VLaurent.v_power(-LIMIT),
         "chain": lambda: functools.reduce(operator.mul, [VLaurent.v_power(1000)] * 33),
     }
     for name, build in overflowing.items():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from paramodular.characters import sp_character, sp_character_value
-from paramodular.coweights import Cone, enumerate_cone, is_dominant, trace
+from paramodular.coweights import Cone, enumerate_cone, is_dominant
 from paramodular.rings import SymLaurent, VLaurent, poly_div_exact
 from paramodular.sampling import random_whittaker_data
 from paramodular.whittaker import (
@@ -61,10 +61,10 @@ def test_gl_whittaker_vanishes_off_cone():
 
 
 def test_homogeneity_check():
-    # X_i -> c X_i scales the value by c^{trace(lam)}
+    # X_i -> c X_i scales the value by c^{sum(lam)}
     for lam in [(0, 0), (2, 0), (3, 1), (2, -1)]:
-        assert is_homogeneous(gl_whittaker(lam, 2), trace(lam)), lam
-    assert is_homogeneous(gl_whittaker((2, 1, 0), 3), trace((2, 1, 0)))
+        assert is_homogeneous(gl_whittaker(lam, 2), sum(lam)), lam
+    assert is_homogeneous(gl_whittaker((2, 1, 0), 3), sum((2, 1, 0)))
 
 
 def test_whittaker_data_validation():
@@ -210,7 +210,7 @@ def test_spherical_data_matches_the_symbolic_characters():
     for n, betas in points.items():
         for beta in betas:
             for cutoff in range(9 if n < 4 else 6):
-                weights = [lam for lam in enumerate_cone(Cone.G, n, cutoff) if trace(lam) <= cutoff]
+                weights = [lam for lam in enumerate_cone(Cone.G, n, cutoff) if sum(lam) <= cutoff]
                 want = {}
                 for lam in weights:
                     x = sp_character(lam, n).evaluate(beta, Fraction(1))
@@ -354,6 +354,6 @@ def test_trace_index_agrees_with_items():
                         assert exps == sorted(set(exps))
                         assert all(type(x) is int and x for _, x in terms)
                         got.append((lam, VLaurent({e: Fraction(x, data.gen.den) for e, x in terms})))
-                    want = [(lam, x) for lam, x in data.items() if trace(lam) == ell]
+                    want = [(lam, x) for lam, x in data.items() if sum(lam) == ell]
                     assert got == want
-                assert set(index) == {trace(lam) for lam in data.support}
+                assert set(index) == {sum(lam) for lam in data.support}
