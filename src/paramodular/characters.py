@@ -27,11 +27,11 @@ the Leibniz sign table (``_leibniz``).  Every numeric character is one
 rule, ``_jacobi_trudi``: a Jacobi-Trudi determinant, Koike-Terada's in
 type C, of the integers h_m(y) = B^m h_m(z) of an ``_HTable``, where B is
 the lcm of the point's denominators and y = B z, over one power of B.  The
-integer determinant (``_jacobi_trudi_det``) is taken by fraction-free
-Bareiss elimination (``_det``), O(k^3) for k rows.  Its rows follow one
-row rule, ``_jacobi_trudi_row``: the row of shift a = lam_i - i holds
-h_{a+j}(y), plus B^{2j} h_{a-j}(y) in type C, so it depends on the
-shift alone.  Schur values read the table of the point
+integer determinant (``_jacobi_trudi_det``, ``_det``) is written out for
+k <= 3 rows and taken by fraction-free Bareiss elimination, O(k^3), for
+more.  Its rows follow one row rule, ``_jacobi_trudi_row``: the row of
+shift a = lam_i - i holds h_{a+j}(y), plus B^{2j} h_{a-j}(y) in type C,
+so it depends on the shift alone.  Schur values read the table of the point
 (:func:`_schur_value`, for :class:`paramodular.rankin.EvaluationMode`);
 :func:`sp_character_value` reads the table of the 2n values
 beta_j^{+-1}, and :func:`paramodular.whittaker.spherical_so_data` builds
@@ -71,14 +71,25 @@ def _leibniz(k: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
 
 
 def _det(entries: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Gaussian
-    elimination (Bareiss, Math. Comp. 22, 1968): after step i every entry
-    below and right of the pivot is a minor of the matrix, so each
-    division by the previous pivot is exact.  A zero pivot is replaced by
-    a row below it with a nonzero entry in its column, flipping the sign;
-    if there is none the determinant is 0.  The empty matrix gives 1."""
+    """Determinant of a square integer matrix, which is left unchanged.  Up
+    to 3 rows it is written out: 1 for the empty matrix, the entry at k = 1,
+    ad - bc at k = 2 and the cofactor expansion along the first row at
+    k = 3.  From 4 rows on it is fraction-free Gaussian elimination
+    (Bareiss, Math. Comp. 22, 1968): after step i every entry below and
+    right of the pivot is a minor of the matrix, so each division by the
+    previous pivot is exact.  A zero pivot is replaced by a row below it
+    with a nonzero entry in its column, flipping the sign; if there is none
+    the determinant is 0."""
+    k = len(entries)
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = entries
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if k == 2:
+        (a, b), (c, d) = entries
+        return a * d - b * c
+    if k < 2:
+        return entries[0][0] if k else 1
     m = [list(row) for row in entries]
-    k = len(m)
     sign, prev = 1, 1
     for i in range(k - 1):
         pivot_row = m[i]
@@ -97,7 +108,7 @@ def _det(entries: list[list[int]]) -> int:
             for j in range(i + 1, k):
                 row[j] = (p * row[j] - x * pivot_row[j]) // prev
         prev = p
-    return sign * m[-1][-1] if k else 1
+    return sign * m[-1][-1]
 
 
 def _alternant(mu: list[int], signs: tuple[int, ...]) -> SymLaurent:

@@ -32,13 +32,15 @@ Jacobi-Trudi determinant of those numbers over B^|core|, times the twist
 of a negative lam_r, by the rule that also gives the numeric symplectic
 characters.  Evaluation mode builds both local factors from the same
 integers, as one integer convolution each (``_phi_times`` and
-``denominator_factor``).  The numerator factor P_phi is r copies of one
-polynomial E_beta, whose coefficients are integers over one denominator
-den, and its degree-k coefficient lies over den^r M^k, where
-x_j / v = c_j / M with c_j and M integers.  The denominator factor P_wedge2
-is the product over i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q,
-so its Y^2k coefficient is entry k of the convolution of the two-term
-lists [1, -q^2 y_i y_j], over (pB)^2k.
+``denominator_factor``), and ``_phi_times`` takes the product of that
+convolution with psi as one integer sum per degree, so no P_phi series is
+formed.  The numerator factor P_phi is r copies of one polynomial E_beta,
+whose coefficients are integers over one denominator den, and its
+degree-k coefficient lies over den^r M^k, where x_j / v = c_j / M with
+c_j and M integers.  The denominator factor P_wedge2 is the product over
+i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q, so its Y^2k
+coefficient is entry k of the convolution of the two-term lists
+[1, -q^2 y_i y_j], over (pB)^2k.
 
 The torus sum reads each weight of the data once, from the data's flat
 terms: the degree-l coefficient walks only the weights of trace l, through
@@ -55,13 +57,14 @@ xi = P_phi psi / P_wedge2 is formed by products with psi.  P_phi is the
 product of the r series E_beta(v^-1 X_j Y), and 1 / P_wedge2 that of the
 r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, each cut at
 trunc.  Symbolic mode multiplies psi by the r factors of P_phi one at a
-time, so no P_phi is formed (``_phi_times``); evaluation mode by its one
-convolution.  Both modes then multiply by the geometric series
-(``_over_p_wedge2``), so no series is inverted.  In symbolic mode every
-Y-coefficient of these factors is one term, whose product with a Laurent
-value shifts its keys, and every coefficient of a series product is one
-sum of products, formed in one accumulator and normalized once.  The
-unramified check takes the same products with P_phi for P_phi psi.
+time, so no P_phi is formed (``_phi_times``); evaluation mode sums its
+one convolution against psi, degree by degree.  Both modes then multiply
+by the geometric series (``_over_p_wedge2``), so no series is inverted.
+In symbolic mode every Y-coefficient of these factors is one term, whose
+product with a Laurent value shifts its keys, and every coefficient of a
+series product is one sum of products, formed in one accumulator and
+normalized once.  The unramified check takes the same products with P_phi
+for P_phi psi.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -205,25 +208,36 @@ class EvaluationMode:
         """series times prod_j E(x_j Y / v) at the point, E(t) = sum_k
         (e_k / den) t^k, through Y-degree trunc.  With x_j / v = c_j / M,
         c_j = y_j v_den and M = B v_num, the factor's degree-k coefficient
-        is entry k of the integer convolution of the r lists [e_0 c_j^0,
-        e_1 c_j^1, ...], over den^r M^k; entries past trunc are never
-        formed.  Then one product with series."""
+        is entry k of the integer convolution conv of the r lists [e_0 c_j^0,
+        e_1 c_j^1, ...], over den^r M^k.  With the series' coefficients
+        a_l / b_l over their lcm L, degree k of the product is the one
+        integer sum over l of conv[k - l] M^l a_l (L / b_l), over
+        den^r M^k L: no P_phi is formed, and nothing past the product's
+        horizon, min(trunc, series.trunc), is."""
+        t = trunc if series.trunc is None else min(trunc, series.trunc)
         total = [1]
         for y in self._table.y:
             c = y * self.v_value.denominator
-            row = [x * c**k for k, x in enumerate(e[: trunc + 1])]
-            conv = [0] * min(len(total) + len(row) - 1, trunc + 1)
+            row = [x * c**k for k, x in enumerate(e[: t + 1])]
+            conv = [0] * min(len(total) + len(row) - 1, t + 1)
             for a, x in enumerate(total):
                 for b, z in enumerate(row[: len(conv) - a]):
                     conv[a + b] += x * z
             total = conv
         m = self._table.den * self.v_value.numerator
-        coeffs, scale = {}, den**self.r
-        for k, x in enumerate(total):
+        psi = [(ell, x) for ell, x in series.coeffs.items() if ell <= t]
+        lcm = math.lcm(*[x.denominator for _, x in psi])
+        acc = [0] * (t + 1)
+        for ell, x in psi:
+            a = x.numerator * (lcm // x.denominator) * m**ell
+            for j, c in enumerate(total[: t + 1 - ell]):
+                acc[ell + j] += c * a
+        coeffs, scale = {}, den**self.r * lcm
+        for k, x in enumerate(acc):
             if x:
                 coeffs[k] = Fraction(x, scale)
             scale *= m
-        return TruncSeries(coeffs, trunc, self.zero()) * series
+        return TruncSeries(coeffs, t, self.zero())
 
     def denominator_factor(self, trunc: int) -> TruncSeries:
         """prod_{i<j} (1 - v^-2 x_i x_j Y^2) at the point through Y-degree
@@ -259,10 +273,12 @@ def _check_ranks(d: WhittakerData, n: int, r: int, mode: Mode) -> None:
         raise ValueError("rank mismatch between data, n and mode")
 
 
+@functools.cache
 def _torus_weight(lam: Coweight, n: int, r: int) -> tuple[Coweight, int] | None:
     """How a weight of the data enters the rank-r torus sum: None for a
     nonzero tail lam_(r+1).., else its head lam_1..lam_r and the v-power w
-    of its term, the GL_r modulus exponent plus the twist trace * (2n-r-1)."""
+    of its term, the GL_r modulus exponent plus the twist trace * (2n-r-1).
+    Worked out once per (lam, n, r) per process."""
     if any(lam[r:]):
         return None
     head = lam[:r]

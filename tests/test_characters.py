@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -157,6 +159,36 @@ def test_bareiss_det_matches_the_leibniz_oracle():
         assert _det(rows) == leibniz_int_det(rows)
 
     check()
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_det_matches_the_leibniz_oracle_at_every_size(k):
+    """The written-out forms (k <= 3) and elimination (k >= 4) against the
+    Leibniz sum, on random ints of both signs, a zero leading pivot, a zero
+    first column, a zero row and a row that is a combination of the
+    others; the argument is left as it was."""
+    rng = random.Random(f"det-{k}")
+
+    def draw():
+        return [[rng.randint(-10**4, 10**4) for _ in range(k)] for _ in range(k)]
+
+    cases = [draw() for _ in range(30)]
+    if k:
+        pivot, column, zero_row = draw(), draw(), draw()
+        pivot[0][0] = 0
+        for row in column:
+            row[0] = 0
+        zero_row[rng.randrange(k)] = [0] * k
+        cases += [pivot, column, zero_row]
+    if k > 1:
+        combination = draw()
+        weights = [rng.randint(-3, 3) for _ in range(k - 1)]
+        combination[-1] = [sum(map(operator.mul, weights, col)) for col in zip(*combination[:-1])]
+        cases.append(combination)
+    for matrix in cases:
+        rows = [list(row) for row in matrix]
+        assert _det(matrix) == leibniz_int_det(rows), matrix
+        assert matrix == rows
 
 
 def test_schur_rejects_non_dominant():

@@ -472,6 +472,32 @@ def test_factor_passes_match_the_dense_products():
                 assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
 
 
+def test_evaluation_phi_times_keeps_the_product_horizon(monkeypatch):
+    # the per-degree integer sum of evaluation mode, on series known through
+    # no horizon, a lower, a higher one and on the empty series, against the
+    # dense product with the 2nr linear factors; it forms no series product
+    rng = random.Random("phi-times-horizon")
+    for r in range(1, 4):
+        beta = random_beta(rng, r)
+        mode = EvaluationMode(r, random_point(rng, r), random_v(rng))
+        for trunc in range(8):
+            for own in (None, max(trunc - 2, 0), trunc + 3):
+                coeffs = _random_series(rng, mode, 9).coeffs
+                for a in (TruncSeries(coeffs, own, mode.zero()), TruncSeries({}, own, mode.zero())):
+                    want = TruncSeries({0: mode.one()}, trunc, mode.zero()) * a
+                    for j, b in itertools.product(range(r), beta):
+                        xj = [int(i == j) for i in range(r)]
+                        for root in (b, 1 / b):
+                            lin = mode.lift(SymLaurent.monomial(r, xj, VLaurent({-1: -root})))
+                            want = want * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
+                    with monkeypatch.context() as patch:
+                        patch.setattr(TruncSeries, "__mul__", None)
+                        got = rankin._times_p_phi(a, beta, r, mode, trunc)
+                    horizon = trunc if own is None else min(trunc, own)
+                    assert (got.trunc, got.coeffs) == (horizon, want.coeffs), (r, trunc, own)
+                    assert all(got.coeffs.values())
+
+
 def test_factor_passes_keep_the_field_limit():
     limit, mode = rings._LIMIT, SymbolicMode(2)
     # X_1 past the limit in the Y^1 term of E_beta(v^-1 X_1 Y), v past it
