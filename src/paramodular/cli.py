@@ -278,7 +278,8 @@ def _random_data(rng, n: int) -> WhittakerData:
     return random_whittaker_data(rng, n, max_norm=1 if n >= 3 else 2)
 
 
-def _unramified_cases(cfg: VerifyConfig) -> list[dict]:
+def _rank_cases(cfg: VerifyConfig) -> list[dict]:
+    """A case per trial at each rank pair n <= 3, r <= n, or those asked for."""
     return [
         {"n": n, "r": r, "trial": t}
         for n, r in _ranks(cfg, [1, 2, 3])
@@ -301,6 +302,21 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     lhs = _times_p_phi(psi_series(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
     echo = {**params, "beta": [str(b) for b in beta]}
     return echo, _first_mismatch(lhs, p_wedge2(r, mode, cfg.trunc), cfg.trunc)
+
+
+def _psi_modes_run(cfg: VerifyConfig, params: dict):
+    """Evaluation psi_series against symbolic psi_series lifted to the same
+    point, degree by degree through trunc, on random data: each mode's
+    torus sum and Schur values checked against the other's."""
+    n, r, t = params["n"], params["r"], params["trial"]
+    rng = case_rng(cfg.seed, f"psi-modes:{n}:{r}:{t}")
+    d = _random_data(rng, n)
+    mode = EvaluationMode(r, random_point(rng, r), random_v(rng))
+    got = psi_series(d, n, r, cfg.trunc, mode)
+    symbolic = psi_series(d, n, r, cfg.trunc, SymbolicMode(r))
+    lifted = TruncSeries({k: mode.lift(c) for k, c in symbolic.coeffs.items()}, cfg.trunc, mode.zero())
+    echo = {**params, "point": [str(x) for x in mode.point], "v": str(mode.v_value)}
+    return echo, _first_mismatch(got, lifted, cfg.trunc)
 
 
 def _gsp4_cases(cfg: VerifyConfig) -> list[dict]:
@@ -650,9 +666,8 @@ class _Suite:
 # trace, and only unramified takes a mode
 _DRAWS = ("trials", "seed")
 _SUITES = {
-    "unramified": _Suite(
-        _unramified_cases, _unramified_run, 20, ("n", "r", "trunc", "mode", *_DRAWS)
-    ),
+    "unramified": _Suite(_rank_cases, _unramified_run, 20, ("n", "r", "trunc", "mode", *_DRAWS)),
+    "psi-modes": _Suite(_rank_cases, _psi_modes_run, 20, ("n", "r", "trunc", *_DRAWS)),
     "gsp4-raising": _Suite(_gsp4_cases, _gsp4_run, 100, ("trunc", *_DRAWS)),
     "eta-lemma": _Suite(_eta_lemma_cases, _eta_lemma_run, 50, ("n", "trunc", *_DRAWS)),
     "dims": _Suite(_dims_cases, _dims_run, 1, ("n", "max_gap")),

@@ -56,15 +56,15 @@ x v^(e + w) s_lam(point) as ints over one denominator.
 xi = P_phi psi / P_wedge2 is formed by products with psi.  P_phi is the
 product of the r series E_beta(v^-1 X_j Y), and 1 / P_wedge2 that of the
 r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, each cut at
-trunc.  Symbolic mode multiplies psi by the r factors of P_phi one at a
-time, so no P_phi is formed (``_phi_times``); evaluation mode sums its
-one convolution against psi, degree by degree.  Both modes then multiply
-by the geometric series (``_over_p_wedge2``), so no series is inverted.
-In symbolic mode every Y-coefficient of these factors is one term, whose
-product with a Laurent value shifts its keys, and every coefficient of a
-series product is one sum of products, formed in one accumulator and
-normalized once.  The unramified check takes the same products with P_phi
-for P_phi psi.
+trunc.  Symbolic mode packs psi once, with Y as the top key field
+(``rings._Packed``), multiplies it by the r factors of P_phi, each built
+as one packed value, and splits it into its degrees once
+(``_phi_times``); evaluation mode sums its one convolution against psi,
+degree by degree.  Both modes then multiply by the geometric series
+(``_over_p_wedge2``), so no P_phi is formed and no series is inverted.
+A symbolic series product is one accumulator, forms no term pair past
+the horizon and is normalized once per degree.  The unramified check
+takes the same products with P_phi for P_phi psi.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -94,7 +94,7 @@ from typing import Any
 
 from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
-from .rings import SymLaurent, TruncSeries, VLaurent
+from .rings import SymLaurent, TruncSeries, VLaurent, _Packed
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
@@ -126,21 +126,19 @@ class SymbolicMode:
 
     def _phi_times(self, series: TruncSeries, e: list[int], den: int, trunc: int) -> TruncSeries:
         """series times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
-        through Y-degree trunc: one product per j, with the series whose
-        Y^k coefficient is the one term (e_k / den) v^-k X_j^k, so that no
-        P_phi is formed."""
-        r = self.r
+        through min(trunc, series.trunc).  series is packed once, with Y
+        as its top key field (``rings._Packed``), multiplied by the r
+        factors, each one packed value whose Y^k term is (e_k / den)
+        v^-k X_j^k, and split into its degrees once: no P_phi and no
+        per-degree factor series is formed."""
+        zero = self._zero
+        t = trunc if series.trunc is None else min(trunc, series.trunc)
         sign = -1 if den < 0 else 1  # den is a product of signed p q
-        for j in range(r):
-            coeffs = {
-                k: SymLaurent._of_terms(
-                    r, [((0,) * j + (k,) + (0,) * (r - 1 - j), -k, sign * x)], sign * den
-                )
-                for k, x in enumerate(e[: trunc + 1])
-                if x
-            }
-            series = series * TruncSeries(coeffs, trunc, self._zero)
-        return series
+        packed = _Packed.of(series.coeffs, zero)
+        coeffs = [sign * x for x in e[: t + 1]]
+        for j in range(self.r):
+            packed = packed.times(_Packed.powers(zero, j, coeffs, sign * den), t)
+        return packed.series(t)
 
     def denominator_factor(self, trunc: int) -> TruncSeries:
         """prod_{i<j} (1 - v^-2 X_i X_j Y^2) through Y-degree trunc: the

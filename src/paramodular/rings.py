@@ -30,9 +30,10 @@ all built on ints and ``fractions.Fraction``:
 ``TruncSeries``
     Power series in a formal variable Y, truncated at an explicit order.
     Coefficients are SymLaurent (symbolic mode), VLaurent (the zeta
-    series) or Fraction (evaluation mode).  Degrees start at 0.  Each
-    coefficient of a product, and of an inverse, is one sum of products,
-    formed in one accumulator and normalized once (``_dot``).  The
+    series) or Fraction (evaluation mode).  Degrees start at 0.  A product
+    over Laurent values is one product of packed series (below),
+    normalized once per degree; over Fractions, and in an inverse, each
+    coefficient is one sum of products, normalized once (``_dot``).  The
     truncation order of a product is the smaller of the two operands'
     orders, and an inverse is known through the order asked for;
     ``trunc=None`` marks an exactly-known polynomial.
@@ -52,7 +53,10 @@ printing and the trace index of Whittaker data), the predicate of
 cached in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per
 X-prefix in ``_sort_sign``) and the two oracle divisions; evaluation, the
 variable substitutions, the symmetry check, the rank rows of
-``_scaled_row`` and the binomial division work on fields.
+``_scaled_row`` and the binomial division work on fields.  A series packs
+as one value (``_Packed``), the key of a term Y^y X^a v^e being (y << W
+(r + 1)) plus that of (a, e): Y's is the top field and y >= 0, so it
+takes no offset and has no limit, and key order is Y-degree order first.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
@@ -71,6 +75,7 @@ serialization and printing is lexicographic on exponent tuples.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -956,6 +961,74 @@ def _dot(pairs: list, zero: Any) -> Any:
     return Fraction(sum([x * (den // d) for x, d in prods]), den)
 
 
+class _Packed:
+    """A Y-series over the ring of ``zero`` as one packed value (see the
+    module docstring): ``terms`` are (key, numerator) pairs over one
+    ``den``, and ``bound`` bounds the |exponent| of every Laurent field."""
+
+    __slots__ = ("zero", "terms", "den", "bound")
+
+    def __init__(self, zero: _Laurent, terms: list[tuple[int, int]], den: int, bound: int):
+        self.zero, self.terms, self.den, self.bound = zero, terms, den, bound
+
+    @classmethod
+    def of(cls, coeffs: Mapping[int, Any], zero: _Laurent) -> "_Packed":
+        """The series {y: c}, each c brought into zero's ring by ``_coerced``."""
+        cs = {y: zero._coerced(c) for y, c in coeffs.items()}
+        den, terms = math.lcm(*[c.den for c in cs.values()]), []
+        for y, c in cs.items():
+            y, f = y << _W * (zero.r + 1), den // c.den
+            terms += [(y + k, x * f) for k, x in c.num.items()]
+        return cls(zero, terms, den, max([c._bound for c in cs.values()], default=0))
+
+    @classmethod
+    def powers(cls, zero: _Laurent, j: int, coeffs: list[int], den: int) -> "_Packed":
+        """sum_k (coeffs[k] / den) (v^-1 X_j Y)^k, j from 0: the key of term
+        k is the bias plus k times that of v^-1 X_j Y less the bias."""
+        step = (1 << _W * (zero.r + 1)) + (1 << _W * (zero.r - j)) - 1
+        terms = [(_bias(zero.r) + k * step, x) for k, x in enumerate(coeffs) if x]
+        return cls(zero, terms, den, _checked(len(coeffs) - 1))
+
+    def times(self, other: "_Packed", t: int | None) -> "_Packed":
+        """The product through Y-degree t (None: all), over the product of
+        the dens, in one accumulator.  Sorted, the longer operand's terms
+        are sorted by Y-degree, so each term of the other meets only the
+        prefix within t, found by bisection: no pair past t is formed.  The
+        bound is the operands' sum; past the limit it is re-read from the
+        keys, over the pairs of degrees within t, before OverflowError."""
+        a, b = sorted((self, other), key=lambda x: len(x.terms))
+        shift, bias = _W * (self.zero.r + 1), _bias(self.zero.r)
+        if t is None:
+            t = sum(max(x.terms)[0] >> shift for x in (a, b)) if a.terms and b.terms else 0
+        bound = a.bound + b.bound
+        if bound > _LIMIT:
+            da, db = ({y: c._tighten() for y, c in x.series(None).coeffs.items()} for x in (a, b))
+            bound = _checked(max([s + z for y, s in da.items() for w, z in db.items() if y + w <= t], default=0))
+        inner, acc = sorted(b.terms, key=operator.itemgetter(0)), {}
+        get = acc.get
+        for k1, x1 in a.terms:
+            room = t + 1 - (k1 >> shift)
+            if room > 0:
+                k1 -= bias
+                pairs = itertools.islice(inner, bisect.bisect_left(inner, (room << shift,)))
+                if not acc:  # the products of one term have distinct keys
+                    acc.update({k1 + k2: x1 * x2 for k2, x2 in pairs})
+                    continue
+                for k2, x2 in pairs:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + x1 * x2
+        return _Packed(self.zero, [(k, x) for k, x in acc.items() if x], a.den * b.den, bound)
+
+    def series(self, trunc: int | None) -> "TruncSeries":
+        """The TruncSeries through trunc, each degree normalized once."""
+        shift, groups = _W * (self.zero.r + 1), {}
+        mask = (1 << shift) - 1
+        for k, x in self.terms:
+            groups.setdefault(k >> shift, {})[k & mask] = x
+        coeffs = {y: self.zero._normal(self.zero.r, n, self.den, self.bound) for y, n in groups.items()}
+        return TruncSeries(coeffs, trunc, self.zero)
+
+
 class TruncSeries:
     """Truncated power series in Y with coefficients in a caller-chosen ring.
 
@@ -997,14 +1070,16 @@ class TruncSeries:
         return min(self.trunc, other.trunc)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        t = self._horizon(other)
+        t, zero = self._horizon(other), self.zero
+        if isinstance(zero, _Laurent):
+            return _Packed.of(self.coeffs, zero).times(_Packed.of(other.coeffs, zero), t).series(t)
         pairs: dict[int, list] = {}
         for k1, x1 in self.coeffs.items():
             for k2, x2 in other.coeffs.items():
                 k = k1 + k2
                 if t is None or k <= t:
                     pairs.setdefault(k, []).append((x1, x2))
-        return TruncSeries({k: _dot(p, self.zero) for k, p in pairs.items()}, t, self.zero)
+        return TruncSeries({k: _dot(p, zero) for k, p in pairs.items()}, t, zero)
 
     def invert(self, trunc: int) -> "TruncSeries":
         """Inverse series through the requested order; the constant

@@ -107,12 +107,12 @@ def test_trials_and_seed_are_refused_where_no_case_reads_them(suite, options):
 
 
 def test_each_suite_reads_the_options_that_shape_its_verdicts():
-    # 30 (suite, option) pairs, where every suite used to accept --trials,
-    # --seed and, in three suites, --window as well: 40
+    # 35 (suite, option) pairs, where every suite used to accept --trials,
+    # --seed and, in three suites, --window as well: 40 for the first ten
     reads = {name: set(suite.reads) for name, suite in cli._SUITES.items()}
-    assert sum(map(len, reads.values())) == 30
+    assert sum(map(len, reads.values())) == 35
     draws = {name for name, names in reads.items() if {"trials", "seed"} <= names}
-    assert draws == {"unramified", "gsp4-raising", "eta-lemma", "prop4", "kernel", "fe"}
+    assert draws == {"unramified", "psi-modes", "gsp4-raising", "eta-lemma", "prop4", "kernel", "fe"}
     assert {name for name, names in reads.items() if "seed" in names} == draws | {"level-a1"}
     assert not any("window" in names for names in reads.values())
 
@@ -307,6 +307,26 @@ def test_the_eta_lemma_draws_no_point(monkeypatch):
     report = run_suite(VerifyConfig(suite="eta-lemma", trials=3))
     assert report.all_passed and len(report.cases) == 3
     assert calls == {"psi_alternant": 6, "eta_data": 3, "EvaluationMode": 0}
+
+
+def test_psi_modes_sees_a_torus_sum_fault_that_unramified_does_not(monkeypatch):
+    # evaluation psi with every v-exponent above the lowest one lowered by
+    # one: spherical data put all of psi_l at one v-exponent, so unramified
+    # passes, while the random data of psi-modes show it at the first degree
+    torus_sum = EvaluationMode._torus_sum
+
+    def spared(self, weights, den):
+        lo = min(0, *[e + w for _, w, terms in weights for e, _ in terms])
+        shifted = [(s, w, [(e - (e + w > lo), x) for e, x in terms]) for s, w, terms in weights]
+        return torus_sum(self, shifted, den)
+
+    monkeypatch.setattr(EvaluationMode, "_torus_sum", spared)
+    assert run_suite(VerifyConfig(suite="unramified")).all_passed
+    report = run_suite(VerifyConfig(suite="psi-modes"))
+    failed = [c for c in report.cases if not c.verdict]
+    assert len(failed) >= len(report.cases) // 2
+    assert all(set(c.witness) == {"coefficient", "expected", "got"} for c in failed)
+    assert all(set(c.parameters) == {"n", "r", "trial", "point", "v"} for c in report.cases)
 
 
 def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatch):

@@ -33,6 +33,7 @@ SUITE_SHA256 = {
     "dependence": "5f46b99981812c276daa6efe90074a13df348e9a2b535e27af874b474c65c9db",
     "kernel": "ab0fae901020cc661e0ff8ef19cb3a0cda9056fa41be08fe474da8afd3fd3b08",
     "fe": "7dad1192379063c0f08bd42e497deecb3cc962994b98b01e6a38d2791f138c3e",
+    "psi-modes": "7891a4e12c41c6a68cf7da702cf5b53c83d9d776c782772110a0668a59ee3fde",
 }
 
 COMPARE_BASES_SHA256 = {

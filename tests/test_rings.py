@@ -34,6 +34,7 @@ from laurent_oracles import (
     is_symmetric,
     laurent_product,
     min_var_exp,
+    per_degree_product,
     series_inverse,
     series_product,
     unpacked,
@@ -759,6 +760,72 @@ def test_series_product_and_inverse_match_the_pairwise_oracles():
         assert _same_series(a.invert(t), series_inverse(a, t))
 
     check()
+
+
+def _random_laurent(rng: random.Random, r: int):
+    """A SymLaurent in r variables (a VLaurent at r = 0) of one to five
+    terms, X- and v-exponents in -4..4, over denominators 1..6."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = tuple(rng.randint(-4, 4) for _ in range(r))
+        terms.setdefault(exps, {})[rng.randint(-4, 4)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if r == 0:
+        return sum((VLaurent(v) for v in terms.values()), VLaurent.zero())
+    return SymLaurent(r, {e: VLaurent(v) for e, v in terms.items()})
+
+
+def test_packed_series_product_matches_the_per_degree_oracle():
+    # every operand shape the packed product meets: negative exponents,
+    # unlike denominators, int and Fraction coefficients coerced into the
+    # ring, horizons None, equal, unequal and 0, an empty operand, a degree
+    # that cancels and a Y-degree past any packed field's limit
+    rng = random.Random("packed-series-product")
+    horizons = (None, 0, 1, 3, 6)
+    for r in range(5):
+        zero = SymLaurent.zero(r) if r else VLaurent.zero()
+        for _ in range(30):
+            series = []
+            for _ in range(2):
+                coeffs = {k: _random_laurent(rng, r) for k in rng.sample(range(8), rng.randint(0, 5))}
+                if coeffs and rng.random() < 0.3:
+                    coeffs[min(coeffs)] = rng.choice([3, Fraction(-2, 7)])
+                series.append(TruncSeries(coeffs, rng.choice(horizons), zero))
+            c = _random_laurent(rng, r)
+            cancelling = TruncSeries({0: 1, 1: c}, None, zero), TruncSeries({0: 1, 1: -c}, 4, zero)
+            far = TruncSeries({40000: c, 1: Fraction(1, 3)}, None, zero)
+            pairs = [tuple(series), cancelling, (far, series[0]), (series[1], far)]
+            pairs += [(x, TruncSeries({}, t, zero)) for x in series for t in (None, 2)]
+            for a, b in pairs:
+                got, want = a * b, per_degree_product(a, b)
+                assert (got.trunc, got.coeffs) == (want.trunc, want.coeffs), (r, a, b)
+                for x in got.coeffs.values():
+                    assert type(x) is type(zero) and x and _is_normal(x)
+                    unpacked(x)  # the keys, and the bound covers them
+            assert 1 not in (cancelling[0] * cancelling[1]).coeffs
+            assert max((far * far).coeffs) == 80000
+
+
+def test_no_pair_past_the_horizon_meets_the_field_limit():
+    # X_1^20000 at Y^5 in both operands: the pair of the two, at Y^10, would
+    # pass the field limit, every pair within the horizon 6 does not
+    top = SymLaurent.monomial(2, (20000, 0), VLaurent({-3: 2}))
+    low = SymLaurent(2, {(1, -1): VLaurent({2: Fraction(1, 3)}), (0, 0): 5})
+    zero = SymLaurent.zero(2)
+    a = TruncSeries({0: low, 1: 1, 5: top}, 6, zero)
+    b = TruncSeries({0: 1, 1: low, 5: top * Fraction(-4, 5)}, None, zero)
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = x * y
+        assert (got.trunc, got.coeffs) == (6, per_degree_product(x, y).coeffs)
+        assert max(got.coeffs) == 6 and all(c._bound <= LIMIT for c in got.coeffs.values())
+    # at horizon 10 the pair is formed, and refused
+    with pytest.raises(OverflowError):
+        TruncSeries(a.coeffs, 10, zero) * b
+    # X_1^-20000 at Y^3 in both, horizon 5: a pair formed at Y^6 would
+    # borrow from the Y-field and land at Y^5
+    deep = SymLaurent.monomial(2, (-20000, 1), VLaurent({1: 3}))
+    c = TruncSeries({0: 1, 2: low, 3: deep}, 5, zero)
+    got = c * c
+    assert (got.trunc, got.coeffs) == (5, per_degree_product(c, c).coeffs)
 
 
 def test_json_round_trips():
