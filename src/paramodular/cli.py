@@ -59,6 +59,7 @@ from .rankin import (
     EvaluationMode,
     SymbolicMode,
     TruncSeries,
+    _packed_psi,
     _times_p_phi,
     fe_check,
     kernel_check,
@@ -299,7 +300,11 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     # xi = P_phi psi / P_wedge2 is 1 through trunc exactly when P_phi psi
     # and the unit series P_wedge2 agree through trunc, and both first
     # differ at the same degree: no inversion and no window
-    lhs = _times_p_phi(psi_series(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
+    if cfg.mode == "evaluation":
+        lhs = _times_p_phi(psi_series(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
+    else:  # the packed psi, its product split once
+        lhs = _times_p_phi(_packed_psi(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
+        lhs = lhs.series(cfg.trunc)
     echo = {**params, "beta": [str(b) for b in beta]}
     return echo, _first_mismatch(lhs, p_wedge2(r, mode, cfg.trunc), cfg.trunc)
 

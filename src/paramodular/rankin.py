@@ -56,15 +56,15 @@ x v^(e + w) s_lam(point) as ints over one denominator.
 xi = P_phi psi / P_wedge2 is formed by products with psi.  P_phi is the
 product of the r series E_beta(v^-1 X_j Y), and 1 / P_wedge2 that of the
 r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, each cut at
-trunc.  Symbolic mode packs psi once, with Y as the top key field
-(``rings._Packed``), multiplies it by the r factors of P_phi, each built
-as one packed value, and splits it into its degrees once
-(``_phi_times``); evaluation mode sums its one convolution against psi,
-degree by degree.  Both modes then multiply by the geometric series
-(``_over_p_wedge2``), so no P_phi is formed and no series is inverted.
-A symbolic series product is one accumulator, forms no term pair past
-the horizon and is normalized once per degree.  The unramified check
-takes the same products with P_phi for P_phi psi.
+trunc.  Symbolic mode forms psi as one packed value, Y the top key field
+(``rings._Packed``), straight from the data's flat terms (``_packed_psi``),
+multiplies it by the factors of P_phi (``_phi_times``) and the geometric
+series (``_over_p_wedge2``), each one packed value (``_Packed.powers``),
+and splits the product into normalized degrees once, at the end.
+Evaluation mode sums its one convolution against psi_series, degree by
+degree, then multiplies by the geometric series.  No P_phi is formed, no
+series is inverted, and a symbolic product forms no term pair past the
+horizon.  The unramified check takes the same products for P_phi psi.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -79,8 +79,8 @@ multiplied in monomials by ``SymLaurent._alternant_mul``; a_delta is not a
 zero divisor, so equal coordinates prove the series identity.  At r = 1,
 delta = (0) and the coordinates are psi itself, which the zeta series
 reads.  The series in monomials (``psi_component``, ``psi_series``) remain
-for xi, the unramified identity P_phi psi = P_wedge2 and the witnesses of
-failing cases.
+for evaluation mode, the psi-modes check and the witnesses of failing
+cases.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ from typing import Any
 
 from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
-from .rings import SymLaurent, TruncSeries, VLaurent, _Packed
+from .rings import _MASK, _OFFSET, _W, SymLaurent, TruncSeries, VLaurent
+from .rings import _checked, _Packed, _prefix_image
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
@@ -124,21 +125,17 @@ class SymbolicMode:
         once (``SymLaurent._shifted_dot``)."""
         return self._zero._shifted_dot(weights, den)
 
-    def _phi_times(self, series: TruncSeries, e: list[int], den: int, trunc: int) -> TruncSeries:
-        """series times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
-        through min(trunc, series.trunc).  series is packed once, with Y
-        as its top key field (``rings._Packed``), multiplied by the r
-        factors, each one packed value whose Y^k term is (e_k / den)
-        v^-k X_j^k, and split into its degrees once: no P_phi and no
-        per-degree factor series is formed."""
-        zero = self._zero
-        t = trunc if series.trunc is None else min(trunc, series.trunc)
+    def _phi_times(self, packed: _Packed, e: list[int], den: int, trunc: int) -> _Packed:
+        """packed times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
+        through Y-degree trunc: r products with packed factors
+        (``_Packed.powers``), the Y^k term of factor j (e_k / den) v^-k
+        X_j^k.  No P_phi and no series of degrees is formed."""
         sign = -1 if den < 0 else 1  # den is a product of signed p q
-        packed = _Packed.of(series.coeffs, zero)
-        coeffs = [sign * x for x in e[: t + 1]]
+        coeffs = [sign * x for x in e[: trunc + 1]]
         for j in range(self.r):
-            packed = packed.times(_Packed.powers(zero, j, coeffs, sign * den), t)
-        return packed.series(t)
+            exps = tuple(-1 if i == self.r else int(i == j) for i in range(self.r + 1))
+            packed = packed.times(_Packed.powers(self._zero, 1, exps, coeffs, sign * den), trunc)
+        return packed
 
     def denominator_factor(self, trunc: int) -> TruncSeries:
         """prod_{i<j} (1 - v^-2 X_i X_j Y^2) through Y-degree trunc: the
@@ -298,6 +295,42 @@ def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any
     return mode._torus_sum(weights, d.gen.den)
 
 
+@functools.cache
+def _psi_rule(n: int, r: int):
+    """A weight lam's (trace, head, w) in the rank-r torus sum, head and w
+    from ``_torus_weight``, or None for a nonzero tail: one object per
+    (n, r), so that ``rings._prefix_image`` caches its images per X-prefix."""
+    return lambda lam: None if any(lam[r:]) else (sum(lam), *_torus_weight(lam, n, r))
+
+
+def _packed_psi(d: WhittakerData, n: int, r: int, trunc: int, mode: SymbolicMode) -> _Packed:
+    """psi through degree trunc as one packed value (``rings._Packed``):
+    each term x / den v^e of the data at a weight of trace l <= trunc with
+    a zero tail adds x s_head Y^l v^(e + w) into one accumulator over den
+    times the lcm of the Schur denominators, read from the data's flat
+    terms by X-prefix (``_psi_rule``).  The bound of s_head plus |e + w| is
+    checked per term: OverflowError where ``psi_series`` raises it."""
+    _check_ranks(d, n, r, mode)
+    rule, shift = _psi_rule(n, r), _W * (r + 1)
+    terms, bound = [], 0
+    for k, x in d.gen.num.items():
+        image = _prefix_image(rule, k >> _W, n, False)
+        if image is not None and image[0] <= trunc:
+            ell, head, w = image
+            s, t = schur(head, r), (k & _MASK) - _OFFSET + w
+            bound = max(bound, _checked(s._bound + abs(t), s))
+            terms.append((s, (ell << shift) + t, x))
+    lcm = math.lcm(*[s.den for s, _, _ in terms])
+    acc: dict[int, int] = {}
+    get = acc.get
+    for s, t, x in terms:
+        x *= lcm // s.den
+        for k, y in s.num.items():
+            k += t
+            acc[k] = get(k, 0) + x * y
+    return _Packed(mode.zero(), [(k, x) for k, x in acc.items() if x], d.gen.den * lcm, bound)
+
+
 def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> TruncSeries:
     """The torus-sum series through degree trunc; degrees where d has no
     weight are zero without a call of psi_component."""
@@ -365,13 +398,13 @@ def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return e, den
 
 
-def _times_p_phi(series: TruncSeries, beta, n: int, mode: Mode, trunc: int) -> TruncSeries:
+def _times_p_phi(series: TruncSeries | _Packed, beta, n: int, mode: Mode, trunc: int) -> TruncSeries | _Packed:
     """The numerator local factor P_phi times series through Y-degree
     trunc: P_phi is the product over j <= r, i <= n, both signs, of
     (1 - beta_i^{+-1} v^{-1} X_j Y), that is prod_j E_beta(v^{-1} X_j Y)
     with E_beta from ``e_beta``, a polynomial of Y-degree 2nr with
     constant coefficient 1.  ValueError unless beta has n entries, all
-    nonzero; the product is the mode's ``_phi_times``."""
+    nonzero; the product is the mode's ``_phi_times`` (packed, symbolic)."""
     return mode._phi_times(series, *e_beta(_satake(beta, n)), trunc)
 
 
@@ -384,14 +417,18 @@ def p_wedge2(r: int, mode: Mode, trunc: int) -> TruncSeries:
     return mode.denominator_factor(trunc)
 
 
-def _over_p_wedge2(series: TruncSeries, mode: Mode, trunc: int) -> TruncSeries:
+def _over_p_wedge2(series: TruncSeries | _Packed, mode: Mode, trunc: int) -> TruncSeries | _Packed:
     """series / P_wedge2 through Y-degree trunc: one product per pair
     i < j, with the inverse sum_k u^k Y^2k of the factor 1 - u Y^2,
-    u = v^-2 X_i X_j; no series is inverted."""
+    u = v^-2 X_i X_j; no series is inverted.  A packed series stays packed."""
     r = mode.r
     for i in range(r):
         for j in range(i + 1, r):
             exps = tuple(1 if k in (i, j) else 0 for k in range(r))
+            if isinstance(series, _Packed):
+                geometric = _Packed.powers(series.zero, 2, exps + (-2,), [1] * (trunc // 2 + 1), 1)
+                series = series.times(geometric, trunc)
+                continue
             u = mode.lift(SymLaurent.monomial(r, exps, VLaurent({-2: 1})))
             coeffs, power = {}, mode.one()
             for k in range(0, trunc + 1, 2):
@@ -472,11 +509,11 @@ def xi(
     factor), truncated at ``trunc``.
 
     The numerator factor comes from ``beta`` (unramified parameters); without
-    it the factor is 1.  ``psi_series`` is multiplied by the factors of
-    P_phi (``_times_p_phi``; in symbolic mode one factor E_beta(v^-1 X_j Y)
-    at a time, so no P_phi is formed) and by the geometric series of
-    1 / P_wedge2 (``_over_p_wedge2``), so nothing is inverted; see the
-    module docstring.
+    it the factor is 1.  psi (packed in symbolic mode, ``_packed_psi``, and
+    split into degrees once at the end) is multiplied by the factors of
+    P_phi (``_times_p_phi``) and by the geometric series of 1 / P_wedge2
+    (``_over_p_wedge2``): no P_phi is formed and nothing is inverted; see
+    the module docstring.
     If the coefficients of degrees trunc - window + 1 through trunc do not
     all vanish the result is flagged as not stabilized rather than raising.
     """
@@ -490,10 +527,12 @@ def xi(
     trunc = default_trunc(d, n, r, window) if trunc is None else trunc
     if trunc < window:
         raise ValueError("truncation order must be at least the window")
-    series = psi_series(d, n, r, trunc, mode)
+    symbolic = isinstance(mode, SymbolicMode)
+    series = _packed_psi(d, n, r, trunc, mode) if symbolic else psi_series(d, n, r, trunc, mode)
     if beta is not None:
         series = _times_p_phi(series, beta, n, mode, trunc)
     series = _over_p_wedge2(series, mode, trunc)
+    series = series.series(trunc) if symbolic else series
     stabilized = all(series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1))
     poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)
@@ -556,7 +595,7 @@ def kernel_check(d: WhittakerData, n: int, r: int) -> bool:
     rank-r torus slice (support elements with zero tail).  The numerator and
     denominator factors are unit series, so vanishing of the normalized
     series is equivalent to vanishing of the bare torus sum, which is what
-    gets tested, through the largest trace in the support."""
+    gets tested: the packed psi through the largest trace has no term."""
     slice_zero = all(any(lam[r:]) for lam in d.support)
-    series_zero = psi_series(d, n, r, d.max_trace(), SymbolicMode(r)).is_zero()
+    series_zero = not _packed_psi(d, n, r, d.max_trace(), SymbolicMode(r)).terms
     return slice_zero == series_zero

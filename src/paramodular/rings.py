@@ -48,15 +48,15 @@ sum of their keys minus the bias, the key of the zero tuple: a product of
 two terms is one int addition.  A VLaurent key is one field, exactly the
 low field of a SymLaurent key.  Tuples are read and written only at the
 edges: the constructors, the views and ``_grouped`` (and so serialization,
-printing and the trace index of Whittaker data), the predicate of
-``restrict`` and the rule of ``_relabel`` (once per X-prefix per process,
-cached in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per
-X-prefix in ``_sort_sign``) and the two oracle divisions; evaluation, the
-variable substitutions, the symmetry check, the rank rows of
-``_scaled_row`` and the binomial division work on fields.  A series packs
-as one value (``_Packed``), the key of a term Y^y X^a v^e being (y << W
-(r + 1)) plus that of (a, e): Y's is the top field and y >= 0, so it
-takes no offset and has no limit, and key order is Y-degree order first.
+printing and the trace index of Whittaker data), the rules of ``restrict``,
+``_relabel`` and rankin's packed psi (once per X-prefix per process, cached
+in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per X-prefix
+in ``_sort_sign``) and the two oracle divisions; evaluation, the variable
+substitutions, the symmetry check, the rank rows of ``_scaled_row`` and the
+binomial division work on fields.  A series packs as one value
+(``_Packed``), the key of a term Y^y X^a v^e being (y << W (r + 1)) plus
+that of (a, e): Y's is the top field and y >= 0, so it takes no offset and
+has no limit, and key order is Y-degree order first.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
@@ -166,12 +166,13 @@ def _sort_sign(prefix: int, r: int) -> tuple[int, int, int] | None:
 def _prefix_image(rule, prefix: int, size: int, relabel: bool):
     """rule of the exponent tuple a that the X-prefix packs (size fields),
     worked out once per process for each (rule, prefix, size, relabel):
-    the verdict of ``restrict``, or with relabel the image of ``_relabel``,
-    None or (base, largest |b_i|, w) for rule(a) = (b, w), base the key of
-    b with its v-field w.  The cache holds the rule object itself, never
-    its id, so a rule built later never reads another's images; but it
-    trusts a rule to be a pure function of a: one that reads state which
-    can change gives stale answers.  Bounded like ``_sort_sign``."""
+    rule(a) itself (as ``restrict`` and rankin's packed psi read it), or
+    with relabel the image of ``_relabel``, None or (base, largest |b_i|,
+    w) for rule(a) = (b, w), base the key of b with its v-field w.  The
+    cache holds the rule object itself, never its id, so a rule built later
+    never reads another's images; but it trusts a rule to be a pure
+    function of a: one that reads state which can change gives stale
+    answers.  Bounded like ``_sort_sign``."""
     image = rule(_unpack(prefix, size))
     if not relabel or image is None:
         return image
@@ -982,20 +983,25 @@ class _Packed:
         return cls(zero, terms, den, max([c._bound for c in cs.values()], default=0))
 
     @classmethod
-    def powers(cls, zero: _Laurent, j: int, coeffs: list[int], den: int) -> "_Packed":
-        """sum_k (coeffs[k] / den) (v^-1 X_j Y)^k, j from 0: the key of term
-        k is the bias plus k times that of v^-1 X_j Y less the bias."""
-        step = (1 << _W * (zero.r + 1)) + (1 << _W * (zero.r - j)) - 1
+    def powers(cls, zero: _Laurent, y: int, exps: Key, coeffs: list[int], den: int) -> "_Packed":
+        """sum_k (coeffs[k] / den) m^k for the monomial m = Y^y X^a v^e,
+        exps = (a, e), as the factors of P_phi and 1 / P_wedge2 are: the
+        key of term k is the bias plus k times m's key step, its key less
+        the bias."""
+        step = (y << _W * (zero.r + 1)) + _pack(exps) - _bias(zero.r)
         terms = [(_bias(zero.r) + k * step, x) for k, x in enumerate(coeffs) if x]
-        return cls(zero, terms, den, _checked(len(coeffs) - 1))
+        return cls(zero, terms, den, _checked((len(coeffs) - 1) * max(map(abs, exps))))
 
     def times(self, other: "_Packed", t: int | None) -> "_Packed":
-        """The product through Y-degree t (None: all), over the product of
-        the dens, in one accumulator.  Sorted, the longer operand's terms
-        are sorted by Y-degree, so each term of the other meets only the
-        prefix within t, found by bisection: no pair past t is formed.  The
-        bound is the operands' sum; past the limit it is re-read from the
-        keys, over the pairs of degrees within t, before OverflowError."""
+        """The product through Y-degree t (None: all), over the product of the
+        dens, in one accumulator (ValueError if the variable counts
+        differ).  Sorted, the longer operand's terms are sorted by
+        Y-degree, so each term of the other meets only the prefix within t,
+        found by bisection: no pair past t is formed.  The bound is the
+        operands' sum; past the limit it is re-read from the keys, over the
+        pairs of degrees within t, before OverflowError."""
+        if self.zero.r != other.zero.r:
+            raise ValueError("variable counts differ")
         a, b = sorted((self, other), key=lambda x: len(x.terms))
         shift, bias = _W * (self.zero.r + 1), _bias(self.zero.r)
         if t is None:

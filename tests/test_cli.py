@@ -333,7 +333,8 @@ def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatc
     # xi multiplies psi by the r factors of P_phi and by the geometric
     # inverses of the factors of P_wedge2, and symbolic unramified by the r
     # factors of P_phi: no series is inverted and P_phi is never formed,
-    # which _phi_times would do if it were given the unit series
+    # which _phi_times would do if it were given the unit series (packed,
+    # as the symbolic pass takes it)
     calls = {"invert": 0, "_phi_times": 0, "_phi_times of 1": 0}
     invert, phi_times = rings.TruncSeries.invert, SymbolicMode._phi_times
 
@@ -341,10 +342,10 @@ def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatc
         calls["invert"] += 1
         return invert(*args)
 
-    def spy_phi_times(self, series, *args):
+    def spy_phi_times(self, packed, *args):
         calls["_phi_times"] += 1
-        calls["_phi_times of 1"] += series.coeffs == {0: self.one()}
-        return phi_times(self, series, *args)
+        calls["_phi_times of 1"] += packed.series(None).coeffs == {0: self.one()}
+        return phi_times(self, packed, *args)
 
     monkeypatch.setattr(rings.TruncSeries, "invert", spy_invert)
     monkeypatch.setattr(SymbolicMode, "_phi_times", spy_phi_times)

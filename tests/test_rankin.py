@@ -302,10 +302,98 @@ def test_psi_component_refuses_a_v_exponent_past_the_field_limit():
                 pytest.fail("a value past the field limit was returned")
 
 
+def _packed_fractions(packed) -> dict:
+    return {k: Fraction(x, packed.den) for k, x in packed.terms}
+
+
+def test_packed_psi_is_psi_series_packed():
+    # symbolic xi's psi, formed in one accumulator from the data's flat
+    # terms, against psi_series packed afterwards: the same terms, and once
+    # split the same normalized degrees; on random and spherical data, the
+    # empty data, weights with a nonzero tail and weights past trunc
+    rng = random.Random("packed-psi")
+    data = [WhittakerData(n) for n in (1, 3)]
+    data.append(WhittakerData(3, {(1, 1, 0): ONE, (2, 1, 1): Q, (5, 2, 0): Q + ONE}))
+    for n in range(1, 4):
+        data += [random_whittaker_data(rng, n, max_norm=2, max_entries=6) for _ in range(3)]
+        data.append(spherical_so_data(random_beta(rng, n), n, 6))
+    tails = past = 0
+    for d in data:
+        n = d.n
+        for r in range(1, n + 1):
+            mode = SymbolicMode(r)
+            tails += any(any(lam[r:]) for lam in d.support)
+            for trunc in range(9):
+                past += d.max_trace() > trunc
+                got = rankin._packed_psi(d, n, r, trunc, mode)
+                series = psi_series(d, n, r, trunc, mode)
+                assert _packed_fractions(got) == _packed_fractions(rings._Packed.of(series.coeffs, mode.zero()))
+                split = got.series(trunc)
+                assert (split.trunc, split.coeffs) == (trunc, series.coeffs), (d, r, trunc)
+    assert tails and past
+    with pytest.raises(ValueError):
+        rankin._packed_psi(data[2], 3, 2, 8, SymbolicMode(3))
+
+
+def test_packed_psi_keeps_the_schur_denominators(monkeypatch):
+    # Schur values of one trace over different denominators, as
+    # _ScaledSchur scales them: one accumulator over their lcm
+    rng = random.Random("packed-psi-scaled")
+    monkeypatch.setattr(rankin, "schur", lambda lam, r: schur(lam, r) * Fraction(1, lam[0] + 2))
+    for n in (2, 3):
+        cone = enumerate_cone(Cone.G, n, 2)
+        for _ in range(3):
+            support = rng.sample(cone, min(6, len(cone)))
+            d = WhittakerData(n, {lam: random_vlaurent(rng) + random_vlaurent(rng) for lam in support})
+            for r in range(1, n + 1):
+                top = d.max_trace()
+                got = rankin._packed_psi(d, n, r, top, SymbolicMode(r)).series(top)
+                assert got.coeffs == {
+                    ell: c for ell in range(top + 1) if (c := _scaled_psi_oracle(d, n, r, ell))
+                }
+
+
+def test_packed_psi_keeps_the_field_limit_where_psi_series_does():
+    # the bound is that of s_head plus |e + w|, per term: at n = r = 1 the
+    # weight (2) has s = X_1^2 and w = 0, at n = r = 2 the weight (1, 0)
+    # has s = X_1 + X_2 and w = 2; a bound of exactly the limit passes
+    limit = rings._LIMIT
+    for n, lam, step in ((1, (2,), 2), (2, (1, 0), 3)):
+        mode = SymbolicMode(n)
+        at = WhittakerData(n, {lam: VLaurent({limit - step: 1, 0: 1})})
+        got = rankin._packed_psi(at, n, n, 2, mode)
+        assert got.bound == limit
+        assert got.series(2).coeffs == psi_series(at, n, n, 2, mode).coeffs
+        past = WhittakerData(n, {lam: VLaurent({limit - step + 1: 1, 0: 1})})
+        for call in (
+            lambda: rankin._packed_psi(past, n, n, 2, mode),
+            lambda: psi_series(past, n, n, 2, mode),
+        ):
+            with pytest.raises(OverflowError):
+                call()
+                pytest.fail("a value past the field limit was returned")
+        # past trunc the weight is not read, so nothing is refused
+        assert not rankin._packed_psi(past, n, n, sum(lam) - 1, mode).terms
+    # nor is its Schur polynomial built, which here would pass the limit
+    wide = WhittakerData(2, {(limit, 0): ONE, (1, 0): ONE})
+    want = psi_series(wide, 2, 2, 5, SymbolicMode(2)).coeffs
+    assert rankin._packed_psi(wide, 2, 2, 5, SymbolicMode(2)).series(5).coeffs == want
+
+
+def times_p_phi(a: TruncSeries, beta, n: int, mode, trunc: int) -> TruncSeries:
+    """``_times_p_phi`` of a through Y-degree trunc.  Symbolic mode's pass
+    takes and gives one packed value: a is packed in its own ring and the
+    product split through trunc."""
+    if isinstance(mode, EvaluationMode):
+        return rankin._times_p_phi(a, beta, n, mode, trunc)
+    packed = rings._Packed.of(a.coeffs, a.zero)
+    return rankin._times_p_phi(packed, beta, n, mode, trunc).series(trunc)
+
+
 def p_phi(beta, n: int, mode, trunc: int) -> TruncSeries:
     """P_phi through Y-degree trunc, ``_times_p_phi`` of the unit series:
     all of it at trunc = 2nr, its degree."""
-    return rankin._times_p_phi(unit_series(mode), beta, n, mode, trunc)
+    return times_p_phi(unit_series(mode), beta, n, mode, trunc)
 
 
 def test_p_phi_pi_rank_one_expansion():
@@ -326,7 +414,7 @@ def test_p_phi_pi_degree_and_validation():
     with pytest.raises(ValueError):
         p_phi((Fraction(2), Fraction(0)), 2, SymbolicMode(2), 8)
     with pytest.raises(ValueError):  # a series of another mode
-        rankin._times_p_phi(unit_series(SymbolicMode(2)), BETA2, 2, SymbolicMode(1), 8)
+        times_p_phi(unit_series(SymbolicMode(2)), BETA2, 2, SymbolicMode(1), 8)
 
 
 def _p_phi_oracle(beta, r: int, mode) -> TruncSeries:
@@ -465,11 +553,14 @@ def test_factor_passes_match_the_dense_products():
                     for root in (b, 1 / b):
                         lin = mode.lift(SymLaurent.monomial(r, xj, VLaurent({-1: -root})))
                         want = want * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
-                got = rankin._times_p_phi(a, beta, r, mode, trunc)
+                got = times_p_phi(a, beta, r, mode, trunc)
                 assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
                 want = a * p_wedge2(r, mode, trunc).invert(trunc)
                 got = rankin._over_p_wedge2(a, mode, trunc)
                 assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
+                if isinstance(mode, SymbolicMode):  # symbolic xi's packed pass
+                    got = rankin._over_p_wedge2(rings._Packed.of(a.coeffs, a.zero), mode, trunc)
+                    assert got.series(trunc).coeffs == want.coeffs, (r, trunc)
 
 
 def test_evaluation_phi_times_keeps_the_product_horizon(monkeypatch):
@@ -505,9 +596,11 @@ def test_factor_passes_keep_the_field_limit():
     top = SymLaurent.monomial(2, (limit, 0))
     low = SymLaurent.monomial(2, (0, 0), VLaurent({1 - limit: 1}))
     with pytest.raises(OverflowError):
-        rankin._times_p_phi(TruncSeries({0: top}, 4, mode.zero()), BETA2, 2, mode, 4)
+        times_p_phi(TruncSeries({0: top}, 4, mode.zero()), BETA2, 2, mode, 4)
     with pytest.raises(OverflowError):
         rankin._over_p_wedge2(TruncSeries({0: low}, 4, mode.zero()), mode, 4)
+    with pytest.raises(OverflowError):
+        rankin._over_p_wedge2(rings._Packed.of({0: low}, mode.zero()), mode, 4)
 
 
 def test_factors_truncated_at_trunc_give_the_exact_xi():
