@@ -42,25 +42,24 @@ i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q, so its Y^2k
 coefficient is entry k of the convolution of the two-term lists
 [1, -q^2 y_i y_j], over (pB)^2k.
 
-The torus sum reads each weight of the data once, from the data's flat
-terms: the degree-l coefficient walks only the weights of trace l, through
-the data's trace index, which gives each weight's exponent tuple and its
-terms (e, x), d(lam) = sum x / den v^e over the one denominator of the
-data's generating function, with no VLaurent built.  s_lam is looked up
-once per weight (``mode.schur``), and the mode's ``_torus_sum`` is the one
-place where it enters: symbolic mode adds each numerator product x * y
-into one packed-key accumulator at s_lam's key k plus e + w (v^w being the
-weight's v-power) and normalizes once; evaluation mode sums
-x v^(e + w) s_lam(point) as ints over one denominator.
+The torus sum reads each weight lam of the data once, from the data's
+flat terms (e, x), d(lam) = sum x / den v^e over the one denominator of
+the data's generating function, with no VLaurent built, and looks s_lam up
+once per weight (``mode.schur``); v^w is the weight's v-power.  Symbolic
+mode forms psi as one packed value, Y the top key field (``_packed_psi``,
+``rings._Packed``): each numerator product x * y goes into one
+accumulator at s_lam's key plus Y^l v^(e + w), and ``psi_component``
+reads only the weights of its trace.  Evaluation mode walks the weights
+of trace l through the data's trace index and sums x v^(e + w)
+s_lam(point) as ints over one denominator (``_torus_sum``).
 
 xi = P_phi psi / P_wedge2 is formed by products with psi.  P_phi is the
 product of the r series E_beta(v^-1 X_j Y), and 1 / P_wedge2 that of the
 r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, each cut at
-trunc.  Symbolic mode forms psi as one packed value, Y the top key field
-(``rings._Packed``), straight from the data's flat terms (``_packed_psi``),
-multiplies it by the factors of P_phi (``_phi_times``) and the geometric
-series (``_over_p_wedge2``), each one packed value (``_Packed.powers``),
-and splits the product into normalized degrees once, at the end.
+trunc.  Symbolic mode multiplies the packed psi by the factors of P_phi
+(``_phi_times``) and the geometric series (``_over_p_wedge2``), each one
+packed value (``_Packed.powers``), and splits the product into normalized
+degrees once, at the end.
 Evaluation mode sums its one convolution against psi_series, degree by
 degree, then multiplies by the geometric series.  No P_phi is formed, no
 series is inverted, and a symbolic product forms no term pair past the
@@ -78,9 +77,9 @@ for the symmetric move factors F of ``oldforms``, are checked there, F
 multiplied in monomials by ``SymLaurent._alternant_mul``; a_delta is not a
 zero divisor, so equal coordinates prove the series identity.  At r = 1,
 delta = (0) and the coordinates are psi itself, which the zeta series
-reads.  The series in monomials (``psi_component``, ``psi_series``) remain
-for evaluation mode, the psi-modes check and the witnesses of failing
-cases.
+reads.  The series in monomials (``psi_series``) serve evaluation mode,
+psi-modes and the witnesses of failing cases; in symbolic mode it is the
+packed psi that xi, the unramified check and ``kernel_check`` read.
 """
 
 from __future__ import annotations
@@ -118,12 +117,6 @@ class SymbolicMode:
 
     def schur(self, lam: Coweight) -> SymLaurent:
         return schur(lam, self.r)
-
-    def _torus_sum(self, weights: list, den: int) -> SymLaurent:
-        """The sum over weights (s, w, terms) of s * sum (x / den) v^(e + w)
-        over the terms (e, x): one accumulator of packed keys, normalized
-        once (``SymLaurent._shifted_dot``)."""
-        return self._zero._shifted_dot(weights, den)
 
     def _phi_times(self, packed: _Packed, e: list[int], den: int, trunc: int) -> _Packed:
         """packed times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
@@ -282,7 +275,10 @@ def _torus_weight(lam: Coweight, n: int, r: int) -> tuple[Coweight, int] | None:
 
 def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any:
     """The degree-ell coefficient of the torus-sum series (see module
-    docstring).  Homogeneous of total degree ell in the X variables."""
+    docstring).  Homogeneous of total degree ell in the X variables; only
+    weights of trace ell are read, in symbolic mode by ``_packed_psi``."""
+    if isinstance(mode, SymbolicMode):
+        return _packed_psi(d, n, r, ell, mode, ell).series(ell).get(ell)
     _check_ranks(d, n, r, mode)
     weights = []
     for lam, terms in d._trace_index().get(ell, ()):
@@ -303,21 +299,25 @@ def _psi_rule(n: int, r: int):
     return lambda lam: None if any(lam[r:]) else (sum(lam), *_torus_weight(lam, n, r))
 
 
-def _packed_psi(d: WhittakerData, n: int, r: int, trunc: int, mode: SymbolicMode) -> _Packed:
-    """psi through degree trunc as one packed value (``rings._Packed``):
-    each term x / den v^e of the data at a weight of trace l <= trunc with
-    a zero tail adds x s_head Y^l v^(e + w) into one accumulator over den
-    times the lcm of the Schur denominators, read from the data's flat
-    terms by X-prefix (``_psi_rule``).  The bound of s_head plus |e + w| is
-    checked per term: OverflowError where ``psi_series`` raises it."""
+def _packed_psi(d: WhittakerData, n: int, r: int, trunc: int, mode: SymbolicMode, lower: int = 0) -> _Packed:
+    """psi in degrees lower..trunc as one packed value (``rings._Packed``):
+    each term x / den v^e of the data at a weight of trace l in that range
+    with a zero tail adds x s_head Y^l v^(e + w) into one accumulator over
+    den times the lcm of the Schur denominators, read from the data's flat
+    terms by X-prefix (``_psi_rule``), and s_head is looked up once per
+    weight read (``mode.schur``).  The bound of s_head plus |e + w| is
+    checked per term: OverflowError if it passes the field limit."""
     _check_ranks(d, n, r, mode)
     rule, shift = _psi_rule(n, r), _W * (r + 1)
+    schurs: dict[Coweight, SymLaurent] = {}
     terms, bound = [], 0
     for k, x in d.gen.num.items():
         image = _prefix_image(rule, k >> _W, n, False)
-        if image is not None and image[0] <= trunc:
+        if image is not None and lower <= image[0] <= trunc:
             ell, head, w = image
-            s, t = schur(head, r), (k & _MASK) - _OFFSET + w
+            if head not in schurs:
+                schurs[head] = mode.schur(head)
+            s, t = schurs[head], (k & _MASK) - _OFFSET + w
             bound = max(bound, _checked(s._bound + abs(t), s))
             terms.append((s, (ell << shift) + t, x))
     lcm = math.lcm(*[s.den for s, _, _ in terms])
@@ -332,8 +332,11 @@ def _packed_psi(d: WhittakerData, n: int, r: int, trunc: int, mode: SymbolicMode
 
 
 def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> TruncSeries:
-    """The torus-sum series through degree trunc; degrees where d has no
-    weight are zero without a call of psi_component."""
+    """The torus-sum series through degree trunc: the packed psi split into
+    degrees (symbolic mode), or psi_component at each degree where d has a
+    weight, the others zero without a call (evaluation mode)."""
+    if isinstance(mode, SymbolicMode):
+        return _packed_psi(d, n, r, trunc, mode).series(trunc)
     _check_ranks(d, n, r, mode)
     index = d._trace_index()
     coeffs = {

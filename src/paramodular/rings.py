@@ -313,44 +313,6 @@ class _Laurent:
                     c[k] = get(k, 0) + x1 * x2
         return self._normal(self.r, {k: x for k, x in c.items() if x}, den, bound)
 
-    def _shifted_dot(self, weights: list, den: int):
-        """The sum over weights (s, w, terms) of s * sum (x / den) v^(e + w)
-        over the terms (e, x), e ascending, x an int and s a value of this
-        class and r.  Each numerator product goes into one accumulator at
-        s's key k plus e + w, a shift of its v-field, over den times the lcm
-        L of the s denominators (so s's products are scaled by L / s.den),
-        and the sum is normalized once.  The bound of s plus the largest
-        |e + w| of its terms bounds its products; OverflowError if that
-        passes the limit also once s's bound is re-read."""
-        lcm = math.lcm(*[s.den for s, _, _ in weights])
-        acc: dict[int, int] = {}
-        bound = 0
-        merged = False
-        for s, w, terms in weights:
-            lo, hi = terms[0][0] + w, terms[-1][0] + w
-            b = s._bound + (hi if hi > -lo else -lo)
-            if b > _LIMIT:
-                b = _checked(b, s)
-            if b > bound:
-                bound = b
-            f = lcm // s.den
-            items = s.num.items()
-            for e, x in terms:
-                x *= f
-                t = e + w
-                if not acc:
-                    # the first product: no two keys meet, nothing cancels
-                    acc = {k + t: x * y for k, y in items}
-                    get = acc.get
-                    continue
-                merged = True
-                for k, y in items:
-                    k += t
-                    acc[k] = get(k, 0) + x * y
-        if merged:
-            acc = {k: x for k, x in acc.items() if x}
-        return self._normal(self.r, acc, den * lcm, bound)
-
     def __sub__(self, other: Any):
         return self + (-other)
 
@@ -1064,9 +1026,6 @@ class TruncSeries:
         if self.trunc is not None and k > self.trunc:
             raise ValueError(f"coefficient {k} beyond truncation order {self.trunc}")
         return self.coeffs.get(k, self.zero)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def _horizon(self, other: "TruncSeries") -> int | None:
         if self.trunc is None:

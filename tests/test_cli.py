@@ -6,6 +6,7 @@ import collections
 import concurrent.futures
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import paramodular
-from paramodular import cli, coweights, oldforms, rings, whittaker
+from paramodular import cli, coweights, oldforms, rankin, rings, whittaker
 from paramodular.characters import orbit_sum, schur, sp_character
 from paramodular.cli import (
     CaseRecord,
@@ -327,6 +328,21 @@ def test_psi_modes_sees_a_torus_sum_fault_that_unramified_does_not(monkeypatch):
     assert len(failed) >= len(report.cases) // 2
     assert all(set(c.witness) == {"coefficient", "expected", "got"} for c in failed)
     assert all(set(c.parameters) == {"n", "r", "trial", "point", "v"} for c in report.cases)
+
+
+def test_psi_modes_sees_a_fault_in_the_packed_psi(monkeypatch):
+    # symbolic psi, the packed psi that xi, unramified and kernel read, with
+    # the v-power w of every weight dropped from its rule: evaluation psi
+    # keeps w, so the two modes part at the first degree with a weight
+    @functools.cache
+    def without_w(n, r):
+        return lambda lam: None if any(lam[r:]) else (sum(lam), lam[:r], 0)
+
+    monkeypatch.setattr(rankin, "_psi_rule", without_w)
+    report = run_suite(VerifyConfig(suite="psi-modes"))
+    failed = [c for c in report.cases if not c.verdict]
+    assert len(failed) >= len(report.cases) // 2
+    assert all(set(c.witness) == {"coefficient", "expected", "got"} for c in failed)
 
 
 def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatch):
@@ -973,7 +989,7 @@ def test_default_specialize_cases_compare_nonzero_series():
     assert len(cases) == 60
     for c in cases:
         _, rhs = _specialize_sides(cfg, c["n"], c["r"], c["trial"])
-        assert not rhs.is_zero(), c
+        assert rhs.coeffs, c
 
 
 def test_main_rejects_unknown_suite():
