@@ -60,7 +60,7 @@ from .rankin import (
     SymbolicMode,
     TruncSeries,
     _packed_psi,
-    _times_p_phi,
+    _phi_factors,
     fe_check,
     kernel_check,
     p_wedge2,
@@ -300,11 +300,11 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     # xi = P_phi psi / P_wedge2 is 1 through trunc exactly when P_phi psi
     # and the unit series P_wedge2 agree through trunc, and both first
     # differ at the same degree: no inversion and no window
+    factors = _phi_factors(beta, n, r, cfg.trunc)
     if cfg.mode == "evaluation":
-        lhs = _times_p_phi(psi_series(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
+        lhs = mode._times(psi_series(d, n, r, cfg.trunc, mode), factors, cfg.trunc)
     else:  # the packed psi, its product split once
-        lhs = _times_p_phi(_packed_psi(d, n, r, cfg.trunc, mode), beta, n, mode, cfg.trunc)
-        lhs = lhs.series(cfg.trunc)
+        lhs = mode._times(_packed_psi(d, n, r, cfg.trunc, mode), factors, cfg.trunc).series(cfg.trunc)
     echo = {**params, "beta": [str(b) for b in beta]}
     return echo, _first_mismatch(lhs, p_wedge2(r, mode, cfg.trunc), cfg.trunc)
 

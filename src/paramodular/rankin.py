@@ -30,17 +30,7 @@ of its denominators, the mode holds one ``characters._HTable`` of the
 integers h_m(y) = B^m h_m(x), and each s_lam(point) is the integer
 Jacobi-Trudi determinant of those numbers over B^|core|, times the twist
 of a negative lam_r, by the rule that also gives the numeric symplectic
-characters.  Evaluation mode builds both local factors from the same
-integers, as one integer convolution each (``_phi_times`` and
-``denominator_factor``), and ``_phi_times`` takes the product of that
-convolution with psi as one integer sum per degree, so no P_phi series is
-formed.  The numerator factor P_phi is r copies of one polynomial E_beta,
-whose coefficients are integers over one denominator den, and its
-degree-k coefficient lies over den^r M^k, where x_j / v = c_j / M with
-c_j and M integers.  The denominator factor P_wedge2 is the product over
-i < j of 1 - q^2 y_i y_j (Y / pB)^2, with v = p / q, so its Y^2k
-coefficient is entry k of the convolution of the two-term lists
-[1, -q^2 y_i y_j], over (pB)^2k.
+characters.
 
 The torus sum reads each weight lam of the data once, from the data's
 flat terms (e, x), d(lam) = sum x / den v^e over the one denominator of
@@ -53,17 +43,16 @@ reads only the weights of its trace.  Evaluation mode walks the weights
 of trace l through the data's trace index and sums x v^(e + w)
 s_lam(point) as ints over one denominator (``_torus_sum``).
 
-xi = P_phi psi / P_wedge2 is formed by products with psi.  P_phi is the
-product of the r series E_beta(v^-1 X_j Y), and 1 / P_wedge2 that of the
-r(r-1)/2 geometric series sum_k (v^-2 X_i X_j)^k Y^2k, each cut at
-trunc.  Symbolic mode multiplies the packed psi by the factors of P_phi
-(``_phi_times``) and the geometric series (``_over_p_wedge2``), each one
-packed value (``_Packed.powers``), and splits the product into normalized
-degrees once, at the end.
-Evaluation mode sums its one convolution against psi_series, degree by
-degree, then multiplies by the geometric series.  No P_phi is formed, no
-series is inverted, and a symbolic product forms no term pair past the
-horizon.  The unramified check takes the same products for P_phi psi.
+Local factors are lists of power factors (y, exps, coeffs, den), each
+sum_k (coeffs[k] / den) m^k in a monomial m = v^-y X^a Y^y, |a| = y, exps
+= (a, -y), cut at trunc: P_phi is r factors E_beta(v^-1 X_j Y), P_wedge2
+r(r-1)/2 factors 1 - v^-2 X_i X_j Y^2, 1 / P_wedge2 their geometric series.
+Each mode multiplies by a list in one pass, ``_times``: symbolic mode by
+one packed product per factor, evaluation mode by one integer convolution
+of the factors' rows, summed against psi once per degree.  xi is one pass
+over psi with P_phi's and 1 / P_wedge2's factors, the unramified check
+takes P_phi's, and P_wedge2 is the unit times its own.  No series is
+inverted or multiplied, and no term past the horizon is formed.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -86,6 +75,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -118,29 +108,16 @@ class SymbolicMode:
     def schur(self, lam: Coweight) -> SymLaurent:
         return schur(lam, self.r)
 
-    def _phi_times(self, packed: _Packed, e: list[int], den: int, trunc: int) -> _Packed:
-        """packed times prod_j E(v^-1 X_j Y), E(t) = sum_k (e_k / den) t^k,
-        through Y-degree trunc: r products with packed factors
-        (``_Packed.powers``), the Y^k term of factor j (e_k / den) v^-k
-        X_j^k.  No P_phi and no series of degrees is formed."""
-        sign = -1 if den < 0 else 1  # den is a product of signed p q
-        coeffs = [sign * x for x in e[: trunc + 1]]
-        for j in range(self.r):
-            exps = tuple(-1 if i == self.r else int(i == j) for i in range(self.r + 1))
-            packed = packed.times(_Packed.powers(self._zero, 1, exps, coeffs, sign * den), trunc)
+    def _times(self, packed: _Packed, factors: list, trunc: int) -> _Packed:
+        """packed times the power factors through Y-degree trunc: one packed
+        product per factor (``_Packed.powers``), no series of degrees."""
+        for y, exps, coeffs, den in factors:
+            packed = packed.times(_Packed.powers(self._zero, y, exps, coeffs, den), trunc)
         return packed
 
-    def denominator_factor(self, trunc: int) -> TruncSeries:
-        """prod_{i<j} (1 - v^-2 X_i X_j Y^2) through Y-degree trunc: the
-        product of r(r-1)/2 two-term series."""
-        r = self.r
-        out = TruncSeries({0: self._one}, trunc, self._zero)
-        for i in range(r):
-            for j in range(i + 1, r):
-                e = tuple(1 if k in (i, j) else 0 for k in range(r))
-                quad = SymLaurent.monomial(r, e, VLaurent({-2: -1}))
-                out = out * TruncSeries({0: self._one, 2: quad}, trunc, self._zero)
-        return out
+
+# Fractions are immutable, so one of each serves every point
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class EvaluationMode:
@@ -157,10 +134,10 @@ class EvaluationMode:
         self._table = _HTable(self.point)
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def lift(self, poly: SymLaurent) -> Fraction:
         return poly.evaluate(self.point, self.v_value)
@@ -192,26 +169,42 @@ class EvaluationMode:
             total += part * s.numerator * (lcm // s.denominator)
         return Fraction(total, den * lcm * p**-lo * q**hi)
 
-    def _phi_times(self, series: TruncSeries, e: list[int], den: int, trunc: int) -> TruncSeries:
-        """series times prod_j E(x_j Y / v) at the point, E(t) = sum_k
-        (e_k / den) t^k, through Y-degree trunc.  With x_j / v = c_j / M,
-        c_j = y_j v_den and M = B v_num, the factor's degree-k coefficient
-        is entry k of the integer convolution conv of the r lists [e_0 c_j^0,
-        e_1 c_j^1, ...], over den^r M^k.  With the series' coefficients
-        a_l / b_l over their lcm L, degree k of the product is the one
-        integer sum over l of conv[k - l] M^l a_l (L / b_l), over
-        den^r M^k L: no P_phi is formed, and nothing past the product's
-        horizon, min(trunc, series.trunc), is."""
-        t = trunc if series.trunc is None else min(trunc, series.trunc)
-        total = [1]
-        for y in self._table.y:
-            c = y * self.v_value.denominator
-            row = [x * c**k for k, x in enumerate(e[: t + 1])]
-            conv = [0] * min(len(total) + len(row) - 1, t + 1)
+    def _convolution(self, factors: list, t: int) -> tuple[list[int], int]:
+        """The factors' product through Y-degree t at the point, entry k over
+        den M^k, den the dens' product: with x = y / B and v = p / q, the
+        monomial v^-y X^a Y^y is c Y^y / M^y, c = q^y prod y_i^a_i, M = pB."""
+        ys, q = self._table.y, self.v_value.denominator
+        total, den = [1], 1
+        for y, exps, coeffs, d in factors:
+            c = q**y * math.prod(map(pow, ys, exps))
+            size = min(len(total) + y * (len(coeffs) - 1), t + 1)
+            conv = [0] * size
             for a, x in enumerate(total):
-                for b, z in enumerate(row[: len(conv) - a]):
-                    conv[a + b] += x * z
-            total = conv
+                if x:  # x c^k coeffs[k] goes to degree a + yk
+                    for z in coeffs:
+                        if a >= size:
+                            break
+                        conv[a] += x * z
+                        x *= c
+                        a += y
+            total, den = conv, den * d
+        return total, den
+
+    def _series(self, nums: list[int], den: int, t: int) -> TruncSeries:
+        """The series through t whose Y^k coefficient is nums[k] / (den M^k)."""
+        m, coeffs = self._table.den * self.v_value.numerator, {}
+        for k, x in enumerate(nums):
+            if x:
+                coeffs[k] = Fraction(x, den)
+            den *= m
+        return TruncSeries(coeffs, t, self.zero())
+
+    def _times(self, series: TruncSeries, factors: list, trunc: int) -> TruncSeries:
+        """series times the factors through min(trunc, series.trunc): with
+        a_l / b_l over their lcm L, degree k is the integer sum over l of
+        conv[k - l] M^l a_l (L / b_l), over L and conv's den times M^k."""
+        t = trunc if series.trunc is None else min(trunc, series.trunc)
+        total, den = self._convolution(factors, t)
         m = self._table.den * self.v_value.numerator
         psi = [(ell, x) for ell, x in series.coeffs.items() if ell <= t]
         lcm = math.lcm(*[x.denominator for _, x in psi])
@@ -220,35 +213,7 @@ class EvaluationMode:
             a = x.numerator * (lcm // x.denominator) * m**ell
             for j, c in enumerate(total[: t + 1 - ell]):
                 acc[ell + j] += c * a
-        coeffs, scale = {}, den**self.r * lcm
-        for k, x in enumerate(acc):
-            if x:
-                coeffs[k] = Fraction(x, scale)
-            scale *= m
-        return TruncSeries(coeffs, t, self.zero())
-
-    def denominator_factor(self, trunc: int) -> TruncSeries:
-        """prod_{i<j} (1 - v^-2 x_i x_j Y^2) at the point through Y-degree
-        trunc.  With x = y / B and v = p / q, factor (i, j) is
-        1 - q^2 y_i y_j (Y / pB)^2, so the Y^2k coefficient is entry k of
-        the integer convolution of the two-term lists [1, -q^2 y_i y_j],
-        over (pB)^2k; entries past trunc are never formed."""
-        y, q = self._table.y, self.v_value.denominator
-        total = [1]
-        for i in range(self.r):
-            for j in range(i + 1, self.r):
-                c = -q * q * y[i] * y[j]
-                if len(total) <= trunc // 2:
-                    total.append(0)
-                for k in range(len(total) - 1, 0, -1):
-                    total[k] += c * total[k - 1]
-        m = (self.v_value.numerator * self._table.den) ** 2
-        coeffs, scale = {}, 1
-        for k, x in enumerate(total):
-            if x:
-                coeffs[2 * k] = Fraction(x, scale)
-            scale *= m
-        return TruncSeries(coeffs, trunc, self.zero())
+        return self._series(acc, den * lcm, t)
 
 
 Mode = SymbolicMode | EvaluationMode
@@ -401,43 +366,41 @@ def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return e, den
 
 
-def _times_p_phi(series: TruncSeries | _Packed, beta, n: int, mode: Mode, trunc: int) -> TruncSeries | _Packed:
-    """The numerator local factor P_phi times series through Y-degree
-    trunc: P_phi is the product over j <= r, i <= n, both signs, of
-    (1 - beta_i^{+-1} v^{-1} X_j Y), that is prod_j E_beta(v^{-1} X_j Y)
-    with E_beta from ``e_beta``, a polynomial of Y-degree 2nr with
-    constant coefficient 1.  ValueError unless beta has n entries, all
-    nonzero; the product is the mode's ``_phi_times`` (packed, symbolic)."""
-    return mode._phi_times(series, *e_beta(_satake(beta, n)), trunc)
+@functools.cache
+def _monomials(r: int, y: int) -> tuple[tuple[int, ...], ...]:
+    """exps = (a, -y) of v^-y X^a Y^y, a each y-subset of X_1..X_r in
+    lexicographic order: X_j for P_phi, X_i X_j (i < j) for P_wedge2."""
+    subsets = itertools.combinations(range(r), y)
+    return tuple(tuple(int(i in s) for i in range(r)) + (-y,) for s in subsets)
+
+
+def _phi_factors(beta, n: int, r: int, trunc: int) -> list:
+    """The numerator local factor P_phi, the product over j <= r, i <= n,
+    both signs, of (1 - beta_i^{+-1} v^{-1} X_j Y), as the r power factors
+    E_beta(v^{-1} X_j Y) (see the module docstring), E_beta from ``e_beta``
+    over a positive den.  ValueError unless beta has n entries, all nonzero."""
+    e, den = e_beta(_satake(beta, n))
+    sign = -1 if den < 0 else 1  # den is a product of signed p q
+    coeffs = [sign * x for x in e[: trunc + 1]]
+    return [(1, exps, coeffs, sign * den) for exps in _monomials(r, 1)]
+
+
+def _wedge_factors(r: int, coeffs: list[int]) -> list:
+    """The power factors sum_k coeffs[k] (v^-2 X_i X_j Y^2)^k, i < j: those of
+    P_wedge2 for [1, -1], of 1 / P_wedge2 through Y-degree 2K for K + 1 ones."""
+    return [(2, exps, coeffs, 1) for exps in _monomials(r, 2)]
 
 
 def p_wedge2(r: int, mode: Mode, trunc: int) -> TruncSeries:
     """Denominator local factor: prod over i < j of (1 - v^{-2} X_i X_j Y^2),
     a polynomial of Y-degree r(r-1), equal to 1 when r = 1, known through
-    Y-degree trunc."""
+    Y-degree trunc: the unit series times its factors (``_wedge_factors``)."""
     if mode.r != r:
         raise ValueError("mode variable count differs from r")
-    return mode.denominator_factor(trunc)
-
-
-def _over_p_wedge2(series: TruncSeries | _Packed, mode: Mode, trunc: int) -> TruncSeries | _Packed:
-    """series / P_wedge2 through Y-degree trunc: one product per pair
-    i < j, with the inverse sum_k u^k Y^2k of the factor 1 - u Y^2,
-    u = v^-2 X_i X_j; no series is inverted.  A packed series stays packed."""
-    r = mode.r
-    for i in range(r):
-        for j in range(i + 1, r):
-            exps = tuple(1 if k in (i, j) else 0 for k in range(r))
-            if isinstance(series, _Packed):
-                geometric = _Packed.powers(series.zero, 2, exps + (-2,), [1] * (trunc // 2 + 1), 1)
-                series = series.times(geometric, trunc)
-                continue
-            u = mode.lift(SymLaurent.monomial(r, exps, VLaurent({-2: 1})))
-            coeffs, power = {}, mode.one()
-            for k in range(0, trunc + 1, 2):
-                coeffs[k], power = power, power * u
-            series = series * TruncSeries(coeffs, trunc, mode.zero())
-    return series
+    factors = _wedge_factors(r, [1, -1])
+    if isinstance(mode, SymbolicMode):
+        return mode._times(_Packed.of({0: mode.one()}, mode.zero()), factors, trunc).series(trunc)
+    return mode._series(*mode._convolution(factors, trunc), trunc)
 
 
 @dataclasses.dataclass
@@ -514,9 +477,9 @@ def xi(
     The numerator factor comes from ``beta`` (unramified parameters); without
     it the factor is 1.  psi (packed in symbolic mode, ``_packed_psi``, and
     split into degrees once at the end) is multiplied by the factors of
-    P_phi (``_times_p_phi``) and by the geometric series of 1 / P_wedge2
-    (``_over_p_wedge2``): no P_phi is formed and nothing is inverted; see
-    the module docstring.
+    P_phi and the geometric series of 1 / P_wedge2 in one pass of the mode
+    (``_times``): no P_phi is formed and nothing is inverted; see the
+    module docstring.
     If the coefficients of degrees trunc - window + 1 through trunc do not
     all vanish the result is flagged as not stabilized rather than raising.
     """
@@ -530,12 +493,12 @@ def xi(
     trunc = default_trunc(d, n, r, window) if trunc is None else trunc
     if trunc < window:
         raise ValueError("truncation order must be at least the window")
-    symbolic = isinstance(mode, SymbolicMode)
-    series = _packed_psi(d, n, r, trunc, mode) if symbolic else psi_series(d, n, r, trunc, mode)
-    if beta is not None:
-        series = _times_p_phi(series, beta, n, mode, trunc)
-    series = _over_p_wedge2(series, mode, trunc)
-    series = series.series(trunc) if symbolic else series
+    factors = [] if beta is None else _phi_factors(beta, n, r, trunc)
+    factors += _wedge_factors(r, [1] * (trunc // 2 + 1))
+    if isinstance(mode, SymbolicMode):
+        series = mode._times(_packed_psi(d, n, r, trunc, mode), factors, trunc).series(trunc)
+    else:
+        series = mode._times(psi_series(d, n, r, trunc, mode), factors, trunc)
     stabilized = all(series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1))
     poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)

@@ -348,23 +348,25 @@ def test_psi_modes_sees_a_fault_in_the_packed_psi(monkeypatch):
 def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatch):
     # xi multiplies psi by the r factors of P_phi and by the geometric
     # inverses of the factors of P_wedge2, and symbolic unramified by the r
-    # factors of P_phi: no series is inverted and P_phi is never formed,
-    # which _phi_times would do if it were given the unit series (packed,
-    # as the symbolic pass takes it)
-    calls = {"invert": 0, "_phi_times": 0, "_phi_times of 1": 0}
-    invert, phi_times = rings.TruncSeries.invert, SymbolicMode._phi_times
+    # factors of P_phi, each in one pass: no series is inverted and P_phi
+    # is never formed, which the pass would do if it applied P_phi's
+    # factors (those of Y-degree 1) to the unit series (packed, as the
+    # symbolic pass takes it)
+    calls = {"invert": 0, "P_phi passes": 0, "P_phi passes on 1": 0}
+    invert, times = rings.TruncSeries.invert, SymbolicMode._times
 
     def spy_invert(*args):
         calls["invert"] += 1
         return invert(*args)
 
-    def spy_phi_times(self, packed, *args):
-        calls["_phi_times"] += 1
-        calls["_phi_times of 1"] += packed.series(None).coeffs == {0: self.one()}
-        return phi_times(self, packed, *args)
+    def spy_times(self, packed, factors, *args):
+        if any(y == 1 for y, *_ in factors):
+            calls["P_phi passes"] += 1
+            calls["P_phi passes on 1"] += packed.series(None).coeffs == {0: self.one()}
+        return times(self, packed, factors, *args)
 
     monkeypatch.setattr(rings.TruncSeries, "invert", spy_invert)
-    monkeypatch.setattr(SymbolicMode, "_phi_times", spy_phi_times)
+    monkeypatch.setattr(SymbolicMode, "_times", spy_times)
     xi_calls = spy_on(monkeypatch, "xi")
     report = run_suite(VerifyConfig(suite="fe", trials=1))
     assert report.all_passed and xi_calls == {"xi": 3}
@@ -378,7 +380,24 @@ def test_symbolic_xi_and_unramified_invert_nothing_and_build_no_p_phi(monkeypatc
         res = xi(d, 3, 3, beta=beta, mode=mode, trunc=6)
         assert res.stabilized and res.poly == 1
     # one pass per symbolic xi (three in fe, one here) and unramified case
-    assert calls == {"invert": 0, "_phi_times": 10, "_phi_times of 1": 0}
+    assert calls == {"invert": 0, "P_phi passes": 10, "P_phi passes on 1": 0}
+
+
+def test_xi_p_wedge2_and_symbolic_unramified_form_no_series_product(monkeypatch):
+    # every factor product goes through the mode's pass, so with
+    # TruncSeries.__mul__ gone xi and P_wedge2 run in both modes, and so
+    # does the symbolic unramified suite
+    beta = (Fraction(2), Fraction(-3, 5), Fraction(7, 4))
+    d = spherical_so_data(beta, 3, 6)
+    point = EvaluationMode(3, (Fraction(1, 2), Fraction(-3), Fraction(5, 7)), Fraction(-2, 3))
+    monkeypatch.setattr(rings.TruncSeries, "__mul__", None)
+    for mode in (SymbolicMode(3), point):
+        wedge = rankin.p_wedge2(3, mode, 8)
+        assert (wedge.trunc, max(wedge.coeffs), wedge.get(0)) == (8, 6, 1)
+        res = xi(d, 3, 3, beta=beta, mode=mode, trunc=6)
+        assert res.stabilized and res.poly == 1
+    report = run_suite(VerifyConfig(suite="unramified", mode="symbolic", trials=1))
+    assert report.all_passed and len(report.cases) == 6
 
 
 def _doubled_at_2e1(beta, n, trunc):

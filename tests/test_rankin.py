@@ -402,18 +402,29 @@ def test_packed_psi_keeps_the_field_limit_where_psi_series_does():
     assert rankin._packed_psi(wide, 2, 2, 5, SymbolicMode(2)).series(5).coeffs == want
 
 
-def times_p_phi(a: TruncSeries, beta, n: int, mode, trunc: int) -> TruncSeries:
-    """``_times_p_phi`` of a through Y-degree trunc.  Symbolic mode's pass
-    takes and gives one packed value: a is packed in its own ring and the
-    product split through trunc."""
+def times_factors(a: TruncSeries, factors: list, mode, trunc: int) -> TruncSeries:
+    """a times the power factors through Y-degree trunc, by the mode's one
+    pass.  Symbolic mode's pass takes and gives one packed value: a is
+    packed in its own ring and the product split through trunc."""
     if isinstance(mode, EvaluationMode):
-        return rankin._times_p_phi(a, beta, n, mode, trunc)
+        return mode._times(a, factors, trunc)
     packed = rings._Packed.of(a.coeffs, a.zero)
-    return rankin._times_p_phi(packed, beta, n, mode, trunc).series(trunc)
+    return mode._times(packed, factors, trunc).series(trunc)
+
+
+def times_p_phi(a: TruncSeries, beta, n: int, mode, trunc: int) -> TruncSeries:
+    """a times P_phi through Y-degree trunc: the pass with P_phi's factors."""
+    return times_factors(a, rankin._phi_factors(beta, n, mode.r, trunc), mode, trunc)
+
+
+def over_p_wedge2(a: TruncSeries, mode, trunc: int) -> TruncSeries:
+    """a / P_wedge2 through Y-degree trunc: the pass with the geometric
+    inverses of P_wedge2's factors, as xi takes them."""
+    return times_factors(a, rankin._wedge_factors(mode.r, [1] * (trunc // 2 + 1)), mode, trunc)
 
 
 def p_phi(beta, n: int, mode, trunc: int) -> TruncSeries:
-    """P_phi through Y-degree trunc, ``_times_p_phi`` of the unit series:
+    """P_phi through Y-degree trunc, ``times_p_phi`` of the unit series:
     all of it at trunc = 2nr, its degree."""
     return times_p_phi(unit_series(mode), beta, n, mode, trunc)
 
@@ -578,14 +589,11 @@ def test_factor_passes_match_the_dense_products():
                 got = times_p_phi(a, beta, r, mode, trunc)
                 assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
                 want = a * p_wedge2(r, mode, trunc).invert(trunc)
-                got = rankin._over_p_wedge2(a, mode, trunc)
+                got = over_p_wedge2(a, mode, trunc)
                 assert (got.trunc, got.coeffs) == (trunc, want.coeffs), (r, mode, trunc)
-                if isinstance(mode, SymbolicMode):  # symbolic xi's packed pass
-                    got = rankin._over_p_wedge2(rings._Packed.of(a.coeffs, a.zero), mode, trunc)
-                    assert got.series(trunc).coeffs == want.coeffs, (r, trunc)
 
 
-def test_evaluation_phi_times_keeps_the_product_horizon(monkeypatch):
+def test_evaluation_pass_keeps_the_product_horizon(monkeypatch):
     # the per-degree integer sum of evaluation mode, on series known through
     # no horizon, a lower, a higher one and on the empty series, against the
     # dense product with the 2nr linear factors; it forms no series product
@@ -605,7 +613,7 @@ def test_evaluation_phi_times_keeps_the_product_horizon(monkeypatch):
                             want = want * TruncSeries({0: mode.one(), 1: lin}, None, mode.zero())
                     with monkeypatch.context() as patch:
                         patch.setattr(TruncSeries, "__mul__", None)
-                        got = rankin._times_p_phi(a, beta, r, mode, trunc)
+                        got = mode._times(a, rankin._phi_factors(beta, r, r, trunc), trunc)
                     horizon = trunc if own is None else min(trunc, own)
                     assert (got.trunc, got.coeffs) == (horizon, want.coeffs), (r, trunc, own)
                     assert all(got.coeffs.values())
@@ -620,9 +628,60 @@ def test_factor_passes_keep_the_field_limit():
     with pytest.raises(OverflowError):
         times_p_phi(TruncSeries({0: top}, 4, mode.zero()), BETA2, 2, mode, 4)
     with pytest.raises(OverflowError):
-        rankin._over_p_wedge2(TruncSeries({0: low}, 4, mode.zero()), mode, 4)
-    with pytest.raises(OverflowError):
-        rankin._over_p_wedge2(rings._Packed.of({0: low}, mode.zero()), mode, 4)
+        over_p_wedge2(TruncSeries({0: low}, 4, mode.zero()), mode, 4)
+
+
+def test_evaluation_pass_is_the_symbolic_pass_at_the_point():
+    # cross-mode oracle for the two kernels: for P_phi's factors, those of
+    # P_wedge2, their geometric inverses, xi's list of both and no factor,
+    # the evaluation pass equals the symbolic pass lifted to the point,
+    # degree by degree, on series known through no horizon, a lower and a
+    # higher one, at a point with a zero entry and at negative v
+    rng = random.Random("pass-cross-mode")
+    for r in range(1, 5):
+        beta, sym = random_beta(rng, r), SymbolicMode(r)
+        points = [
+            (random_point(rng, r), random_v(rng)),
+            ((F(0),) + random_point(rng, r - 1), F(-3, 5)),
+            (tuple(F(-2 - i, 7) for i in range(r)), F(-9, 4)),
+        ]
+        # X-exponents in 0..6, so that a zero entry evaluates
+        shift = SymLaurent.monomial(r, (3,) * r)
+        for trunc in range(11):
+            phi = rankin._phi_factors(beta, r, r, trunc)
+            geometric = rankin._wedge_factors(r, [1] * (trunc // 2 + 1))
+            lists = [phi, rankin._wedge_factors(r, [1, -1]), geometric, phi + geometric, []]
+            coeffs = {k: shift * c for k, c in _random_series(rng, sym, 9).coeffs.items()}
+            for own, factors in itertools.product((None, max(trunc - 3, 0), trunc + 2), lists):
+                a = TruncSeries(coeffs, own, sym.zero())
+                horizon = trunc if own is None else min(trunc, own)
+                want = times_factors(a, factors, sym, horizon)
+                for point, v in points:
+                    mode = EvaluationMode(r, point, v)
+                    at = {k: c.evaluate(point, v) for k, c in a.coeffs.items()}
+                    got = mode._times(TruncSeries(at, own, mode.zero()), factors, trunc)
+                    lifted = {k: c.evaluate(point, v) for k, c in want.coeffs.items()}
+                    assert got.trunc == horizon
+                    assert got.coeffs == {k: x for k, x in lifted.items() if x}, (r, trunc, own, v)
+
+
+def test_p_wedge2_times_its_geometric_inverses_is_the_unit_series():
+    # P_wedge2 times the geometric inverses of its factors, and the unit
+    # times both lists in one pass, is 1 through trunc, in both modes
+    rng = random.Random("wedge-unit")
+    for r in range(1, 6):
+        modes = [
+            SymbolicMode(r),
+            EvaluationMode(r, random_point(rng, r), random_v(rng)),
+            EvaluationMode(r, (F(0),) + random_point(rng, r - 1), F(-3, 5)),
+        ]
+        for mode, trunc in itertools.product(modes, range(13)):
+            geometric = rankin._wedge_factors(r, [1] * (trunc // 2 + 1))
+            got = times_factors(p_wedge2(r, mode, trunc), geometric, mode, trunc)
+            assert (got.trunc, got.coeffs) == (trunc, {0: mode.one()}), (r, trunc, mode)
+            both = geometric + rankin._wedge_factors(r, [1, -1])
+            got = times_factors(unit_series(mode), both, mode, trunc)
+            assert (got.trunc, got.coeffs) == (trunc, {0: mode.one()}), (r, trunc, mode)
 
 
 def test_factors_truncated_at_trunc_give_the_exact_xi():
@@ -680,10 +739,12 @@ def test_public_surface_is_what_the_verifier_uses():
         "xi",
         "zeta_series",
     }
-    # each mode forms P_phi in one method and P_wedge2 in another; only
-    # evaluation mode has a torus sum of its own, symbolic psi being packed
-    methods = {"_phi_times", "denominator_factor", "lift", "one", "schur", "zero"}
-    for cls, own in ((SymbolicMode, set()), (EvaluationMode, {"_torus_sum"})):
+    # each mode multiplies by lists of power factors in one pass; only
+    # evaluation mode has a torus sum of its own, symbolic psi being packed,
+    # and reads the factors' integer convolution into Fractions itself
+    methods = {"_times", "lift", "one", "schur", "zero"}
+    evaluation = {"_convolution", "_series", "_torus_sum"}
+    for cls, own in ((SymbolicMode, set()), (EvaluationMode, evaluation)):
         assert {name for name in vars(cls) if not name.startswith("__")} == methods | own, cls.__name__
 
 
