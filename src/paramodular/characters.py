@@ -1,11 +1,10 @@
 """Weyl characters with exact coefficients.
 
-* Schur polynomials for GL_r as bialternants a_{lam+delta} / a_delta, for
-  weakly decreasing integer vectors (negative entries included), plus an
+* Schur polynomials for GL_r as Demazure characters, for weakly
+  decreasing integer vectors (negative entries included), plus an
   independent semistandard-tableau oracle;
-* symplectic characters for Sp_{2n} by the Weyl alternant ratio, with the
-  exact division acting as a built-in self-check, plus the Weyl dimension
-  formula as a second oracle;
+* symplectic characters for Sp_{2n} as Demazure characters, plus the Weyl
+  dimension formula as an oracle;
 * numeric characters at a rational point, Schur and symplectic alike, as
   Jacobi-Trudi determinants of integers read from one table of complete
   homogeneous sums per point (no polynomial is built);
@@ -18,15 +17,17 @@ Satake images, in :func:`paramodular.oldforms.so4_satake_table`.  The
 specialization X_r -> 0 that drops the last GL variable is
 :meth:`paramodular.rings.SymLaurent.substitute_last_zero`.
 
-A symbolic character is an alternant over a factored Weyl denominator: the
-numerator alternant is written out as its signed monomials, one per
-permutation and choice of signs, and divided by the denominator's two-term
-factors X^a - X^b one at a time (``_alternant``, ``_weyl_ratio``); no
-determinant and no polynomial product is formed; the alternant keeps
-the Leibniz sign table (``_leibniz``).  Every numeric character is one
-rule, ``_jacobi_trudi``: a Jacobi-Trudi determinant, Koike-Terada's in
-type C, of the integers h_m(y) = B^m h_m(z) of an ``_HTable``, where B is
-the lcm of the point's denominators and y = B z, over one power of B.  The
+A symbolic character is built by the Demazure character formula
+chi_lam = pi_{w_0} X^lam (Demazure, Ann. Sci. ENS 7, 1974; Andersen,
+Invent. Math. 79, 1985): one isobaric divided difference pi_i per letter
+of a reduced word for the longest Weyl group element w_0, each sending a
+monomial to a string of monomials along a simple root (``_demazure``).
+No alternant, no division and no polynomial product is formed, and every
+intermediate is a Demazure character, whose weights are weights of the
+result.  Every numeric character is one rule, ``_jacobi_trudi``: a
+Jacobi-Trudi determinant, Koike-Terada's in type C, of the integers
+h_m(y) = B^m h_m(z) of an ``_HTable``, where B is the lcm of the point's
+denominators and y = B z, over one power of B.  The
 integer determinant (``_jacobi_trudi_det``, ``_det``) is written out for
 k <= 3 rows and taken by fraction-free Bareiss elimination, O(k^3), for
 more.  Its rows follow one row rule, ``_jacobi_trudi_row``: the row of
@@ -51,23 +52,7 @@ import operator
 from fractions import Fraction
 
 from .coweights import Cone, Coweight, is_dominant
-from .rings import SymLaurent, _div_binomial
-
-
-@functools.cache
-def _leibniz(k: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
-    """The Leibniz sign table: every permutation of range(k), in
-    lexicographic order, with whether it is odd.  A permutation starting
-    with i puts i before the i smaller entries, so its parity is that of i
-    plus that of the rest, a permutation of the table for k - 1 (relabelled
-    monotonely, which keeps its inversions)."""
-    if k == 0:
-        return ((False, ()),)
-    return tuple(
-        (odd != (i % 2 == 1), (i, *(j + (j >= i) for j in rest)))
-        for i in range(k)
-        for odd, rest in _leibniz(k - 1)
-    )
+from .rings import _MASK, _W, SymLaurent, _checked, _pack
 
 
 def _det(entries: list[list[int]]) -> int:
@@ -111,68 +96,40 @@ def _det(entries: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _alternant(mu: list[int], signs: tuple[int, ...]) -> SymLaurent:
-    """det(sum_{s in signs} s X_j^(s mu_i)) written out as its signed
-    monomials, one for each permutation and choice of signs: signs (1,)
-    gives the type A alternant a_mu, signs (1, -1) the type C one.  For
-    strictly decreasing mu (positive, in type C) no two monomials
-    coincide."""
-    r = len(mu)
-    terms = {}
-    for odd, perm in _leibniz(r):
-        for eps in itertools.product(signs, repeat=r):
-            e = [0] * r
-            for m, j, s in zip(mu, perm, eps):
-                e[j] = s * m
-            terms[tuple(e)] = -math.prod(eps) if odd else math.prod(eps)
-    return SymLaurent(r, terms)
-
-
-def _unit(r: int, *signed: tuple[int, int]) -> tuple[int, ...]:
-    """The exponent tuple sum of s e_i over the (i, s) pairs given."""
-    e = [0] * r
-    for i, s in signed:
-        e[i] += s
-    return tuple(e)
-
-
-@functools.cache
-def _gl_weyl_factors(r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """a_delta = det(X_j^(r-i)) = prod_{i<j} (X_i - X_j), as the (a, b)
-    of its factors X^a - X^b."""
-    return tuple(
-        (_unit(r, (i, 1)), _unit(r, (j, 1))) for i in range(r) for j in range(i + 1, r)
-    )
-
-
-@functools.cache
-def _sp_weyl_factors(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The type C Weyl denominator det(x_j^(n-i+1) - x_j^-(n-i+1)) =
-    prod_i (x_i - x_i^-1) prod_{i<j} (x_i - x_j)(1 - x_i^-1 x_j^-1), as the
-    (a, b) of its factors X^a - X^b.  The alternant is prod_i (x_i - x_i^-1)
-    times the Vandermonde determinant in y = x + x^-1, and
-    y_i - y_j = (x_i - x_j)(1 - x_i^-1 x_j^-1)."""
-    return tuple((_unit(n, (i, 1)), _unit(n, (i, -1))) for i in range(n)) + tuple(
-        pair
-        for i in range(n)
-        for j in range(i + 1, n)
-        for pair in [
-            (_unit(n, (i, 1)), _unit(n, (j, 1))),
-            (_unit(n), _unit(n, (i, -1), (j, -1))),
-        ]
-    )
-
-
-def _weyl_ratio(num: SymLaurent, factors, lam: Coweight) -> SymLaurent:
-    """num divided by the product of the factors X^a - X^b, one at a time.
-    num is a multiple of the product iff every step is exact; a remainder
-    means a bug upstream."""
-    try:
-        for a, b in factors:
-            num = _div_binomial(num, a, b)
-    except ValueError as exc:  # pragma: no cover - internal consistency check
-        raise ArithmeticError(f"Weyl alternant division failed for {lam}") from exc
-    return num
+def _demazure(lam: Coweight, word: tuple[int, ...]) -> SymLaurent:
+    """pi_{i_k} .. pi_{i_1} X^lam for word = (i_1, .., i_k), the first
+    letter acting first, by isobaric divided differences
+    pi_i f = (f - X^-alpha s_i f) / (1 - X^-alpha).  Letter i < r - 1 is
+    the root alpha = e_i - e_{i+1} and letter r - 1 the long root 2 e_r of
+    type C.  On a monomial c X^mu, with m = <mu, alpha^vee>, pi_i gives
+    c X^mu + .. + c X^(mu - m alpha) for m >= 0, nothing for m = -1 and
+    -c X^(mu + alpha) - .. - c X^(mu - (m + 1) alpha) for m <= -2, so no
+    division is taken.  Keys move by int steps: alpha^vee pairs mu with
+    the field of x_i less the field below it, that of x_{i+1} or, for the
+    long root, that of v, which is 0 in every term.  A coefficient that
+    cancels to 0 only adds zeros until the end, where it is dropped.
+    Every term keeps within the convex hull of the Weyl orbit of lam, so
+    its exponents within max|lam_i|, which the caller has checked."""
+    r = len(lam)
+    num = {_pack((*lam, 0)): 1}
+    for i in word:
+        s = _W * (r - i)
+        step = (1 << s) - (1 << (s - _W)) if i < r - 1 else 2 << s
+        out: dict[int, int] = {}
+        get = out.get
+        for k, c in num.items():
+            m = ((k >> s) & _MASK) - ((k >> (s - _W)) & _MASK)
+            if m == 0:
+                out[k] = get(k, 0) + c
+            elif m > 0:
+                for key in range(k - m * step, k + 1, step):
+                    out[key] = get(key, 0) + c
+            elif m < -1:
+                for key in range(k + step, k - m * step, step):
+                    out[key] = get(key, 0) - c
+        num = out
+    bound = max(map(abs, lam), default=0)
+    return SymLaurent._wrap(r, {k: c for k, c in num.items() if c}, 1, bound)
 
 
 def _gl_weight(lam: Coweight, r: int) -> Coweight:
@@ -189,14 +146,22 @@ def _gl_weight(lam: Coweight, r: int) -> Coweight:
 
 @functools.cache
 def schur(lam: Coweight, r: int) -> SymLaurent:
-    """Schur polynomial s_lam(X_1..X_r) as the bialternant
-    a_{lam+delta} / a_delta, delta = (r-1, ..., 1, 0).
+    """Schur polynomial s_lam(X_1..X_r) as the Demazure character
+    pi_{w_0} X^lam, the letters of w_0 acting in the order
+    (r-1)(r-2 r-1)(r-3 r-2 r-1)..(1 2 .. r-1) of A_{r-1}.  After each
+    group the value is X_1^lam_1 .. X_k^lam_k times the Schur polynomial
+    of the trailing parts in the trailing variables: the smallest parts
+    of lam are spread first, which keeps every intermediate small.
 
     lam must be weakly decreasing of length r.  Negative entries need no
-    special case: the ratio holds for Laurent exponents."""
+    special case: the formula holds for every dominant weight of GL_r.
+    OverflowError unless 2 max|lam_i + r - 1 - i| (max|lam_1| at r = 1)
+    is within the packed field limit: the domain of the bialternant
+    a_{lam+delta} / a_delta, kept so that a weight whose character is
+    far too large to build is refused before any term is formed."""
     lam = _gl_weight(lam, r)
-    num = _alternant([lam[i] + r - 1 - i for i in range(r)], (1,))
-    return _weyl_ratio(num, _gl_weyl_factors(r), lam)
+    _checked(min(r, 2) * max((abs(x + r - 1 - i) for i, x in enumerate(lam)), default=0))
+    return _demazure(lam, tuple(j for k in range(r - 2, -1, -1) for j in range(k, r - 1)))
 
 
 def schur_oracle(lam: Coweight, r: int) -> SymLaurent:
@@ -239,18 +204,14 @@ def schur_oracle(lam: Coweight, r: int) -> SymLaurent:
 @functools.cache
 def sp_character(lam: Coweight, n: int) -> SymLaurent:
     """Character of the irreducible Sp_{2n} representation with highest
-    weight lam, by the Weyl formula
-
-        det(x_j^{l_i + n - i + 1} - x_j^{-(l_i + n - i + 1)})
-        -----------------------------------------------------
-        det(x_j^{n - i + 1}       - x_j^{-(n - i + 1)})
-
-    The numerator is written out as its 2^n n! signed monomials and divided
-    by the n^2 two-term factors of the denominator.  Every division must
-    be exact; a remainder means a bug upstream."""
+    weight lam, as the Demazure character pi_{w_0} x^lam, w_0 = c^n for
+    the Coxeter element c, the letters acting in the order (1 2 .. n)^n
+    of C_n, n^2 in all.  OverflowError unless 3 (lam_1 + n) is within the
+    packed field limit, the domain of the Weyl alternant ratio, as in
+    :func:`schur`."""
     lam = _sp_weight(lam, n)
-    num = _alternant([lam[i] + n - i for i in range(n)], (1, -1))
-    return _weyl_ratio(num, _sp_weyl_factors(n), lam)
+    _checked(3 * (lam[0] + n) if n else 0)
+    return _demazure(lam, tuple(range(n)) * n)
 
 
 def _sp_weight(lam: Coweight, n: int) -> Coweight:

@@ -53,16 +53,18 @@ printing and the trace index of Whittaker data), the rules of ``restrict``,
 in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per X-prefix
 in ``_sort_sign``) and the two oracle divisions; evaluation, the variable
 substitutions, the symmetry check, the rank rows of ``_scaled_row`` and the
-binomial division work on fields.  A series packs as one value
-(``_Packed``), the key of a term Y^y X^a v^e being (y << W (r + 1)) plus
-that of (a, e): Y's is the top field and y >= 0, so it takes no offset and
-has no limit, and key order is Y-degree order first.
+Demazure steps of :mod:`paramodular.characters` work on fields.  A series
+packs as one value (``_Packed``), the key of a term Y^y X^a v^e being
+(y << W (r + 1)) plus that of (a, e): Y's is the top field and y >= 0, so
+it takes no offset and has no limit, and key order is Y-degree order
+first.
 
 A field must never overflow into its neighbour, so every value carries
 ``_bound``, an upper bound on the |exponent| of its keys: a product's is the
 sum of its operands', a sum's the larger of the two, and a shift by v^k
-adds |k|; constructors take the largest exponent they are given, and
-``_div_binomial`` states its own rule.  These sums run ahead of the true
+adds |k|; constructors take the largest exponent they are given, and the
+characters' Demazure kernel, which builds its store directly, takes the
+largest |entry| of its highest weight.  These sums run ahead of the true
 exponents when exponents cancel, so an operation whose summed bound would
 pass 32767 first re-reads its operands' bounds from their keys, which
 keeps the check O(1) on the common path; only if the bound still passes
@@ -843,58 +845,6 @@ def poly_div_exact(num: SymLaurent, den: SymLaurent) -> SymLaurent:
     bound = _checked(max(map(abs, itertools.chain.from_iterable(quo))))
     quotient = num._wrap(num.r, *_over_lcm({_pack(k): x for k, x in quo.items()}), bound)
     return quotient * Fraction(den.den, num.den)
-
-
-def _div_binomial(num: SymLaurent, a: Key, b: Key) -> SymLaurent:
-    """num / (X^a - X^b) for X-exponent tuples a != b; ValueError if the
-    division leaves a remainder.
-
-    The terms of num lie on lines g + t*d, d = a - b (v fixed).  From
-    num_m = quo_{m-a} - quo_{m+d-a}, the quotient at m - a is the suffix
-    sum num_m + num_{m+d} + ..., constant between the terms of num, so the
-    division is exact iff every line sums to zero.  Linear in the terms of
-    num and of the quotient, which keeps num's den: a factor that divided
-    den and every quotient numerator would divide every numerator of num.
-
-    Keys move by int arithmetic: with D and A the signed packed forms of d
-    and a (the sums of d_j and a_j at their field places), g is k - t*D
-    and the quotient key of m is m - A.  With B = num._bound, every base
-    point has |g_j| <= B (1 + max|d_j|), few enough for the packed g to
-    tell the lines apart, and the quotient's Newton polytope is num's less
-    the segment [a, b], so its exponents keep within B plus the overhang
-    max(0, min(a_j, b_j), -max(a_j, b_j))."""
-    d = tuple(map(operator.sub, a, b))
-    i = next((i for i, x in enumerate(d) if x), None)
-    if i is None:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = num.r
-    overhang = max(0, *(max(min(x, y), -max(x, y)) for x, y in zip(a, b)))
-    spread = 1 + max(map(abs, d))
-    if num._bound * spread > _LIMIT:
-        num._tighten()
-    _checked(num._bound * spread)
-    bound = _checked(num._bound + overhang, num)
-    bias = _bias(r)
-    big_d, big_a = _pack((*d, 0)) - bias, _pack((*a, 0)) - bias
-    s, di = _W * (r - i), d[i]
-    lines: dict[int, list[tuple[int, int]]] = {}
-    for k, x in num.num.items():
-        t = (((k >> s) & _MASK) - _OFFSET) // di
-        lines.setdefault(k - t * big_d, []).append((t, x))
-    quo = {}
-    for g, terms in lines.items():
-        terms.sort(reverse=True)
-        acc = 0
-        for (t, x), (stop, _) in zip(terms, terms[1:]):
-            acc += x
-            if acc:
-                key = g + t * big_d - big_a
-                for _ in range(t, stop, -1):
-                    quo[key] = acc
-                    key -= big_d
-        if acc + terms[-1][1]:
-            raise ValueError("inexact Laurent polynomial division")
-    return num._wrap(r, quo, num.den, bound)
 
 
 def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:

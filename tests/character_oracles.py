@@ -1,11 +1,12 @@
 """Determinant oracles for the characters, used by the tests only.
 
-``paramodular.characters`` divides written-out alternants by the two-term
-factors of the Weyl denominators, and takes numeric determinants by
-Bareiss elimination.  The oracles here take the older routes, through
-Leibniz determinants: symbolic Jacobi-Trudi for Schur polynomials, the
-full Weyl alternant ratio by generic exact division for symplectic
-characters, and an integer Leibniz expansion for numeric determinants.
+``paramodular.characters`` builds symbolic characters by Demazure
+operators, with no division, and takes numeric determinants by Bareiss
+elimination.  The oracles here take other routes, through Leibniz
+determinants and generic exact division: symbolic Jacobi-Trudi and the
+bialternant for Schur polynomials, the full Weyl alternant ratio for
+symplectic characters, each Demazure operator by its defining quotient,
+and an integer Leibniz expansion for numeric determinants.
 """
 
 from __future__ import annotations
@@ -93,3 +94,21 @@ def sp_character_by_division(lam: tuple[int, ...], n: int) -> SymLaurent:
     - ...) by generic exact division of the two expanded alternants."""
     num = sp_alternant([lam[i] + n - i for i in range(n)], n)
     return poly_div_exact(num, sp_alternant([n - i for i in range(n)], n))
+
+
+def demazure_step_by_division(mu: tuple[int, ...], i: int) -> SymLaurent:
+    """pi_i X^mu by its definition, through generic exact division: for
+    i < r - 1, (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1}), s_i exchanging
+    x_i and x_{i+1} (0-based); for i = r - 1, the long root 2 e_r of type C,
+    (f - x_r^-2 s_r f) / (1 - x_r^-2), s_r inverting x_r."""
+    r = len(mu)
+    reflected = list(mu)
+    if i < r - 1:
+        reflected[i], reflected[i + 1] = mu[i + 1], mu[i]
+        x_i, x_next = _power(r, i, 1), _power(r, i + 1, 1)
+        num = x_i * SymLaurent.monomial(r, mu) - x_next * SymLaurent.monomial(r, reflected)
+        return poly_div_exact(num, x_i - x_next)
+    reflected[i] = -mu[i]
+    lowered = _power(r, i, -2)
+    num = SymLaurent.monomial(r, mu) - lowered * SymLaurent.monomial(r, reflected)
+    return poly_div_exact(num, SymLaurent.one(r) - lowered)

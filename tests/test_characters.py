@@ -11,10 +11,8 @@ from fractions import Fraction
 import pytest
 
 from paramodular.characters import (
+    _demazure,
     _det,
-    _gl_weyl_factors,
-    _leibniz,
-    _sp_weyl_factors,
     orbit_sum,
     schur,
     schur_oracle,
@@ -28,6 +26,7 @@ from paramodular.rings import SymLaurent, VLaurent
 
 from character_oracles import (
     complete_homogeneous,
+    demazure_step_by_division,
     gl_alternant,
     jacobi_trudi_schur,
     leibniz_int_det,
@@ -35,7 +34,7 @@ from character_oracles import (
     sp_alternant,
     sp_character_by_division,
 )
-from laurent_oracles import is_homogeneous, is_symmetric
+from laurent_oracles import is_homogeneous, is_symmetric, unpacked
 
 ONE = VLaurent.one()
 
@@ -79,29 +78,143 @@ def test_sp_character_matches_the_division_oracle(n):
         assert sp_character(lam, n) == sp_character_by_division(lam, n), lam
 
 
-def _product(r, factors):
-    out = SymLaurent.one(r)
-    for a, b in factors:
-        out = out * (SymLaurent.monomial(r, a) - SymLaurent.monomial(r, b))
-    return out
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_schur_times_the_vandermonde_is_the_alternant(r):
+    # the bialternant identity s_lam a_delta = a_{lam+delta}, every weakly
+    # decreasing weight with entries in -1..2
+    delta = [r - 1 - i for i in range(r)]
+    for lam in _decreasing(range(-1, 3), r):
+        lifted = [x + d for x, d in zip(lam, delta)]
+        assert schur(lam, r) * gl_alternant(delta, r) == gl_alternant(lifted, r), lam
+
+
+def _inverted_last(a):
+    """a with its last variable inverted."""
+    return SymLaurent(a.r, {(*e[:-1], -e[-1]): x for e, x in a.c.items()})
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_schur_is_weyl_invariant(r):
+    # every weakly decreasing weight with entries in -2..2, negative ones
+    # included; the tracked bound covers every key
+    for lam in _decreasing(range(-2, 3), r):
+        a = schur(lam, r)
+        assert is_symmetric(a), lam
+        unpacked(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sp_character_is_weyl_invariant(n):
+    # permutations and the inversion of x_n generate the type C Weyl group
+    for lam in _decreasing(range(4), n):
+        a = sp_character(lam, n)
+        assert is_symmetric(a) and _inverted_last(a) == a, lam
+        unpacked(a)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_demazure_step_matches_its_definition(r):
+    """pi_i on one monomial X^mu against its defining quotient, for every
+    mu with entries in -3..3 and every letter, the long root r - 1 of type
+    C included: each of the branches m >= 0, m = -1 and m <= -2 of
+    m = <mu, alpha^vee> is met for a short root (r >= 2) and for the long
+    one."""
+    branches = set()
+    for mu in itertools.product(range(-3, 4), repeat=r):
+        for i in range(r):
+            long = i == r - 1
+            m = mu[i] if long else mu[i] - mu[i + 1]
+            branches.add((long, max(min(m, 0), -2)))
+            got = _demazure(mu, (i,))
+            assert got == demazure_step_by_division(mu, i), (mu, i)
+            unpacked(got)
+    assert branches == {(long, m) for long in {True, r == 1} for m in (-2, -1, 0)}
+
+
+# The packed-field guard of the symbolic characters: schur raises
+# OverflowError iff 2 max|lam_i + r - 1 - i| > 32767 (|lam_1| > 32767 at
+# r = 1), sp_character iff 3 (lam_1 + n) > 32767.  A weight that passes is
+# listed only where its character is small: a string at r = 2 or n = 1, a
+# monomial at r = 3.
+OVERFLOW_BOUNDARY = [
+    (schur, (32767,), True),
+    (schur, (32768,), False),
+    (schur, (-32767,), True),
+    (schur, (-32768,), False),
+    (schur, (16382, 0), True),
+    (schur, (16383, 0), False),
+    (schur, (0, -16383), True),
+    (schur, (0, -16384), False),
+    (schur, (16381, 16381, 16381), True),
+    (schur, (16382, 16382, 16382), False),
+    (schur, (16382, 0, 0), False),
+    (schur, (-16383, -16383, -16383), True),
+    (schur, (-16384, -16384, -16384), False),
+    (sp_character, (10921,), True),
+    (sp_character, (10922,), False),
+    (sp_character, (10921, 0), False),
+    (sp_character, (10921, 10921), False),
+    (sp_character, (10920, 0, 0), False),
+    (sp_character, (10920, 10920, 10920), False),
+]
+
+
+@pytest.mark.parametrize("fn, lam, fits", OVERFLOW_BOUNDARY)
+def test_symbolic_characters_overflow_at_the_packed_field_guard(fn, lam, fits):
+    if fits:
+        assert fn(lam, len(lam))
+    else:
+        with pytest.raises(OverflowError):
+            fn(lam, len(lam))
+
+
+def _unit(r, i, s=1):
+    """The exponent tuple s e_i in r variables."""
+    return tuple(s if k == i else 0 for k in range(r))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_gl_weyl_factors_multiply_to_the_vandermonde_alternant(r):
-    factors = _gl_weyl_factors(r)
-    assert len(factors) == math.comb(r, 2)
-    assert _product(r, factors) == gl_alternant([r - 1 - i for i in range(r)], r)
+    # the oracles' a_delta against prod_{i<j} (X_i - X_j)
+    out = SymLaurent.one(r)
+    for i, j in itertools.combinations(range(r), 2):
+        out = out * (SymLaurent.monomial(r, _unit(r, i)) - SymLaurent.monomial(r, _unit(r, j)))
+    assert out == gl_alternant([r - 1 - i for i in range(r)], r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sp_weyl_factors_multiply_to_the_weyl_denominator(n):
-    factors = _sp_weyl_factors(n)
-    assert len(factors) == n * n
-    assert _product(n, factors) == sp_alternant([n - i for i in range(n)], n)
+    # the divisor of sp_character_by_division against prod_i (x_i - x_i^-1)
+    # prod_{i<j} (x_i - x_j)(1 - x_i^-1 x_j^-1)
+    def x(*exps):
+        return SymLaurent.monomial(n, exps)
+
+    out = SymLaurent.one(n)
+    for i in range(n):
+        out = out * (x(*_unit(n, i)) - x(*_unit(n, i, -1)))
+    for i, j in itertools.combinations(range(n), 2):
+        pair = map(operator.add, _unit(n, i, -1), _unit(n, j, -1))
+        out = out * (x(*_unit(n, i)) - x(*_unit(n, j))) * (SymLaurent.one(n) - x(*pair))
+    assert out == sp_alternant([n - i for i in range(n)], n)
+
+
+def _leibniz(k):
+    """Every permutation of range(k), in lexicographic order, with whether
+    it is odd, by recursion: a permutation starting with i puts i before
+    the i smaller entries, so its parity is that of i plus that of the
+    rest, a permutation of the table for k - 1 relabelled monotonely."""
+    if k == 0:
+        return [(False, ())]
+    return [
+        (odd != (i % 2 == 1), (i, *(j + (j >= i) for j in rest)))
+        for i in range(k)
+        for odd, rest in _leibniz(k - 1)
+    ]
 
 
 @pytest.mark.parametrize("k", range(8))
 def test_leibniz_table_matches_the_inversion_count(k):
+    # the oracles' parity rule against the recursive sign table
     table = _leibniz(k)
     assert [perm for _, perm in table] == list(itertools.permutations(range(k)))
     assert [odd for odd, _ in table] == [odd_permutation(perm) for _, perm in table]

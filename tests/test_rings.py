@@ -619,42 +619,6 @@ def test_exact_divisions_undo_products():
     check()
 
 
-def test_binomial_division_undoes_the_product():
-    """(q * (X^a - X^b)) / (X^a - X^b) == q, with d = a - b also 2 e_i as in
-    the type C factors x_i - x_i^-1; one more monomial in the dividend
-    leaves a line with a nonzero sum, so the division must fail."""
-    hyp, st, settings = _hypothesis()
-
-    def operands(r):
-        exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * r)
-
-        def doubled(i):
-            e = tuple(int(k == i) for k in range(r))
-            return e, tuple(-x for x in e)
-
-        pair = st.one_of(
-            st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1]),
-            st.integers(min_value=0, max_value=r - 1).map(doubled),
-        )
-        extra = st.tuples(exps, _vlaurents(st).filter(bool))
-        return st.tuples(_sym(st, r), pair, extra)
-
-    @settings
-    @hyp.given(st.one_of([operands(r) for r in (1, 2, 3)]))
-    def check(case):
-        q, (a, b), (e, x) = case
-        r = q.r
-        num = q * (SymLaurent.monomial(r, a) - SymLaurent.monomial(r, b))
-        quotient = rings._div_binomial(num, a, b)
-        assert quotient == q and _is_normal(quotient)
-        with pytest.raises(ValueError, match="inexact"):
-            rings._div_binomial(num + SymLaurent.monomial(r, e, x), a, b)
-
-    check()
-    with pytest.raises(ZeroDivisionError):
-        rings._div_binomial(SymLaurent.one(2), (1, 0), (1, 0))
-
-
 def _dot_cases(st):
     """(zero, pairs): up to four pairs of operands of one ring, SymLaurent
     in r = 0..3, VLaurent, or the rationals with int and Fraction
