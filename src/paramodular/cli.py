@@ -59,8 +59,8 @@ from .rankin import (
     EvaluationMode,
     SymbolicMode,
     TruncSeries,
-    _packed_psi,
     _phi_factors,
+    _psi_times,
     fe_check,
     kernel_check,
     p_wedge2,
@@ -300,11 +300,7 @@ def _unramified_run(cfg: VerifyConfig, params: dict):
     # xi = P_phi psi / P_wedge2 is 1 through trunc exactly when P_phi psi
     # and the unit series P_wedge2 agree through trunc, and both first
     # differ at the same degree: no inversion and no window
-    factors = _phi_factors(beta, n, r, cfg.trunc)
-    if cfg.mode == "evaluation":
-        lhs = mode._times(psi_series(d, n, r, cfg.trunc, mode), factors, cfg.trunc)
-    else:  # the packed psi, its product split once
-        lhs = mode._times(_packed_psi(d, n, r, cfg.trunc, mode), factors, cfg.trunc).series(cfg.trunc)
+    lhs = _psi_times(d, n, r, _phi_factors(beta, n, r, cfg.trunc), cfg.trunc, mode)
     echo = {**params, "beta": [str(b) for b in beta]}
     return echo, _first_mismatch(lhs, p_wedge2(r, mode, cfg.trunc), cfg.trunc)
 

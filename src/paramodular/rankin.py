@@ -50,9 +50,9 @@ r(r-1)/2 factors 1 - v^-2 X_i X_j Y^2, 1 / P_wedge2 their geometric series.
 Each mode multiplies by a list in one pass, ``_times``: symbolic mode by
 one packed product per factor, evaluation mode by one integer convolution
 of the factors' rows, summed against psi once per degree.  xi is one pass
-over psi with P_phi's and 1 / P_wedge2's factors, the unramified check
-takes P_phi's, and P_wedge2 is the unit times its own.  No series is
-inverted or multiplied, and no term past the horizon is formed.
+over psi with P_phi's and 1 / P_wedge2's factors and the unramified check
+one with P_phi's (``_psi_times``), P_wedge2 the unit times its own.  No
+series is inverted or multiplied, and no term past the horizon is formed.
 
 Schur coordinates.  A symmetric f in X_1..X_r is fixed by its alternant
 a_delta f, delta = (r-1, .., 1, 0), and the coefficient there of
@@ -60,15 +60,16 @@ X^(nu + delta), nu + delta strictly decreasing, is the coefficient of s_nu
 in f (the bialternant identity; Macdonald, Symmetric Functions and Hall
 Polynomials, I.3).  psi_l is a sum of Schur polynomials, so in these
 coordinates it is the data relabelled: ``psi_alternant`` moves each weight's
-terms to the key head + delta, with the v-shift of ``psi_component``, and
-builds no Schur polynomial.  The raising identities psi(move d) = F psi(d),
-for the symmetric move factors F of ``oldforms``, are checked there, F
-multiplied in monomials by ``SymLaurent._alternant_mul``; a_delta is not a
-zero divisor, so equal coordinates prove the series identity.  At r = 1,
-delta = (0) and the coordinates are psi itself, which the zeta series
-reads.  The series in monomials (``psi_series``) serve evaluation mode,
-psi-modes and the witnesses of failing cases; in symbolic mode it is the
-packed psi that xi, the unramified check and ``kernel_check`` read.
+terms to the key head + delta with the v-shift w, by the one weight rule
+the packed psi also reads (``_psi_rule``), and builds no Schur polynomial.
+The raising identities psi(move d) = F psi(d), for the symmetric move
+factors F of ``oldforms``, are checked there, F multiplied in monomials by
+``SymLaurent._alternant_mul``; a_delta is not a zero divisor, so equal
+coordinates prove the series identity.  At r = 1, delta = (0) and the
+coordinates are psi itself, which the zeta series reads.  The series in
+monomials (``psi_series``) serve evaluation mode, psi-modes and the
+witnesses of failing cases; in symbolic mode it is the packed psi that xi,
+the unramified check and ``kernel_check`` read.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ from typing import Any
 
 from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
-from .rings import _MASK, _OFFSET, _W, SymLaurent, TruncSeries, VLaurent
-from .rings import _checked, _Packed, _prefix_image
+from .rings import _LIMIT, _MASK, _OFFSET, _W, SymLaurent, TruncSeries, VLaurent
+from .rings import _checked, _pack, _Packed, _prefix_image
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
@@ -258,10 +259,23 @@ def psi_component(d: WhittakerData, n: int, r: int, ell: int, mode: Mode) -> Any
 
 @functools.cache
 def _psi_rule(n: int, r: int):
-    """A weight lam's (trace, head, w) in the rank-r torus sum, head and w
-    from ``_torus_weight``, or None for a nonzero tail: one object per
-    (n, r), so that ``rings._prefix_image`` caches its images per X-prefix."""
-    return lambda lam: None if any(lam[r:]) else (sum(lam), *_torus_weight(lam, n, r))
+    """How a weight lam enters psi at rank r, for the packed psi and
+    ``psi_alternant``: None for a nonzero tail, else (trace, head, w, key,
+    top), head and w from ``_torus_weight``, key that of head + delta,
+    delta = (r-1, .., 1, 0), with its v-field left 0, and top its largest
+    |entry|.  One object per (n, r), so that ``rings._prefix_image`` caches
+    its images per X-prefix."""
+    delta = range(r - 1, -1, -1)
+
+    def rule(lam: Coweight):
+        weight = _torus_weight(lam, n, r)
+        if weight is None:
+            return None
+        head, w = weight
+        shifted = tuple(map(operator.add, head, delta))
+        return sum(lam), head, w, _pack(shifted) << _W, max(map(abs, shifted))
+
+    return rule
 
 
 def _packed_psi(d: WhittakerData, n: int, r: int, trunc: int, mode: SymbolicMode, lower: int = 0) -> _Packed:
@@ -277,9 +291,9 @@ def _packed_psi(d: WhittakerData, n: int, r: int, trunc: int, mode: SymbolicMode
     schurs: dict[Coweight, SymLaurent] = {}
     terms, bound = [], 0
     for k, x in d.gen.num.items():
-        image = _prefix_image(rule, k >> _W, n, False)
+        image = _prefix_image(rule, k >> _W, n)
         if image is not None and lower <= image[0] <= trunc:
-            ell, head, w = image
+            ell, head, w, _, _ = image
             if head not in schurs:
                 schurs[head] = mode.schur(head)
             s, t = schurs[head], (k & _MASK) - _OFFSET + w
@@ -312,39 +326,47 @@ def psi_series(d: WhittakerData, n: int, r: int, trunc: int, mode: Mode) -> Trun
     return TruncSeries(coeffs, trunc, mode.zero())
 
 
-@functools.cache
-def _alternant_rule(n: int, r: int, trunc: int):
-    """``psi_alternant``'s rule at (n, r, trunc): each weight lam of trace
-    <= trunc with a zero tail goes to head + delta, delta = (r-1, .., 1, 0),
-    with the v-shift w of ``_torus_weight``; any other weight to None.  One
-    object per triple, and a pure function of lam, so that
-    ``SymLaurent._relabel`` caches its images across values."""
-    delta = range(r - 1, -1, -1)
-
-    def rule(lam: Coweight) -> tuple[Coweight, int] | None:
-        weight = _torus_weight(lam, n, r) if sum(lam) <= trunc else None
-        if weight is None:
-            return None
-        head, w = weight
-        return tuple(map(operator.add, head, delta)), w
-
-    return rule
-
-
 def psi_alternant(d: WhittakerData, n: int, r: int, trunc: int) -> SymLaurent:
     """a_delta times the sum of psi_l over l <= trunc, in r variables: the
     Schur coordinates of the torus sum (see module docstring).  Each weight
     lam of trace <= trunc with a zero tail gives the terms d(lam) v^w of
-    the key head + delta, delta = (r-1, .., 1, 0), with head and w from the
-    rule of ``psi_component``; no Schur polynomial is built.  The data's
-    flat terms are read once, and each X-prefix is unpacked and relabelled
-    once per process (``_alternant_rule``).  OverflowError if an exponent
-    passes the packed field limit."""
+    the key head + delta, delta = (r-1, .., 1, 0), by the packed psi's rule
+    (``_psi_rule``, once per X-prefix per process); no two weights meet and
+    no Schur polynomial is built.  The bound is the largest |head_i +
+    delta_i|, or the data's bound plus the largest |w|; past the field
+    limit the v-exponents are re-read before OverflowError."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     if d.n != n:
         raise ValueError("rank mismatch between data and n")
-    return d.gen._relabel(r, _alternant_rule(n, r, trunc))
+    rule, num = _psi_rule(n, r), {}
+    xbound = wbound = 0
+    for k, x in d.gen.num.items():
+        image = _prefix_image(rule, k >> _W, n)
+        if image is not None and image[0] <= trunc:
+            _, _, w, key, top = image
+            num[key + (k & _MASK) + w] = x
+            if top > xbound:
+                xbound = top
+            if w > wbound or -w > wbound:
+                wbound = abs(w)
+    bound = max(xbound, d.gen._bound + wbound)
+    if bound > _LIMIT:  # re-read the v-exponents
+        bound = xbound
+        for k in d.gen.num:
+            image = _prefix_image(rule, k >> _W, n)
+            if image is not None and image[0] <= trunc:
+                bound = max(bound, abs((k & _MASK) - _OFFSET + image[2]))
+    return SymLaurent._normal(r, num, d.gen.den, _checked(bound))
+
+
+def _psi_times(d: WhittakerData, n: int, r: int, factors: list, trunc: int, mode: Mode) -> TruncSeries:
+    """psi through trunc times the power factors in one pass of the mode
+    (``_times``): in symbolic mode the packed psi, its product split into
+    degrees once, in evaluation mode ``psi_series``."""
+    if isinstance(mode, SymbolicMode):
+        return mode._times(_packed_psi(d, n, r, trunc, mode), factors, trunc).series(trunc)
+    return mode._times(psi_series(d, n, r, trunc, mode), factors, trunc)
 
 
 def e_beta(beta: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -475,10 +497,9 @@ def xi(
     factor), truncated at ``trunc``.
 
     The numerator factor comes from ``beta`` (unramified parameters); without
-    it the factor is 1.  psi (packed in symbolic mode, ``_packed_psi``, and
-    split into degrees once at the end) is multiplied by the factors of
-    P_phi and the geometric series of 1 / P_wedge2 in one pass of the mode
-    (``_times``): no P_phi is formed and nothing is inverted; see the
+    it the factor is 1.  psi is multiplied by the factors of P_phi and the
+    geometric series of 1 / P_wedge2 in one pass of the mode
+    (``_psi_times``): no P_phi is formed and nothing is inverted; see the
     module docstring.
     If the coefficients of degrees trunc - window + 1 through trunc do not
     all vanish the result is flagged as not stabilized rather than raising.
@@ -495,10 +516,7 @@ def xi(
         raise ValueError("truncation order must be at least the window")
     factors = [] if beta is None else _phi_factors(beta, n, r, trunc)
     factors += _wedge_factors(r, [1] * (trunc // 2 + 1))
-    if isinstance(mode, SymbolicMode):
-        series = mode._times(_packed_psi(d, n, r, trunc, mode), factors, trunc).series(trunc)
-    else:
-        series = mode._times(psi_series(d, n, r, trunc, mode), factors, trunc)
+    series = _psi_times(d, n, r, factors, trunc, mode)
     stabilized = all(series.get(k) == 0 for k in range(trunc - window + 1, trunc + 1))
     poly = sum(series.coeffs.values(), mode.zero())
     return XiResult(n, r, level, poly, stabilized, series)

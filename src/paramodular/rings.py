@@ -32,9 +32,10 @@ all built on ints and ``fractions.Fraction``:
     Coefficients are SymLaurent (symbolic mode), VLaurent (the zeta
     series) or Fraction (evaluation mode).  Degrees start at 0.  A product
     over Laurent values is one product of packed series (below),
-    normalized once per degree; over Fractions, and in an inverse, each
-    coefficient is one sum of products, normalized once (``_dot``).  The
-    truncation order of a product is the smaller of the two operands'
+    normalized once per degree; over Fractions each coefficient of a
+    product or an inverse is one sum of ints over one denominator
+    (``_dot``), and over Laurent values an inverse's is a sum of products.
+    The truncation order of a product is the smaller of the two operands'
     orders, and an inverse is known through the order asked for;
     ``trunc=None`` marks an exactly-known polynomial.
 
@@ -48,10 +49,10 @@ sum of their keys minus the bias, the key of the zero tuple: a product of
 two terms is one int addition.  A VLaurent key is one field, exactly the
 low field of a SymLaurent key.  Tuples are read and written only at the
 edges: the constructors, the views and ``_grouped`` (and so serialization,
-printing and the trace index of Whittaker data), the rules of ``restrict``,
-``_relabel`` and rankin's packed psi (once per X-prefix per process, cached
-in ``_prefix_image``), the sorts of ``_alternant_mul`` (cached per X-prefix
-in ``_sort_sign``) and the two oracle divisions; evaluation, the variable
+printing and the trace index of Whittaker data), the rules that
+``_prefix_image`` applies once per X-prefix per process (the verdicts of
+``restrict``, the sorts of ``_alternant_mul`` and rankin's weight rule of
+psi) and the two oracle divisions; evaluation, the variable
 substitutions, the symmetry check, the rank rows of ``_scaled_row`` and the
 Demazure steps of :mod:`paramodular.characters` work on fields.  A series
 packs as one value (``_Packed``), the key of a term Y^y X^a v^e being
@@ -146,40 +147,32 @@ def _checked(bound: int, *values: "_Laurent") -> int:
     return bound
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _sort_sign(prefix: int, r: int) -> tuple[int, int, int] | None:
-    """For the alternant a_kappa of the exponent tuple kappa that the
-    X-prefix packs (r fields): None if kappa repeats an entry, else (|kappa|,
-    base, sign), sign that of the permutation sorting kappa decreasingly and
-    base the key of the sorted tuple with its v-field left 0.  Cached: the
-    same sorts recur from product to product."""
-    exps = _unpack(prefix, r)
+def _sort_sign(kappa: Key) -> tuple[int, int, int] | None:
+    """For the alternant a_kappa: None if kappa repeats an entry, else
+    (|kappa|, base, sign), sign that of the permutation sorting kappa
+    decreasingly and base the key of the sorted tuple with its v-field left
+    0.  A rule on exponent tuples, read through ``_prefix_image``: the same
+    sorts recur from product to product."""
     sign = 1
-    for i, a in enumerate(exps):
-        for b in exps[i + 1 :]:
+    for i, a in enumerate(kappa):
+        for b in kappa[i + 1 :]:
             if a == b:
                 return None
             if a < b:
                 sign = -sign
-    return sum(exps), _pack(sorted(exps, reverse=True)) << _W, sign
+    return sum(kappa), _pack(sorted(kappa, reverse=True)) << _W, sign
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _prefix_image(rule, prefix: int, size: int, relabel: bool):
-    """rule of the exponent tuple a that the X-prefix packs (size fields),
-    worked out once per process for each (rule, prefix, size, relabel):
-    rule(a) itself (as ``restrict`` and rankin's packed psi read it), or
-    with relabel the image of ``_relabel``, None or (base, largest |b_i|,
-    w) for rule(a) = (b, w), base the key of b with its v-field w.  The
-    cache holds the rule object itself, never its id, so a rule built later
-    never reads another's images; but it trusts a rule to be a pure
-    function of a: one that reads state which can change gives stale
-    answers.  Bounded like ``_sort_sign``."""
-    image = rule(_unpack(prefix, size))
-    if not relabel or image is None:
-        return image
-    b, w = image
-    return (_pack(b) << _W) + w, max(map(abs, b), default=0), w
+def _prefix_image(rule, prefix: int, size: int):
+    """rule(a) for the exponent tuple a that the X-prefix packs (size
+    fields), worked out once per process for each (rule, prefix, size), in
+    one bounded cache: the verdicts of ``restrict``, the sorts of
+    ``_alternant_mul`` and the weight images of rankin's psi.  The cache
+    holds the rule object itself, never its id, so a rule built later never
+    reads another's images; but it trusts a rule to be a pure function of
+    a: one that reads state which can change gives stale answers."""
+    return rule(_unpack(prefix, size))
 
 
 def _over_lcm(terms: Mapping[int, tuple[int, int]]) -> tuple[dict[int, int], int]:
@@ -280,40 +273,24 @@ class _Laurent:
         if o is None:
             return NotImplemented
         a, b = (self, o) if len(self.num) >= len(o.num) else (o, self)
-        if len(b.num) != 1:
-            return self._dot([(a, b)], a.den * b.den) if b.num else b
-        # a term times a polynomial: no exponents collide, nothing cancels
+        if not b.num:
+            return b
         bound = _checked(a._bound + b._bound, a, b)
-        ((k2, x2),) = b.num.items()
-        k2 -= _bias(self.r)
-        c = {k1 + k2: x1 * x2 for k1, x1 in a.num.items()}
-        return self._normal(self.r, c, a.den * b.den, bound)
-
-    def _dot(self, pairs: list, den: int):
-        """Sum of a * b over pairs of values of this class and r.  Every
-        term product goes into one integer dict over den, a common multiple
-        of the products' denominators (their lcm keeps the integers
-        smallest), the factor den / (a.den b.den) folded into the smaller
-        operand, and the sum is normalized once."""
         bias = _bias(self.r)
-        c: dict[int, int] = {}
+        if len(b.num) == 1:
+            # a term times a polynomial: no exponents collide, nothing cancels
+            ((k2, x2),) = b.num.items()
+            k2 -= bias
+            c = {k1 + k2: x1 * x2 for k1, x1 in a.num.items()}
+            return self._normal(self.r, c, a.den * b.den, bound)
+        c = {}
         get = c.get
-        bound = 0
-        for a, b in pairs:
-            s = a._bound + b._bound
-            if s > bound:
-                s = _checked(s, a, b)
-                if s > bound:
-                    bound = s
-            f = den // (a.den * b.den)
-            a, b = (a.num, b.num) if len(a.num) >= len(b.num) else (b.num, a.num)
-            for k2, x2 in b.items():
-                x2 *= f
-                k2 -= bias
-                for k1, x1 in a.items():
-                    k = k1 + k2
-                    c[k] = get(k, 0) + x1 * x2
-        return self._normal(self.r, {k: x for k, x in c.items() if x}, den, bound)
+        for k2, x2 in b.num.items():
+            k2 -= bias
+            for k1, x1 in a.num.items():
+                k = k1 + k2
+                c[k] = get(k, 0) + x1 * x2
+        return self._normal(self.r, {k: x for k, x in c.items() if x}, a.den * b.den, bound)
 
     def __sub__(self, other: Any):
         return self + (-other)
@@ -641,40 +618,8 @@ class SymLaurent(_Laurent):
         be a pure function of the tuple: its verdicts are cached per
         (keep, X-prefix) for the life of the process (``_prefix_image``)."""
         r = self.r
-        num = {k: x for k, x in self.num.items() if _prefix_image(keep, k >> _W, r, False)}
+        num = {k: x for k, x in self.num.items() if _prefix_image(keep, k >> _W, r)}
         return SymLaurent._normal(r, num, self.den, self._bound)
-
-    def _relabel(self, r: int, rule) -> "SymLaurent":
-        """The value in r variables with a term c X^b v^(e + w) for each
-        term c X^a v^e of this one whose X-exponent tuple a has an image
-        rule(a) = (b, w), and none for a term with rule(a) None.  rule must
-        be a pure function of a, as its images are cached per (rule,
-        X-prefix) for the life of the process (``_prefix_image``), and must
-        send no two tuples to one b, so that no two terms meet; each output
-        key is then the image's base plus the term's v-field.  The bound is
-        the largest |b_i|, or this value's bound plus the largest |w|; past
-        the field limit the v-exponents are re-read term by term before
-        OverflowError is raised."""
-        size = self.r
-        num: dict[int, int] = {}
-        xbound = wbound = 0
-        for k, x in self.num.items():
-            image = _prefix_image(rule, k >> _W, size, True)
-            if image is not None:
-                base, b, w = image
-                num[base + (k & _MASK)] = x
-                if b > xbound:
-                    xbound = b
-                if w > wbound or -w > wbound:
-                    wbound = abs(w)
-        bound = max(xbound, self._bound + wbound)
-        if bound > _LIMIT:
-            bound = xbound
-            for k in self.num:
-                image = _prefix_image(rule, k >> _W, size, True)
-                if image is not None:
-                    bound = max(bound, abs((k & _MASK) - _OFFSET + image[2]))
-        return SymLaurent._normal(r, num, self.den, _checked(bound))
 
     def _symmetric(self) -> bool:
         """True iff the value is invariant under every permutation of
@@ -700,7 +645,8 @@ class SymLaurent(_Laurent):
         and a_kappa is sgn(sigma) a_(sigma kappa) for the sigma that sorts
         kappa decreasingly, or 0 if kappa repeats an entry (the alternant
         proof of Pieri's rule, I.5).  So each pair of terms is one sort and
-        sign (``_sort_sign``), and keys with |nu| > top are dropped.  f's
+        sign (``_sort_sign``, read once per X-prefix through
+        ``_prefix_image``), and keys with |nu| > top are dropped.  f's
         coordinates past top reach no kept key when F has no term of
         negative degree.  ValueError unless F is symmetric, which the sort
         would otherwise silently make it."""
@@ -721,7 +667,7 @@ class SymLaurent(_Laurent):
             # and f1 + f2 the v-field of e1 + e2
             p2, f2 = (k2 >> _W) - xbias, (k2 & _MASK) - _OFFSET
             for p1, f1, x in fterms:
-                hit = _sort_sign(p1 + p2, r)
+                hit = _prefix_image(_sort_sign, p1 + p2, r)
                 if hit is not None and hit[0] <= most:
                     _, base, sign = hit
                     k = base + f1 + f2
@@ -855,20 +801,17 @@ def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
 
 def _dot(pairs: list, zero: Any) -> Any:
     """Sum of a * b over the pairs, in the ring of ``zero``: zero itself
-    for no pairs, a plain product for one.  In a Laurent ring ``_coerced``
-    brings every operand in (a mismatched r raises) and all term products
-    go into one accumulator; over the rationals the products are summed as
+    for no pairs.  In a Laurent ring ``_coerced`` brings each a in, the
+    product each b (a mismatched r raises), and the products are summed;
+    over the rationals one pair is a plain product, and more are summed as
     ints over the lcm of their denominators into one Fraction."""
-    laurent = isinstance(zero, _Laurent)
+    if isinstance(zero, _Laurent):
+        return sum([zero._coerced(a) * b for a, b in pairs], zero)
     if len(pairs) < 2:
         if not pairs:
             return zero
         ((a, b),) = pairs
-        return zero._coerced(a) * b if laurent else a * b
-    if laurent:
-        co = zero._coerced
-        pairs = [(co(a), co(b)) for a, b in pairs]
-        return zero._dot(pairs, math.lcm(*[a.den * b.den for a, b in pairs]))
+        return a * b
     prods = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs]
     den = math.lcm(*[d for _, d in prods])
     return Fraction(sum([x * (den // d) for x, d in prods]), den)
@@ -1000,7 +943,7 @@ class TruncSeries:
         """Inverse series through the requested order; the constant
         coefficient must be exactly 1, and is the inverse's too.  Nothing
         in src calls it; the tests' oracles and ``bench/tracer.py``'s
-        METHODS name it, and ROADMAP item 15 removes it after item 1b."""
+        METHODS name it, and ROADMAP item 25 removes it after item 1b."""
         one = self.get(0)
         if not (one == 1):
             raise ValueError("series inversion needs constant coefficient 1")

@@ -334,9 +334,17 @@ def test_psi_modes_sees_a_fault_in_the_packed_psi(monkeypatch):
     # symbolic psi, the packed psi that xi, unramified and kernel read, with
     # the v-power w of every weight dropped from its rule: evaluation psi
     # keeps w, so the two modes part at the first degree with a weight
+    psi_rule = rankin._psi_rule
+
     @functools.cache
     def without_w(n, r):
-        return lambda lam: None if any(lam[r:]) else (sum(lam), lam[:r], 0)
+        rule = psi_rule(n, r)
+
+        def dropped(lam):
+            image = rule(lam)
+            return None if image is None else (*image[:2], 0, *image[3:])
+
+        return dropped
 
     monkeypatch.setattr(rankin, "_psi_rule", without_w)
     report = run_suite(VerifyConfig(suite="psi-modes"))

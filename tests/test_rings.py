@@ -1150,8 +1150,11 @@ def test_alternant_product_refuses_a_v_exponent_past_the_field_limit():
         pytest.fail("a value past the field limit was returned")
 
 
-# The per-prefix cache of restrict and _relabel (rings._prefix_image): each
-# checked against its rule applied to the nested view, term by term.
+# The per-prefix cache (rings._prefix_image) through restrict and
+# psi_alternant: each checked against its rule applied to the nested view,
+# term by term.  psi_alternant reads only the generating function of its
+# data, so arbitrary values (negative exponents, nonzero tails) are wrapped
+# as data unchecked, to reach every field of the key arithmetic.
 
 
 def _restricted(a: SymLaurent, keep) -> SymLaurent:
@@ -1206,7 +1209,7 @@ def test_cached_restrict_and_relabel_match_their_rules():
         for _ in range(2):
             for keep in (_in_cone, _increasing):
                 assert a.restrict(keep) == _restricted(a, keep)
-            got = a._relabel(r, rankin._alternant_rule(n, r, trunc))
+            got = psi_alternant(WhittakerData._of(a), n, r, trunc)
             assert got == _relabelled(a, r, lambda lam: _psi_key(lam, n, r, trunc))
 
     check()
@@ -1231,12 +1234,16 @@ def test_a_stable_rule_runs_once_per_prefix(monkeypatch):
         values.append(SymLaurent(3, {e: VLaurent.v_power(k) for e, k in terms.items()}))
     prefixes = sorted({e for a in values for e in a.c})
     keep = _Counting(_in_cone)
-    rule = _Counting(lambda lam: _psi_key(lam, 3, 2, 4))
+    torus_weight = rankin._torus_weight
+    weight = _Counting(torus_weight)
+    monkeypatch.setattr(rankin, "_torus_weight", weight)
+    rankin._psi_rule.cache_clear()
     for _ in range(2):
         for a in values:
             assert a.restrict(keep) == _restricted(a, _in_cone)
-            assert a._relabel(2, rule) == _relabelled(a, 2, lambda lam: _psi_key(lam, 3, 2, 4))
-    assert sorted(keep.seen) == prefixes and sorted(rule.seen) == prefixes
+            got = psi_alternant(WhittakerData._of(a), 3, 2, 4)
+            assert got == _relabelled(a, 2, lambda lam: _psi_key(lam, 3, 2, 4))
+    assert sorted(keep.seen) == prefixes and sorted(weight.seen) == prefixes
 
     # the moves' cone test and psi_alternant's rule, through their callers
     data = [random_whittaker_data(rng, 2, max_norm=3, max_entries=6) for _ in range(200)]
@@ -1244,24 +1251,36 @@ def test_a_stable_rule_runs_once_per_prefix(monkeypatch):
     monkeypatch.setattr(whittaker, "_in_cone", cone)
     moved = [theta_data(d) for d in data + data]
     assert sorted(cone.seen) == sorted({e for d in data for e in (d.gen * whittaker._THETA).c})
-    weight = _Counting(rankin._torus_weight)
+    weight = _Counting(torus_weight)
     monkeypatch.setattr(rankin, "_torus_weight", weight)
-    rankin._alternant_rule.cache_clear()
+    rankin._psi_rule.cache_clear()
     for d in moved:
         psi_alternant(d, 2, 2, 13)
     assert sorted(weight.seen) == sorted({e for d in moved for e in d.gen.c})
 
 
-def test_a_new_rule_never_reads_another_rules_images():
+def test_a_new_rule_never_reads_another_rules_images(monkeypatch):
     # each rule is dropped before the next is made, so a cache keyed by
-    # id() would hand a later rule the images of an earlier one
+    # id() would hand a later rule the images of an earlier one; psi's
+    # rule changes with t in the weights it drops and in its v-shift w = t
     a = SymLaurent(2, {(i, j): VLaurent.v_power(i) for i in range(-2, 3) for j in range(-2, 3)})
+    psi_rule, current = rankin._psi_rule(2, 2), {}
+
+    def changing(t: int):
+        # psi_rule's image of e, whose head + delta is (e_1 + 1, e_2), with w = t
+        def rule(e):
+            return None if e[0] == t % 5 - 2 else (*psi_rule(e)[:2], t, *psi_rule(e)[3:])
+
+        return rule
+
+    monkeypatch.setattr(rankin, "_psi_rule", lambda n, r: current["rule"])
     for t in range(12):
         keep = lambda e, t=t: (3 * e[0] + e[1]) % 4 == t % 4  # noqa: E731
         assert a.restrict(keep) == _restricted(a, keep)
-        rule = lambda e, t=t: None if e[0] == t % 5 - 2 else (e, t)  # noqa: E731
-        assert a._relabel(2, rule) == _relabelled(a, 2, rule)
-        del keep, rule
+        current["rule"] = changing(t)
+        want = _relabelled(a, 2, lambda e, t=t: None if e[0] == t % 5 - 2 else ((e[0] + 1, e[1]), t))
+        assert psi_alternant(WhittakerData._of(a), 2, 2, 8) == want
+        del keep, current["rule"]
 
 
 def test_the_prefix_cache_stays_within_its_bound():
