@@ -61,6 +61,7 @@ from .rankin import (
     TruncSeries,
     _phi_factors,
     _psi_times,
+    _times_coordinates,
     fe_check,
     kernel_check,
     p_wedge2,
@@ -338,7 +339,7 @@ def _move_witness(
     identity.  A failing case builds its witness from the two series, the
     first mismatching coefficient, or says that the two paths disagree."""
     n, r = d.n, factor.r
-    if psi_alternant(moved, n, r, trunc) == psi._alternant_mul(factor, trunc):
+    if psi_alternant(moved, n, r, trunc) == _times_coordinates(psi, factor, trunc):
         return None
     mode = SymbolicMode(r)
     lhs = psi_series(moved, n, r, trunc, mode)

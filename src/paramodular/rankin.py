@@ -63,13 +63,15 @@ coordinates it is the data relabelled: ``psi_alternant`` moves each weight's
 terms to the key head + delta with the v-shift w, by the one weight rule
 the packed psi also reads (``_psi_rule``), and builds no Schur polynomial.
 The raising identities psi(move d) = F psi(d), for the symmetric move
-factors F of ``oldforms``, are checked there, F multiplied in monomials by
-``SymLaurent._alternant_mul``; a_delta is not a zero divisor, so equal
-coordinates prove the series identity.  At r = 1, delta = (0) and the
-coordinates are psi itself, which the zeta series reads.  The series in
-monomials (``psi_series``) serve evaluation mode, psi-modes and the
-witnesses of failing cases; in symbolic mode it is the packed psi that xi,
-the unramified check and ``kernel_check`` read.
+factors F of ``oldforms``, are checked there (``_times_coordinates``).  F
+has X-exponents 0 and 1 only, so each kappa + alpha of F a_kappa = sum
+F_alpha a_(kappa + alpha) is weakly decreasing (Pieri's rule; Macdonald,
+I.5 (5.17)), and the product kept at its strictly decreasing keys is
+exact; a_delta is not a zero divisor, so equal coordinates prove the series
+identity.  At r = 1, delta = (0) and the coordinates are psi itself, which
+the zeta series reads.  The series in monomials (``psi_series``) serve
+evaluation mode, psi-modes and the witnesses of failing cases; in symbolic
+mode the packed psi serves xi, the unramified check and ``kernel_check``.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from typing import Any
 from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
 from .rings import _LIMIT, _MASK, _OFFSET, _W, SymLaurent, TruncSeries, VLaurent
-from .rings import _checked, _pack, _Packed, _prefix_image
+from .rings import _bias, _checked, _pack, _Packed, _prefix_image
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
 
@@ -358,6 +360,30 @@ def psi_alternant(d: WhittakerData, n: int, r: int, trunc: int) -> SymLaurent:
             if image is not None and image[0] <= trunc:
                 bound = max(bound, abs((k & _MASK) - _OFFSET + image[2]))
     return SymLaurent._normal(r, num, d.gen.den, _checked(bound))
+
+
+@functools.cache
+def _coordinate_rule(r: int, top: int):
+    """Strictly decreasing kappa = nu + delta with |nu| <= top: the keys of
+    Schur coordinates through top, one rule object per (r, top)."""
+    most = r * (r - 1) // 2 + top
+    return lambda kappa: sum(kappa) <= most and all(map(operator.gt, kappa, kappa[1:]))
+
+
+def _times_coordinates(psi: SymLaurent, factor: SymLaurent, top: int) -> SymLaurent:
+    """The Schur coordinates of F * f through top, psi those of f: exact for
+    a symmetric F = factor with X-exponents 0 and 1 (see module docstring),
+    and ValueError for any other factor or a mismatched r."""
+    r = psi.r
+    if factor.r != r or not factor._symmetric():
+        raise ValueError("the factor is not symmetric in the variables of psi")
+    # an X-prefix less xbias has fields 0 and 1 only iff or-ing ones keeps ones
+    xbias = _bias(r) >> _W
+    ones = xbias >> (_W - 1)
+    for k in factor.num:
+        if (k >> _W) - xbias | ones != ones:
+            raise ValueError("the factor has an X-exponent other than 0 and 1")
+    return psi._times_where(factor, _coordinate_rule(r, top))
 
 
 def _psi_times(d: WhittakerData, n: int, r: int, factors: list, trunc: int, mode: Mode) -> TruncSeries:

@@ -51,8 +51,8 @@ low field of a SymLaurent key.  Tuples are read and written only at the
 edges: the constructors, the views and ``_grouped`` (and so serialization,
 printing and the trace index of Whittaker data), the rules that
 ``_prefix_image`` applies once per X-prefix per process (the verdicts of
-``restrict``, the sorts of ``_alternant_mul`` and rankin's weight rule of
-psi) and the two oracle divisions; evaluation, the variable
+``_times_where``, which keep the moves' products, and rankin's weight rule
+of psi) and the two oracle divisions; evaluation, the variable
 substitutions, the symmetry check, the rank rows of ``_scaled_row`` and the
 Demazure steps of :mod:`paramodular.characters` work on fields.  A series
 packs as one value (``_Packed``), the key of a term Y^y X^a v^e being
@@ -147,31 +147,15 @@ def _checked(bound: int, *values: "_Laurent") -> int:
     return bound
 
 
-def _sort_sign(kappa: Key) -> tuple[int, int, int] | None:
-    """For the alternant a_kappa: None if kappa repeats an entry, else
-    (|kappa|, base, sign), sign that of the permutation sorting kappa
-    decreasingly and base the key of the sorted tuple with its v-field left
-    0.  A rule on exponent tuples, read through ``_prefix_image``: the same
-    sorts recur from product to product."""
-    sign = 1
-    for i, a in enumerate(kappa):
-        for b in kappa[i + 1 :]:
-            if a == b:
-                return None
-            if a < b:
-                sign = -sign
-    return sum(kappa), _pack(sorted(kappa, reverse=True)) << _W, sign
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _prefix_image(rule, prefix: int, size: int):
     """rule(a) for the exponent tuple a that the X-prefix packs (size
     fields), worked out once per process for each (rule, prefix, size), in
-    one bounded cache: the verdicts of ``restrict``, the sorts of
-    ``_alternant_mul`` and the weight images of rankin's psi.  The cache
-    holds the rule object itself, never its id, so a rule built later never
-    reads another's images; but it trusts a rule to be a pure function of
-    a: one that reads state which can change gives stale answers."""
+    one bounded cache: the verdicts of ``_times_where`` and the weight
+    images of rankin's psi.  The cache holds the rule object itself, never
+    its id, so a rule built later never reads another's images; but it
+    trusts a rule to be a pure function of a: one that reads state which
+    can change gives stale answers."""
     return rule(_unpack(prefix, size))
 
 
@@ -614,12 +598,30 @@ class SymLaurent(_Laurent):
         return SymLaurent._wrap(self.r, num, self.den, self._bound)
 
     def restrict(self, keep) -> "SymLaurent":
-        """The terms whose X-exponent tuple satisfies ``keep``, which must
-        be a pure function of the tuple: its verdicts are cached per
-        (keep, X-prefix) for the life of the process (``_prefix_image``)."""
+        """The terms whose X-exponent tuple satisfies ``keep`` (``_times_where``)."""
+        return self._times_where(SymLaurent.one(self.r), keep)
+
+    def _times_where(self, other: "SymLaurent", keep) -> "SymLaurent":
+        """The terms of self * other whose X-exponent tuple satisfies
+        ``keep``: one accumulator under ``__mul__``'s bound, then keep's
+        verdict on each nonzero term's X-prefix, cached per (keep, prefix)
+        for the life of the process (``_prefix_image``), so keep must be a
+        pure function of the tuple.  ValueError if the variable counts
+        differ."""
         r = self.r
-        num = {k: x for k, x in self.num.items() if _prefix_image(keep, k >> _W, r)}
-        return SymLaurent._normal(r, num, self.den, self._bound)
+        if other.r != r:
+            raise ValueError("variable counts differ")
+        bound = _checked(self._bound + other._bound, self, other)
+        bias = _bias(r)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k2, x2 in other.num.items():
+            k2 -= bias
+            for k1, x1 in self.num.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + x1 * x2
+        num = {k: x for k, x in acc.items() if x and _prefix_image(keep, k >> _W, r)}
+        return SymLaurent._normal(r, num, self.den * other.den, bound)
 
     def _symmetric(self) -> bool:
         """True iff the value is invariant under every permutation of
@@ -633,47 +635,6 @@ class SymLaurent(_Laurent):
                 if d and num.get(k + (d << (s + _W)) - (d << s)) != x:
                     return False
         return True
-
-    def _alternant_mul(self, factor: "SymLaurent", top: int) -> "SymLaurent":
-        """The Schur coordinates of F * f through degree top, where this
-        value holds those of a symmetric f and F = factor is symmetric and
-        written in monomials.  A symmetric f's coordinates are the alternant
-        a_delta f, delta = (r-1, .., 1, 0), keyed by the strictly decreasing
-        nu + delta: its coefficient there is that of s_nu in f (Macdonald,
-        Symmetric Functions and Hall Polynomials, I.3).  As F is symmetric,
-        F a_kappa is the sum of F_alpha a_(alpha + kappa) over F's terms,
-        and a_kappa is sgn(sigma) a_(sigma kappa) for the sigma that sorts
-        kappa decreasingly, or 0 if kappa repeats an entry (the alternant
-        proof of Pieri's rule, I.5).  So each pair of terms is one sort and
-        sign (``_sort_sign``, read once per X-prefix through
-        ``_prefix_image``), and keys with |nu| > top are dropped.  f's
-        coordinates past top reach no kept key when F has no term of
-        negative degree.  ValueError unless F is symmetric, which the sort
-        would otherwise silently make it."""
-        r = self.r
-        if factor.r != r:
-            raise ValueError("variable counts differ")
-        if not factor._symmetric():
-            raise ValueError("the factor is not symmetric in X_1..X_r")
-        bound = _checked(self._bound + factor._bound, self, factor)
-        # X-prefix of the zero tuple, and the largest kept sum of nu + delta
-        xbias = _bias(r) >> _W
-        most = r * (r - 1) // 2 + top
-        fterms = [(k >> _W, k & _MASK, x) for k, x in factor.num.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k2, y in self.num.items():
-            # alpha + kappa is the sum of the two X-prefixes less the bias,
-            # and f1 + f2 the v-field of e1 + e2
-            p2, f2 = (k2 >> _W) - xbias, (k2 & _MASK) - _OFFSET
-            for p1, f1, x in fterms:
-                hit = _prefix_image(_sort_sign, p1 + p2, r)
-                if hit is not None and hit[0] <= most:
-                    _, base, sign = hit
-                    k = base + f1 + f2
-                    acc[k] = get(k, 0) + sign * x * y
-        num = {k: x for k, x in acc.items() if x}
-        return SymLaurent._normal(r, num, self.den * factor.den, bound)
 
     def substitute_last_zero(self) -> "SymLaurent":
         """Set X_r = 0 and drop that variable, whose field sits just above

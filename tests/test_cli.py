@@ -517,15 +517,36 @@ def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
         assert not case.verdict and json.dumps(case.witness) == json.dumps(want)
 
 
+def _strictly_decreasing(e) -> bool:
+    return all(a > b for a, b in zip(e, e[1:]))
+
+
+def test_every_move_factor_meets_the_schur_coordinate_precondition():
+    # _times_coordinates is exact only for symmetric factors with X-exponents
+    # 0 and 1: the factors of gsp4-raising, eta-lemma (depth_shift_factor at
+    # the suite's n) and prop4's zeta endpoints (X_r = 0 in a move's factor)
+    factors = [factor for _, factor in cli._MOVES.values()]
+    factors += [cli.depth_shift_factor(n) for n in range(1, 9)]
+    factors += [factor.substitute_last_zero() for factor in factors]
+    for factor in factors:
+        assert all(a in (0, 1) for e in factor.c for a in e), factor
+        assert factor._symmetric()
+        # accepted, at f = 1, whose coordinates are X^delta: F's own are
+        # a_delta F at its strictly decreasing keys
+        delta = SymLaurent.monomial(factor.r, range(factor.r - 1, -1, -1))
+        want = {e: c for e, c in (delta * factor).c.items() if _strictly_decreasing(e)}
+        assert cli._times_coordinates(delta, factor, 8) == SymLaurent(factor.r, want)
+
+
 def test_coordinates_that_disagree_with_the_series_fail_the_case(monkeypatch):
     # a kernel fault that the series path does not share: no mismatching
     # coefficient to report, so the case says which paths disagree
-    mul = SymLaurent._alternant_mul
+    times = cli._times_coordinates
 
-    def off(self, factor, top):
-        return mul(self, factor, top) + SymLaurent(self.r, {tuple(range(self.r, 0, -1)): 1})
+    def off(psi, factor, top):
+        return times(psi, factor, top) + SymLaurent(psi.r, {tuple(range(psi.r, 0, -1)): 1})
 
-    monkeypatch.setattr(SymLaurent, "_alternant_mul", off)
+    monkeypatch.setattr(cli, "_times_coordinates", off)
     reason = {"reason": "Schur coordinates and series disagree"}
     cases = [
         (VerifyConfig(suite="gsp4-raising"), {"trial": 0, "operator": "theta-prime"}),

@@ -1094,7 +1094,7 @@ def test_moves_multiply_the_schur_coordinates_by_their_factors():
             d = random_whittaker_data(rng, n, max_norm=2 if n < 3 else 1)
             for trunc in (0, 2, 3, 8):
                 lhs = psi_alternant(move(d), n, n, trunc)
-                assert lhs == psi_alternant(d, n, n, trunc)._alternant_mul(factor, trunc)
+                assert lhs == rankin._times_coordinates(psi_alternant(d, n, n, trunc), factor, trunc)
 
 
 def test_psi_alternant_builds_no_schur_polynomial_trace_index_or_view(monkeypatch):
@@ -1110,7 +1110,7 @@ def test_psi_alternant_builds_no_schur_polynomial_trace_index_or_view(monkeypatc
         for d in data:
             n = d.n
             psi = psi_alternant(d, n, n, 6)
-            got.append((psi, psi._alternant_mul(depth_shift_factor(n), 6)))
+            got.append((psi, rankin._times_coordinates(psi, depth_shift_factor(n), 6)))
     for d, (psi, moved) in zip(data, got):
         n = d.n
         assert _expanded(psi) == psi_series(d, n, n, 6, SymbolicMode(n)).coeffs

@@ -1065,7 +1065,7 @@ def _coordinates(a: SymLaurent, top: int) -> SymLaurent:
     |nu| <= top: the Schur coordinates of a / a_delta through top."""
     r = a.r
     most = r * (r - 1) // 2 + top
-    return a.restrict(lambda e: all(map(operator.gt, e, e[1:])) and sum(e) <= most)
+    return _restricted(a, lambda e: all(map(operator.gt, e, e[1:])) and sum(e) <= most)
 
 
 def _random_coordinates(rng, r: int) -> SymLaurent:
@@ -1091,31 +1091,48 @@ def _symmetrized(rng, r: int) -> SymLaurent:
     return out
 
 
-def _symmetric_factors():
+def _elementary(r: int, k: int) -> SymLaurent:
+    """e_k in r variables, in monomials."""
+    return SymLaurent(r, dict.fromkeys(set(itertools.permutations((1,) * k + (0,) * (r - k))), 1))
+
+
+def _random_pieri_factor(rng, r: int) -> SymLaurent:
+    """A random sum of c_k e_k, k = 0..r, with VLaurent c_k: a symmetric
+    factor with every X-exponent 0 or 1."""
+    out = SymLaurent.zero(r)
+    for k in rng.sample(range(r + 1), rng.randint(1, r + 1)):
+        out = out + _elementary(r, k) * _random_v_value(rng)
+    return out
+
+
+def _pieri_factors():
+    """The factors the Schur-coordinate product accepts: the move factors,
+    constants, their X_r = 0 specializations, and random sums of c_k e_k."""
     rng = random.Random("alternant factors")
     factors = [theta_factor(), theta_prime_factor()]
     factors += [depth_shift_factor(n) for n in range(1, 5)]
-    factors += [orbit_sum(lam, len(lam)) for lam in ((1, 0), (1, 1), (2, 1, 0), (1, 1, 1, 0))]
-    factors += [_symmetrized(rng, r) for r in (1, 2, 3, 3, 4)]
     factors += [SymLaurent.constant(r, VLaurent({-1: 2, 3: Fraction(1, 3)})) for r in (1, 3)]
+    factors += [f.substitute_last_zero() for f in factors if f.r >= 2]
+    factors += [_random_pieri_factor(rng, r) for r in (1, 2, 2, 3, 3, 4)]
     return factors
 
 
 def test_alternant_product_matches_the_monomial_product():
     rng = random.Random("alternant product")
-    for factor in _symmetric_factors():
+    for factor in _pieri_factors():
         r = factor.r
         assert is_symmetric(factor)
+        assert all(a in (0, 1) for e in factor.c for a in e)
         vandermonde = _vandermonde(r)
         for _ in range(4):
             g = _random_coordinates(rng, r)
             # a_delta F g, formed in monomials, read at its Schur coordinates
             full = vandermonde * factor * _from_coordinates(g)
             for top in (-1, 0, 1, 2, 4, 7, 30):
-                got = g._alternant_mul(factor, top)
+                got = rankin._times_coordinates(g, factor, top)
                 assert got == _coordinates(full, top), (factor, g, top)
                 assert _is_normal(got)
-        assert SymLaurent.zero(r)._alternant_mul(factor, 5) == SymLaurent.zero(r)
+        assert rankin._times_coordinates(SymLaurent.zero(r), factor, 5) == SymLaurent.zero(r)
 
 
 def test_alternant_product_refuses_a_factor_that_is_not_symmetric():
@@ -1129,30 +1146,41 @@ def test_alternant_product_refuses_a_factor_that_is_not_symmetric():
             SymLaurent(3, {(0, 1, 0): 1, (0, 0, 1): 1}),
         ],
     }
+    # symmetric, but with an X-exponent outside {0, 1}, where a product key
+    # may need a sort: type D orbit sums (their sign changes give exponent
+    # -1), power sums, and symmetrized random values
+    rng = random.Random("alternant factors")
+    outside = [orbit_sum(lam, len(lam)) for lam in ((1, 0), (1, 1), (2, 1, 0), (1, 1, 1, 0), (2,))]
+    outside += [SymLaurent(2, {(2, 0): 1, (0, 2): 1}), SymLaurent(2, {(2, 1): q, (1, 2): q})]
+    outside += [_symmetrized(rng, r) for r in (1, 2, 3, 3, 4)]
+    for factor in outside:
+        assert is_symmetric(factor)
+        assert any(a not in (0, 1) for e in factor.c for a in e), factor
+        not_symmetric.setdefault(factor.r, []).append(factor)
     for r, factors in not_symmetric.items():
         g = SymLaurent(r, {tuple(range(r - 1, -1, -1)): 1})
         for factor in factors:
-            assert not is_symmetric(factor)
             with pytest.raises(ValueError):
-                g._alternant_mul(factor, 5)
-                pytest.fail("a factor that is not symmetric was accepted")
-    with pytest.raises(ValueError):
-        SymLaurent(3, {(2, 1, 0): 1})._alternant_mul(SymLaurent.one(2), 5)
+                rankin._times_coordinates(g, factor, 5)
+                pytest.fail("a factor that is not symmetric with 0/1 exponents was accepted")
+    for factor in (SymLaurent.one(2), SymLaurent.one(4), SymLaurent.zero(4)):
+        with pytest.raises(ValueError):
+            rankin._times_coordinates(SymLaurent(3, {(2, 1, 0): 1}), factor, 5)
 
 
 def test_alternant_product_refuses_a_v_exponent_past_the_field_limit():
     g = SymLaurent(2, {(1, 0): VLaurent.v_power(LIMIT - 2)})
     q = VLaurent.q_power(1)
     fits = SymLaurent(2, {(1, 0): q, (0, 1): q})
-    assert g._alternant_mul(fits, 5) == SymLaurent(2, {(2, 0): VLaurent.v_power(LIMIT)})
+    assert rankin._times_coordinates(g, fits, 5) == SymLaurent(2, {(2, 0): VLaurent.v_power(LIMIT)})
     with pytest.raises(OverflowError):
-        g._alternant_mul(fits * VLaurent.v_power(1), 5)
+        rankin._times_coordinates(g, fits * VLaurent.v_power(1), 5)
         pytest.fail("a value past the field limit was returned")
 
 
-# The per-prefix cache (rings._prefix_image) through restrict and
-# psi_alternant: each checked against its rule applied to the nested view,
-# term by term.  psi_alternant reads only the generating function of its
+# The per-prefix cache (rings._prefix_image) through _times_where (and so
+# restrict and the moves) and psi_alternant: each checked against its rule
+# applied to the nested view, term by term.  psi_alternant reads only the generating function of its
 # data, so arbitrary values (negative exponents, nonzero tails) are wrapped
 # as data unchecked, to reach every field of the key arithmetic.
 
@@ -1215,6 +1243,57 @@ def test_cached_restrict_and_relabel_match_their_rules():
     check()
 
 
+def _anything(e) -> bool:
+    return True
+
+
+def _constant_tuple(e) -> bool:
+    return len(set(e)) <= 1
+
+
+def test_times_where_keeps_the_terms_of_the_product_its_rule_admits():
+    hyp, st, settings = _hypothesis()
+    pairs = st.integers(min_value=1, max_value=3).flatmap(lambda r: st.tuples(_tailed(st, r), _tailed(st, r)))
+
+    @settings
+    @hyp.given(pairs)
+    def check(pair):
+        a, b = pair
+        for keep in (_anything, _in_cone, _increasing, rankin._coordinate_rule(a.r, 2)):
+            got = a._times_where(b, keep)
+            assert got == _restricted(a * b, keep) and _is_normal(got)
+
+    check()
+    x1, x2 = SymLaurent.monomial(2, (1, 0)), SymLaurent.monomial(2, (0, 1))
+    # terms that cancel: the cross terms of (X_1 + X_2)(X_1 - X_2)
+    got = (x1 + x2)._times_where(x1 - x2, _anything)
+    assert got == x1 * x1 - x2 * x2 and len(got.num) == 2
+    # a kept part over a smaller denominator than the product's
+    half = (x1 + x2) * Fraction(1, 2)
+    got = half._times_where(x1 + x2, _increasing)
+    assert got == x2 * x2 * Fraction(1, 2) and _is_normal(got)
+    got = half._times_where(x1 + x2, _constant_tuple)
+    assert got == x1 * x2 and got.den == 1 and _is_normal(got)
+    # zero operands
+    zero = SymLaurent.zero(2)
+    for a, b in ((zero, x1), (x1, zero), (zero, zero)):
+        got = a._times_where(b, _anything)
+        assert got == zero and _is_normal(got)
+    with pytest.raises(ValueError):
+        x1._times_where(SymLaurent.monomial(3, (1, 0, 0)), _anything)
+    # the field limit: __mul__'s, its bounds re-read once past it
+    big = SymLaurent.monomial(2, (LIMIT - 1, 0))
+    ran_ahead = SymLaurent.monomial(2, (100, 0)) * SymLaurent.monomial(2, (-100, 0))
+    assert big._times_where(x1, _anything) == SymLaurent.monomial(2, (LIMIT, 0))
+    assert big._times_where(ran_ahead, _anything) == big
+    low = SymLaurent.constant(2, VLaurent.v_power(-LIMIT))
+    for a, b in ((big, x1 * x1), (low, SymLaurent.constant(2, VLaurent.v_power(-1)))):
+        for product in (lambda: a * b, lambda: a._times_where(b, _anything)):
+            with pytest.raises(OverflowError):
+                product()
+                pytest.fail("a value past the field limit was returned")
+
+
 class _Counting:
     """A stable rule that records every tuple it is asked about."""
 
@@ -1244,6 +1323,13 @@ def test_a_stable_rule_runs_once_per_prefix(monkeypatch):
             got = psi_alternant(WhittakerData._of(a), 3, 2, 4)
             assert got == _relabelled(a, 2, lambda lam: _psi_key(lam, 3, 2, 4))
     assert sorted(keep.seen) == prefixes and sorted(weight.seen) == prefixes
+    # _times_where itself: one call per X-prefix of a nonzero product term
+    e1 = SymLaurent(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    keep = _Counting(_increasing)
+    for _ in range(2):
+        for a in values:
+            assert a._times_where(e1, keep) == _restricted(a * e1, _increasing)
+    assert sorted(keep.seen) == sorted({e for a in values for e in (a * e1).c})
 
     # the moves' cone test and psi_alternant's rule, through their callers
     data = [random_whittaker_data(rng, 2, max_norm=3, max_entries=6) for _ in range(200)]
