@@ -46,7 +46,6 @@ checks its weight with one rule per group, ``_gl_weight`` or
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -351,26 +350,25 @@ def sp_dimension(lam: Coweight, n: int) -> int:
     return int(dim)
 
 
-def _even_flip_masks(n: int) -> list[tuple[int, ...]]:
-    masks = []
-    for bits in itertools.product((1, -1), repeat=n):
-        if bits.count(-1) % 2 == 0:
-            masks.append(bits)
-    return masks
-
-
 @functools.cache
 def orbit_sum(lam: Coweight, n: int) -> SymLaurent:
     """Sum of X^mu over the orbit of lam under the type D Weyl group
-    (permutations composed with an even number of sign changes).  Each orbit
+    (permutations composed with an even number of sign changes), built as
+    the closure of lam under the simple reflections, the adjacent swaps and
+    (x_(n-1), x_n) -> (-x_n, -x_(n-1)), in O(|orbit| n) steps.  Each orbit
     element contributes once; the result is symmetric and invariant under
     inverting pairs of variables."""
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("weight length differs from rank")
-    orbit = set()
-    for perm in itertools.permutations(lam):
-        for mask in _even_flip_masks(n):
-            orbit.add(tuple(p * s for p, s in zip(perm, mask)))
+    orbit, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        images = [mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2 :] for i in range(n - 1)]
+        if n > 1:
+            images.append(mu[:-2] + (-mu[-1], -mu[-2]))
+        for nu in images:
+            if nu not in orbit:
+                orbit.add(nu)
+                todo.append(nu)
     return SymLaurent(n, {mu: 1 for mu in orbit})
-

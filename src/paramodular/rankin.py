@@ -66,12 +66,13 @@ The raising identities psi(move d) = F psi(d), for the symmetric move
 factors F of ``oldforms``, are checked there (``_times_coordinates``).  F
 has X-exponents 0 and 1 only, so each kappa + alpha of F a_kappa = sum
 F_alpha a_(kappa + alpha) is weakly decreasing (Pieri's rule; Macdonald,
-I.5 (5.17)), and the product kept at its strictly decreasing keys is
-exact; a_delta is not a zero divisor, so equal coordinates prove the series
-identity.  At r = 1, delta = (0) and the coordinates are psi itself, which
-the zeta series reads.  The series in monomials (``psi_series``) serve
-evaluation mode, psi-modes and the witnesses of failing cases; in symbolic
-mode the packed psi serves xi, the unramified check and ``kernel_check``.
+I.5 (5.17)), and the Laurent product kept at its strictly decreasing keys
+(``_product`` under ``_coordinate_rule``) is exact; a_delta is not a zero
+divisor, so equal coordinates prove the series identity.  At r = 1, delta
+= (0) and the coordinates are psi itself, which the zeta series reads.
+The series in monomials (``psi_series``) serve evaluation mode, psi-modes
+and the witnesses of failing cases; in symbolic mode the packed psi
+serves xi, the unramified check and ``kernel_check``.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ def _times_coordinates(psi: SymLaurent, factor: SymLaurent, top: int) -> SymLaur
     for k in factor.num:
         if (k >> _W) - xbias | ones != ones:
             raise ValueError("the factor has an X-exponent other than 0 and 1")
-    return psi._times_where(factor, _coordinate_rule(r, top))
+    return psi._product(factor, _coordinate_rule(r, top))
 
 
 def _psi_times(d: WhittakerData, n: int, r: int, factors: list, trunc: int, mode: Mode) -> TruncSeries:

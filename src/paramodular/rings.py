@@ -31,13 +31,12 @@ all built on ints and ``fractions.Fraction``:
     Power series in a formal variable Y, truncated at an explicit order.
     Coefficients are SymLaurent (symbolic mode), VLaurent (the zeta
     series) or Fraction (evaluation mode).  Degrees start at 0.  A product
-    over Laurent values is one product of packed series (below),
-    normalized once per degree; over Fractions each coefficient of a
-    product or an inverse is one sum of ints over one denominator
-    (``_dot``), and over Laurent values an inverse's is a sum of products.
-    The truncation order of a product is the smaller of the two operands'
-    orders, and an inverse is known through the order asked for;
-    ``trunc=None`` marks an exactly-known polynomial.
+    or an inverse is formed by the plain degree rule, each coefficient a
+    sum of products from the ring's zero, for the witnesses of failing
+    cases and the tests; the verdicts multiply packed series (below),
+    normalized once per degree.  The truncation order of a product is the
+    smaller of the two operands' orders, and an inverse is known through
+    the order asked for; ``trunc=None`` marks an exactly-known polynomial.
 
 Packed keys.  The exponent tuple (x_1, .., x_r, v) of a term is one
 non-negative int of r + 1 fields, W = 16 bits each, x_1's the highest and
@@ -50,9 +49,9 @@ two terms is one int addition.  A VLaurent key is one field, exactly the
 low field of a SymLaurent key.  Tuples are read and written only at the
 edges: the constructors, the views and ``_grouped`` (and so serialization,
 printing and the trace index of Whittaker data), the rules that
-``_prefix_image`` applies once per X-prefix per process (the verdicts of
-``_times_where``, which keep the moves' products, and rankin's weight rule
-of psi) and the two oracle divisions; evaluation, the variable
+``_prefix_image`` applies once per X-prefix per process (the verdicts that
+keep the moves' Laurent products, ``_product``, and rankin's weight rule of
+psi) and the two oracle divisions; evaluation, the variable
 substitutions, the symmetry check, the rank rows of ``_scaled_row`` and the
 Demazure steps of :mod:`paramodular.characters` work on fields.  A series
 packs as one value (``_Packed``), the key of a term Y^y X^a v^e being
@@ -151,11 +150,11 @@ def _checked(bound: int, *values: "_Laurent") -> int:
 def _prefix_image(rule, prefix: int, size: int):
     """rule(a) for the exponent tuple a that the X-prefix packs (size
     fields), worked out once per process for each (rule, prefix, size), in
-    one bounded cache: the verdicts of ``_times_where`` and the weight
-    images of rankin's psi.  The cache holds the rule object itself, never
-    its id, so a rule built later never reads another's images; but it
-    trusts a rule to be a pure function of a: one that reads state which
-    can change gives stale answers."""
+    one bounded cache: the verdicts that keep a Laurent ``_product`` and
+    the weight images of rankin's psi.  The cache holds the rule object
+    itself, never its id, so a rule built later never reads another's
+    images; but it trusts a rule to be a pure function of a: one that reads
+    state which can change gives stale answers."""
     return rule(_unpack(prefix, size))
 
 
@@ -256,25 +255,40 @@ class _Laurent:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        a, b = (self, o) if len(self.num) >= len(o.num) else (o, self)
+        return self._product(o)
+
+    def _product(self, other: "_Laurent", keep=None):
+        """self * other, other of self's class, in one accumulator under the
+        operands' summed bound; with ``keep``, a pure function of X-exponent
+        tuples, only the terms it admits, read once per X-prefix per process
+        (``_prefix_image``).  ValueError if the variable counts differ."""
+        r = self.r
+        if other.r != r:
+            raise ValueError("variable counts differ")
+        a, b = (self, other) if len(self.num) >= len(other.num) else (other, self)
         if not b.num:
             return b
         bound = _checked(a._bound + b._bound, a, b)
-        bias = _bias(self.r)
+        bias = _bias(r)
         if len(b.num) == 1:
             # a term times a polynomial: no exponents collide, nothing cancels
             ((k2, x2),) = b.num.items()
             k2 -= bias
             c = {k1 + k2: x1 * x2 for k1, x1 in a.num.items()}
-            return self._normal(self.r, c, a.den * b.den, bound)
-        c = {}
-        get = c.get
-        for k2, x2 in b.num.items():
-            k2 -= bias
-            for k1, x1 in a.num.items():
-                k = k1 + k2
-                c[k] = get(k, 0) + x1 * x2
-        return self._normal(self.r, {k: x for k, x in c.items() if x}, a.den * b.den, bound)
+        else:
+            c = {}
+            get = c.get
+            for k2, x2 in b.num.items():
+                k2 -= bias
+                for k1, x1 in a.num.items():
+                    k = k1 + k2
+                    c[k] = get(k, 0) + x1 * x2
+        # one pass drops the cancelled terms and those keep refuses
+        if keep is not None:
+            c = {k: x for k, x in c.items() if x and _prefix_image(keep, k >> _W, r)}
+        elif len(b.num) > 1:
+            c = {k: x for k, x in c.items() if x}
+        return self._normal(r, c, a.den * b.den, bound)
 
     def __sub__(self, other: Any):
         return self + (-other)
@@ -598,30 +612,8 @@ class SymLaurent(_Laurent):
         return SymLaurent._wrap(self.r, num, self.den, self._bound)
 
     def restrict(self, keep) -> "SymLaurent":
-        """The terms whose X-exponent tuple satisfies ``keep`` (``_times_where``)."""
-        return self._times_where(SymLaurent.one(self.r), keep)
-
-    def _times_where(self, other: "SymLaurent", keep) -> "SymLaurent":
-        """The terms of self * other whose X-exponent tuple satisfies
-        ``keep``: one accumulator under ``__mul__``'s bound, then keep's
-        verdict on each nonzero term's X-prefix, cached per (keep, prefix)
-        for the life of the process (``_prefix_image``), so keep must be a
-        pure function of the tuple.  ValueError if the variable counts
-        differ."""
-        r = self.r
-        if other.r != r:
-            raise ValueError("variable counts differ")
-        bound = _checked(self._bound + other._bound, self, other)
-        bias = _bias(r)
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k2, x2 in other.num.items():
-            k2 -= bias
-            for k1, x1 in self.num.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + x1 * x2
-        num = {k: x for k, x in acc.items() if x and _prefix_image(keep, k >> _W, r)}
-        return SymLaurent._normal(r, num, self.den * other.den, bound)
+        """The terms whose X-exponent tuple satisfies ``keep`` (``_product``)."""
+        return self._product(SymLaurent.one(self.r), keep)
 
     def _symmetric(self) -> bool:
         """True iff the value is invariant under every permutation of
@@ -760,24 +752,6 @@ def vlaurent_div_exact(num: VLaurent, den: VLaurent) -> VLaurent:
     return poly_div_exact(num, den)
 
 
-def _dot(pairs: list, zero: Any) -> Any:
-    """Sum of a * b over the pairs, in the ring of ``zero``: zero itself
-    for no pairs.  In a Laurent ring ``_coerced`` brings each a in, the
-    product each b (a mismatched r raises), and the products are summed;
-    over the rationals one pair is a plain product, and more are summed as
-    ints over the lcm of their denominators into one Fraction."""
-    if isinstance(zero, _Laurent):
-        return sum([zero._coerced(a) * b for a, b in pairs], zero)
-    if len(pairs) < 2:
-        if not pairs:
-            return zero
-        ((a, b),) = pairs
-        return a * b
-    prods = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs]
-    den = math.lcm(*[d for _, d in prods])
-    return Fraction(sum([x * (den // d) for x, d in prods]), den)
-
-
 class _Packed:
     """A Y-series over the ring of ``zero`` as one packed value (see the
     module docstring): ``terms`` are (key, numerator) pairs over one
@@ -889,34 +863,30 @@ class TruncSeries:
         return min(self.trunc, other.trunc)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        t, zero = self._horizon(other), self.zero
-        if isinstance(zero, _Laurent):
-            return _Packed.of(self.coeffs, zero).times(_Packed.of(other.coeffs, zero), t).series(t)
-        pairs: dict[int, list] = {}
+        """The product by the plain degree rule, summed from the ring's zero."""
+        t, out = self._horizon(other), {}
         for k1, x1 in self.coeffs.items():
             for k2, x2 in other.coeffs.items():
                 k = k1 + k2
                 if t is None or k <= t:
-                    pairs.setdefault(k, []).append((x1, x2))
-        return TruncSeries({k: _dot(p, zero) for k, p in pairs.items()}, t, zero)
+                    out[k] = out.get(k, self.zero) + x1 * x2
+        return TruncSeries(out, t, self.zero)
 
     def invert(self, trunc: int) -> "TruncSeries":
-        """Inverse series through the requested order; the constant
-        coefficient must be exactly 1, and is the inverse's too.  Nothing
-        in src calls it; the tests' oracles and ``bench/tracer.py``'s
-        METHODS name it, and ROADMAP item 25 removes it after item 1b."""
+        """Inverse series through the requested order, b_k = -(a_1 b_(k-1) +
+        .. + a_k b_0) summed from the ring's zero; the constant coefficient
+        must be exactly 1, and is the inverse's too.  Nothing in src calls
+        it; the tests and ``bench/tracer.py`` name it (ROADMAP item 25)."""
         one = self.get(0)
         if not (one == 1):
             raise ValueError("series inversion needs constant coefficient 1")
         if self.trunc is not None and self.trunc < trunc:
             raise ValueError("operand not known through the requested order")
-        a = self.coeffs
-        inv: dict[int, Any] = {0: one}
+        a, inv = self.coeffs, {0: one}
         for k in range(1, trunc + 1):
-            pairs = [(a[j], inv[k - j]) for j in range(1, k + 1) if j in a and k - j in inv]
-            acc = -_dot(pairs, self.zero)
+            acc = sum([a[j] * inv[k - j] for j in range(1, k + 1) if j in a and k - j in inv], self.zero)
             if acc:
-                inv[k] = acc
+                inv[k] = -acc
         return TruncSeries(inv, trunc, self.zero)
 
     def first_mismatch(self, other: "TruncSeries", through: int) -> int | None:

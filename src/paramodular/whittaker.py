@@ -264,9 +264,10 @@ def _in_cone(lam: Coweight) -> bool:
 
 def _move(d: WhittakerData, symbol: SymLaurent) -> WhittakerData:
     """The data whose generating function is d.gen * symbol kept in the
-    dominant cone, in one pass (``SymLaurent._times_where``): result(lam) =
-    sum_s c_s d(lam - s) for the terms c_s X^s of the symbol."""
-    return WhittakerData._of(d.gen._times_where(symbol, _in_cone))
+    dominant cone, by the Laurent product under the cone's rule
+    (``_product``): result(lam) = sum_s c_s d(lam - s) for the terms c_s X^s
+    of the symbol."""
+    return WhittakerData._of(d.gen._product(symbol, _in_cone))
 
 
 # The symbols of the moves.  Values are immutable, so one of each serves

@@ -6,7 +6,10 @@ elimination.  The oracles here take other routes, through Leibniz
 determinants and generic exact division: symbolic Jacobi-Trudi and the
 bialternant for Schur polynomials, the full Weyl alternant ratio for
 symplectic characters, each Demazure operator by its defining quotient,
-and an integer Leibniz expansion for numeric determinants.
+and an integer Leibniz expansion for numeric determinants.  The type D
+orbit sum, which the package builds by closure under the simple
+reflections, is checked against the whole Weyl group applied to the
+weight.
 """
 
 from __future__ import annotations
@@ -112,3 +115,15 @@ def demazure_step_by_division(mu: tuple[int, ...], i: int) -> SymLaurent:
     lowered = _power(r, i, -2)
     num = SymLaurent.monomial(r, mu) - lowered * SymLaurent.monomial(r, reflected)
     return poly_div_exact(num, SymLaurent.one(r) - lowered)
+
+
+def orbit_by_enumeration(lam: tuple[int, ...], n: int) -> SymLaurent:
+    """Sum of X^mu over the type D orbit of lam, from every permutation of
+    lam composed with every even number of sign changes: all n! 2^(n-1)
+    elements of the Weyl group."""
+    orbit = set()
+    for perm in itertools.permutations(lam):
+        for signs in itertools.product((1, -1), repeat=n):
+            if signs.count(-1) % 2 == 0:
+                orbit.add(tuple(p * s for p, s in zip(perm, signs)))
+    return SymLaurent(n, dict.fromkeys(orbit, 1))

@@ -5,11 +5,9 @@ Written on the public API of ``paramodular.rings`` alone (the constructor
 and the nested view ``c``; a series' ``coeffs``, ``trunc`` and ``zero``),
 so that they check the flat store and the series kernel from outside
 rather than through their own rules.  The series oracles form every
-coefficient one product and one sum at a time, but for
-``per_degree_product``, which forms each degree by the package's own
-sum-of-products kernel ``_dot``.  ``unpacked`` alone reads the store
-itself, for the tests of its layout.  ``unit_series`` is the exact series
-1 in a mode's ring.
+coefficient one product and one sum at a time.  ``unpacked`` alone reads
+the store itself, for the tests of its layout.  ``unit_series`` is the
+exact series 1 in a mode's ring.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from paramodular.rings import SymLaurent, TruncSeries, VLaurent, _dot, _pack, _unpack
+from paramodular.rings import SymLaurent, TruncSeries, VLaurent, _pack, _unpack
 
 
 def unpacked(a) -> dict[tuple[int, ...], int]:
@@ -114,20 +112,6 @@ def series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
             p = x1 * x2
             out[k] = out[k] + p if k in out else p
     return TruncSeries(out, t, a.zero)
-
-
-def per_degree_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """a * b with one ``_dot`` per degree up to the smaller horizon: the
-    pairs of coefficients of each degree in one accumulator, coerced into
-    the ring of a's zero and normalized once, degree by degree."""
-    horizons = [t for t in (a.trunc, b.trunc) if t is not None]
-    t = min(horizons) if horizons else None
-    pairs: dict = {}
-    for k1, x1 in a.coeffs.items():
-        for k2, x2 in b.coeffs.items():
-            if t is None or k1 + k2 <= t:
-                pairs.setdefault(k1 + k2, []).append((x1, x2))
-    return TruncSeries({k: _dot(p, a.zero) for k, p in pairs.items()}, t, a.zero)
 
 
 def series_inverse(s: TruncSeries, trunc: int) -> TruncSeries:

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from character_oracles import (
     jacobi_trudi_schur,
     leibniz_int_det,
     odd_permutation,
+    orbit_by_enumeration,
     sp_alternant,
     sp_character_by_division,
 )
@@ -513,6 +515,23 @@ def test_orbit_sum_rank_three_size():
     a = orbit_sum((1, 1, 1), 3)
     # even sign flips of (1,1,1): flip none or any two coordinates
     assert len(a.c) == 4
+
+
+def test_orbit_sum_matches_the_enumerated_weyl_group():
+    # every weight with entries in -2..2 at n <= 4, zero and negative
+    # entries included: the closure against the whole group
+    for n in range(5):
+        for lam in itertools.product(range(-2, 3), repeat=n):
+            assert orbit_sum(lam, n) == orbit_by_enumeration(lam, n), lam
+
+
+def test_orbit_sum_walks_the_orbit_not_the_group():
+    # n! 2^(n-1) group elements (10,321,920 at n = 8), but 112 and 18 terms
+    for lam, size in (((1, 1, 0, 0, 0, 0, 0, 0), 112), ((1,) + (0,) * 8, 18)):
+        start = time.perf_counter()
+        poly = orbit_sum.__wrapped__(lam, len(lam))  # uncached
+        assert time.perf_counter() - start < 0.5
+        assert len(poly.num) == size
 
 
 def test_h_dominant_orbit_pair():

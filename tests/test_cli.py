@@ -479,12 +479,30 @@ def _series_path_witness(d, moved, factor, trunc):
     return {"coefficient": k, "expected": str(rhs.get(k)), "got": str(lhs.get(k))}
 
 
+# SHA-256 of each planted-fault report below, every elapsed_ms removed, as
+# first recorded: the witnesses are pinned byte for byte, apart from the
+# series path they are compared with
+PLANTED_FAULT_SHA256 = {
+    "gsp4-raising": "0ea824dc79fc5c7c8b82a0ed17cd3edc903cd5cfa19db4786561906bbe496c12",
+    "prop4": "1cfdf59af3fabcfa2921b9f0afb4056292bce6408a773c0d1298d044e201f4c2",
+    "eta-lemma": "0c6d5f1379351587aabcc1a4beea5bf923a481aaf874cabd1bc16079c5a44685",
+}
+
+
+def _report_sha256(report: Report) -> str:
+    blob = json.loads(emit(report, "json"))
+    for case in blob["cases"]:
+        del case["elapsed_ms"]
+    return hashlib.sha256(json.dumps(blob, indent=2, sort_keys=True).encode()).hexdigest()
+
+
 def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
     # theta's symbol without its q: the Schur coordinates see it, and the
     # witness is the one the series comparison reports, byte for byte
     monkeypatch.setattr(whittaker, "_THETA", SymLaurent(2, {(1, 0): 1, (0, 1): 1}))
     cfg = VerifyConfig(suite="gsp4-raising", trials=8)
     report = run_suite(cfg)
+    assert _report_sha256(report) == PLANTED_FAULT_SHA256["gsp4-raising"]
     failed = 0
     for case in report.cases:
         op, t = case.parameters["operator"], case.parameters["trial"]
@@ -500,7 +518,9 @@ def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
     # factor: theta's X_1 term doubled
     monkeypatch.setattr(whittaker, "_THETA", SymLaurent(2, {(1, 0): 2, (0, 1): cli._Q}))
     cfg = VerifyConfig(suite="prop4", trials=3)
-    zeta = [c for c in run_suite(cfg).cases if c.parameters["check"] == "zeta-theta"]
+    report = run_suite(cfg)
+    assert _report_sha256(report) == PLANTED_FAULT_SHA256["prop4"]
+    zeta = [c for c in report.cases if c.parameters["check"] == "zeta-theta"]
     low = oldforms.theta_factor().substitute_last_zero()
     for case in zeta:
         d = cli._random_data(case_rng(cfg.seed, f"prop4:zeta:{case.parameters['trial']}"), 2)
@@ -511,7 +531,9 @@ def test_a_wrong_move_fails_with_the_witness_of_the_series_path(monkeypatch):
     cfg = VerifyConfig(suite="eta-lemma", trials=3)
     wrong = SymLaurent.monomial(3, (1, 1, 1))
     monkeypatch.setattr(cli, "depth_shift_factor", lambda n: wrong)
-    for case in run_suite(cfg).cases:
+    report = run_suite(cfg)
+    assert _report_sha256(report) == PLANTED_FAULT_SHA256["eta-lemma"]
+    for case in report.cases:
         d = cli._random_data(case_rng(cfg.seed, f"eta-lemma:3:{case.parameters['trial']}"), 3)
         want = _series_path_witness(d, eta_data(d), wrong, cfg.trunc)
         assert not case.verdict and json.dumps(case.witness) == json.dumps(want)

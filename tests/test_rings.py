@@ -34,7 +34,6 @@ from laurent_oracles import (
     is_symmetric,
     laurent_product,
     min_var_exp,
-    per_degree_product,
     series_inverse,
     series_product,
     unpacked,
@@ -619,70 +618,6 @@ def test_exact_divisions_undo_products():
     check()
 
 
-def _dot_cases(st):
-    """(zero, pairs): up to four pairs of operands of one ring, SymLaurent
-    in r = 0..3, VLaurent, or the rationals with int and Fraction
-    operands; zero operands and denominators above 1 included."""
-
-    def case(zero, operand):
-        return st.tuples(st.just(zero), st.lists(st.tuples(operand, operand), max_size=4))
-
-    rationals = st.one_of(_coeff(st), st.integers(min_value=-7, max_value=7))
-    return st.one_of(
-        *[case(SymLaurent.zero(r), _sym(st, r)) for r in range(4)],
-        case(VLaurent.zero(), _vlaurents(st)),
-        case(Fraction(0), rationals),
-    )
-
-
-def test_sum_of_products_kernel_matches_the_pairwise_sum():
-    hyp, st, settings = _hypothesis()
-
-    @settings
-    @hyp.given(_dot_cases(st))
-    def check(case):
-        zero, pairs = case
-        got = rings._dot(pairs, zero)
-        assert got == sum((a * b for a, b in pairs), zero)
-        cancelled = rings._dot(pairs + [(-a, b) for a, b in pairs], zero)
-        assert cancelled == 0
-        if isinstance(zero, Fraction):
-            assert math.gcd(got.numerator, got.denominator) == 1
-        else:
-            assert type(got) is type(zero) and _is_normal(got)
-            assert (cancelled.num, cancelled.den) == ({}, 1)
-
-    check()
-    for zero in (SymLaurent.zero(2), VLaurent.zero(), Fraction(0)):
-        assert rings._dot([], zero) is zero
-
-
-def test_sum_of_products_kernel_coerces_into_the_ring_of_zero():
-    """Scalar and VLaurent operands join a SymLaurent sum as constants; a
-    VLaurent key (e,) must not meet a SymLaurent key unlifted."""
-    hyp, st, settings = _hypothesis()
-
-    @settings
-    @hyp.given(_sym_triples(st), _vlaurents(st), _coeff(st), st.integers(min_value=-3, max_value=3))
-    def check(abc, x, f, k):
-        a, b, c = abc
-        zero = SymLaurent.zero(a.r)
-
-        def lifted(y):
-            return y if isinstance(y, SymLaurent) else SymLaurent.constant(a.r, y)
-
-        for pairs in ([(x, a), (b, x)], [(x, x)], [(f, x), (k, a), (c, f)], [(x, f), (k, x)]):
-            got = rings._dot(pairs, zero)
-            want = sum((lifted(y) * lifted(z) for y, z in pairs), zero)
-            assert type(got) is SymLaurent and got == want and _is_normal(got)
-
-    check()
-    one1, one2 = SymLaurent.one(1), SymLaurent.one(2)
-    for pairs in ([(one1, one2)], [(one2, one2), (one1, one1)], [(one1, one1)]):
-        with pytest.raises(ValueError, match="variable counts differ"):
-            rings._dot(pairs, SymLaurent.zero(2))
-
-
 def _series_pairs(st):
     """Two series over one coefficient ring, symbolic (SymLaurent in r = 1
     or 2), VLaurent (the zeta series' ring) or Fraction, each with horizon
@@ -724,6 +659,19 @@ def test_series_product_and_inverse_match_the_pairwise_oracles():
         assert _same_series(a.invert(t), series_inverse(a, t))
 
     check()
+    # int, Fraction and VLaurent coefficients join a SymLaurent series'
+    # ring as constants, each degree summed from its zero; a mismatched r
+    # raises
+    zero = SymLaurent.zero(2)
+    a = TruncSeries({0: 1, 1: VLaurent.v_power(2), 2: Fraction(-2, 5)}, None, zero)
+    b = TruncSeries({0: SymLaurent.monomial(2, (1, -1), Fraction(1, 3)), 1: 3, 2: VLaurent({-1: 2})}, 3, zero)
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = x * y
+        assert got.coeffs == series_product(x, y).coeffs
+        assert all(type(c) is SymLaurent and _is_normal(c) for c in got.coeffs.values())
+    assert all(type(c) is SymLaurent for k, c in a.invert(4).coeffs.items() if k)
+    with pytest.raises(ValueError, match="variable counts differ"):
+        TruncSeries({0: SymLaurent.one(1)}, None, zero) * a
 
 
 def _random_laurent(rng: random.Random, r: int):
@@ -736,6 +684,12 @@ def _random_laurent(rng: random.Random, r: int):
     if r == 0:
         return sum((VLaurent(v) for v in terms.values()), VLaurent.zero())
     return SymLaurent(r, {e: VLaurent(v) for e, v in terms.items()})
+
+
+def _packed_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b through the packed series product that the verdicts use."""
+    t = a._horizon(b)
+    return rings._Packed.of(a.coeffs, a.zero).times(rings._Packed.of(b.coeffs, b.zero), t).series(t)
 
 
 def test_packed_series_product_matches_the_per_degree_oracle():
@@ -760,13 +714,13 @@ def test_packed_series_product_matches_the_per_degree_oracle():
             pairs = [tuple(series), cancelling, (far, series[0]), (series[1], far)]
             pairs += [(x, TruncSeries({}, t, zero)) for x in series for t in (None, 2)]
             for a, b in pairs:
-                got, want = a * b, per_degree_product(a, b)
+                got, want = _packed_product(a, b), series_product(a, b)
                 assert (got.trunc, got.coeffs) == (want.trunc, want.coeffs), (r, a, b)
                 for x in got.coeffs.values():
                     assert type(x) is type(zero) and x and _is_normal(x)
                     unpacked(x)  # the keys, and the bound covers them
-            assert 1 not in (cancelling[0] * cancelling[1]).coeffs
-            assert max((far * far).coeffs) == 80000
+            assert 1 not in _packed_product(*cancelling).coeffs
+            assert max(_packed_product(far, far).coeffs) == 80000
 
 
 def test_no_pair_past_the_horizon_meets_the_field_limit():
@@ -778,18 +732,18 @@ def test_no_pair_past_the_horizon_meets_the_field_limit():
     a = TruncSeries({0: low, 1: 1, 5: top}, 6, zero)
     b = TruncSeries({0: 1, 1: low, 5: top * Fraction(-4, 5)}, None, zero)
     for x, y in ((a, b), (b, a), (a, a)):
-        got = x * y
-        assert (got.trunc, got.coeffs) == (6, per_degree_product(x, y).coeffs)
+        got = _packed_product(x, y)
+        assert (got.trunc, got.coeffs) == (6, series_product(x, y).coeffs)
         assert max(got.coeffs) == 6 and all(c._bound <= LIMIT for c in got.coeffs.values())
     # at horizon 10 the pair is formed, and refused
     with pytest.raises(OverflowError):
-        TruncSeries(a.coeffs, 10, zero) * b
+        _packed_product(TruncSeries(a.coeffs, 10, zero), b)
     # X_1^-20000 at Y^3 in both, horizon 5: a pair formed at Y^6 would
     # borrow from the Y-field and land at Y^5
     deep = SymLaurent.monomial(2, (-20000, 1), VLaurent({1: 3}))
     c = TruncSeries({0: 1, 2: low, 3: deep}, 5, zero)
-    got = c * c
-    assert (got.trunc, got.coeffs) == (5, per_degree_product(c, c).coeffs)
+    got = _packed_product(c, c)
+    assert (got.trunc, got.coeffs) == (5, series_product(c, c).coeffs)
 
 
 def test_json_round_trips():
@@ -1178,8 +1132,8 @@ def test_alternant_product_refuses_a_v_exponent_past_the_field_limit():
         pytest.fail("a value past the field limit was returned")
 
 
-# The per-prefix cache (rings._prefix_image) through _times_where (and so
-# restrict and the moves) and psi_alternant: each checked against its rule
+# The per-prefix cache (rings._prefix_image) through the kept Laurent
+# product _product (and so restrict and the moves) and psi_alternant: each checked against its rule
 # applied to the nested view, term by term.  psi_alternant reads only the generating function of its
 # data, so arbitrary values (negative exponents, nonzero tails) are wrapped
 # as data unchecked, to reach every field of the key arithmetic.
@@ -1251,7 +1205,7 @@ def _constant_tuple(e) -> bool:
     return len(set(e)) <= 1
 
 
-def test_times_where_keeps_the_terms_of_the_product_its_rule_admits():
+def test_the_kept_product_keeps_the_terms_its_rule_admits():
     hyp, st, settings = _hypothesis()
     pairs = st.integers(min_value=1, max_value=3).flatmap(lambda r: st.tuples(_tailed(st, r), _tailed(st, r)))
 
@@ -1260,35 +1214,40 @@ def test_times_where_keeps_the_terms_of_the_product_its_rule_admits():
     def check(pair):
         a, b = pair
         for keep in (_anything, _in_cone, _increasing, rankin._coordinate_rule(a.r, 2)):
-            got = a._times_where(b, keep)
+            got = a._product(b, keep)
             assert got == _restricted(a * b, keep) and _is_normal(got)
 
     check()
     x1, x2 = SymLaurent.monomial(2, (1, 0)), SymLaurent.monomial(2, (0, 1))
     # terms that cancel: the cross terms of (X_1 + X_2)(X_1 - X_2)
-    got = (x1 + x2)._times_where(x1 - x2, _anything)
+    got = (x1 + x2)._product(x1 - x2, _anything)
     assert got == x1 * x1 - x2 * x2 and len(got.num) == 2
     # a kept part over a smaller denominator than the product's
     half = (x1 + x2) * Fraction(1, 2)
-    got = half._times_where(x1 + x2, _increasing)
+    got = half._product(x1 + x2, _increasing)
     assert got == x2 * x2 * Fraction(1, 2) and _is_normal(got)
-    got = half._times_where(x1 + x2, _constant_tuple)
+    got = half._product(x1 + x2, _constant_tuple)
     assert got == x1 * x2 and got.den == 1 and _is_normal(got)
+    # a term times a polynomial, either way round: the one-term path
+    for a, b in ((x1 + x2, x2), (x2, x1 + x2)):
+        got = a._product(b, _increasing)
+        assert got == x2 * x2 and _is_normal(got)
     # zero operands
     zero = SymLaurent.zero(2)
     for a, b in ((zero, x1), (x1, zero), (zero, zero)):
-        got = a._times_where(b, _anything)
+        got = a._product(b, _anything)
         assert got == zero and _is_normal(got)
     with pytest.raises(ValueError):
-        x1._times_where(SymLaurent.monomial(3, (1, 0, 0)), _anything)
-    # the field limit: __mul__'s, its bounds re-read once past it
+        x1._product(SymLaurent.monomial(3, (1, 0, 0)), _anything)
+    # the field limit: that of __mul__, which runs the same kernel, its
+    # bounds re-read once past it
     big = SymLaurent.monomial(2, (LIMIT - 1, 0))
     ran_ahead = SymLaurent.monomial(2, (100, 0)) * SymLaurent.monomial(2, (-100, 0))
-    assert big._times_where(x1, _anything) == SymLaurent.monomial(2, (LIMIT, 0))
-    assert big._times_where(ran_ahead, _anything) == big
+    assert big._product(x1, _anything) == SymLaurent.monomial(2, (LIMIT, 0))
+    assert big._product(ran_ahead, _anything) == big
     low = SymLaurent.constant(2, VLaurent.v_power(-LIMIT))
     for a, b in ((big, x1 * x1), (low, SymLaurent.constant(2, VLaurent.v_power(-1)))):
-        for product in (lambda: a * b, lambda: a._times_where(b, _anything)):
+        for product in (lambda: a * b, lambda: a._product(b, _anything)):
             with pytest.raises(OverflowError):
                 product()
                 pytest.fail("a value past the field limit was returned")
@@ -1323,12 +1282,12 @@ def test_a_stable_rule_runs_once_per_prefix(monkeypatch):
             got = psi_alternant(WhittakerData._of(a), 3, 2, 4)
             assert got == _relabelled(a, 2, lambda lam: _psi_key(lam, 3, 2, 4))
     assert sorted(keep.seen) == prefixes and sorted(weight.seen) == prefixes
-    # _times_where itself: one call per X-prefix of a nonzero product term
+    # the kept product itself: one call per X-prefix of a nonzero product term
     e1 = SymLaurent(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     keep = _Counting(_increasing)
     for _ in range(2):
         for a in values:
-            assert a._times_where(e1, keep) == _restricted(a * e1, _increasing)
+            assert a._product(e1, keep) == _restricted(a * e1, _increasing)
     assert sorted(keep.seen) == sorted({e for a in values for e in (a * e1).c})
 
     # the moves' cone test and psi_alternant's rule, through their callers
