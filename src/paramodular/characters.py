@@ -28,11 +28,11 @@ result.  Every numeric character is one rule, ``_jacobi_trudi``: a
 Jacobi-Trudi determinant, Koike-Terada's in type C, of the integers
 h_m(y) = B^m h_m(z) of an ``_HTable``, where B is the lcm of the point's
 denominators and y = B z, over one power of B.  The
-integer determinant (``_jacobi_trudi_det``, ``_det``) is written out for
-k <= 3 rows and taken by fraction-free Bareiss elimination, O(k^3), for
-more.  Its rows follow one row rule, ``_jacobi_trudi_row``: the row of
-shift a = lam_i - i holds h_{a+j}(y), plus B^{2j} h_{a-j}(y) in type C,
-so it depends on the shift alone.  Schur values read the table of the point
+integer determinant ``_det`` is written out for k <= 3 rows and taken
+by fraction-free Bareiss elimination, O(k^3), for more.  Its rows
+follow one row rule, ``_jacobi_trudi_row``: the row of shift
+a = lam_i - i holds h_{a+j}(y), plus B^{2j} h_{a-j}(y) in type C, so
+it depends on the shift alone.  Schur values read the table of the point
 (:func:`_schur_value`, for :class:`paramodular.rankin.EvaluationMode`);
 :func:`sp_character_value` reads the table of the 2n values
 beta_j^{+-1}, and :func:`paramodular.whittaker.spherical_so_data` builds
@@ -268,16 +268,6 @@ def _jacobi_trudi_row(h: list[int], squared: int, a: int, k: int, sp: bool) -> l
     return row
 
 
-def _jacobi_trudi_det(h: list[int], squared: int, parts: Coweight, sp: bool) -> int:
-    """B^|lam| times the Jacobi-Trudi determinant at the point z of a table,
-    as one integer determinant, for the nonzero parts of a partition lam:
-    the rule of :func:`_jacobi_trudi`, row i of shift parts[i] - i.  h is
-    the table's list, tabulated at least through degree parts[0] +
-    len(parts) - 1, and squared is B^2."""
-    k = len(parts)
-    return _det([_jacobi_trudi_row(h, squared, x - i, k, sp) for i, x in enumerate(parts)])
-
-
 def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> tuple[int, int]:
     """The Jacobi-Trudi determinant at the point z of table for a
     partition lam with l nonzero parts, a_i = lam_i - i and 0 <= i, j < l:
@@ -289,11 +279,13 @@ def _jacobi_trudi(table: _HTable, lam: Coweight, sp: bool) -> tuple[int, int]:
     and column j by B^j makes every entry the integer h_{a_i+j}(y)
     (+ B^{2j} h_{a_i-j}(y)) and scales the determinant by
     B^{sum_i a_i + sum_j j} = B^|lam|, so the value is one integer
-    determinant (``_jacobi_trudi_det``) over B^|lam|, returned as that
-    pair of integers.  l = 0 gives (1, 1)."""
+    determinant, row i by the row rule at shift a_i, over B^|lam|,
+    returned as that pair of integers.  l = 0 gives (1, 1)."""
     parts = [x for x in lam if x]
-    h = table.upto(parts[0] + len(parts) - 1 if parts else 0)
-    return _jacobi_trudi_det(h, table.den**2, parts, sp), table.den ** sum(parts)
+    k, squared = len(parts), table.den**2
+    h = table.upto(parts[0] + k - 1 if parts else 0)
+    rows = [_jacobi_trudi_row(h, squared, x - i, k, sp) for i, x in enumerate(parts)]
+    return _det(rows), table.den ** sum(parts)
 
 
 def _schur_value(lam: Coweight, table: _HTable) -> Fraction:

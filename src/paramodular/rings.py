@@ -611,10 +611,6 @@ class SymLaurent(_Laurent):
         num = {2 * xbias - k + 2 * (k & _MASK): x for k, x in self.num.items()}
         return SymLaurent._wrap(self.r, num, self.den, self._bound)
 
-    def restrict(self, keep) -> "SymLaurent":
-        """The terms whose X-exponent tuple satisfies ``keep`` (``_product``)."""
-        return self._product(SymLaurent.one(self.r), keep)
-
     def _symmetric(self) -> bool:
         """True iff the value is invariant under every permutation of
         X_1..X_r: checked on the adjacent transpositions, which generate,

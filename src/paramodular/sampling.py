@@ -3,7 +3,8 @@
 Each test case gets its own ``random.Random`` keyed by a string derived
 from the run seed and the case index, so runs are reproducible for a fixed
 seed and independent of execution order (cases can run in parallel).
-String seeding hashes the key, which is stable across platforms.
+String seeding hashes the key, which is stable across platforms.  Every
+draw makes the getrandbits calls of the ``random`` call it stands for.
 
 Generated objects are kept small on purpose: rationals with numerator and
 denominator up to 7, Laurent coefficients with one or two terms, coweights
@@ -78,30 +79,23 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _sample(bits, population, k: int) -> list:
-    """``random.Random.sample(population, k)`` through the same getrandbits
-    calls, without its checks: the pool of the whole population while that
-    is no larger than sample's set size, else a set of the drawn indices."""
+def _sample(rng: random.Random, population, k: int) -> list:
+    """``rng.sample(population, k)`` without its checks.  Up to sample's set
+    size it draws here, from a pool of the whole population, through the
+    same getrandbits calls at less cost; past it, rng.sample draws."""
     n = len(population)
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(population)
-        result = []
-        for i in range(k):
-            j = _below(bits, n - i)
-            result.append(pool[j])
-            pool[j] = pool[n - i - 1]
-        return result
-    selected: set[int] = set()
+    if n > setsize:
+        return rng.sample(population, k)
+    bits = rng.getrandbits
+    pool = list(population)
     result = []
-    for _ in range(k):
-        j = _below(bits, n)
-        while j in selected:
-            j = _below(bits, n)
-        selected.add(j)
-        result.append(population[j])
+    for i in range(k):
+        j = _below(bits, n - i)
+        result.append(pool[j])
+        pool[j] = pool[n - i - 1]
     return result
 
 
@@ -112,16 +106,15 @@ def random_whittaker_data(
     Each d(lam) has one or two v-monomials of exponent in -2..2, each
     coefficient drawn as ``random_fraction`` draws it and written straight
     into the flat store: its numerator and denominator in lowest terms, all
-    of them over one lcm.  Every draw makes the getrandbits calls that
-    rng.randint, rng.sample and rng.choice would make, so the data are those
-    of the public calls.  The support is drawn from the enumerated cone, so
-    it needs no second check."""
+    of them over one lcm.  The data are those that rng.randint, rng.sample
+    and rng.choice would draw.  The support is drawn from the enumerated
+    cone, so it needs no second check."""
     bits = rng.getrandbits
     cone = _cone(n, max_norm)
     count = 1 + _below(bits, min(max_entries, len(cone)))
     drawn = []
-    for lam in _sample(bits, cone, count):
-        for e in _sample(bits, _V_EXPONENTS, 1 + _below(bits, 2)):
+    for lam in _sample(rng, cone, count):
+        for e in _sample(rng, _V_EXPONENTS, 1 + _below(bits, 2)):
             sign = -1 if _below(bits, 2) else 1
             a, b = 1 + _below(bits, 7), 1 + _below(bits, 7)
             g = math.gcd(a, b)

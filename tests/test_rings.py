@@ -163,8 +163,7 @@ def test_public_surface_is_what_the_verifier_uses():
     surfaces = {
         VLaurent: shared | {"from_json", "q_power", "v_power"},
         SymLaurent: shared
-        | {"constant", "invert_all_vars", "monomial", "restrict"}
-        | {"substitute_last_zero"},
+        | {"constant", "invert_all_vars", "monomial", "substitute_last_zero"},
         TruncSeries: {"coeffs", "first_mismatch", "get", "invert", "trunc", "zero"},
     }
     for cls, names in surfaces.items():
@@ -798,7 +797,8 @@ def test_equal_values_have_one_normal_form():
     whole = SymLaurent(2, {(1, -1): 1, (0, 0): VLaurent({-1: 1})})
     assert (half + half).den == 1 and half + half == whole
     assert SymLaurent.zero(3).den == 1 and (half - same).den == 1
-    assert half.restrict(lambda e: e == (1, -1)) == SymLaurent.monomial(2, (1, -1), Fraction(1, 2))
+    kept = half._product(SymLaurent.one(2), lambda e: e == (1, -1))
+    assert kept == SymLaurent.monomial(2, (1, -1), Fraction(1, 2))
 
 
 def test_vlaurent_values_have_the_flat_normal_form():
@@ -1133,8 +1133,8 @@ def test_alternant_product_refuses_a_v_exponent_past_the_field_limit():
 
 
 # The per-prefix cache (rings._prefix_image) through the kept Laurent
-# product _product (and so restrict and the moves) and psi_alternant: each checked against its rule
-# applied to the nested view, term by term.  psi_alternant reads only the generating function of its
+# product _product (and so the moves) and psi_alternant: each checked against its rule applied
+# to the nested view, term by term.  psi_alternant reads only the generating function of its
 # data, so arbitrary values (negative exponents, nonzero tails) are wrapped
 # as data unchecked, to reach every field of the key arithmetic.
 
@@ -1190,7 +1190,7 @@ def test_cached_restrict_and_relabel_match_their_rules():
         # twice each: the second answer comes from the cache
         for _ in range(2):
             for keep in (_in_cone, _increasing):
-                assert a.restrict(keep) == _restricted(a, keep)
+                assert a._product(SymLaurent.one(a.r), keep) == _restricted(a, keep)
             got = psi_alternant(WhittakerData._of(a), n, r, trunc)
             assert got == _relabelled(a, r, lambda lam: _psi_key(lam, n, r, trunc))
 
@@ -1278,7 +1278,7 @@ def test_a_stable_rule_runs_once_per_prefix(monkeypatch):
     rankin._psi_rule.cache_clear()
     for _ in range(2):
         for a in values:
-            assert a.restrict(keep) == _restricted(a, _in_cone)
+            assert a._product(SymLaurent.one(3), keep) == _restricted(a, _in_cone)
             got = psi_alternant(WhittakerData._of(a), 3, 2, 4)
             assert got == _relabelled(a, 2, lambda lam: _psi_key(lam, 3, 2, 4))
     assert sorted(keep.seen) == prefixes and sorted(weight.seen) == prefixes
@@ -1321,7 +1321,7 @@ def test_a_new_rule_never_reads_another_rules_images(monkeypatch):
     monkeypatch.setattr(rankin, "_psi_rule", lambda n, r: current["rule"])
     for t in range(12):
         keep = lambda e, t=t: (3 * e[0] + e[1]) % 4 == t % 4  # noqa: E731
-        assert a.restrict(keep) == _restricted(a, keep)
+        assert a._product(SymLaurent.one(2), keep) == _restricted(a, keep)
         current["rule"] = changing(t)
         want = _relabelled(a, 2, lambda e, t=t: None if e[0] == t % 5 - 2 else ((e[0] + 1, e[1]), t))
         assert psi_alternant(WhittakerData._of(a), 2, 2, 8) == want
@@ -1337,10 +1337,10 @@ def test_the_prefix_cache_stays_within_its_bound():
     a = SymLaurent(2, dict.fromkeys(exps, 1))
     for t in range(4):
         keep = lambda e, t=t: sum(e) % 4 == t  # noqa: E731
-        assert len(a.restrict(keep).num) == sum(map(keep, exps))
+        assert len(a._product(SymLaurent.one(2), keep).num) == sum(map(keep, exps))
         assert rings._prefix_image.cache_info().currsize <= bound
     assert rings._prefix_image.cache_info().currsize == bound
     # past the bound the oldest verdicts go, and new ones stay right
-    kept = a.restrict(_increasing)
+    kept = a._product(SymLaurent.one(2), _increasing)
     assert kept == SymLaurent(2, dict.fromkeys(filter(_increasing, exps), 1))
     rings._prefix_image.cache_clear()

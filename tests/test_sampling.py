@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,25 @@ def test_sample_and_below_make_the_draws_of_random():
             key = f"sample:{n}:{k}"
             ours, theirs = case_rng(0, key), case_rng(0, key)
             population = tuple(range(100, 100 + n))
-            assert _sample(ours.getrandbits, population, k) == theirs.sample(population, k)
+            assert _sample(ours, population, k) == theirs.sample(population, k)
             assert _below(ours.getrandbits, n) == theirs.randrange(n)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_calls_random_sample_only_past_its_set_size():
+    # equal draws catch the pool run past sample's set size, where sample
+    # draws from a set, but not rng.sample called below it, where sample
+    # runs the same pool; so the calls are counted: none up to the set size,
+    # one past it
+    for n in range(1, 100):
+        for k in range(1, min(n, 12) + 1):
+            rng, calls = case_rng(0, f"spy:{n}:{k}"), []
+
+            def spy(population, size, rng=rng, calls=calls):
+                calls.append(size)
+                return random.Random.sample(rng, population, size)
+
+            rng.sample = spy
+            _sample(rng, tuple(range(n)), k)
+            setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+            assert len(calls) == (1 if n > setsize else 0), (n, k)
