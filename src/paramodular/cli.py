@@ -144,10 +144,10 @@ class VerifyConfig:
             raise ValueError(f"suite {self.suite} needs trunc >= {floor}, got {self.trunc}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        for name in ("n", "r"):
+        for name, least in (("n", 1), ("r", 1), ("max_gap", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"need {name} >= 1, got {value}")
+            if value is not None and value < least:
+                raise ValueError(f"need {name} >= {least}, got {value}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 
@@ -159,17 +159,6 @@ class CaseRecord:
     verdict: bool
     witness: dict | None
     elapsed_ms: float
-
-    def to_json(self) -> dict:
-        out = {
-            "case": self.case,
-            "parameters": self.parameters,
-            "verdict": "pass" if self.verdict else "fail",
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 @dataclasses.dataclass
@@ -195,9 +184,6 @@ class Report:
             "failed": sum(not c.verdict for c in self.cases),
             "all_passed": self.all_passed,
         }
-
-    def to_json(self) -> dict:
-        return {**self._header(), "cases": [c.to_json() for c in self.cases]}
 
 
 def _first_mismatch(a: TruncSeries, b: TruncSeries, through: int) -> dict | None:
@@ -764,9 +750,10 @@ def _write_json(value, out: list[str], indent: str) -> None:
     that start value's first line.  value is a tree of lists, dicts with
     str keys, CaseRecords and scalars of _SCALAR_TEXT's types, each of
     exactly that type, which is all the program writes; anything else,
-    subclasses included, raises TypeError.  A CaseRecord is
-    written as its to_json() dict, straight from its fields and in key
-    order."""
+    subclasses included, raises TypeError.  A CaseRecord is written
+    straight from its fields, in key order: case, elapsed_ms rounded to
+    3 places, parameters, verdict "pass" or "fail", and the witness unless
+    it is None."""
     to_text = _SCALAR_TEXT.get(value.__class__)
     if to_text is not None:
         out.append(to_text(value))

@@ -61,7 +61,8 @@ in f (the bialternant identity; Macdonald, Symmetric Functions and Hall
 Polynomials, I.3).  psi_l is a sum of Schur polynomials, so in these
 coordinates it is the data relabelled: ``psi_alternant`` moves each weight's
 terms to the key head + delta with the v-shift w, by the one weight rule
-the packed psi also reads (``_psi_rule``), and builds no Schur polynomial.
+the packed psi also reads (``_psi_rule``), reads the exact bound of the
+terms it keeps in the same pass, and builds no Schur polynomial.
 The raising identities psi(move d) = F psi(d), for the symmetric move
 factors F of ``oldforms``, are checked there (``_times_coordinates``).  F
 has X-exponents 0 and 1 only, so each kappa + alpha of F a_kappa = sum
@@ -87,7 +88,7 @@ from typing import Any
 
 from .characters import _HTable, _schur_value, schur
 from .coweights import Coweight
-from .rings import _LIMIT, _MASK, _OFFSET, _W, SymLaurent, TruncSeries, VLaurent
+from .rings import _MASK, _OFFSET, _W, SymLaurent, TruncSeries, VLaurent
 from .rings import _bias, _checked, _pack, _Packed, _prefix_image
 from .whittaker import WhittakerData, _satake, gl_modulus_exponent
 
@@ -335,31 +336,23 @@ def psi_alternant(d: WhittakerData, n: int, r: int, trunc: int) -> SymLaurent:
     lam of trace <= trunc with a zero tail gives the terms d(lam) v^w of
     the key head + delta, delta = (r-1, .., 1, 0), by the packed psi's rule
     (``_psi_rule``, once per X-prefix per process); no two weights meet and
-    no Schur polynomial is built.  The bound is the largest |head_i +
-    delta_i|, or the data's bound plus the largest |w|; past the field
-    limit the v-exponents are re-read before OverflowError."""
+    no Schur polynomial is built.  The bound is the largest |exponent| of a
+    kept term, X or v, read in the same pass; OverflowError past the limit."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     if d.n != n:
         raise ValueError("rank mismatch between data and n")
-    rule, num = _psi_rule(n, r), {}
-    xbound = wbound = 0
+    rule, num, bound = _psi_rule(n, r), {}, 0
     for k, x in d.gen.num.items():
         image = _prefix_image(rule, k >> _W, n)
         if image is not None and image[0] <= trunc:
             _, _, w, key, top = image
             num[key + (k & _MASK) + w] = x
-            if top > xbound:
-                xbound = top
-            if w > wbound or -w > wbound:
-                wbound = abs(w)
-    bound = max(xbound, d.gen._bound + wbound)
-    if bound > _LIMIT:  # re-read the v-exponents
-        bound = xbound
-        for k in d.gen.num:
-            image = _prefix_image(rule, k >> _W, n)
-            if image is not None and image[0] <= trunc:
-                bound = max(bound, abs((k & _MASK) - _OFFSET + image[2]))
+            t = (k & _MASK) - _OFFSET + w
+            if top > bound:
+                bound = top
+            if t > bound or -t > bound:
+                bound = abs(t)
     return SymLaurent._normal(r, num, d.gen.den, _checked(bound))
 
 

@@ -778,20 +778,18 @@ class _Packed:
         terms = [(_bias(zero.r) + k * step, x) for k, x in enumerate(coeffs) if x]
         return cls(zero, terms, den, _checked((len(coeffs) - 1) * max(map(abs, exps))))
 
-    def times(self, other: "_Packed", t: int | None) -> "_Packed":
-        """The product through Y-degree t (None: all), over the product of the
-        dens, in one accumulator (ValueError if the variable counts
-        differ).  Sorted, the longer operand's terms are sorted by
-        Y-degree, so each term of the other meets only the prefix within t,
-        found by bisection: no pair past t is formed.  The bound is the
-        operands' sum; past the limit it is re-read from the keys, over the
-        pairs of degrees within t, before OverflowError."""
+    def times(self, other: "_Packed", t: int) -> "_Packed":
+        """The product through Y-degree t, over the product of the dens, in
+        one accumulator (ValueError if the variable counts differ).  Sorted,
+        the longer operand's terms are sorted by Y-degree, so each term of
+        the other meets only the prefix within t, found by bisection: no
+        pair past t is formed.  The bound is the operands' sum; past the
+        limit it is re-read from the keys, over the pairs of degrees within
+        t, before OverflowError."""
         if self.zero.r != other.zero.r:
             raise ValueError("variable counts differ")
         a, b = sorted((self, other), key=lambda x: len(x.terms))
         shift, bias = _W * (self.zero.r + 1), _bias(self.zero.r)
-        if t is None:
-            t = sum(max(x.terms)[0] >> shift for x in (a, b)) if a.terms and b.terms else 0
         bound = a.bound + b.bound
         if bound > _LIMIT:
             da, db = ({y: c._tighten() for y, c in x.series(None).coeffs.items()} for x in (a, b))

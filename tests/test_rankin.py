@@ -1135,3 +1135,19 @@ def test_psi_alternant_refuses_an_exponent_past_the_field_limit():
         with pytest.raises(OverflowError):
             psi_alternant(d, 2, 2, limit)
             pytest.fail(f"a {name} past the field limit was returned")
+
+
+def test_psi_alternant_bounds_exactly_the_terms_it_keeps():
+    # at n = r = 2 the weight (1, 0) has the key (2, 0) and adds 2 to its
+    # v-exponents; the weight (2, 0) has trace 2, past trunc 1, so its
+    # exponent at the field limit is never read
+    limit = rings._LIMIT
+    kept = WhittakerData(2, {(1, 0): VLaurent.v_power(-5), (2, 0): VLaurent.v_power(limit)})
+    got = psi_alternant(kept, 2, 2, 1)
+    assert got == SymLaurent(2, {(2, 0): VLaurent.v_power(-3)}) and got._bound == 3
+    # the X-exponent 2 decides where the v-exponent is 0
+    got = psi_alternant(WhittakerData(2, {(1, 0): VLaurent.v_power(-2)}), 2, 2, 1)
+    assert got == SymLaurent(2, {(2, 0): ONE}) and got._bound == 2
+    # the v-exponent -limit + 11, not the data's bound plus |w|
+    got = psi_alternant(WhittakerData(2, {(1, 0): VLaurent.v_power(9 - limit)}), 2, 2, 1)
+    assert got._bound == limit - 11

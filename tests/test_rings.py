@@ -686,9 +686,11 @@ def _random_laurent(rng: random.Random, r: int):
 
 
 def _packed_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """a * b through the packed series product that the verdicts use."""
+    """a * b through the packed series product that the verdicts use; two
+    exact operands are multiplied through the sum of their top degrees."""
     t = a._horizon(b)
-    return rings._Packed.of(a.coeffs, a.zero).times(rings._Packed.of(b.coeffs, b.zero), t).series(t)
+    exact = max(a.coeffs, default=0) + max(b.coeffs, default=0) if t is None else t
+    return rings._Packed.of(a.coeffs, a.zero).times(rings._Packed.of(b.coeffs, b.zero), exact).series(t)
 
 
 def test_packed_series_product_matches_the_per_degree_oracle():
